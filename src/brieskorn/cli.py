@@ -21,18 +21,13 @@ from brieskorn.engine import (
     TorsionCertificate,
 )
 from brieskorn.forms import form_from_payload, volume_form
-from brieskorn.poly import ParseError, parse_polynomial
+from brieskorn.poly import ParseError, format_rational, parse_polynomial
 from brieskorn.problemfile import ProblemFile, ProblemFileError, load_problem_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BOUND = 2
 EXIT_INVARIANT = 3
-
-
-def _fstr(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,6 +92,11 @@ def _load(path: str) -> ProblemFile:
     return load_problem_file(path)
 
 
+def _bound(*candidates):
+    """The first bound given, in order of precedence; an explicit 0 counts."""
+    return next((b for b in candidates if b is not None), None)
+
+
 def _class_from_monomial(pf: ProblemFile, text: str) -> CohomologyClass:
     problem = pf.problem
     poly = parse_polynomial(text, problem.variables)
@@ -123,9 +123,9 @@ def _torsion_payload(pf: ProblemFile, cls, cert_or_not, kind: str):
 def cmd_analyze(args) -> tuple[dict, dict, int]:
     pf = _load(args.problem)
     problem = pf.problem
-    cap = args.max_degree or pf.options.max_degree
-    p_max = args.max_t_power or pf.options.max_t_power
-    r_max = args.max_s_power or pf.options.max_s_power
+    cap = _bound(args.max_degree, pf.options.max_degree)
+    p_max = _bound(args.max_t_power, pf.options.max_t_power)
+    r_max = _bound(args.max_s_power, pf.options.max_s_power)
     mu = problem.milnor_number()
     gens = engine.kernel_generator_forms(problem, problem.n - 1)
     result = {
@@ -139,7 +139,7 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
     if mu is not None:
         basis = engine.ct_basis(problem, reduced=True)
         result["rank"] = len(basis)
-        result["spectrum"] = [_fstr(b.exponent) for b in basis]
+        result["spectrum"] = [format_rational(b.exponent) for b in basis]
         module = gm_model.from_brieskorn(problem)
         result["gm_pieces"] = module.serialize()["pieces"]
     else:
@@ -193,9 +193,9 @@ def cmd_kernel(args):
 def cmd_torsion(args):
     pf = _load(args.problem)
     problem = pf.problem
-    cap = args.max_degree or pf.options.max_degree
-    p_max = args.max_t_power or pf.options.max_t_power
-    r_max = args.max_s_power or pf.options.max_s_power
+    cap = _bound(args.max_degree, pf.options.max_degree)
+    p_max = _bound(args.max_t_power, pf.options.max_t_power)
+    r_max = _bound(args.max_s_power, pf.options.max_s_power)
     monomials = args.monomial or ["1"]
     rows = []
     certificates = []
@@ -244,10 +244,10 @@ def cmd_spectrum(args):
         "problem": problem.serialize(),
         "milnor_number": mu,
         "rank": len(basis),
-        "spectrum": [_fstr(b.exponent) for b in basis],
+        "spectrum": [format_rational(b.exponent) for b in basis],
         "gm_pieces": module.serialize()["pieces"],
-        "psi": [[_fstr(a), d] for a, d in psi.pieces],
-        "phi": [[_fstr(a), d] for a, d in phi.pieces],
+        "psi": [[format_rational(a), d] for a, d in psi.pieces],
+        "phi": [[format_rational(a), d] for a, d in phi.pieces],
         "can_surjective": gm_model.can_map(module).surjective,
     }
     return {"result": result, "certificates": [], "bounds": {}}, pf, EXIT_OK
@@ -265,7 +265,7 @@ def cmd_nc(args):
             f"{args.problem}: nc needs f = product of all variables with exponents >= 1"
         )
     germ = nc_log.MonomialGerm(exp)
-    bound = args.max_degree or pf.options.max_degree or 6
+    bound = _bound(args.max_degree, pf.options.max_degree, 6)
     i = args.form_degree
     check = nc_log.verify_a_equals_g_atilde(germ, i, bound)
     result = {
@@ -276,7 +276,7 @@ def cmd_nc(args):
             str(p): len(nc_log.log_relative_basis(germ, p)) for p in range(germ.nvars)
         },
         "residue_eigenvalues": {
-            str(p): [_fstr(a) for a in nc_log.residue_eigenvalues(germ, p)]
+            str(p): [format_rational(a) for a in nc_log.residue_eigenvalues(germ, p)]
             for p in range(germ.nvars)
         },
         "kernel_identity": {
@@ -290,7 +290,7 @@ def cmd_nc(args):
 
 
 def cmd_micro(args):
-    cap = args.max_s_power or microdiff.DEFAULT_S_CAP
+    cap = _bound(args.max_s_power, microdiff.DEFAULT_S_CAP)
     commutators = []
     for j in range(1, args.commutator_bound + 1):
         lhs = microdiff.normal_order([("t", 1), ("s", j)], cap) - microdiff.normal_order(
@@ -307,7 +307,7 @@ def cmd_micro(args):
                 {
                     "p": p,
                     "q": q,
-                    "coefficient": _fstr(rep.pure_s_coefficient),
+                    "coefficient": format_rational(rep.pure_s_coefficient),
                     "factorial": rep.factorial,
                     "holds": rep.matches,
                 }
@@ -315,7 +315,7 @@ def cmd_micro(args):
     remarks = []
     for p in range(1, args.remark_bound + 1):
         lam = microdiff.remark26_solve(p, cap)
-        remarks.append({"p": p, "lambda": [_fstr(v) for v in lam]})
+        remarks.append({"p": p, "lambda": [format_rational(v) for v in lam]})
     series = microdiff.TruncatedSeries.one(max(args.integrate_bound + 2, cap))
     integral_ok = True
     import math as _math
@@ -389,7 +389,7 @@ def cmd_check_p(args):
     pf = _load(args.problem)
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.n
-    bound = args.max_degree or pf.options.max_degree or 6
+    bound = _bound(args.max_degree, pf.options.max_degree, 6)
     res = engine.check_p_prime(problem, i, bound)
     result = {
         "problem": problem.serialize(),
@@ -543,7 +543,7 @@ def main(argv=None) -> int:
     except (ProblemFileError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CapExceeded as exc:
+    except (CapExceeded, microdiff.TruncationOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (InvariantViolation, AssertionError) as exc:

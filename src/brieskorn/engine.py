@@ -26,6 +26,7 @@ from brieskorn import groebner, linalg
 from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential, volume_form
 from brieskorn.poly import (
     Polynomial,
+    format_rational,
     iter_monomials_of_weight,
     monomial_weight,
     parse_polynomial,
@@ -152,9 +153,9 @@ class GermProblem:
         return {
             "name": self.name,
             "variables": list(self.variables),
-            "weights": [_frac_str(w) for w in self.weights],
+            "weights": [format_rational(w) for w in self.weights],
             "polynomial": self.f.serialize(self.variables),
-            "degree": _frac_str(self.degree),
+            "degree": format_rational(self.degree),
         }
 
     def __repr__(self):
@@ -162,11 +163,6 @@ class GermProblem:
 
 
 _UNSET = object()
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def problem_from_strings(variables, weight_strings, polynomial_text, name=None) -> GermProblem:
@@ -234,8 +230,8 @@ class CohomologyClass:
     def serialize(self) -> dict:
         return {
             "degree": self.i,
-            "weight": _frac_str(self.weight),
-            "exponent": _frac_str(self.tdt_eigenvalue()),
+            "weight": format_rational(self.weight),
+            "exponent": format_rational(self.tdt_eigenvalue()),
             "form": self.representative.payload(self.problem.variables),
         }
 
@@ -372,12 +368,7 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
             problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
         )
         columns.append(img.vec(_form_entries(df_wedge(problem.f, form))))
-    # transpose columns into equation rows
-    equations: dict[int, linalg.Vec] = {}
-    for j, col in enumerate(columns):
-        for row, coeff in col.items():
-            equations.setdefault(row, {})[j] = coeff
-    return linalg.nullspace([equations[r] for r in sorted(equations)], space.dim)
+    return linalg.nullspace(linalg.transpose(columns), space.dim)
 
 
 # -- weight slices of H^i -----------------------------------------------------
@@ -407,10 +398,6 @@ class HSlice:
 
     def contains_boundary(self, form: DifferentialForm) -> bool:
         return not self.reduce(form)
-
-    def quotient_rank(self, forms: Iterable[DifferentialForm]) -> int:
-        ech = _copy_echelon(self._reducer)
-        return sum(1 for f in forms if ech.add(self.space.vec(f)))
 
     def quotient_complement(self, seed_forms: Iterable[DifferentialForm]):
         """Classes of this slice independent modulo boundaries + seed forms."""
@@ -464,11 +451,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
         columns = [
             img.vec(_form_entries(space.form(v).exterior_derivative())) for v in kernel
         ]
-        equations: dict[int, linalg.Vec] = {}
-        for j, col in enumerate(columns):
-            for row, coeff in col.items():
-                equations.setdefault(row, {})[j] = coeff
-        combos = linalg.nullspace([equations[r] for r in sorted(equations)], len(kernel))
+        combos = linalg.nullspace(linalg.transpose(columns), len(kernel))
         closed = []
         for combo in combos:
             v: linalg.Vec = {}
@@ -508,26 +491,6 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
 
 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
-
-
-def h_slices(
-    problem: GermProblem,
-    i: int,
-    weights: Sequence,
-    cap: int | None = None,
-    max_workers: int | None = None,
-) -> list[HSlice]:
-    """Slices at several weights, computed concurrently.
-
-    Slice computations at distinct weights are independent pure functions;
-    results merge deterministically in ascending weight order regardless of
-    scheduling.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    ordered = sorted(Fraction(c) for c in weights)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda c: h_slice(problem, i, c, cap), ordered))
 
 
 def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
@@ -574,12 +537,6 @@ def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialFor
             )
         )
     return out
-
-
-def form_to_module_vector(problem: GermProblem, form: DifferentialForm) -> tuple[Polynomial, ...]:
-    cols = wedge_tuples(problem.nvars, form.degree)
-    zero = Polynomial.zero(problem.nvars)
-    return tuple(form.coeffs.get(w, zero) for w in cols)
 
 
 # -- torsion searches ----------------------------------------------------------
@@ -840,10 +797,6 @@ def spectrum(problem: GermProblem, reduced: bool = True) -> list[Fraction]:
     return sorted(item.exponent for item in ct_basis(problem, reduced=reduced))
 
 
-def ct_rank(problem: GermProblem, reduced: bool = True) -> int:
-    return len(ct_basis(problem, reduced=reduced))
-
-
 # -- vector fields annihilating f ------------------------------------------------
 
 
@@ -925,7 +878,7 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
 
         # intersection of span(d_kernel) and span(im_df)
         columns = d_kernel + [_neg_vec(v) for v in im_df]
-        for combo in linalg.nullspace(_transpose(columns), len(columns)):
+        for combo in linalg.nullspace(linalg.transpose(columns), len(columns)):
             u: linalg.Vec = {}
             for j, coeff in combo.items():
                 if j >= len(d_kernel):
@@ -943,14 +896,6 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
 
 def _neg_vec(v: linalg.Vec) -> linalg.Vec:
     return {k: -val for k, val in v.items()}
-
-
-def _transpose(columns: list[linalg.Vec]) -> list[linalg.Vec]:
-    rows: dict[int, linalg.Vec] = {}
-    for j, col in enumerate(columns):
-        for r, coeff in col.items():
-            rows.setdefault(r, {})[j] = coeff
-    return [rows[r] for r in sorted(rows)]
 
 
 def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int):

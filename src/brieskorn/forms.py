@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from brieskorn.poly import Polynomial, monomial_weight
+from brieskorn.poly import Polynomial, format_rational, monomial_weight
 
 WedgeIndex = tuple[int, ...]
 
@@ -256,10 +256,9 @@ class DifferentialForm:
         out = []
         for w, p in self.items():
             for exp, c in p.sorted_terms():
-                num, den = c.numerator, c.denominator
                 out.append(
                     {
-                        "coeff": str(num) if den == 1 else f"{num}/{den}",
+                        "coeff": format_rational(c),
                         "exponents": list(exp),
                         "wedge": [variables[i] for i in w],
                     }
@@ -297,9 +296,6 @@ class VectorField:
             if comp:
                 out = out + comp * p.partial_derivative(i)
         return out
-
-    def constant_part(self) -> tuple[Fraction, ...]:
-        return tuple(p.constant_term() for p in self.components)
 
     def serialize(self, variables: Sequence[str]) -> str:
         chunks = []

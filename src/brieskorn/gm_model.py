@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn.engine import GermProblem, NonIsolatedError, ct_basis
+from brieskorn.poly import format_rational
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ class ElementaryGMModule:
         return {
             "pieces": [
                 {
-                    "alpha": _fstr(p.alpha),
+                    "alpha": format_rational(p.alpha),
                     "dim": p.dim,
-                    "nilpotent": [[_fstr(v) for v in row] for row in p.nilpotent],
+                    "nilpotent": [[format_rational(v) for v in row] for row in p.nilpotent],
                 }
                 for p in self.pieces
             ]
@@ -134,12 +135,8 @@ class ElementaryGMModule:
             return cls.from_payload(json.load(fh))
 
     def __repr__(self):
-        body = ", ".join(f"({_fstr(p.alpha)}, {p.dim})" for p in self.pieces)
+        body = ", ".join(f"({format_rational(p.alpha)}, {p.dim})" for p in self.pieces)
         return f"ElementaryGMModule([{body}])"
-
-
-def _fstr(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def from_brieskorn(problem: GermProblem, i: int | None = None) -> ElementaryGMModule:
@@ -177,10 +174,6 @@ class WindowedModule:
     @property
     def dim(self) -> int:
         return sum(d for _a, d in self.pieces)
-
-    def dim_at(self, alpha) -> int:
-        alpha = Fraction(alpha)
-        return sum(d for a, d in self.pieces if a == alpha)
 
 
 def psi_phi(module: ElementaryGMModule) -> tuple[WindowedModule, WindowedModule]:

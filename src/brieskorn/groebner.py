@@ -252,39 +252,8 @@ def ideal_intersect(
 
 def quotient_dimension(gens: Sequence[Polynomial], order: MonomialOrder | None = None):
     """Q-dimension of the polynomial ring modulo (gens): an int or INFINITE."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return INFINITE
-    nvars = gens[0].nvars
-    gb = groebner_basis(gens, order or grevlex(nvars))
-    leads = [max(p.terms, key=(order or grevlex(nvars)).key) for p in gb]
-    if any(sum(e) == 0 for e in leads):
-        return 0
-    bounds = [None] * nvars
-    for e in leads:
-        support = [i for i, k in enumerate(e) if k]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    if any(b is None for b in bounds):
-        return INFINITE
-    count = 0
-    exp = [0] * nvars
-
-    def rec(i: int):
-        nonlocal count
-        if i == nvars:
-            if not any(_divides(le, tuple(exp)) for le in leads):
-                count += 1
-            return
-        for k in range(bounds[i]):
-            exp[i] = k
-            rec(i + 1)
-        exp[i] = 0
-
-    rec(0)
-    return count
+    std = standard_monomials(gens, order)
+    return INFINITE if std is INFINITE else len(std)
 
 
 def standard_monomials(gens: Sequence[Polynomial], order: MonomialOrder | None = None):

@@ -1,7 +1,7 @@
 """Exact rational linear algebra on sparse vectors.
 
 Vectors are {column index: Fraction} dicts over some enumerated basis; the
-batch row reduction runs in the kernel backend (see _backend), while the
+batch row reduction runs in the kernel (see _backend), while the
 incremental echelon accumulator used for span/quotient bookkeeping lives
 here.  Everything is deterministic: pivot choice, iteration order, output
 order.
@@ -31,6 +31,19 @@ def rref(vectors: Iterable[Vec]):
     return [from_row(r) for r in rows], list(pivots)
 
 
+def transpose(columns: Sequence[Vec]) -> list[Vec]:
+    """Rows of the matrix with the given columns, in ascending row index.
+
+    Zero entries are dropped, so every returned row is nonzero.
+    """
+    rows: dict[int, Vec] = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            if c:
+                rows.setdefault(i, {})[j] = c
+    return [rows[i] for i in sorted(rows)]
+
+
 def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     """Basis of {x in Q^ncols : each equation row dotted with x is 0}.
 
@@ -58,22 +71,7 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     Free coordinates are set to zero, making the solution canonical.
     """
     m = len(columns)
-    support: set[int] = set(target)
-    for col in columns:
-        support.update(col)
-    equations = []
-    for i in sorted(support):
-        row: Vec = {}
-        for j, col in enumerate(columns):
-            c = col.get(i)
-            if c:
-                row[j] = c
-        t = target.get(i)
-        if t:
-            row[m] = t
-        if row:
-            equations.append(row)
-    rows, pivots = rref(equations)
+    rows, pivots = rref(transpose([*columns, target]))
     if m in pivots:
         return None
     x = [Fraction(0)] * m
@@ -140,10 +138,3 @@ class Echelon:
         self.pivots.insert(at, pivot)
         self.rows.insert(at, row)
         return True
-
-    def extend(self, vectors: Iterable[Vec]) -> int:
-        added = 0
-        for v in vectors:
-            if self.add(v):
-                added += 1
-        return added

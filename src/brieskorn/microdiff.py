@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from brieskorn.poly import format_rational
+
 DEFAULT_S_CAP = 64
 
 
@@ -109,7 +111,7 @@ class SkewElement:
         for (j, k), c in sorted(self.coeffs.items()):
             parts = []
             if c != 1 or (j == 0 and k == 0):
-                parts.append(str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
+                parts.append(format_rational(c))
             if j:
                 parts.append("s" if j == 1 else f"s^{j}")
             if k:
@@ -251,7 +253,7 @@ class TruncatedSeries:
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            cs = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            cs = format_rational(c)
             chunks.append(cs if k == 0 else (f"{cs}*t^{k}" if k > 1 else f"{cs}*t"))
         return " + ".join(chunks) if chunks else "0"
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import CapExceeded, DynamicIndex, _form_entries
+from brieskorn.engine import CapExceeded, DynamicIndex, _bounded_exponents, _form_entries
 from brieskorn.forms import DifferentialForm, df_wedge
 from brieskorn.poly import Polynomial
 
@@ -154,7 +154,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     wedges_i = list(itertools.combinations(range(n), i))
     wedges_up = list(itertools.combinations(range(n), i + 1))
 
-    for nu in _exponents_up_to(n, degree_bound):
+    for nu in _bounded_exponents(n, degree_bound):
         # polynomial side: forms of multidegree nu (dx_j counts one unit of x_j)
         poly_cols = []
         poly_keys = []
@@ -175,7 +175,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         for wedge, exp in poly_keys:
             form = DifferentialForm.monomial_form(n, wedge, Polynomial.monomial(n, exp))
             poly_cols.append(img.vec(_form_entries(df_wedge(f, form))))
-        kernel = linalg.nullspace(_transpose_cols(poly_cols), len(poly_cols))
+        kernel = linalg.nullspace(linalg.transpose(poly_cols), len(poly_cols))
 
         # log side at log-multidegree b = nu - (1,...,1), Koszul with constants m_j
         b = tuple(v - 1 for v in nu)
@@ -191,8 +191,8 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
                     merged = tuple(sorted(wedge + (j,)))
                     sign = (-1) ** sum(1 for t in wedge if t < j)
                     col[upidx[merged]] = col.get(upidx[merged], Fraction(0)) + sign * m[j]
-                log_cols.append({k: v for k, v in col.items() if v})
-            for combo in linalg.nullspace(_transpose_cols(log_cols), len(wedges_i)):
+                log_cols.append(col)
+            for combo in linalg.nullspace(linalg.transpose(log_cols), len(wedges_i)):
                 lf = LogForm(
                     n,
                     i,
@@ -258,18 +258,3 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
                 witness = DifferentialForm(n, i, {w: Polynomial(n, t) for w, t in polys.items()})
                 return AEqualsGAtilde(False, witness, degree_bound)
     return AEqualsGAtilde(True, None, degree_bound)
-
-
-def _exponents_up_to(nvars: int, bound: int):
-    rng = range(bound + 1)
-    for nu in itertools.product(rng, repeat=nvars):
-        if sum(nu) <= bound:
-            yield nu
-
-
-def _transpose_cols(columns):
-    rows: dict[int, dict] = {}
-    for j, col in enumerate(columns):
-        for r, coeff in col.items():
-            rows.setdefault(r, {})[j] = coeff
-    return [rows[r] for r in sorted(rows)]

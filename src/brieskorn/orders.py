@@ -29,10 +29,6 @@ class MonomialOrder:
     def key(self, exp: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(r[i] * exp[i] for i in range(self.nvars)) for r in self.rows)
 
-    def sort_terms(self, terms):
-        """Sort (exponent, coefficient) pairs in descending order."""
-        return sorted(terms, key=lambda t: self.key(t[0]), reverse=True)
-
     def signature(self) -> tuple:
         return (self.kind, self.nvars, self._tag)
 

@@ -234,14 +234,6 @@ class Polynomial:
                 return None
         return Fraction(degree)
 
-    def weighted_components(self, weights: Sequence[Fraction]) -> dict[Fraction, "Polynomial"]:
-        """Split into w-homogeneous parts, keyed by w-degree."""
-        buckets: dict[Fraction, dict[Exponent, Fraction]] = {}
-        for exp, c in self.terms.items():
-            d = Fraction(sum(w * e for w, e in zip(weights, exp)))
-            buckets.setdefault(d, {})[exp] = c
-        return {d: Polynomial(self.nvars, t) for d, t in sorted(buckets.items())}
-
     def remap_variables(self, new_nvars: int, positions: Sequence[int]) -> "Polynomial":
         """Embed into a larger ring: old variable i becomes variable positions[i]."""
         if len(positions) != self.nvars:
@@ -288,26 +280,16 @@ def _term_string(exp: Exponent, coeff: Fraction, variables: Sequence[str]) -> st
         elif k > 1:
             factors.append(f"{name}^{k}")
     if not factors:
-        return _coeff_string(coeff)
+        return format_rational(coeff)
     if coeff != 1:
-        factors.insert(0, _coeff_string(coeff))
+        factors.insert(0, format_rational(coeff))
     return "*".join(factors)
-
-
-def _coeff_string(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def format_rational(c: Fraction) -> str:
     """Rationals serialize as "p/q" or integer strings, never floats."""
-    return _coeff_string(_as_fraction(c))
-
-
-def parse_rational(text: str) -> Fraction:
-    value = Fraction(text.strip())
-    if value.denominator <= 0:
-        raise ValueError(f"bad rational {text!r}")
-    return value
+    c = _as_fraction(c)
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # -- parser -------------------------------------------------------------------

@@ -25,6 +25,7 @@ from brieskorn.engine import (
     spectrum,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential
+from brieskorn.poly import format_rational
 
 
 def combined_problem(pf: GermProblem, pg: GermProblem, name: str | None = None) -> GermProblem:
@@ -156,15 +157,11 @@ class TSReport:
         return {
             "left_rank": self.left_rank,
             "right_rank": self.right_rank,
-            "left_exponents": [_fstr(a) for a in self.left_exponents],
-            "right_exponents": [_fstr(a) for a in self.right_exponents],
+            "left_exponents": [format_rational(a) for a in self.left_exponents],
+            "right_exponents": [format_rational(a) for a in self.right_exponents],
             "ranks_equal": self.ranks_equal,
             "exponents_equal": self.exponents_equal,
         }
-
-
-def _fstr(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def ts_compare(pf: GermProblem, pg: GermProblem) -> TSReport:

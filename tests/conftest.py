@@ -1,7 +1,6 @@
 """Make the suite runnable from a fresh checkout without installing.
 
-When brieskorn is not installed, src/ goes on the path and the pure-Python
-kernels serve as the backend.
+When brieskorn is not installed, src/ goes on the path.
 """
 
 import os

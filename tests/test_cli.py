@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from brieskorn.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -87,6 +89,48 @@ class TestExitCodes:
         report = json.loads(out)
         row = report["result"]["classes"][0]
         assert row["t"]["order"] == 1 and row["s"]["order"] == 2
+
+
+class TestExplicitBounds:
+    """An explicit 0 on the command line is the bound used, never the file's value."""
+
+    # barlet35.json sets max_degree 14 and t/s powers 10; nc22.json sets max_degree 8
+    @pytest.mark.parametrize(
+        "argv, bounds",
+        [
+            (["torsion", "barlet35.json", "--monomial", "1", "--max-degree", "0",
+              "--max-t-power", "2", "--max-s-power", "2"],
+             {"max_degree": 0, "max_t_power": 2, "max_s_power": 2}),
+            (["analyze", "barlet35.json", "--max-degree", "0",
+              "--max-t-power", "1", "--max-s-power", "1"],
+             {"max_degree": 0, "max_t_power": 1, "max_s_power": 1}),
+            (["check-p", "nc22.json", "--form-degree", "2", "--max-degree", "0"],
+             {"max_degree": 0}),
+        ],
+    )
+    def test_zero_is_reported(self, argv, bounds, capsys):
+        code, out = run_main([argv[0], prob(argv[1]), *argv[2:]], capsys)
+        assert code == 0
+        assert json.loads(out)["bounds"].items() >= bounds.items()
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["torsion", "barlet35.json", "--monomial", "1", "--max-t-power", "0"],
+             1, "p_max must be >= 1"),
+            (["torsion", "barlet35.json", "--monomial", "1", "--max-s-power", "0"],
+             1, "r_max must be >= 1"),
+            (["nc", "nc22.json", "--max-degree", "0"], 2, "degree bound must be >= 1"),
+            (["micro", "--max-s-power", "0"], 2, "exceeds cap 0"),
+        ],
+    )
+    def test_zero_is_refused_by_the_engine(self, argv, code, message, capsys):
+        if argv[0] != "micro":
+            argv = [argv[0], prob(argv[1]), *argv[2:]]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
 
 
 class TestCommands:

@@ -400,22 +400,6 @@ class TestPPrime:
             check_p_prime(BP, 1, 4)
 
 
-class TestConcurrentSlices:
-    def test_parallel_matches_serial(self):
-        from brieskorn.engine import h_slices
-
-        p = problem_from_strings(["x", "y"], ["3", "2"], "x^2+y^3")
-        weights = [F(5), F(7), F(8), F(10), F(11), F(12), F(13)]
-        parallel = h_slices(p, 2, weights, max_workers=4)
-        assert [sl.c for sl in parallel] == sorted(weights)
-        for sl in parallel:
-            serial = h_slice(p, 2, sl.c)
-            assert sl.dim == serial.dim
-            assert [c.representative for c in sl.classes] == [
-                c.representative for c in serial.classes
-            ]
-
-
 class TestZeroWeight:
     def test_zero_weight_variable(self):
         # weights may be zero; slices then need explicit caps
