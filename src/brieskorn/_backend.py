@@ -125,7 +125,10 @@ def rref(rows):
 
     Internally rows are primitive integer vectors (denominators cleared,
     content divided out), so elimination is fraction-free with one gcd pass
-    per produced row instead of one per entry.
+    per produced row instead of one per entry.  Forward elimination touches
+    only the pending rows, so pivots are found in increasing column order.
+    One back-substitution pass then clears each pivot column from the rows
+    above it, last pivot first, so every row it subtracts is fully reduced.
     """
     pending = [_int_row(r) for r in rows if r]
     done = []
@@ -144,17 +147,18 @@ def rref(rows):
             r2 = _int_eliminate(r, piv, col)
             if r2:
                 next_pending.append(r2)
-        done = [_int_eliminate(r, piv, col) for r in done]
         done.append(piv)
         pivots.append(col)
         pending = next_pending
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    for k in range(len(done) - 1, 0, -1):
+        piv, col = done[k], pivots[k]
+        for i in range(k):
+            done[i] = _int_eliminate(done[i], piv, col)
     out = []
-    for i in order:
-        row = done[i]
+    for row in done:
         lead = row[0][1]
         out.append([(c, *_norm(n, lead)) for c, n in row])
-    return out, sorted(pivots)
+    return out, pivots
 
 
 def _int_row(row):

@@ -1,7 +1,8 @@
 """Command line interface: problem ingestion, computation, JSON/text reports.
 
 Exit codes: 0 success, 1 input error, 2 a bounded search hit its ceiling or
-a cap was exceeded, 3 internal invariant violation.  Reports are
+a cap was exceeded, 3 internal invariant violation or any other internal
+fault (one `internal error:` line, never a traceback).  Reports are
 deterministic (no timestamps, sorted keys, exact rationals as strings), so
 repeated runs on the same input are byte-identical.
 """
@@ -540,6 +541,14 @@ def main(argv=None) -> int:
                 source = _load(args.problem)
             return verify_report(args.verify, args.command, source)
         payload, source, exit_code = handler(args)
+        report = {
+            "command": args.command,
+            "input_digest": _input_digest(source),
+            "version": __version__,
+            **payload,
+        }
+        emit(report, args)
+        return exit_code
     except (ProblemFileError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -552,14 +561,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = {
-        "command": args.command,
-        "input_digest": _input_digest(source),
-        "version": __version__,
-        **payload,
-    }
-    emit(report, args)
-    return exit_code
+    except Exception as exc:  # anything else is a fault of the program, not of the input
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

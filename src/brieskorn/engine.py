@@ -371,6 +371,19 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
     return linalg.nullspace(linalg.transpose(columns), space.dim)
 
 
+def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
+    """sum coeffs[j] * vectors[j], zero entries dropped."""
+    out: linalg.Vec = {}
+    for j, coeff in coeffs.items():
+        for k, val in vectors[j].items():
+            s = out.get(k, Fraction(0)) + coeff * val
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
 # -- weight slices of H^i -----------------------------------------------------
 
 
@@ -452,18 +465,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
             img.vec(_form_entries(space.form(v).exterior_derivative())) for v in kernel
         ]
         combos = linalg.nullspace(linalg.transpose(columns), len(kernel))
-        closed = []
-        for combo in combos:
-            v: linalg.Vec = {}
-            for j, coeff in combo.items():
-                for k, val in kernel[j].items():
-                    s = v.get(k, Fraction(0)) + coeff * val
-                    if s:
-                        v[k] = s
-                    else:
-                        v.pop(k, None)
-            if v:
-                closed.append(v)
+        closed = [v for v in (_combine(kernel, combo) for combo in combos) if v]
     else:
         closed = kernel
 
@@ -623,16 +625,7 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
         target_vec = img.vec(_form_entries(target))
         solution = linalg.solve_columns(columns, target_vec)
         if solution is not None:
-            eta_vec: linalg.Vec = {}
-            for j, coeff in enumerate(solution):
-                if not coeff:
-                    continue
-                for k, val in kernel[j].items():
-                    s = eta_vec.get(k, Fraction(0)) + coeff * val
-                    if s:
-                        eta_vec[k] = s
-                    else:
-                        eta_vec.pop(k, None)
+            eta_vec = _combine(kernel, {j: coeff for j, coeff in enumerate(solution) if coeff})
             cert = TorsionCertificate("t", p, [space.form(eta_vec)])
             if not cert.verify(cls):
                 raise InvariantViolation("t-torsion certificate failed re-verification")
@@ -640,59 +633,126 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
     return NotFoundWithin(p_max, not problem.positive_weights)
 
 
+@dataclass
+class _SBlock:
+    """Block j of the s-chain system: the slice space of eta_j and, for each
+    basis form beta of it, the keyed entries of d(beta) and df wedge beta."""
+
+    space: FormSpace
+    d_images: list[list]
+    df_images: list[list]
+
+
+def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
+    problem = cls.problem
+    deg_f = max(problem.f.total_degree(), 1)
+    base_degree = cls.representative.total_degree_cap() + 1
+    weight = cls.weight + j * problem.degree
+    eta_cap = _eta_cap(problem, weight, cap, base_degree + j * deg_f)
+    space = FormSpace(problem, cls.i - 1, weight, eta_cap)
+    df = problem.df
+    d_images, df_images = [], []
+    for wedge, exp in space.items:
+        beta = DifferentialForm.monomial_form(
+            problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
+        )
+        d_images.append(list(_form_entries(beta.exterior_derivative())))
+        df_images.append(list(_form_entries(df.wedge(beta))))
+    return _SBlock(space, d_images, df_images)
+
+
+def _s_chain(cls: CohomologyClass, blocks: Sequence[_SBlock]) -> list[DifferentialForm] | None:
+    """Canonical solution of the full block system of the given blocks.
+
+    Unknowns are the coordinates of eta_0..eta_r, block-major in space
+    order; equation group 0 is d(eta_0) = rep, group j is d(eta_j) =
+    df wedge eta_(j-1) and group r+1 is df wedge eta_r = 0.  Free
+    coordinates are zero.  None when the system is inconsistent.
+    """
+    img = DynamicIndex()
+    columns = []
+    for j, block in enumerate(blocks):
+        for d_entries, df_entries in zip(block.d_images, block.df_images):
+            entries = [((j, *key), coeff) for key, coeff in d_entries]
+            entries += [((j + 1, *key), -coeff) for key, coeff in df_entries]
+            columns.append(img.vec(entries))
+    target_vec = img.vec(_form_entries(cls.representative, group=0))
+    solution = linalg.solve_columns(columns, target_vec)
+    if solution is None:
+        return None
+    chain = []
+    offset = 0
+    for block in blocks:
+        dim = block.space.dim
+        chain.append(
+            block.space.form({k: solution[offset + k] for k in range(dim) if solution[offset + k]})
+        )
+        offset += dim
+    return chain
+
+
 def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     """Smallest chain depth solving d(sum eta_j dt^-j) = rep, as a certificate.
 
     The returned order rho means s^rho kills the class; the witness chain has
     length rho.
+
+    The chain system is block-bidiagonal, so it is swept forward one block
+    (one weight slice) at a time.  The carried state is the affine set
+    q + span(Q) of values that d(eta_j) may take: {rep} for j = 0, and
+    afterwards the values of df wedge eta_(j-1) over all solutions of the
+    equation groups 0..j-1.  Step j solves d(eta_j) in q + span(Q) with one
+    elimination and maps its particular solution and nullspace through
+    df-wedge, giving the next set.  Depth j is solvable iff that set
+    contains 0.  When step j itself is inconsistent, so is every deeper
+    system (it contains groups 0..j), and the search stops at once.  The
+    witness of the first solvable depth comes from one solve of the full
+    block system (_s_chain), so it is the canonical solution of that system.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     problem = cls.problem
-    f = problem.f
-    deg_f = max(f.total_degree(), 1)
-    base_degree = cls.representative.total_degree_cap() + 1
-    for r in range(0, r_max):
-        spaces = []
-        for j in range(r + 1):
-            weight = cls.weight + j * problem.degree
-            eta_cap = _eta_cap(problem, weight, cap, base_degree + j * deg_f)
-            spaces.append(FormSpace(problem, cls.i - 1, weight, eta_cap))
-        img = DynamicIndex()
-        columns = []
-        offsets = []
-        total = 0
-        for j, space in enumerate(spaces):
-            offsets.append(total)
-            total += space.dim
-            for wedge, exp in space.items:
-                beta = DifferentialForm.monomial_form(
-                    problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
-                )
-                entries = list(_form_entries(beta.exterior_derivative(), group=j))
-                nxt = df_wedge(f, beta)
-                target_group = j + 1
-                entries += [
-                    (key, -coeff)
-                    for key, coeff in _form_entries(nxt, group=target_group)
-                ]
-                columns.append(img.vec(entries))
-        target_vec = img.vec(_form_entries(cls.representative, group=0))
-        solution = linalg.solve_columns(columns, target_vec)
-        if solution is None:
-            continue
-        chain = []
-        for j, space in enumerate(spaces):
-            vec = {
-                k: solution[offsets[j] + k]
-                for k in range(space.dim)
-                if solution[offsets[j] + k]
-            }
-            chain.append(space.form(vec))
-        cert = TorsionCertificate("s", r + 1, chain)
-        if not cert.verify(cls):
-            raise InvariantViolation("s-torsion certificate failed re-verification")
-        return cert
+    index = DynamicIndex()  # coordinates of equation group j
+    q = index.vec(_form_entries(cls.representative))
+    span: list[linalg.Vec] = []
+    blocks: list[_SBlock] = []
+    for j in range(r_max):
+        block = _s_block(cls, j, cap)
+        blocks.append(block)
+        n = block.space.dim
+        # d(eta_j) + sum_k y_k Q_k = q; y is free, so the sign of Q is immaterial
+        columns = [index.vec(entries) for entries in block.d_images] + span
+        m = len(columns)
+        rows, pivots = linalg.rref(linalg.transpose([*columns, q]))
+        if m in pivots:
+            return NotFoundWithin(r_max, not problem.positive_weights)
+        # eta-parts of the particular solution and of the nullspace basis
+        particular: linalg.Vec = {}
+        null = {free: ({free: Fraction(1)} if free < n else {}) for free in range(m)}
+        for p, row in zip(pivots, rows):
+            del null[p]
+            if p >= n:
+                continue
+            for col, coeff in row.items():
+                if col == m:
+                    particular[p] = coeff
+                elif col != p:
+                    null[col][p] = -coeff
+        index = DynamicIndex()
+        images = [index.vec(entries) for entries in block.df_images]
+        q = _combine(images, particular)
+        spanning = [v for v in (_combine(images, combo) for combo in null.values()) if v]
+        # one elimination: a basis of the new span, and whether q lies in it
+        _rows, basis_pivots = linalg.rref(linalg.transpose([*spanning, q]))
+        if len(spanning) not in basis_pivots:
+            chain = _s_chain(cls, blocks)
+            if chain is None:
+                raise InvariantViolation("s-chain block system disagrees with its forward sweep")
+            cert = TorsionCertificate("s", j + 1, chain)
+            if not cert.verify(cls):
+                raise InvariantViolation("s-torsion certificate failed re-verification")
+            return cert
+        span = [spanning[p] for p in basis_pivots if p < len(spanning)]
     return NotFoundWithin(r_max, not problem.positive_weights)
 
 
@@ -879,16 +939,7 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
         # intersection of span(d_kernel) and span(im_df)
         columns = d_kernel + [_neg_vec(v) for v in im_df]
         for combo in linalg.nullspace(linalg.transpose(columns), len(columns)):
-            u: linalg.Vec = {}
-            for j, coeff in combo.items():
-                if j >= len(d_kernel):
-                    continue
-                for k, val in d_kernel[j].items():
-                    s = u.get(k, Fraction(0)) + coeff * val
-                    if s:
-                        u[k] = s
-                    else:
-                        u.pop(k, None)
+            u = _combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
                 return PPrimeResult(False, space.form(u), weights, cap_relative)
     return PPrimeResult(True, None, weights, cap_relative)

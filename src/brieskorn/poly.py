@@ -15,6 +15,7 @@ allowed) give the quasi-homogeneous grading used throughout the engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -410,9 +411,11 @@ class _Parser:
             if self.tok.peek()[0] == "/":
                 save = self.tok.pos
                 self.tok.take()
-                kind2, value2, _ = self.tok.peek()
+                kind2, value2, pos2 = self.tok.peek()
                 if kind2 == "int":
                     self.tok.take()
+                    if not int(value2):
+                        raise ParseError("division by zero", pos2)
                     return Polynomial.constant(self.nvars, Fraction(numer, int(value2)))
                 self.tok.pos = save
             return Polynomial.constant(self.nvars, numer)
@@ -458,31 +461,47 @@ def iter_monomials_of_weight(
     """Yield exponents with weighted degree `target` and total degree <= cap.
 
     Enumeration order is deterministic (lexicographic in the exponent).
-    With mixed-sign weights the cap is what keeps this finite.
+    With mixed-sign weights the cap is what keeps this finite.  Weights and
+    target are scaled once to integers (by the lcm of their denominators),
+    so the search itself does integer arithmetic only.
     """
     target = Fraction(target)
-    pos_tail = [ZERO] * (nvars + 1)
-    neg_tail = [ZERO] * (nvars + 1)
+    weights = [_as_fraction(w) for w in weights]
+    scale = lcm(target.denominator, *(w.denominator for w in weights))
+    ws = [w.numerator * (scale // w.denominator) for w in weights]
+    pos_tail = [0] * (nvars + 1)
+    neg_tail = [0] * (nvars + 1)
     for i in range(nvars - 1, -1, -1):
-        w = weights[i]
-        pos_tail[i] = max(pos_tail[i + 1], w if w > 0 else ZERO)
-        neg_tail[i] = min(neg_tail[i + 1], w if w < 0 else ZERO)
+        pos_tail[i] = max(pos_tail[i + 1], ws[i])
+        neg_tail[i] = min(neg_tail[i + 1], ws[i])
 
     exp = [0] * nvars
+    last = nvars - 1
 
-    def rec(i: int, remaining: Fraction, budget: int) -> Iterator[Exponent]:
-        if i == nvars:
-            if remaining == 0:
-                yield tuple(exp)
-            return
+    def rec(i: int, remaining: int, budget: int) -> Iterator[Exponent]:
         # with at most `budget` more exponent units, the reachable weight
         # lies in [budget*neg_tail, budget*pos_tail]
         if remaining > budget * pos_tail[i] or remaining < budget * neg_tail[i]:
             return
-        w = weights[i]
+        w = ws[i]
+        if i == last:
+            # the bounds above leave at most one exponent, or every one when w == 0
+            if w == 0:
+                for k in range(budget + 1):
+                    exp[i] = k
+                    yield tuple(exp)
+            elif remaining % w == 0:
+                exp[i] = remaining // w
+                yield tuple(exp)
+            exp[i] = 0
+            return
         for k in range(budget + 1):
             exp[i] = k
             yield from rec(i + 1, remaining - w * k, budget - k)
         exp[i] = 0
 
-    yield from rec(0, target, degree_cap)
+    if nvars == 0:
+        if target == 0:
+            yield ()
+        return
+    yield from rec(0, target.numerator * (scale // target.denominator), degree_cap)

@@ -65,13 +65,18 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
             raise ProblemFileError(f"{source}: missing required key {key!r}")
     variables = data["variables"]
     weights = data["weights"]
+    polynomial = data["polynomial"]
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ProblemFileError(f"{source}: variables must be a list of strings")
+    if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
+        raise ProblemFileError(f"{source}: weights must be a list of rational strings")
+    if not isinstance(polynomial, str):
+        raise ProblemFileError(f"{source}: polynomial must be a string")
     if len(weights) != len(variables):
         raise ProblemFileError(f"{source}: weights length must equal variables length")
     name = data.get("name") or "problem"
     try:
-        f = parse_polynomial(data["polynomial"], variables)
+        f = parse_polynomial(polynomial, variables)
     except ParseError as exc:
         raise ProblemFileError(f"{source}: polynomial does not parse: {exc}") from exc
     try:
@@ -82,8 +87,17 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     if not isinstance(opts, dict):
         raise ProblemFileError(f"{source}: options must be an object")
     options = ProblemOptions(
-        max_degree=opts.get("max_degree"),
-        max_t_power=int(opts.get("max_t_power", 10)),
-        max_s_power=int(opts.get("max_s_power", 10)),
+        max_degree=_int_option(opts, "max_degree", None, source),
+        max_t_power=_int_option(opts, "max_t_power", 10, source),
+        max_s_power=_int_option(opts, "max_s_power", 10, source),
     )
     return ProblemFile(name=name, problem=problem, options=options, digest=digest, raw=data)
+
+
+def _int_option(opts: dict, key: str, default, source: str):
+    value = opts.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFileError(f"{source}: options.{key} must be an integer")
+    return value

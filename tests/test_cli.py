@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from brieskorn import engine
 from brieskorn.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -130,6 +131,50 @@ class TestExplicitBounds:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
+
+class TestInputContract:
+    """Bad input exits 1, an internal fault 3; each prints one line and no traceback."""
+
+    GERM = {"variables": ["x", "y"], "weights": ["1", "1"], "polynomial": "x^2 + y^2"}
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"weights": "11"}, "weights must be a list of rational strings"),
+            ({"weights": [0.5, 0.5]}, "weights must be a list of rational strings"),
+            ({"weights": [1, 1]}, "weights must be a list of rational strings"),
+            ({"variables": ["x"], "weights": ["1"], "polynomial": 5}, "polynomial must be a string"),
+            ({"options": {"max_t_power": 2.5}}, "options.max_t_power must be an integer"),
+            ({"options": {"max_s_power": None}}, "options.max_s_power must be an integer"),
+        ],
+        ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
+             "option-float", "option-null"],
+    )
+    def test_bad_problem_file(self, change, message, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**self.GERM, **change}))
+        self.expect(["torsion", str(path)], 1, message, capsys)
+
+    def test_zero_denominator_literal(self, capsys):
+        argv = ["torsion", prob("barlet35.json"), "--monomial", "1/0"]
+        self.expect(argv, 1, "division by zero", capsys)
+
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom\non two lines")
+
+        monkeypatch.setattr(engine, "torsion_order_t", broken)
+        argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
+        self.expect(argv, 3, "internal error: RuntimeError: boom on two lines", capsys)
+
+    @staticmethod
+    def expect(argv, code, message, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
         assert message in captured.err and "Traceback" not in captured.err
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brieskorn import engine
 from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
@@ -288,6 +289,86 @@ class TestTorsion:
         assert isinstance(rt, TorsionCertificate) and rt.order == 1
         rs = torsion_order_s(cls, 6, cap=14)
         assert isinstance(rs, NotFoundWithin) and rs.cap_limited
+
+
+def s_reference(cls, r_max, cap):
+    """(order, chain) of the first depth whose full block system is consistent."""
+    blocks = []
+    for r in range(r_max):
+        blocks.append(engine._s_block(cls, r, cap))
+        chain = engine._s_chain(cls, blocks)
+        if chain is not None:
+            return r + 1, chain
+    return None
+
+
+@pytest.fixture
+def spaces(monkeypatch):
+    """Arguments of every FormSpace built while the test runs."""
+    built = []
+    original = engine.FormSpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(engine.FormSpace, "__init__", counting)
+    return built
+
+
+def top_class(problem, monomial):
+    poly = parse_polynomial(monomial, problem.variables)
+    return CohomologyClass(problem, problem.n, volume_form(problem.nvars, poly))
+
+
+class TestStaircase:
+    """The forward sweep of torsion_order_s against the full block systems."""
+
+    R_MAX = 4
+
+    def check(self, cls, cap):
+        result = torsion_order_s(cls, self.R_MAX, cap=cap)
+        expected = s_reference(cls, self.R_MAX, cap)
+        if expected is None:
+            assert isinstance(result, NotFoundWithin)
+            assert (result.bound, result.cap_limited) == (self.R_MAX, not cls.problem.positive_weights)
+        else:
+            assert isinstance(result, TorsionCertificate)
+            assert (result.order, result.witness) == expected
+
+    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
+    def test_barlet_classes(self, monomial):
+        self.check(top_class(BP, monomial), 14)
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial",
+        [(["x", "y"], ["3", "2"], "x^2 + y^3"), (["x", "y"], ["1", "1"], "x^3 + y^3")],
+    )
+    def test_sampled_isolated_classes(self, variables, weights, polynomial):
+        problem = problem_from_strings(variables, weights, polynomial)
+        for cls in sample_top_classes(problem, 3, seed=5):
+            self.check(cls, None)
+
+    def test_inconsistent_step_stops_the_sweep(self, spaces):
+        # A class the constructor accepts never reaches this branch: its
+        # representative and every df wedge eta_j are closed, so the
+        # polynomial Poincare lemma gives primitives of one degree more,
+        # within the block caps.  The non-closed z dx^dy drives it here.
+        cls = object.__new__(CohomologyClass)
+        cls.problem, cls.i, cls.weight = BP, 2, F(1)
+        cls.representative = DifferentialForm.monomial_form(3, (0, 1), Polynomial.monomial(3, (0, 0, 1)))
+        result = torsion_order_s(cls, self.R_MAX, cap=14)
+        assert isinstance(result, NotFoundWithin) and result.cap_limited
+        assert len(spaces) == 1  # the sweep stops after the first block
+        assert s_reference(cls, self.R_MAX, 14) is None
+
+    def test_exhausted_search_builds_one_space_per_depth(self, spaces):
+        cls = top_class(BP, "z")
+        for depth in (1, 3, 5):
+            spaces.clear()
+            assert isinstance(torsion_order_s(cls, depth, cap=14), NotFoundWithin)
+            assert len(spaces) == depth  # one block per depth, each built once
+            assert [a[2] for a in spaces] == [cls.weight + j * BP.degree for j in range(depth)]
 
 
 class TestSliceOracle:

@@ -61,6 +61,12 @@ class TestParser:
             P("x + ")
         assert err.value.position == 4
 
+    def test_rational_literal_with_zero_denominator(self):
+        with pytest.raises(ParseError, match="division by zero"):
+            P("1/0")
+        with pytest.raises(ParseError, match="division by zero"):
+            P("x + 3/00")
+
     def test_division_by_polynomial_rejected(self):
         with pytest.raises(ParseError):
             P("x/y")
@@ -184,3 +190,23 @@ class TestWeightEnumeration:
                 if sum(e) <= cap and monomial_weight(e, w) == target
             }
             assert got == brute
+
+    def test_seeded_enumeration_matches_brute_force_in_order(self):
+        # fractional and mixed-sign weights, targets hit and missed; the
+        # brute force runs in lexicographic order, which the enumeration keeps
+        import itertools
+
+        rng = random.Random(452)
+        for _ in range(200):
+            nvars = rng.randint(1, 4)
+            w = weight_vector([Fraction(rng.randint(-4, 5), rng.randint(1, 4)) for _ in range(nvars)])
+            cap = rng.randint(0, 6)
+            exp = [rng.randint(0, 3) for _ in range(nvars)]
+            target = monomial_weight(exp, w) + rng.choice([0, 0, Fraction(1, rng.randint(1, 6))])
+            got = list(iter_monomials_of_weight(nvars, w, target, cap))
+            brute = [
+                e
+                for e in itertools.product(range(cap + 1), repeat=nvars)
+                if sum(e) <= cap and monomial_weight(e, w) == target
+            ]
+            assert got == brute, (w, target, cap)
