@@ -15,6 +15,7 @@ Data formats:
   sparse row       list of (col, num, den), strictly increasing in col
 """
 
+import heapq
 from math import gcd
 
 
@@ -120,40 +121,59 @@ def rref(rows):
 
     Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot
     column, each pivot coefficient is 1 and is the only nonzero entry in its
-    column.  Pivot choice (sparsest candidate, lowest index on ties) is
-    deterministic.
+    column.  The output is the unique RREF of the input.
 
     Internally rows are primitive integer vectors (denominators cleared,
     content divided out), so elimination is fraction-free with one gcd pass
-    per produced row instead of one per entry.  Forward elimination touches
-    only the pending rows, so pivots are found in increasing column order.
-    One back-substitution pass then clears each pivot column from the rows
-    above it, last pivot first, so every row it subtracts is fully reduced.
+    per produced row instead of one per entry.
+
+    Forward elimination keeps the pending rows in buckets by leading column
+    and a heap of the columns whose bucket is nonempty.  Each step pops the
+    smallest such column; the sparsest row of its bucket (earliest arrival
+    on ties) becomes the pivot, and only the other rows of that bucket are
+    eliminated, since no other pending row holds that column.  Each reduced
+    row moves to the bucket of its new leading column, or is dropped when it
+    cancels to zero.  Pivots are thus found in increasing column order.
+
+    Back-substitution then runs bottom-up: every row below the current one
+    is already fully reduced, so clearing from a row exactly the pivot
+    columns it holds brings in no other pivot column.
     """
-    pending = [_int_row(r) for r in rows if r]
+    buckets = {}
+    for r in rows:
+        if r:
+            row = _int_row(r)
+            buckets.setdefault(row[0][0], []).append(row)
+    heap = list(buckets)
+    heapq.heapify(heap)
     done = []
     pivots = []
-    while pending:
-        col = min(r[0][0] for r in pending)
-        best = -1
-        best_len = -1
-        for i, r in enumerate(pending):
-            if r[0][0] == col and (best < 0 or len(r) < best_len):
+    while heap:
+        col = heapq.heappop(heap)
+        bucket = buckets.pop(col)
+        best = 0
+        for i in range(1, len(bucket)):
+            if len(bucket[i]) < len(bucket[best]):
                 best = i
-                best_len = len(r)
-        piv = pending.pop(best)
-        next_pending = []
-        for r in pending:
+        piv = bucket.pop(best)
+        for r in bucket:
             r2 = _int_eliminate(r, piv, col)
             if r2:
-                next_pending.append(r2)
+                lead = r2[0][0]
+                waiting = buckets.get(lead)
+                if waiting is None:
+                    buckets[lead] = [r2]
+                    heapq.heappush(heap, lead)
+                else:
+                    waiting.append(r2)
         done.append(piv)
         pivots.append(col)
-        pending = next_pending
-    for k in range(len(done) - 1, 0, -1):
-        piv, col = done[k], pivots[k]
-        for i in range(k):
-            done[i] = _int_eliminate(done[i], piv, col)
+    where = {col: k for k, col in enumerate(pivots)}
+    for k in range(len(done) - 2, -1, -1):
+        row = done[k]
+        for col in [c for c, _n in row[1:] if c in where]:
+            row = _int_eliminate(row, done[where[col]], col)
+        done[k] = row
     out = []
     for row in done:
         lead = row[0][1]

@@ -107,10 +107,6 @@ class GermProblem:
         return [p for p in self.partials if p]
 
     @property
-    def df(self) -> DifferentialForm:
-        return differential(self.f)
-
-    @property
     def euler_field(self) -> VectorField:
         """E = sum w_i x_i d_i, so E(f) = deg(f) * f."""
         comps = [
@@ -384,6 +380,69 @@ def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
     return out
 
 
+def _monomial_images(problem: GermProblem, space: FormSpace) -> tuple[list[list], list[list]]:
+    """Keyed entries of d(beta) and of df wedge beta for every basis form beta.
+
+    beta = x^e dx_w runs over space.items.  Both images come from exponent
+    arithmetic with the partials of f taken once: d(beta) has the entry
+    sign * e_j at (w + j, e - 1_j), and df wedge beta holds the terms of
+    sign * (df/dx_j) x^e at w + j, for each j not in w, where sign is
+    (-1)^(number of indices of w below j).  Entries and their order equal
+    _form_entries of beta.exterior_derivative() and df_wedge(f, beta):
+    the wedges w + j ascend with j, and shifting the (sorted) terms of a
+    partial by e keeps their order.
+    """
+    nvars = problem.nvars
+    partials = []
+    for j in range(nvars):
+        terms = sorted(problem.f.partial_derivative(j).terms.items())
+        partials.append((terms, [(exp, -c) for exp, c in terms]))
+    d_images, df_images = [], []
+    for wedge, exp in space.items:
+        d_entries, df_entries = [], []
+        below = 0  # indices of the wedge below j
+        for j in range(nvars):
+            if below < len(wedge) and wedge[below] == j:
+                below += 1
+                continue
+            new_wedge = (*wedge[:below], j, *wedge[below:])
+            odd = below % 2
+            if exp[j]:
+                lowered = (*exp[:j], exp[j] - 1, *exp[j + 1 :])
+                d_entries.append(((new_wedge, lowered), Fraction(-exp[j] if odd else exp[j])))
+            for e2, c in partials[j][odd]:
+                df_entries.append(((new_wedge, tuple(a + b for a, b in zip(e2, exp))), c))
+        d_images.append(d_entries)
+        df_images.append(df_entries)
+    return d_images, df_images
+
+
+def solve_in_kernel(
+    space: FormSpace, d_images: Sequence[list], df_images: Sequence[list], target: DifferentialForm
+) -> DifferentialForm | None:
+    """Canonical eta in the slice space with df wedge eta = 0 and d(eta) = target.
+
+    One solve of the stacked system [d; df wedge] eta = [target; 0] over the
+    basis of space, whose keyed images are d_images and df_images; free
+    coordinates are zero.  None when no such eta exists.
+
+    This is the solution of d restricted to the canonical Ker(df wedge)
+    basis (linalg.nullspace) with free coordinates zero, combined back: a
+    basis column is a pivot of the stacked matrix exactly when it is a
+    pivot column of df wedge, or it is a free column whose kernel vector is
+    a pivot of d restricted to that basis.
+    """
+    img = DynamicIndex()
+    columns = [
+        img.vec([((0, *key), c) for key, c in d_entries] + [((1, *key), c) for key, c in df_entries])
+        for d_entries, df_entries in zip(d_images, df_images)
+    ]
+    solution = linalg.solve_columns(columns, img.vec(_form_entries(target, group=0)))
+    if solution is None:
+        return None
+    return space.form({k: x for k, x in enumerate(solution) if x})
+
+
 # -- weight slices of H^i -----------------------------------------------------
 
 
@@ -616,17 +675,12 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
         if target.is_zero:
             zero_eta = DifferentialForm.zero(problem.nvars, cls.i - 1)
             return TorsionCertificate("t", p, [zero_eta])
-        weight = cls.weight + p * problem.degree
-        eta_cap = _eta_cap(problem, weight, cap, target.total_degree_cap() + 1)
-        space = FormSpace(problem, cls.i - 1, weight, eta_cap)
-        kernel = _df_kernel_vectors(problem, space)
-        img = DynamicIndex()
-        columns = [img.vec(_form_entries(space.form(v).exterior_derivative())) for v in kernel]
-        target_vec = img.vec(_form_entries(target))
-        solution = linalg.solve_columns(columns, target_vec)
-        if solution is not None:
-            eta_vec = _combine(kernel, {j: coeff for j, coeff in enumerate(solution) if coeff})
-            cert = TorsionCertificate("t", p, [space.form(eta_vec)])
+        # the slice of eta_p in the s-chain: weight c + p*deg f, and the cap
+        # base_degree + p*deg f is the total degree of target plus one
+        block = _s_block(cls, p, cap)
+        eta = solve_in_kernel(block.space, block.d_images, block.df_images, target)
+        if eta is not None:
+            cert = TorsionCertificate("t", p, [eta])
             if not cert.verify(cls):
                 raise InvariantViolation("t-torsion certificate failed re-verification")
             return cert
@@ -650,15 +704,7 @@ def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
     weight = cls.weight + j * problem.degree
     eta_cap = _eta_cap(problem, weight, cap, base_degree + j * deg_f)
     space = FormSpace(problem, cls.i - 1, weight, eta_cap)
-    df = problem.df
-    d_images, df_images = [], []
-    for wedge, exp in space.items:
-        beta = DifferentialForm.monomial_form(
-            problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
-        )
-        d_images.append(list(_form_entries(beta.exterior_derivative())))
-        df_images.append(list(_form_entries(df.wedge(beta))))
-    return _SBlock(space, d_images, df_images)
+    return _SBlock(space, *_monomial_images(problem, space))
 
 
 def _s_chain(cls: CohomologyClass, blocks: Sequence[_SBlock]) -> list[DifferentialForm] | None:

@@ -8,6 +8,7 @@ permutation parity, which fixes every Koszul sign bit-stably.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -322,9 +323,15 @@ def differential(p: Polynomial) -> DifferentialForm:
     return DifferentialForm(p.nvars, 1, coeffs)
 
 
+@functools.lru_cache(maxsize=8)
+def _df(f: Polynomial) -> DifferentialForm:
+    # shared by every caller: wedge() builds a new form and never mutates it
+    return differential(f)
+
+
 def df_wedge(f: Polynomial, omega: DifferentialForm) -> DifferentialForm:
     """df wedged onto omega, with the standard Koszul signs."""
-    return differential(f).wedge(omega)
+    return _df(f).wedge(omega)
 
 
 def volume_form(nvars: int, coefficient: Polynomial | None = None) -> DifferentialForm:

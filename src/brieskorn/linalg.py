@@ -52,17 +52,14 @@ def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     """
     rows, pivots = rref(equations)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v: Vec = {free: Fraction(1)}
-        for p, row in zip(pivots, rows):
-            c = row.get(free)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivot_set}
+    # scatter each pivot row into the vectors of the free columns it holds
+    for p, row in zip(pivots, rows):
+        for c, val in row.items():
+            v = basis.get(c)
+            if v is not None:
+                v[p] = -val
+    return list(basis.values())
 
 
 def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 
 from brieskorn.engine import GermProblem
@@ -25,6 +26,10 @@ from brieskorn.poly import ParseError, parse_polynomial
 
 class ProblemFileError(ValueError):
     pass
+
+
+# a weight string: an integer p or a quotient p/q of integers
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass
@@ -74,6 +79,12 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
         raise ProblemFileError(f"{source}: polynomial must be a string")
     if len(weights) != len(variables):
         raise ProblemFileError(f"{source}: weights length must equal variables length")
+    for i, w in enumerate(weights):
+        match = _RATIONAL.fullmatch(w)
+        if match is None:
+            raise ProblemFileError(f"{source}: weights[{i}] = {w!r} is not a rational literal p or p/q")
+        if match.group(2) is not None and int(match.group(2)) == 0:
+            raise ProblemFileError(f"{source}: weights[{i}] = {w!r} has a zero denominator")
     name = data.get("name") or "problem"
     try:
         f = parse_polynomial(polynomial, variables)

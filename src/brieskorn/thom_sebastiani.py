@@ -11,17 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from brieskorn import linalg
 from brieskorn.engine import (
     CohomologyClass,
-    DynamicIndex,
     FormSpace,
     GermProblem,
     NonIsolatedError,
     NotFoundWithin,
     TorsionCertificate,
-    _df_kernel_vectors,
-    _form_entries,
+    _monomial_images,
+    solve_in_kernel,
     spectrum,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential
@@ -102,24 +100,9 @@ def vanish_g_k_dg(
     if cap is None:
         raise ValueError("a search cap is needed with non-positive weights")
     space = FormSpace(combined, target.degree - 1, weight, cap)
-    kernel = _df_kernel_vectors(combined, space)
-    img = DynamicIndex()
-    columns = [img.vec(_form_entries(space.form(v).exterior_derivative())) for v in kernel]
-    target_vec = img.vec(_form_entries(target))
-    solution = linalg.solve_columns(columns, target_vec)
-    if solution is None:
+    eta = solve_in_kernel(space, *_monomial_images(combined, space), target)
+    if eta is None:
         return NotFoundWithin(cap, not combined.positive_weights)
-    eta_vec: linalg.Vec = {}
-    for j, coeff in enumerate(solution):
-        if not coeff:
-            continue
-        for idx, val in kernel[j].items():
-            s = eta_vec.get(idx, Fraction(0)) + coeff * val
-            if s:
-                eta_vec[idx] = s
-            else:
-                eta_vec.pop(idx, None)
-    eta = space.form(eta_vec)
     if df_wedge(combined.f, eta) or eta.exterior_derivative() != target:
         raise AssertionError("vanishing certificate failed re-verification")
     return VanishingCertificate(k, eta, target)

@@ -148,9 +148,18 @@ class TestInputContract:
             ({"variables": ["x"], "weights": ["1"], "polynomial": 5}, "polynomial must be a string"),
             ({"options": {"max_t_power": 2.5}}, "options.max_t_power must be an integer"),
             ({"options": {"max_s_power": None}}, "options.max_s_power must be an integer"),
+            ({"weights": ["1/0", "1"]}, "weights[0] = '1/0' has a zero denominator"),
+            ({"weights": ["1", "-3/00"]}, "weights[1] = '-3/00' has a zero denominator"),
+            ({"weights": ["1", "0.5"]}, "weights[1] = '0.5' is not a rational literal"),
+            ({"weights": ["1e3", "1"]}, "weights[0] = '1e3' is not a rational literal"),
+            ({"weights": ["1", " 1"]}, "weights[1] = ' 1' is not a rational literal"),
+            ({"weights": ["1", "1/-2"]}, "weights[1] = '1/-2' is not a rational literal"),
+            ({"weights": ["1", ""]}, "weights[1] = '' is not a rational literal"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
-             "option-float", "option-null"],
+             "option-float", "option-null", "weight-zero-denominator",
+             "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
+             "weight-whitespace", "weight-signed-denominator", "weight-empty"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
         path = tmp_path / "p.json"

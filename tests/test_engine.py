@@ -1,11 +1,12 @@
 """Engine: germ problems, weight slices, module actions, torsion, (P')."""
 
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from brieskorn import engine
+from brieskorn import engine, linalg, thom_sebastiani
 from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
@@ -36,6 +37,9 @@ from brieskorn.engine import (
 from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
 from brieskorn.groebner import SubmoduleOfFree, modules_equal
 from brieskorn.poly import Polynomial, parse_polynomial
+from brieskorn.problemfile import load_problem_file
+
+PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
 
 
 def barlet():
@@ -369,6 +373,118 @@ class TestStaircase:
             assert isinstance(torsion_order_s(cls, depth, cap=14), NotFoundWithin)
             assert len(spaces) == depth  # one block per depth, each built once
             assert [a[2] for a in spaces] == [cls.weight + j * BP.degree for j in range(depth)]
+
+
+def kernel_solve_reference(problem, space, target):
+    """d(eta) = target on the canonical Ker(df wedge) basis, combined back."""
+    kernel = engine._df_kernel_vectors(problem, space)
+    img = engine.DynamicIndex()
+    columns = [img.vec(engine._form_entries(space.form(v).exterior_derivative())) for v in kernel]
+    solution = linalg.solve_columns(columns, img.vec(engine._form_entries(target)))
+    if solution is None:
+        return None
+    return space.form(engine._combine(kernel, {j: x for j, x in enumerate(solution) if x}))
+
+
+def t_reference(cls, p_max, cap):
+    """(order, eta) of the first level p whose slice solves f^p rep = d(eta)."""
+    problem = cls.problem
+    for p in range(1, p_max + 1):
+        target = cls.representative * problem.f ** p
+        weight = cls.weight + p * problem.degree
+        eta_cap = engine._eta_cap(problem, weight, cap, target.total_degree_cap() + 1)
+        space = engine.FormSpace(problem, cls.i - 1, weight, eta_cap)
+        eta = kernel_solve_reference(problem, space, target)
+        if eta is not None:
+            return p, eta
+    return None
+
+
+class TestSolveInKernel:
+    """Exponent-arithmetic images and the stacked solve against the
+    DifferentialForm-built images and the kernel-basis solve."""
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial, cap, slice_weights",
+        [
+            (["x", "y", "z"], ["1", "1", "-1"], "x^5/5 + y^5/5 + x^3*y^3*z/3", 6, [-2, 0, 1, 3, 5]),
+            (["x", "y"], ["3", "2"], "x^2 + y^3", None, [0, 3, 5, 7, 12, 13]),
+            (["x", "y"], ["1", "1"], "x^2*y^2", None, [1, 3, 4, 6]),
+            (["x", "y", "z", "w"], ["6", "4", "4", "3"], "x^2 + y^3 + z^3 + w^4", None, [6, 11, 17, 24]),
+            (["x"], ["1"], "x^2", None, [0, 1, 2, 3, 5, 8]),
+        ],
+        ids=["barlet35", "cusp", "nc22", "bp4", "a1"],
+    )
+    def test_monomial_images_match_the_form_operators(self, variables, weights, polynomial, cap, slice_weights):
+        problem = problem_from_strings(variables, weights, polynomial)
+        checked = 0
+        for i in range(problem.n + 1):
+            for c in slice_weights:
+                space_cap = cap if cap is not None else problem.auto_cap(F(c))
+                space = engine.FormSpace(problem, i, F(c), space_cap)
+                d_images, df_images = engine._monomial_images(problem, space)
+                assert len(d_images) == len(df_images) == space.dim
+                for (wedge, exp), d_entries, df_entries in zip(space.items, d_images, df_images):
+                    beta = DifferentialForm.monomial_form(problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp))
+                    assert d_entries == list(engine._form_entries(beta.exterior_derivative()))
+                    assert df_entries == list(engine._form_entries(df_wedge(problem.f, beta)))
+                    assert all(type(c) is F for _key, c in d_entries + df_entries)
+                    checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
+    def test_barlet_t_search_matches_the_kernel_basis_solve(self, monomial):
+        self.check_t(top_class(BP, monomial), 10, 14)
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial",
+        [
+            (["x", "y"], ["3", "2"], "x^2 + y^3"),
+            (["x", "y"], ["1", "1"], "x^3 + y^3"),
+            (["x", "y"], ["1", "1"], "x^2*y^2"),
+        ],
+        ids=["cusp", "x3y3", "nc22"],
+    )
+    def test_sampled_t_searches_match_the_kernel_basis_solve(self, variables, weights, polynomial):
+        problem = problem_from_strings(variables, weights, polynomial)
+        for cls in sample_top_classes(problem, 4, seed=7, degree_bound=4):
+            self.check_t(cls, 4, None)
+
+    @staticmethod
+    def check_t(cls, p_max, cap):
+        result = torsion_order_t(cls, p_max, cap=cap)
+        expected = t_reference(cls, p_max, cap)
+        if expected is None:
+            assert isinstance(result, NotFoundWithin)
+        else:
+            assert isinstance(result, TorsionCertificate)
+            assert (result.order, result.witness) == (expected[0], [expected[1]])
+
+    @pytest.mark.parametrize(
+        "f_problem, g_problem",
+        [("a1.json", "ts_y3.json"), ("a1.json", "ts_y2.json"), ("cusp.json", "ts_z2.json"), ("x3y3.json", "ts_z2.json")],
+    )
+    def test_vanishing_certificates_match_the_kernel_basis_solve(self, f_problem, g_problem):
+        pf = load_problem_file(os.path.join(PROBLEMS, f_problem)).problem
+        pg = load_problem_file(os.path.join(PROBLEMS, g_problem)).problem
+        combined = thom_sebastiani.combined_problem(pf, pg)
+        nv = combined.nvars
+        g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
+        found = 0
+        for item in ct_basis(pf):
+            wf = thom_sebastiani.lift_form(item.cls.representative, 0, nv)
+            for k in range(4):
+                result = thom_sebastiani.vanish_g_k_dg(item.cls, pg, k)
+                target = wf.wedge(differential(g_lift) * (g_lift ** k))
+                weight = target.weighted_degree(combined.weights)
+                space = engine.FormSpace(combined, target.degree - 1, weight, combined.auto_cap(weight))
+                expected = kernel_solve_reference(combined, space, target)
+                if expected is None:
+                    assert isinstance(result, NotFoundWithin)
+                else:
+                    found += 1
+                    assert (result.eta, result.target) == (expected, target)
+        assert found > 0
 
 
 class TestSliceOracle:

@@ -2,9 +2,9 @@
 
 The benchmark (perfbench/) records the exit code and report sha256 of every
 command it runs in perfbench/golden.json.  This test builds the corpus-cli
-workload and the found torsion-barlet35 commands with the shipped variable
-names, runs each through cli.main and compares against that file, which it
-only reads.
+and torsion-barlet35 workloads with the shipped variable names, runs each
+command through cli.main and compares against that file, which it only
+reads.
 """
 
 import json
@@ -23,17 +23,16 @@ import workloads  # noqa: E402
 with open(run.GOLDEN, encoding="utf-8") as fh:
     GOLDEN = json.load(fh)
 
-# torsion-barlet35 classes whose t- and s-searches both find a certificate
-FOUND_TORSION = ("1", "z^2", "x*y")
+# every torsion-barlet35 class: z and x^2*y^3*z^2 exhaust a search (exit 2)
+TORSION_CLASSES = ("1", "z", "z^2", "x*y", "x^2*y^3*z^2")
 
 
 def test_reports_match_the_recorded_golden(tmp_path, monkeypatch, capsys):
     corpus = workloads.build("corpus-cli", 0, str(tmp_path / "corpus"), ROOT, names_index=0)
     torsion = workloads.build("torsion-barlet35", 0, str(tmp_path / "torsion"), ROOT, names_index=0)
-    found = [c for c in torsion.commands if c.argv[3] in FOUND_TORSION]
-    assert len(found) == len(FOUND_TORSION)
+    assert sorted(c.argv[3] for c in torsion.commands) == sorted(TORSION_CLASSES)
     digests = {p: run.file_sha256(p) for p in corpus.problems + torsion.problems}
-    for i, cmd in enumerate(corpus.commands + found):
+    for i, cmd in enumerate(corpus.commands + torsion.commands):
         # every command starts with the process-global Groebner cache empty
         monkeypatch.setattr(groebner, "_cache", type(groebner._cache)())
         key = run.command_key(cmd.argv, digests)

@@ -85,3 +85,92 @@ def test_solve_columns_reproduces_target():
             found += 1
             assert combine(x, columns) == target
     assert found >= 30
+
+
+def test_rref_of_a_permuted_identity_eliminates_nothing(monkeypatch):
+    calls = [0]
+    eliminate = _backend._int_eliminate
+
+    def counted(row, piv, col):
+        calls[0] += 1
+        return eliminate(row, piv, col)
+
+    monkeypatch.setattr(_backend, "_int_eliminate", counted)
+    n = 1000
+    order = list(range(n))
+    random.Random(38).shuffle(order)
+    reduced, pivots = _backend.rref([[(c, 1, 1)] for c in order])
+    assert pivots == list(range(n))
+    assert reduced == [[(c, 1, 1)] for c in range(n)]
+    # each pivot column is held by exactly one row, so no row is touched
+    assert calls[0] == 0
+
+
+def adversarial_vecs(rng, nrows, ncols):
+    """Rows crowding a few leading columns, with duplicates, scaled copies
+    and combinations that cancel to zero."""
+    rows = []
+    for _ in range(nrows):
+        lead = rng.choice((0, 0, 1, ncols // 2))
+        row = {lead: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))}
+        for c in range(lead + 1, ncols):
+            if rng.random() < 0.3:
+                row[c] = Fraction(rng.randint(-30, 30) or 7, rng.randint(1, 12))
+        rows.append(row)
+    for _ in range(nrows // 2):
+        a, b = rng.choice(rows), rng.choice(rows)
+        x, y = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)), Fraction(rng.randint(-5, 5))
+        combo = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append({c: v for c, v in combo.items() if v})
+        rows.append(dict(a))
+        rows.append({c: -x * v for c, v in a.items()})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rref_matches_sympy_on_adversarial_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(39)
+    for _ in range(60):
+        ncols = rng.randint(2, 12)
+        vecs = adversarial_vecs(rng, rng.randint(2, 10), ncols)
+        rows, pivots = linalg.rref(vecs)
+        matrix = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in (v.get(c, 0) for c in range(ncols))]
+             for v in vecs]
+        )
+        ref, ref_pivots = matrix.rref()
+        assert pivots == list(ref_pivots)
+        assert rows == [
+            {c: Fraction(int(x.p), int(x.q)) for c, x in enumerate(ref.row(i)) if x}
+            for i in range(len(ref_pivots))
+        ]
+
+
+def nullspace_by_probing(equations, ncols):
+    """Reference: one probe of every pivot row per free column."""
+    rows, pivots = linalg.rref(equations)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = {free: Fraction(1)}
+        for p, row in zip(pivots, rows):
+            c = row.get(free)
+            if c:
+                v[p] = -c
+        basis.append(v)
+    return basis
+
+
+def test_nullspace_matches_the_probing_construction():
+    rng = random.Random(40)
+    for k in range(80):
+        ncols = rng.randint(1, 12)
+        vecs = adversarial_vecs(rng, rng.randint(1, 8), ncols) if k % 2 else rand_vecs(rng, rng.randint(1, 8), ncols)
+        basis = linalg.nullspace(vecs, ncols)
+        expected = nullspace_by_probing(vecs, ncols)
+        assert basis == expected
+        assert [list(v) for v in basis] == [list(v) for v in expected]  # same key order
+        for v in basis:
+            assert all(sum(c * v.get(j, 0) for j, c in eq.items()) == 0 for eq in vecs)
