@@ -116,28 +116,25 @@ def normal_form(p, basis):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form of sparse rational rows.
+def echelon(rows):
+    """Row echelon form of sparse rational rows, by fraction-free forward
+    elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot
-    column, each pivot coefficient is 1 and is the only nonzero entry in its
-    column.  The output is the unique RREF of the input.
+    Returns (echelon_rows, pivot_columns): the pivots ascend, and row k is a
+    primitive integer row [(col, int)] (content 1) whose leading entry is
+    positive and sits at pivots[k].  Pivot columns are not cleared from the
+    rows above, so this is all the callers need that only read the pivots,
+    or that back-solve one column (linalg.solve_columns).
 
-    Internally rows are primitive integer vectors (denominators cleared,
-    content divided out), so elimination is fraction-free with one gcd pass
-    per produced row instead of one per entry.
-
-    Forward elimination keeps the pending rows in buckets by leading column
-    and a heap of the columns whose bucket is nonempty.  Each step pops the
-    smallest such column; the sparsest row of its bucket (earliest arrival
-    on ties) becomes the pivot, and only the other rows of that bucket are
+    Rows are primitive integer vectors throughout (denominators cleared,
+    content divided out), with one gcd pass per produced row instead of one
+    per entry.  Pending rows sit in buckets by leading column, with a heap
+    of the columns whose bucket is nonempty.  Each step pops the smallest
+    such column; the sparsest row of its bucket (earliest arrival on ties)
+    becomes the pivot, and only the other rows of that bucket are
     eliminated, since no other pending row holds that column.  Each reduced
     row moves to the bucket of its new leading column, or is dropped when it
     cancels to zero.  Pivots are thus found in increasing column order.
-
-    Back-substitution then runs bottom-up: every row below the current one
-    is already fully reduced, so clearing from a row exactly the pivot
-    columns it holds brings in no other pivot column.
     """
     buckets = {}
     for r in rows:
@@ -166,8 +163,26 @@ def rref(rows):
                     heapq.heappush(heap, lead)
                 else:
                     waiting.append(r2)
+        if piv[0][1] < 0:
+            piv = [(c, -n) for c, n in piv]
         done.append(piv)
         pivots.append(col)
+    return done, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form of sparse rational rows.
+
+    Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot
+    column, each pivot coefficient is 1 and is the only nonzero entry in its
+    column.  The output is the unique RREF of the input.
+
+    This is echelon() followed by back-substitution, which runs bottom-up:
+    every row below the current one is already fully reduced, so clearing
+    from a row exactly the pivot columns it holds brings in no other pivot
+    column.  Each row is finally divided by its leading entry.
+    """
+    done, pivots = echelon(rows)
     where = {col: k for k, col in enumerate(pivots)}
     for k in range(len(done) - 2, -1, -1):
         row = done[k]

@@ -98,6 +98,25 @@ def _bound(*candidates):
     return next((b for b in candidates if b is not None), None)
 
 
+# bounds that only make sense non-negative: (argument name, flag)
+_NON_NEGATIVE = (
+    ("max_degree", "--max-degree"),
+    ("commutator_bound", "--commutator-bound"),
+    ("factorial_bound", "--factorial-bound"),
+    ("remark_bound", "--remark-bound"),
+    ("integrate_bound", "--integrate-bound"),
+    ("k_max", "--k-max"),
+)
+
+
+def _check_bounds(args) -> None:
+    """Refuse a negative bound rather than search at some other one."""
+    for name, flag in _NON_NEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+
+
 def _class_from_monomial(pf: ProblemFile, text: str) -> CohomologyClass:
     problem = pf.problem
     poly = parse_polynomial(text, problem.variables)
@@ -533,6 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        _check_bounds(args)
         if getattr(args, "verify", None):
             source = None
             if args.command == "ts":

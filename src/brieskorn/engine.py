@@ -344,7 +344,10 @@ class DynamicIndex:
             if k is None:
                 k = len(self.index)
                 self.index[key] = k
-            out[k] = out.get(k, Fraction(0)) + coeff
+            if k in out:
+                out[k] += coeff
+            else:
+                out[k] = coeff
         return {k: v for k, v in out.items() if v}
 
 
@@ -589,9 +592,10 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
 
 
 def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
+    module = kernel_forms(problem, i)  # checks the form degree
     cols = wedge_tuples(problem.nvars, i)
     out = []
-    for vec in kernel_forms(problem, i).generators:
+    for vec in module.generators:
         out.append(
             DifferentialForm(
                 problem.nvars, i, {w: p for w, p in zip(cols, vec) if p}
@@ -789,7 +793,7 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
         q = _combine(images, particular)
         spanning = [v for v in (_combine(images, combo) for combo in null.values()) if v]
         # one elimination: a basis of the new span, and whether q lies in it
-        _rows, basis_pivots = linalg.rref(linalg.transpose([*spanning, q]))
+        basis_pivots = linalg.column_pivots([*spanning, q])
         if len(spanning) not in basis_pivots:
             chain = _s_chain(cls, blocks)
             if chain is None:
@@ -948,6 +952,8 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     """Degreewise check of d(Ker df) cap Im(df) = Im(df d) in degree i."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
+    if i > problem.n:
+        raise ValueError("form degree out of range")
     weights = sorted(_realized_form_weights(problem, i, degree_bound))
     cap_relative = not problem.positive_weights
     ambient_cap = degree_bound + max(problem.f.total_degree(), 1) + 1

@@ -62,18 +62,49 @@ def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     return list(basis.values())
 
 
+def _column_rows(columns: Sequence[Vec]):
+    """Kernel rows of the matrix with the given columns, in ascending row
+    index; zero entries are dropped."""
+    rows: dict[int, list] = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            if c:
+                rows.setdefault(i, []).append((j, c.numerator, c.denominator))
+    return [rows[i] for i in sorted(rows)]
+
+
+def column_pivots(columns: Sequence[Vec]) -> list[int]:
+    """Pivot columns of the matrix with the given columns, ascending: the
+    columns that are not combinations of the columns before them."""
+    return _backend.echelon(_column_rows(columns))[1]
+
+
 def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target; None when inconsistent.
 
     Free coordinates are set to zero, making the solution canonical.
+
+    Only forward elimination runs (_backend.echelon on [columns | target]);
+    the system is inconsistent exactly when the target column m is a pivot,
+    necessarily the last one.  Otherwise the target column alone is solved
+    back, from the last pivot row up: x_p = (row[m] - sum of row[c] * x_c
+    over the pivot columns c > p) / lead, which is the target column of the
+    RREF.
     """
     m = len(columns)
-    rows, pivots = rref(transpose([*columns, target]))
-    if m in pivots:
+    rows, pivots = _backend.echelon(_column_rows([*columns, target]))
+    if pivots and pivots[-1] == m:
         return None
     x = [Fraction(0)] * m
-    for p, row in zip(pivots, rows):
-        x[p] = row.get(m, Fraction(0))
+    for k in range(len(rows) - 1, -1, -1):
+        (p, lead), *rest = rows[k]
+        s = Fraction(0)
+        for c, a in rest:
+            if c == m:
+                s += a
+            elif x[c]:  # of the columns c > p, pivots are solved and free ones are 0
+                s -= a * x[c]
+        x[p] = s / lead
     return x
 
 

@@ -98,17 +98,19 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     if not isinstance(opts, dict):
         raise ProblemFileError(f"{source}: options must be an object")
     options = ProblemOptions(
-        max_degree=_int_option(opts, "max_degree", None, source),
+        max_degree=_int_option(opts, "max_degree", None, source, minimum=0),
         max_t_power=_int_option(opts, "max_t_power", 10, source),
         max_s_power=_int_option(opts, "max_s_power", 10, source),
     )
     return ProblemFile(name=name, problem=problem, options=options, digest=digest, raw=data)
 
 
-def _int_option(opts: dict, key: str, default, source: str):
+def _int_option(opts: dict, key: str, default, source: str, minimum: int | None = None):
     value = opts.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFileError(f"{source}: options.{key} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ProblemFileError(f"{source}: options.{key} must be >= {minimum}, got {value}")
     return value

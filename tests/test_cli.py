@@ -155,16 +155,43 @@ class TestInputContract:
             ({"weights": ["1", " 1"]}, "weights[1] = ' 1' is not a rational literal"),
             ({"weights": ["1", "1/-2"]}, "weights[1] = '1/-2' is not a rational literal"),
             ({"weights": ["1", ""]}, "weights[1] = '' is not a rational literal"),
+            ({"options": {"max_degree": -1}}, "options.max_degree must be >= 0, got -1"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
              "option-float", "option-null", "weight-zero-denominator",
              "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
-             "weight-whitespace", "weight-signed-denominator", "weight-empty"],
+             "weight-whitespace", "weight-signed-denominator", "weight-empty",
+             "option-negative-max-degree"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({**self.GERM, **change}))
         self.expect(["torsion", str(path)], 1, message, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["torsion", prob("barlet35.json"), "--monomial", "1", "--max-degree", "-1"],
+             "--max-degree must be >= 0, got -1"),
+            (["check-p", prob("cusp.json"), "--max-degree", "-3"], "--max-degree must be >= 0"),
+            (["micro", "--factorial-bound", "-1"], "--factorial-bound must be >= 0, got -1"),
+            (["micro", "--commutator-bound", "-1"], "--commutator-bound must be >= 0, got -1"),
+            (["micro", "--remark-bound", "-2"], "--remark-bound must be >= 0, got -2"),
+            (["micro", "--integrate-bound", "-1"], "--integrate-bound must be >= 0, got -1"),
+            (["ts", prob("a1.json"), prob("ts_y3.json"), "--k-max", "-1"],
+             "--k-max must be >= 0, got -1"),
+            (["check-p", prob("cusp.json"), "--form-degree", "7"], "form degree out of range"),
+            (["kernel", prob("cusp.json"), "--form-degree", "-1"], "form degree out of range"),
+            (["kernel", prob("cusp.json"), "--form-degree", "3"], "form degree out of range"),
+        ],
+        ids=["torsion-negative-max-degree", "check-p-negative-max-degree",
+             "micro-negative-factorial-bound", "micro-negative-commutator-bound",
+             "micro-negative-remark-bound", "micro-negative-integrate-bound",
+             "ts-negative-k-max", "check-p-form-degree-above-n", "kernel-negative-form-degree",
+             "kernel-form-degree-above-n"],
+    )
+    def test_bad_argument(self, argv, message, capsys):
+        self.expect(argv, 1, message, capsys)
 
     def test_zero_denominator_literal(self, capsys):
         argv = ["torsion", prob("barlet35.json"), "--monomial", "1/0"]

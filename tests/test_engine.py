@@ -432,6 +432,13 @@ class TestSolveInKernel:
                     checked += 1
         assert checked >= 10
 
+    def test_dynamic_index_sums_collisions_and_drops_zeros(self):
+        index = engine.DynamicIndex()
+        keyed = [("a", F(1, 2)), ("b", F(3)), ("a", F(1, 3)), ("c", F(2)), ("c", F(-2)), ("d", F(0))]
+        assert index.vec(keyed) == {0: F(5, 6), 1: F(3)}
+        assert index.index == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert index.vec([("d", F(-1)), ("e", F(7, 2))]) == {3: F(-1), 4: F(7, 2)}
+
     @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
     def test_barlet_t_search_matches_the_kernel_basis_solve(self, monomial):
         self.check_t(top_class(BP, monomial), 10, 14)

@@ -1,5 +1,6 @@
 """Exact linear algebra: the row-reduction kernel and the Vec layer on top."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -174,3 +175,113 @@ def test_nullspace_matches_the_probing_construction():
         assert [list(v) for v in basis] == [list(v) for v in expected]  # same key order
         for v in basis:
             assert all(sum(c * v.get(j, 0) for j, c in eq.items()) == 0 for eq in vecs)
+
+
+def test_echelon_pivots_and_row_space_match_rref():
+    rng = random.Random(41)
+    for k in range(80):
+        ncols = rng.randint(1, 12)
+        vecs = adversarial_vecs(rng, rng.randint(1, 8), ncols) if k % 2 else rand_vecs(rng, rng.randint(1, 8), ncols)
+        rows = [linalg.to_row(v) for v in vecs]
+        ech, pivots = _backend.echelon(rows)
+        reduced, rref_pivots = _backend.rref(rows)
+        assert pivots == rref_pivots
+        assert len(ech) == len(pivots)
+        for row, p in zip(ech, pivots):
+            cols = [c for c, _n in row]
+            assert cols == sorted(set(cols)) and cols[0] == p
+            assert row[0][1] > 0 and all(n for _c, n in row)
+            g = 0
+            for _c, n in row:
+                g = math.gcd(g, n)
+            assert g == 1
+        # same row space: the echelon rows reduce to the same RREF
+        assert _backend.rref([[(c, n, 1) for c, n in row] for row in ech]) == (reduced, pivots)
+
+
+def solve_by_rref(columns, target):
+    """Reference: the full RREF of [columns | target], target column read off."""
+    m = len(columns)
+    rows, pivots = linalg.rref(linalg.transpose([*columns, target]))
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for p, row in zip(pivots, rows):
+        x[p] = row.get(m, Fraction(0))
+    return x
+
+
+def solve_cases(rng):
+    """Seeded sparse systems (columns, target) of every kind solve_columns meets."""
+    for k in range(240):
+        nrows = rng.randint(1, 10)
+        kind = k % 6
+        if kind == 5:  # crowded leading columns, duplicates, cancellations
+            columns = adversarial_vecs(rng, rng.randint(2, 9), nrows)
+        else:
+            columns = rand_vecs(rng, rng.randint(1, 9), nrows, fill=rng.choice((0.2, 0.4, 0.7)))
+        if kind == 2:  # rank-deficient: repeated and combined columns
+            a, b = rng.choice(columns), rng.choice(columns)
+            columns.append({i: 2 * v for i, v in a.items()})
+            columns.insert(0, combine([Fraction(1, 3), Fraction(-2)], [a, b]))
+        if kind == 4:  # columns with no entries
+            for _ in range(rng.randint(1, 3)):
+                columns.insert(rng.randint(0, len(columns)), {})
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in columns]
+        if kind == 0:
+            target = combine(coeffs, columns)  # consistent
+        elif kind == 1:
+            target = rand_vecs(rng, 1, nrows, fill=0.6)[0]  # usually inconsistent
+        elif kind == 3:
+            target = {}  # zero target
+        elif kind == 4 and k % 12 == 4:
+            target = {nrows: Fraction(rng.randint(1, 5))}  # a row no column holds
+        else:
+            target = combine(coeffs, columns) if rng.random() < 0.5 else rand_vecs(rng, 1, nrows)[0]
+        yield columns, target
+
+
+def test_solve_columns_matches_the_rref_reference():
+    rng = random.Random(42)
+    outcomes = set()
+    for columns, target in solve_cases(rng):
+        x = linalg.solve_columns(columns, target)
+        expected = solve_by_rref(columns, target)
+        assert x == expected
+        if x is not None:
+            assert all(type(v) is Fraction for v in x)
+            assert combine(x, columns) == target
+        outcomes.add((x is None, not target))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_solve_columns_on_an_upper_triangular_system_eliminates_nothing(monkeypatch):
+    calls = [0]
+    eliminate = _backend._int_eliminate
+
+    def counted(row, piv, col):
+        calls[0] += 1
+        return eliminate(row, piv, col)
+
+    monkeypatch.setattr(_backend, "_int_eliminate", counted)
+    n = 60
+    rng = random.Random(43)
+    columns = [
+        {i: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for i in range(j + 1) if i == j or rng.random() < 0.5}
+        for j in range(n)
+    ]
+    target = {i: Fraction(rng.randint(-9, 9) or 1) for i in range(n)}
+    x = linalg.solve_columns(columns, target)
+    # each row leads in its own column, so forward elimination has nothing
+    # to do, and the one-column back-solve eliminates no row
+    assert calls[0] == 0
+    assert combine(x, columns) == target
+    # the full RREF of the same system would eliminate
+    assert solve_by_rref(columns, target) == x and calls[0] > 0
+
+
+def test_column_pivots_are_the_rref_pivots_of_the_transpose():
+    rng = random.Random(44)
+    for k in range(60):
+        columns = adversarial_vecs(rng, rng.randint(1, 8), rng.randint(1, 10)) if k % 2 else rand_vecs(rng, rng.randint(1, 8), 9)
+        assert linalg.column_pivots(columns) == linalg.rref(linalg.transpose(columns))[1]
