@@ -98,23 +98,26 @@ def _bound(*candidates):
     return next((b for b in candidates if b is not None), None)
 
 
-# bounds that only make sense non-negative: (argument name, flag)
-_NON_NEGATIVE = (
-    ("max_degree", "--max-degree"),
-    ("commutator_bound", "--commutator-bound"),
-    ("factorial_bound", "--factorial-bound"),
-    ("remark_bound", "--remark-bound"),
-    ("integrate_bound", "--integrate-bound"),
-    ("k_max", "--k-max"),
+# bounds and their least values: (argument name, flag, minimum)
+_MINIMA = (
+    ("max_degree", "--max-degree", 0),
+    ("commutator_bound", "--commutator-bound", 0),
+    ("factorial_bound", "--factorial-bound", 0),
+    ("remark_bound", "--remark-bound", 0),
+    ("integrate_bound", "--integrate-bound", 0),
+    ("k_max", "--k-max", 0),
 )
+# depths of the torsion searches; micro's --max-s-power is a truncation cap instead
+_SEARCH_DEPTHS = (("max_t_power", "--max-t-power", 1), ("max_s_power", "--max-s-power", 1))
 
 
 def _check_bounds(args) -> None:
-    """Refuse a negative bound rather than search at some other one."""
-    for name, flag in _NON_NEGATIVE:
+    """Refuse a bound below its least value rather than search at some other one."""
+    checks = _MINIMA + (_SEARCH_DEPTHS if args.command in ("analyze", "torsion") else ())
+    for name, flag, minimum in checks:
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+        if value is not None and value < minimum:
+            raise ValueError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _class_from_monomial(pf: ProblemFile, text: str) -> CohomologyClass:

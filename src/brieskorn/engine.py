@@ -748,53 +748,43 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     length rho.
 
     The chain system is block-bidiagonal, so it is swept forward one block
-    (one weight slice) at a time.  The carried state is the affine set
-    q + span(Q) of values that d(eta_j) may take: {rep} for j = 0, and
-    afterwards the values of df wedge eta_(j-1) over all solutions of the
-    equation groups 0..j-1.  Step j solves d(eta_j) in q + span(Q) with one
-    elimination and maps its particular solution and nullspace through
-    df-wedge, giving the next set.  Depth j is solvable iff that set
-    contains 0.  When step j itself is inconsistent, so is every deeper
-    system (it contains groups 0..j), and the search stops at once.  The
-    witness of the first solvable depth comes from one solve of the full
-    block system (_s_chain), so it is the canonical solution of that system.
+    (one weight slice) at a time.  The carried state is homogenised: a
+    subspace W_j of pairs (v, mu), where the values d(eta_j) may take are
+    the v with (v, 1) in W_j.  W_0 = span{(rep, 1)}, and W_(j+1) holds the
+    pairs (df wedge eta_j, mu) with (d(eta_j), mu) in W_j.
+
+    Step j is one RREF of the vectors [d(beta) | df wedge beta | 0], for
+    each basis form beta of block j, and [-v | 0 | mu], for each state row,
+    with columns ordered [group j | group j+1 | lambda].  The RREF rows
+    pivoting past the group-j columns are a basis of the row-space vectors
+    that vanish on group j, which is W_(j+1) in reduced form.  Depth j+1 is solvable iff
+    (0, 1) lies in W_(j+1), that is iff lambda is a pivot.  When no row of
+    W_(j+1) has mu != 0, step j is inconsistent, and so is every deeper
+    system (it contains groups 0..j): the search stops at once.  The witness
+    of the first solvable depth comes from one solve of the full block
+    system (_s_chain), so it is the canonical solution of that system.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     problem = cls.problem
     index = DynamicIndex()  # coordinates of equation group j
-    q = index.vec(_form_entries(cls.representative))
-    span: list[linalg.Vec] = []
+    state = [(index.vec(_form_entries(cls.representative)), Fraction(1))]
     blocks: list[_SBlock] = []
     for j in range(r_max):
         block = _s_block(cls, j, cap)
         blocks.append(block)
-        n = block.space.dim
-        # d(eta_j) + sum_k y_k Q_k = q; y is free, so the sign of Q is immaterial
-        columns = [index.vec(entries) for entries in block.d_images] + span
-        m = len(columns)
-        rows, pivots = linalg.rref(linalg.transpose([*columns, q]))
-        if m in pivots:
-            return NotFoundWithin(r_max, not problem.positive_weights)
-        # eta-parts of the particular solution and of the nullspace basis
-        particular: linalg.Vec = {}
-        null = {free: ({free: Fraction(1)} if free < n else {}) for free in range(m)}
-        for p, row in zip(pivots, rows):
-            del null[p]
-            if p >= n:
-                continue
-            for col, coeff in row.items():
-                if col == m:
-                    particular[p] = coeff
-                elif col != p:
-                    null[col][p] = -coeff
+        d_parts = [index.vec(entries) for entries in block.d_images]
+        n = len(index.index)
         index = DynamicIndex()
-        images = [index.vec(entries) for entries in block.df_images]
-        q = _combine(images, particular)
-        spanning = [v for v in (_combine(images, combo) for combo in null.values()) if v]
-        # one elimination: a basis of the new span, and whether q lies in it
-        basis_pivots = linalg.column_pivots([*spanning, q])
-        if len(spanning) not in basis_pivots:
+        df_parts = [index.vec(entries) for entries in block.df_images]
+        lam = n + len(index.index)
+        vectors = [{**d, **{n + k: c for k, c in df.items()}} for d, df in zip(d_parts, df_parts)]
+        for v, mu in state:
+            vectors.append({k: -c for k, c in v.items()})
+            if mu:
+                vectors[-1][lam] = mu
+        rows, pivots = linalg.rref(vectors)
+        if pivots and pivots[-1] == lam:
             chain = _s_chain(cls, blocks)
             if chain is None:
                 raise InvariantViolation("s-chain block system disagrees with its forward sweep")
@@ -802,7 +792,13 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
             if not cert.verify(cls):
                 raise InvariantViolation("s-torsion certificate failed re-verification")
             return cert
-        span = [spanning[p] for p in basis_pivots if p < len(spanning)]
+        state = [
+            ({k - n: c for k, c in row.items() if k != lam}, row.get(lam))
+            for p, row in zip(pivots, rows)
+            if p >= n
+        ]
+        if not any(mu for _v, mu in state):
+            break
     return NotFoundWithin(r_max, not problem.positive_weights)
 
 

@@ -73,12 +73,6 @@ def _column_rows(columns: Sequence[Vec]):
     return [rows[i] for i in sorted(rows)]
 
 
-def column_pivots(columns: Sequence[Vec]) -> list[int]:
-    """Pivot columns of the matrix with the given columns, ascending: the
-    columns that are not combinations of the columns before them."""
-    return _backend.echelon(_column_rows(columns))[1]
-
-
 def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target; None when inconsistent.
 

@@ -99,8 +99,8 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
         raise ProblemFileError(f"{source}: options must be an object")
     options = ProblemOptions(
         max_degree=_int_option(opts, "max_degree", None, source, minimum=0),
-        max_t_power=_int_option(opts, "max_t_power", 10, source),
-        max_s_power=_int_option(opts, "max_s_power", 10, source),
+        max_t_power=_int_option(opts, "max_t_power", 10, source, minimum=1),
+        max_s_power=_int_option(opts, "max_s_power", 10, source, minimum=1),
     )
     return ProblemFile(name=name, problem=problem, options=options, digest=digest, raw=data)
 

@@ -117,10 +117,12 @@ class TestExplicitBounds:
     @pytest.mark.parametrize(
         "argv, code, message",
         [
+            # the CLI refuses a search depth below 1 first, naming the flag (full
+            # message in TestInputContract)
             (["torsion", "barlet35.json", "--monomial", "1", "--max-t-power", "0"],
-             1, "p_max must be >= 1"),
+             1, "--max-t-power"),
             (["torsion", "barlet35.json", "--monomial", "1", "--max-s-power", "0"],
-             1, "r_max must be >= 1"),
+             1, "--max-s-power"),
             (["nc", "nc22.json", "--max-degree", "0"], 2, "degree bound must be >= 1"),
             (["micro", "--max-s-power", "0"], 2, "exceeds cap 0"),
         ],
@@ -156,12 +158,14 @@ class TestInputContract:
             ({"weights": ["1", "1/-2"]}, "weights[1] = '1/-2' is not a rational literal"),
             ({"weights": ["1", ""]}, "weights[1] = '' is not a rational literal"),
             ({"options": {"max_degree": -1}}, "options.max_degree must be >= 0, got -1"),
+            ({"options": {"max_t_power": 0}}, "options.max_t_power must be >= 1, got 0"),
+            ({"options": {"max_s_power": 0}}, "options.max_s_power must be >= 1, got 0"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
              "option-float", "option-null", "weight-zero-denominator",
              "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
              "weight-whitespace", "weight-signed-denominator", "weight-empty",
-             "option-negative-max-degree"],
+             "option-negative-max-degree", "option-zero-max-t-power", "option-zero-max-s-power"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -183,12 +187,16 @@ class TestInputContract:
             (["check-p", prob("cusp.json"), "--form-degree", "7"], "form degree out of range"),
             (["kernel", prob("cusp.json"), "--form-degree", "-1"], "form degree out of range"),
             (["kernel", prob("cusp.json"), "--form-degree", "3"], "form degree out of range"),
+            (["analyze", prob("barlet35.json"), "--max-t-power", "0"], "--max-t-power must be >= 1, got 0"),
+            (["analyze", prob("barlet35.json"), "--max-s-power", "0"], "--max-s-power must be >= 1, got 0"),
+            (["torsion", prob("barlet35.json"), "--max-t-power", "-2"], "--max-t-power must be >= 1, got -2"),
         ],
         ids=["torsion-negative-max-degree", "check-p-negative-max-degree",
              "micro-negative-factorial-bound", "micro-negative-commutator-bound",
              "micro-negative-remark-bound", "micro-negative-integrate-bound",
              "ts-negative-k-max", "check-p-form-degree-above-n", "kernel-negative-form-degree",
-             "kernel-form-degree-above-n"],
+             "kernel-form-degree-above-n", "analyze-zero-max-t-power", "analyze-zero-max-s-power",
+             "torsion-negative-max-t-power"],
     )
     def test_bad_argument(self, argv, message, capsys):
         self.expect(argv, 1, message, capsys)

@@ -353,6 +353,23 @@ class TestStaircase:
         for cls in sample_top_classes(problem, 3, seed=5):
             self.check(cls, None)
 
+    @pytest.mark.parametrize("form, cap", [("3/2*z", 14), ("x*y - 5/3*x^2*y*z", 14), ("x - 1/2*y", 9)])
+    def test_rational_and_two_term_representatives(self, form, cap):
+        # rational coefficients and two monomials of one weight put state
+        # rows with mu not in {0, 1} into the sweep; x - y/2 at caps >= 6 is
+        # solvable at depth 2 only through the state rows with mu = 0
+        self.check(top_class(BP, form), cap)
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial",
+        [(["x", "y"], ["1", "-1"], "x^3*y + x^2"), (["x", "y"], ["1", "0"], "x^2*y + x^2")],
+    )
+    @pytest.mark.parametrize("cap", [2, 5, 9])
+    def test_sampled_classes_with_a_non_positive_weight(self, variables, weights, polynomial, cap):
+        problem = problem_from_strings(variables, weights, polynomial)
+        for cls in sample_top_classes(problem, 3, seed=11):
+            self.check(cls, cap)
+
     def test_inconsistent_step_stops_the_sweep(self, spaces):
         # A class the constructor accepts never reaches this branch: its
         # representative and every df wedge eta_j are closed, so the
@@ -366,13 +383,29 @@ class TestStaircase:
         assert len(spaces) == 1  # the sweep stops after the first block
         assert s_reference(cls, self.R_MAX, 14) is None
 
-    def test_exhausted_search_builds_one_space_per_depth(self, spaces):
+    def test_exhausted_search_builds_one_space_per_depth(self, spaces, monkeypatch):
+        calls = {"rref": 0, "nullspace": 0, "_combine": 0}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(linalg, "rref")
+        count(linalg, "nullspace")
+        count(engine, "_combine")
         cls = top_class(BP, "z")
         for depth in (1, 3, 5):
             spaces.clear()
+            calls.update(rref=0, nullspace=0, _combine=0)
             assert isinstance(torsion_order_s(cls, depth, cap=14), NotFoundWithin)
             assert len(spaces) == depth  # one block per depth, each built once
             assert [a[2] for a in spaces] == [cls.weight + j * BP.degree for j in range(depth)]
+            assert calls == {"rref": depth, "nullspace": 0, "_combine": 0}  # one elimination per step
 
 
 def kernel_solve_reference(problem, space, target):

@@ -278,10 +278,3 @@ def test_solve_columns_on_an_upper_triangular_system_eliminates_nothing(monkeypa
     assert combine(x, columns) == target
     # the full RREF of the same system would eliminate
     assert solve_by_rref(columns, target) == x and calls[0] > 0
-
-
-def test_column_pivots_are_the_rref_pivots_of_the_transpose():
-    rng = random.Random(44)
-    for k in range(60):
-        columns = adversarial_vecs(rng, rng.randint(1, 8), rng.randint(1, 10)) if k % 2 else rand_vecs(rng, rng.randint(1, 8), 9)
-        assert linalg.column_pivots(columns) == linalg.rref(linalg.transpose(columns))[1]
