@@ -1,10 +1,10 @@
 """Command line interface: problem ingestion, computation, JSON/text reports.
 
-Exit codes: 0 success, 1 input error, 2 a bounded search hit its ceiling or
-a cap was exceeded, 3 internal invariant violation or any other internal
-fault (one `internal error:` line, never a traceback).  Reports are
-deterministic (no timestamps, sorted keys, exact rationals as strings), so
-repeated runs on the same input are byte-identical.
+Exit codes: 0 success, 1 input error (a bad argument included), 2 a bounded
+search hit its ceiling or a cap was exceeded, 3 internal invariant violation
+or any other internal fault (one `internal error:` line, never a traceback).
+Reports are deterministic (no timestamps, sorted keys, exact rationals as
+strings), so repeated runs on the same input are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,58 +31,65 @@ EXIT_BOUND = 2
 EXIT_INVARIANT = 3
 
 
+# every argument a subcommand may take: add_argument keywords, and for a
+# bound its least value (None: no least value is checked here)
+_ARGUMENTS = {
+    "problem": ({"help": "problem JSON file"}, None),
+    "problem_g": ({"help": "problem JSON file for the second germ"}, None),
+    "--max-degree": ({"type": int, "help": "total-degree cap"}, 0),
+    "--max-t-power": ({"type": int, "help": "t-torsion search depth"}, 1),
+    "--max-s-power": ({"type": int, "help": "s-torsion search depth (micro: s-power cap)"}, 1),
+    "--seed": ({"type": int, "default": 0, "help": "sampling seed"}, None),
+    "--form-degree": ({"type": int}, None),
+    "--monomial": ({"action": "append", "help": "coefficient monomial of the top class (repeatable)"}, None),
+    "--commutator-bound": ({"type": int, "default": 20}, 0),
+    "--factorial-bound": ({"type": int, "default": 8}, 0),
+    "--remark-bound": ({"type": int, "default": 5}, 0),
+    "--integrate-bound": ({"type": int, "default": 50}, 0),
+    "--k-max": ({"type": int, "default": 3}, 0),
+    "--format": ({"choices": ("json", "text"), "default": "json"}, None),
+    "--out": ({"help": "write the report here instead of stdout"}, None),
+    "--verify": ({"metavar": "REPORT", "help": "re-verify the certificates of a previous report"}, None),
+}
+# micro's --max-s-power truncates s-powers: 0 is a cap (exit 2 once exceeded), not a bad depth
+_LEAST_FOR_COMMAND = {("micro", "--max-s-power"): 0}
+_REPORT_FLAGS = ("--format", "--out", "--verify")
+_SEARCH = ("--max-degree", "--max-t-power", "--max-s-power")
+
+# subcommand: help and the arguments its handler reads, besides _REPORT_FLAGS
+_COMMANDS = {
+    "analyze": ("kernel generators, torsion probes, spectrum", ("problem", *_SEARCH, "--seed")),
+    "kernel": ("module generators of Ker(df-wedge)", ("problem", "--form-degree")),
+    "torsion": ("bounded t- and s-torsion searches on top classes", ("problem", *_SEARCH, "--monomial")),
+    "spectrum": ("exponent multiset of an isolated germ", ("problem",)),
+    "nc": ("normal-crossing log basis, residues, kernel identity", ("problem", "--max-degree", "--form-degree")),
+    "micro": (
+        "operator identities in the t, s skew algebra",
+        ("--max-s-power", "--commutator-bound", "--factorial-bound", "--remark-bound", "--integrate-bound"),
+    ),
+    "ts": ("external-product comparison for a sum of two germs", ("problem", "problem_g", "--max-degree", "--k-max")),
+    "check-p": ("degreewise torsion-freeness criterion", ("problem", "--max-degree", "--form-degree")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so it exits 1 with one line like any bad input."""
+
+    def error(self, message):
+        raise ValueError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brieskorn",
         description="Exact Brieskorn-module computations for quasi-homogeneous germs",
     )
     parser.add_argument("--version", action="version", version=f"brieskorn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_problem=True):
-        if needs_problem:
-            p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--max-degree", type=int, default=None, help="total-degree cap")
-        p.add_argument("--max-t-power", type=int, default=None, help="t-torsion search bound")
-        p.add_argument("--max-s-power", type=int, default=None, help="s-torsion search bound")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--verify", default=None, metavar="REPORT",
-                       help="re-verify the certificates of a previous report")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-
-    common(sub.add_parser("analyze", help="kernel generators, torsion probes, spectrum"))
-    k = sub.add_parser("kernel", help="module generators of Ker(df-wedge)")
-    common(k)
-    k.add_argument("--form-degree", type=int, default=None)
-    t = sub.add_parser("torsion", help="bounded t- and s-torsion searches on top classes")
-    common(t)
-    t.add_argument("--monomial", action="append", default=None,
-                   help="coefficient monomial of the top class (repeatable)")
-    common(sub.add_parser("spectrum", help="exponent multiset of an isolated germ"))
-    nc = sub.add_parser("nc", help="normal-crossing log basis, residues, kernel identity")
-    common(nc)
-    nc.add_argument("--form-degree", type=int, default=1)
-    m = sub.add_parser("micro", help="operator identities in the t, s skew algebra")
-    common(m, needs_problem=False)
-    m.add_argument("--commutator-bound", type=int, default=20)
-    m.add_argument("--factorial-bound", type=int, default=8)
-    m.add_argument("--remark-bound", type=int, default=5)
-    m.add_argument("--integrate-bound", type=int, default=50)
-    ts = sub.add_parser("ts", help="external-product comparison for a sum of two germs")
-    ts.add_argument("problem", help="problem JSON file for the first germ")
-    ts.add_argument("problem_g", help="problem JSON file for the second germ")
-    ts.add_argument("--k-max", type=int, default=3)
-    ts.add_argument("--max-degree", type=int, default=None)
-    ts.add_argument("--max-t-power", type=int, default=None)
-    ts.add_argument("--max-s-power", type=int, default=None)
-    ts.add_argument("--format", choices=("json", "text"), default="json")
-    ts.add_argument("--out", default=None)
-    ts.add_argument("--verify", default=None, metavar="REPORT")
-    ts.add_argument("--seed", type=int, default=0)
-    cp = sub.add_parser("check-p", help="degreewise torsion-freeness criterion")
-    common(cp)
-    cp.add_argument("--form-degree", type=int, default=None)
+    for command, (help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*names, *_REPORT_FLAGS):
+            p.add_argument(name, **_ARGUMENTS[name][0])
     return parser
 
 
@@ -98,25 +105,12 @@ def _bound(*candidates):
     return next((b for b in candidates if b is not None), None)
 
 
-# bounds and their least values: (argument name, flag, minimum)
-_MINIMA = (
-    ("max_degree", "--max-degree", 0),
-    ("commutator_bound", "--commutator-bound", 0),
-    ("factorial_bound", "--factorial-bound", 0),
-    ("remark_bound", "--remark-bound", 0),
-    ("integrate_bound", "--integrate-bound", 0),
-    ("k_max", "--k-max", 0),
-)
-# depths of the torsion searches; micro's --max-s-power is a truncation cap instead
-_SEARCH_DEPTHS = (("max_t_power", "--max-t-power", 1), ("max_s_power", "--max-s-power", 1))
-
-
 def _check_bounds(args) -> None:
     """Refuse a bound below its least value rather than search at some other one."""
-    checks = _MINIMA + (_SEARCH_DEPTHS if args.command in ("analyze", "torsion") else ())
-    for name, flag, minimum in checks:
-        value = getattr(args, name, None)
-        if value is not None and value < minimum:
+    for flag in _COMMANDS[args.command][1]:
+        minimum = _LEAST_FOR_COMMAND.get((args.command, flag), _ARGUMENTS[flag][1])
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if minimum is not None and value is not None and value < minimum:
             raise ValueError(f"{flag} must be >= {minimum}, got {value}")
 
 
@@ -289,7 +283,7 @@ def cmd_nc(args):
         )
     germ = nc_log.MonomialGerm(exp)
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
-    i = args.form_degree
+    i = _bound(args.form_degree, 1)
     check = nc_log.verify_a_equals_g_atilde(germ, i, bound)
     result = {
         "problem": problem.serialize(),
@@ -551,10 +545,8 @@ def _verify_certificate(cert: dict, source) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
+        args = build_parser().parse_args(argv)
         _check_bounds(args)
         if getattr(args, "verify", None):
             source = None
@@ -563,7 +555,7 @@ def main(argv=None) -> int:
             elif hasattr(args, "problem"):
                 source = _load(args.problem)
             return verify_report(args.verify, args.command, source)
-        payload, source, exit_code = handler(args)
+        payload, source, exit_code = _HANDLERS[args.command](args)
         report = {
             "command": args.command,
             "input_digest": _input_digest(source),

@@ -667,28 +667,51 @@ def _eta_cap(problem: GermProblem, weight: Fraction, cap: int | None, min_degree
 
 
 def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
-    """Smallest p <= p_max with f^p * rep exact in the kernel complex."""
+    """Smallest p <= p_max with f^p * rep exact in the kernel complex.
+
+    Level p solves d(eta) = f^p * rep with df wedge eta = 0 over the slice
+    space of block p of the s-chain (_s_block).  If eta solves level p,
+    f*eta solves level p + 1: df wedge (f eta) = f (df wedge eta) = 0 and
+    d(f eta) = df wedge eta + f d(eta) = f^(p+1) * rep.  From the first level
+    p0 whose block cap is not raised by the user's cap (_monotone_level),
+    f*eta also lies in the next block, so solvability is monotone in p from
+    p0 on.  Levels 1..p0 are solved one by one; then p_max alone, and if it
+    is solvable, bisection on (p0, p_max] finds the smallest solvable level.
+    The witness is the canonical solution at that level, as a linear scan
+    over every level would give.
+    """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     problem = cls.problem
-    f = problem.f
-    fp = Polynomial.constant(problem.nvars, 1)
-    for p in range(1, p_max + 1):
-        fp = fp * f
-        target = cls.representative * fp
-        if target.is_zero:
-            zero_eta = DifferentialForm.zero(problem.nvars, cls.i - 1)
-            return TorsionCertificate("t", p, [zero_eta])
-        # the slice of eta_p in the s-chain: weight c + p*deg f, and the cap
-        # base_degree + p*deg f is the total degree of target plus one
+    if cls.representative.is_zero:
+        return TorsionCertificate("t", 1, [DifferentialForm.zero(problem.nvars, cls.i - 1)])
+
+    def solve(p: int) -> DifferentialForm | None:
         block = _s_block(cls, p, cap)
-        eta = solve_in_kernel(block.space, block.d_images, block.df_images, target)
-        if eta is not None:
-            cert = TorsionCertificate("t", p, [eta])
-            if not cert.verify(cls):
-                raise InvariantViolation("t-torsion certificate failed re-verification")
-            return cert
-    return NotFoundWithin(p_max, not problem.positive_weights)
+        target = cls.representative * problem.f**p
+        return solve_in_kernel(block.space, block.d_images, block.df_images, target)
+
+    p0 = min(_monotone_level(cls, cap), p_max)
+    level, eta = 0, None
+    while eta is None and level < p0:
+        level += 1
+        eta = solve(level)
+    if eta is None and p0 < p_max:
+        level, eta = p_max, solve(p_max)
+        low = p0  # unsolvable; level is the smallest solvable one seen
+        while eta is not None and level - low > 1:
+            mid = (low + level) // 2
+            mid_eta = solve(mid)
+            if mid_eta is None:
+                low = mid
+            else:
+                level, eta = mid, mid_eta
+    if eta is None:
+        return NotFoundWithin(p_max, not problem.positive_weights)
+    cert = TorsionCertificate("t", level, [eta])
+    if not cert.verify(cls):
+        raise InvariantViolation("t-torsion certificate failed re-verification")
+    return cert
 
 
 @dataclass
@@ -701,14 +724,33 @@ class _SBlock:
     df_images: list[list]
 
 
+def _block_degrees(cls: CohomologyClass) -> tuple[int, int]:
+    """(base, step): block j needs total degree base + j * step, the total
+    degree of f^j * rep plus one."""
+    return cls.representative.total_degree_cap() + 1, max(cls.problem.f.total_degree(), 1)
+
+
 def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
     problem = cls.problem
-    deg_f = max(problem.f.total_degree(), 1)
-    base_degree = cls.representative.total_degree_cap() + 1
+    base, step = _block_degrees(cls)
     weight = cls.weight + j * problem.degree
-    eta_cap = _eta_cap(problem, weight, cap, base_degree + j * deg_f)
+    eta_cap = _eta_cap(problem, weight, cap, base + j * step)
     space = FormSpace(problem, cls.i - 1, weight, eta_cap)
     return _SBlock(space, *_monomial_images(problem, space))
+
+
+def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:
+    """First level p >= 1 from which f maps block p into block p + 1.
+
+    Positive weights give full slices, so every level qualifies.  Otherwise
+    block p has the cap max(cap, base + p * step), and f raises total degree
+    by at most step, so f * (block p) lies in block p + 1 whenever
+    cap <= base + p * step.
+    """
+    if cls.problem.positive_weights or cap is None:
+        return 1  # without a cap, _eta_cap refuses the first block anyway
+    base, step = _block_degrees(cls)
+    return max(1, -((base - cap) // step))  # ceil((cap - base) / step)
 
 
 def _s_chain(cls: CohomologyClass, blocks: Sequence[_SBlock]) -> list[DifferentialForm] | None:

@@ -190,16 +190,40 @@ class TestInputContract:
             (["analyze", prob("barlet35.json"), "--max-t-power", "0"], "--max-t-power must be >= 1, got 0"),
             (["analyze", prob("barlet35.json"), "--max-s-power", "0"], "--max-s-power must be >= 1, got 0"),
             (["torsion", prob("barlet35.json"), "--max-t-power", "-2"], "--max-t-power must be >= 1, got -2"),
+            (["micro", "--max-s-power", "-1"], "--max-s-power must be >= 0, got -1"),
+            (["kernel", prob("cusp.json"), "--max-t-power", "-5"], "unrecognized arguments: --max-t-power -5"),
+            (["ts", prob("a1.json"), prob("ts_y3.json"), "--max-t-power", "-5", "--max-s-power", "-3"],
+             "unrecognized arguments: --max-t-power -5 --max-s-power -3"),
+            (["spectrum", prob("cusp.json"), "--max-degree", "3"], "unrecognized arguments: --max-degree 3"),
+            (["micro", "--max-t-power", "2"], "unrecognized arguments: --max-t-power 2"),
+            (["torsion", prob("barlet35.json"), "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["torsion", prob("barlet35.json"), "--bogus"], "unrecognized arguments: --bogus"),
+            (["kernel"], "the following arguments are required: problem"),
+            ([], "the following arguments are required: command"),
+            (["torsion", prob("barlet35.json"), "--max-degree", "abc"],
+             "argument --max-degree: invalid int value: 'abc'"),
+            (["frobnicate", prob("cusp.json")], "argument command: invalid choice: 'frobnicate'"),
         ],
         ids=["torsion-negative-max-degree", "check-p-negative-max-degree",
              "micro-negative-factorial-bound", "micro-negative-commutator-bound",
              "micro-negative-remark-bound", "micro-negative-integrate-bound",
              "ts-negative-k-max", "check-p-form-degree-above-n", "kernel-negative-form-degree",
              "kernel-form-degree-above-n", "analyze-zero-max-t-power", "analyze-zero-max-s-power",
-             "torsion-negative-max-t-power"],
+             "torsion-negative-max-t-power", "micro-negative-max-s-power", "kernel-max-t-power",
+             "ts-max-powers", "spectrum-max-degree", "micro-max-t-power", "torsion-seed",
+             "unknown-flag", "missing-problem", "missing-command", "max-degree-not-an-integer",
+             "unknown-command"],
     )
     def test_bad_argument(self, argv, message, capsys):
         self.expect(argv, 1, message, capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
     def test_zero_denominator_literal(self, capsys):
         argv = ["torsion", prob("barlet35.json"), "--monomial", "1/0"]

@@ -527,6 +527,131 @@ class TestSolveInKernel:
         assert found > 0
 
 
+def t_levels(cls, top, cap):
+    """Linear-search reference: the canonical solution (or None) of every level 1..top."""
+    levels = []
+    for p in range(1, top + 1):
+        block = engine._s_block(cls, p, cap)
+        target = cls.representative * cls.problem.f**p
+        levels.append(engine.solve_in_kernel(block.space, block.d_images, block.df_images, target))
+    return levels
+
+
+@pytest.fixture
+def t_blocks(monkeypatch):
+    """Levels of every _s_block built while the test runs."""
+    built = []
+    original = engine._s_block
+
+    def counting(cls, j, cap):
+        built.append(j)
+        return original(cls, j, cap)
+
+    monkeypatch.setattr(engine, "_s_block", counting)
+    return built
+
+
+class TestMonotoneSchedule:
+    """torsion_order_t (prefix 1..p0, probe at p_max, bisection) against solving every level."""
+
+    @staticmethod
+    def check(cls, cap, p_maxes):
+        levels = t_levels(cls, max(p_maxes), cap)
+        for p_max in p_maxes:
+            result = torsion_order_t(cls, p_max, cap=cap)
+            first = next((p for p in range(1, p_max + 1) if levels[p - 1] is not None), None)
+            if first is None:
+                assert isinstance(result, NotFoundWithin)
+                assert (result.bound, result.cap_limited) == (p_max, not cls.problem.positive_weights)
+            else:
+                assert isinstance(result, TorsionCertificate)
+                assert (result.order, result.witness) == (first, [levels[first - 1]])
+        return levels
+
+    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
+    def test_barlet_classes(self, monomial):
+        self.check(top_class(BP, monomial), 14, range(1, 11))
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial, monomial, order",
+        [
+            (["x", "y"], ["1", "-1"], "x^3*y + x^2", "y^2", 2),
+            (["x", "y"], ["1", "-1"], "x^3*y + x^2", "x*y^3", 2),
+            (["x", "y"], ["2", "-1"], "x^2*y^3 + x*y", "y^3", 3),
+        ],
+    )
+    @pytest.mark.parametrize("cap", [0, 3, 6, 9, 14])
+    def test_classes_found_late_with_a_negative_weight(self, variables, weights, polynomial, monomial, order, cap):
+        cls = top_class(problem_from_strings(variables, weights, polynomial), monomial)
+        p0 = engine._monotone_level(cls, cap)
+        levels = self.check(cls, cap, sorted({1, p0, p0 + 1, order, order + 1, 7}))
+        assert [eta is not None for eta in levels[:order]] == [False] * (order - 1) + [True]
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial",
+        [(["x", "y"], ["1", "1"], "x^2*y^2"), (["x", "y", "z"], ["1", "1", "1"], "x*y*z")],
+    )
+    def test_sampled_classes_with_positive_weights(self, variables, weights, polynomial):
+        # no positive-weight class found above level 1 is known; these cover
+        # the probe and the bisection on classes found at 1 or never
+        problem = problem_from_strings(variables, weights, polynomial)
+        for cls in sample_top_classes(problem, 4, seed=3, degree_bound=4):
+            assert engine._monotone_level(cls, None) == 1
+            self.check(cls, None, [1, 2, 3, 5])
+
+    @pytest.mark.parametrize("cap", [0, 3, 6, 9, 14])
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial, monomial",
+        [
+            (["x", "y", "z"], ["1", "0", "1"], "x^2*y + y^2*z^2", "x*y"),
+            (["x", "y"], ["1", "0"], "x^2*y^2 + x^2*y", "x^2*y"),
+            (["x", "y", "z"], ["1", "1", "-1"], "x^5/5 + y^5/5 + x^3*y^3*z/3", "1"),
+        ],
+    )
+    def test_caps_binding_below_p0(self, variables, weights, polynomial, monomial, cap):
+        # at caps 9 and 14 the first two germs are solvable at level 1 but not
+        # at p0: below p0 solvability is not monotone, so those levels are solved in turn
+        cls = top_class(problem_from_strings(variables, weights, polynomial), monomial)
+        p0 = engine._monotone_level(cls, cap)
+        self.check(cls, cap, sorted({1, p0, p0 + 1, 5}))
+
+    def test_non_monotone_levels_below_p0(self):
+        cls = top_class(problem_from_strings(["x", "y", "z"], ["1", "0", "1"], "x^2*y + y^2*z^2"), "x*y")
+        assert engine._monotone_level(cls, 9) == 2
+        levels = self.check(cls, 9, [1, 2, 3, 5])
+        assert [eta is not None for eta in levels] == [True, False, False, False, False]
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial, monomial, cap",
+        [
+            (["x", "y"], ["1", "-1"], "x^3*y + x^2", "y^2", 9),
+            (["x", "y"], ["2", "-1"], "x^2*y^3 + x*y", "y^3", 12),
+            (["x", "y", "z"], ["1", "1", "-1"], "x^5/5 + y^5/5 + x^3*y^3*z/3", "1", 14),
+        ],
+    )
+    def test_f_times_a_primitive_solves_the_next_level_from_p0_on(self, variables, weights, polynomial, monomial, cap):
+        cls = top_class(problem_from_strings(variables, weights, polynomial), monomial)
+        p0 = engine._monotone_level(cls, cap)
+        levels = t_levels(cls, p0 + 3, cap)
+        solved = [p for p in range(p0, p0 + 3) if levels[p - 1] is not None]
+        assert solved
+        for p in solved:
+            lifted = levels[p - 1] * cls.problem.f
+            assert TorsionCertificate("t", p + 1, [lifted]).verify(cls)
+            engine._s_block(cls, p + 1, cap).space.vec(lifted)  # raises outside the block
+
+    def test_work_bound(self, t_blocks):
+        assert isinstance(torsion_order_t(top_class(BP, "x^2*y^3*z^2"), 10, cap=14), NotFoundWithin)
+        assert t_blocks == [1, 10]  # the prefix up to p0 = 1 and the probe at p_max
+        t_blocks.clear()
+        assert torsion_order_t(top_class(BP, "1"), 10, cap=14).order == 1
+        assert t_blocks == [1]
+        t_blocks.clear()
+        cls = top_class(problem_from_strings(["x", "y"], ["1", "-1"], "x^3*y + x^2"), "y^2")
+        assert torsion_order_t(cls, 10, cap=6).order == 2
+        assert t_blocks == [1, 10, 5, 3, 2]  # bisection of (1, 10]
+
+
 class TestSliceOracle:
     def test_slice_dims_against_milnor_algebra(self):
         # independent oracle: for isolated quasi-homogeneous f the top module
