@@ -675,10 +675,10 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
     d(f eta) = df wedge eta + f d(eta) = f^(p+1) * rep.  From the first level
     p0 whose block cap is not raised by the user's cap (_monotone_level),
     f*eta also lies in the next block, so solvability is monotone in p from
-    p0 on.  Levels 1..p0 are solved one by one; then p_max alone, and if it
-    is solvable, bisection on (p0, p_max] finds the smallest solvable level.
-    The witness is the canonical solution at that level, as a linear scan
-    over every level would give.
+    p0 on.  So levels are solved in turn, but past p0 level p_max is solved
+    first: if it is unsolvable, so is every level in (p0, p_max], and the
+    search stops.  The witness is the canonical solution at the smallest
+    solvable level, as a scan of every level gives.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -691,27 +691,17 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
         target = cls.representative * problem.f**p
         return solve_in_kernel(block.space, block.d_images, block.df_images, target)
 
-    p0 = min(_monotone_level(cls, cap), p_max)
-    level, eta = 0, None
-    while eta is None and level < p0:
-        level += 1
-        eta = solve(level)
-    if eta is None and p0 < p_max:
-        level, eta = p_max, solve(p_max)
-        low = p0  # unsolvable; level is the smallest solvable one seen
-        while eta is not None and level - low > 1:
-            mid = (low + level) // 2
-            mid_eta = solve(mid)
-            if mid_eta is None:
-                low = mid
-            else:
-                level, eta = mid, mid_eta
-    if eta is None:
-        return NotFoundWithin(p_max, not problem.positive_weights)
-    cert = TorsionCertificate("t", level, [eta])
-    if not cert.verify(cls):
-        raise InvariantViolation("t-torsion certificate failed re-verification")
-    return cert
+    p0 = _monotone_level(cls, cap)
+    for p in range(1, p_max + 1):
+        if p == p0 + 1 < p_max and solve(p_max) is None:
+            break  # monotone from p0 on: no level in (p0, p_max] is solvable
+        eta = solve(p)
+        if eta is not None:
+            cert = TorsionCertificate("t", p, [eta])
+            if not cert.verify(cls):
+                raise InvariantViolation("t-torsion certificate failed re-verification")
+            return cert
+    return NotFoundWithin(p_max, not problem.positive_weights)
 
 
 @dataclass

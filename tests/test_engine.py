@@ -552,7 +552,7 @@ def t_blocks(monkeypatch):
 
 
 class TestMonotoneSchedule:
-    """torsion_order_t (prefix 1..p0, probe at p_max, bisection) against solving every level."""
+    """torsion_order_t (levels in turn, with a probe at p_max past p0) against solving every level."""
 
     @staticmethod
     def check(cls, cap, p_maxes):
@@ -593,7 +593,7 @@ class TestMonotoneSchedule:
     )
     def test_sampled_classes_with_positive_weights(self, variables, weights, polynomial):
         # no positive-weight class found above level 1 is known; these cover
-        # the probe and the bisection on classes found at 1 or never
+        # the probe on classes found at 1 or never
         problem = problem_from_strings(variables, weights, polynomial)
         for cls in sample_top_classes(problem, 4, seed=3, degree_bound=4):
             assert engine._monotone_level(cls, None) == 1
@@ -644,12 +644,24 @@ class TestMonotoneSchedule:
         assert isinstance(torsion_order_t(top_class(BP, "x^2*y^3*z^2"), 10, cap=14), NotFoundWithin)
         assert t_blocks == [1, 10]  # the prefix up to p0 = 1 and the probe at p_max
         t_blocks.clear()
+        assert isinstance(torsion_order_t(top_class(BP, "x^2*y^3*z^2"), 2, cap=14), NotFoundWithin)
+        assert t_blocks == [1, 2]  # no probe when p_max is the next level anyway
+        t_blocks.clear()
         assert torsion_order_t(top_class(BP, "1"), 10, cap=14).order == 1
         assert t_blocks == [1]
         t_blocks.clear()
         cls = top_class(problem_from_strings(["x", "y"], ["1", "-1"], "x^3*y + x^2"), "y^2")
         assert torsion_order_t(cls, 10, cap=6).order == 2
-        assert t_blocks == [1, 10, 5, 3, 2]  # bisection of (1, 10]
+        assert t_blocks == [1, 10, 2]  # the probe at p_max, then the scan goes on
+        t_blocks.clear()
+        # at cap 14 the same class has p0 = 3: the prefix finds level 2 before any probe
+        assert torsion_order_t(cls, 10, cap=14).order == 2
+        assert t_blocks == [1, 2]
+        t_blocks.clear()
+        cls = top_class(problem_from_strings(["x", "y"], ["2", "-1"], "x^2*y^3 + x*y"), "y^3")
+        assert engine._monotone_level(cls, 14) == 2
+        assert torsion_order_t(cls, 10, cap=14).order == 3
+        assert t_blocks == [1, 2, 10, 3]  # every level up to p0 before the probe
 
 
 class TestSliceOracle:
