@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from brieskorn.engine import (
     InvariantViolation,
     TorsionCertificate,
 )
-from brieskorn.forms import form_from_payload, volume_form
+from brieskorn.forms import df_wedge, form_from_payload, volume_form
 from brieskorn.poly import ParseError, format_rational, parse_polynomial
 from brieskorn.problemfile import ProblemFile, ProblemFileError, load_problem_file
 
@@ -335,11 +336,9 @@ def cmd_micro(args):
         remarks.append({"p": p, "lambda": [format_rational(v) for v in lam]})
     series = microdiff.TruncatedSeries.one(max(args.integrate_bound + 2, cap))
     integral_ok = True
-    import math as _math
-
     for k in range(1, args.integrate_bound + 1):
         series = microdiff.integrate_series(series)
-        if series.coefficient(k) != Fraction(1, _math.factorial(k)):
+        if series.coefficient(k) != Fraction(1, math.factorial(k)):
             integral_ok = False
     result = {
         "commutators": commutators,
@@ -525,8 +524,6 @@ def _verify_certificate(cert: dict, source) -> bool:
             form = form_from_payload(
                 cert["form"], problem.variables, cert["form_degree"]
             )
-            from brieskorn.forms import df_wedge
-
             return not df_wedge(problem.f, form)
         if kind == "vanishing":
             pf, pg = source
@@ -534,9 +531,7 @@ def _verify_certificate(cert: dict, source) -> bool:
             eta_degree = pf.problem.n + pg.problem.n - 1
             eta = form_from_payload(cert["eta"], combined.variables, eta_degree)
             target = form_from_payload(cert["target"], combined.variables, eta_degree + 1)
-            from brieskorn.forms import df_wedge
-
-            return (not df_wedge(combined.f, eta)) and eta.exterior_derivative() == target
+            return thom_sebastiani.VanishingCertificate(cert.get("k"), eta, target).verify(combined)
     except Exception as exc:  # a malformed certificate is a failed certificate
         print(f"verify: certificate error: {exc}", file=sys.stderr)
         return False

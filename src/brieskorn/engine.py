@@ -383,25 +383,25 @@ def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
     return out
 
 
-def _monomial_images(problem: GermProblem, space: FormSpace) -> tuple[list[list], list[list]]:
+def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list], list[list]]:
     """Keyed entries of d(beta) and of df wedge beta for every basis form beta.
 
-    beta = x^e dx_w runs over space.items.  Both images come from exponent
-    arithmetic with the partials of f taken once: d(beta) has the entry
-    sign * e_j at (w + j, e - 1_j), and df wedge beta holds the terms of
-    sign * (df/dx_j) x^e at w + j, for each j not in w, where sign is
-    (-1)^(number of indices of w below j).  Entries and their order equal
-    _form_entries of beta.exterior_derivative() and df_wedge(f, beta):
-    the wedges w + j ascend with j, and shifting the (sorted) terms of a
-    partial by e keeps their order.
+    beta = x^e dx_w runs over items, a list of (w, e) pairs.  Both images
+    come from exponent arithmetic with the partials of f taken once: d(beta)
+    has the entry sign * e_j at (w + j, e - 1_j), and df wedge beta holds the
+    terms of sign * (df/dx_j) x^e at w + j, for each j not in w, where sign
+    is (-1)^(number of indices of w below j).  Entries and their order equal
+    _form_entries of beta.exterior_derivative() and df_wedge(f, beta): the
+    wedges w + j ascend with j, and shifting the (sorted) terms of a partial
+    by e keeps their order.  Keys within one image are distinct.
     """
-    nvars = problem.nvars
+    nvars = f.nvars
     partials = []
     for j in range(nvars):
-        terms = sorted(problem.f.partial_derivative(j).terms.items())
+        terms = sorted(f.partial_derivative(j).terms.items())
         partials.append((terms, [(exp, -c) for exp, c in terms]))
     d_images, df_images = [], []
-    for wedge, exp in space.items:
+    for wedge, exp in items:
         d_entries, df_entries = [], []
         below = 0  # indices of the wedge below j
         for j in range(nvars):
@@ -418,32 +418,6 @@ def _monomial_images(problem: GermProblem, space: FormSpace) -> tuple[list[list]
         d_images.append(d_entries)
         df_images.append(df_entries)
     return d_images, df_images
-
-
-def solve_in_kernel(
-    space: FormSpace, d_images: Sequence[list], df_images: Sequence[list], target: DifferentialForm
-) -> DifferentialForm | None:
-    """Canonical eta in the slice space with df wedge eta = 0 and d(eta) = target.
-
-    One solve of the stacked system [d; df wedge] eta = [target; 0] over the
-    basis of space, whose keyed images are d_images and df_images; free
-    coordinates are zero.  None when no such eta exists.
-
-    This is the solution of d restricted to the canonical Ker(df wedge)
-    basis (linalg.nullspace) with free coordinates zero, combined back: a
-    basis column is a pivot of the stacked matrix exactly when it is a
-    pivot column of df wedge, or it is a free column whose kernel vector is
-    a pivot of d restricted to that basis.
-    """
-    img = DynamicIndex()
-    columns = [
-        img.vec([((0, *key), c) for key, c in d_entries] + [((1, *key), c) for key, c in df_entries])
-        for d_entries, df_entries in zip(d_images, df_images)
-    ]
-    solution = linalg.solve_columns(columns, img.vec(_form_entries(target, group=0)))
-    if solution is None:
-        return None
-    return space.form({k: x for k, x in enumerate(solution) if x})
 
 
 # -- weight slices of H^i -----------------------------------------------------
@@ -687,9 +661,8 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
         return TorsionCertificate("t", 1, [DifferentialForm.zero(problem.nvars, cls.i - 1)])
 
     def solve(p: int) -> DifferentialForm | None:
-        block = _s_block(cls, p, cap)
-        target = cls.representative * problem.f**p
-        return solve_in_kernel(block.space, block.d_images, block.df_images, target)
+        chain = _s_chain([_s_block(cls, p, cap)], cls.representative * problem.f**p)
+        return None if chain is None else chain[0]
 
     p0 = _monotone_level(cls, cap)
     for p in range(1, p_max + 1):
@@ -726,7 +699,7 @@ def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
     weight = cls.weight + j * problem.degree
     eta_cap = _eta_cap(problem, weight, cap, base + j * step)
     space = FormSpace(problem, cls.i - 1, weight, eta_cap)
-    return _SBlock(space, *_monomial_images(problem, space))
+    return _SBlock(space, *_monomial_images(problem.f, space.items))
 
 
 def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:
@@ -743,13 +716,21 @@ def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:
     return max(1, -((base - cap) // step))  # ceil((cap - base) / step)
 
 
-def _s_chain(cls: CohomologyClass, blocks: Sequence[_SBlock]) -> list[DifferentialForm] | None:
+def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[DifferentialForm] | None:
     """Canonical solution of the full block system of the given blocks.
 
     Unknowns are the coordinates of eta_0..eta_r, block-major in space
-    order; equation group 0 is d(eta_0) = rep, group j is d(eta_j) =
+    order; equation group 0 is d(eta_0) = target, group j is d(eta_j) =
     df wedge eta_(j-1) and group r+1 is df wedge eta_r = 0.  Free
     coordinates are zero.  None when the system is inconsistent.
+
+    With one block this is the eta with df wedge eta = 0 and d(eta) =
+    target: the solution of d restricted to the canonical Ker(df wedge)
+    basis (linalg.nullspace) with free coordinates zero, combined back.  A
+    basis column is a pivot of the stacked matrix exactly when it is a
+    pivot column of df wedge, or it is a free column whose kernel vector is
+    a pivot of d restricted to that basis.  Negating the df wedge group is a
+    row scaling, which changes neither the pivots nor the solution.
     """
     img = DynamicIndex()
     columns = []
@@ -758,7 +739,7 @@ def _s_chain(cls: CohomologyClass, blocks: Sequence[_SBlock]) -> list[Differenti
             entries = [((j, *key), coeff) for key, coeff in d_entries]
             entries += [((j + 1, *key), -coeff) for key, coeff in df_entries]
             columns.append(img.vec(entries))
-    target_vec = img.vec(_form_entries(cls.representative, group=0))
+    target_vec = img.vec(_form_entries(target, group=0))
     solution = linalg.solve_columns(columns, target_vec)
     if solution is None:
         return None
@@ -817,7 +798,7 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
                 vectors[-1][lam] = mu
         rows, pivots = linalg.rref(vectors)
         if pivots and pivots[-1] == lam:
-            chain = _s_chain(cls, blocks)
+            chain = _s_chain(blocks, cls.representative)
             if chain is None:
                 raise InvariantViolation("s-chain block system disagrees with its forward sweep")
             cert = TorsionCertificate("s", j + 1, chain)
@@ -994,30 +975,20 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
         prev_below = FormSpace(problem, i - 1, c - problem.degree, degree_bound + 1)
         below_2 = FormSpace(problem, i - 2, c - problem.degree, degree_bound + 2)
 
-        d_kernel = []  # d(Ker df-wedge)
-        for v in _df_kernel_vectors(problem, prev_here):
-            form = prev_here.form(v).exterior_derivative()
-            if form:
-                d_kernel.append(space.vec(form))
-        im_df = []  # df wedge Omega^(i-1)
-        for wedge, exp in prev_below.items:
-            beta = DifferentialForm.monomial_form(
-                problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
-            )
-            w1 = df_wedge(problem.f, beta)
-            if w1:
-                im_df.append(space.vec(w1))
+        d_here, df_here = _monomial_images(problem.f, prev_here.items)
+        d_cols = _indexed(space.index, d_here)
+        kernel = _image_kernel(df_here)
+        d_kernel = [u for u in (_combine(d_cols, v) for v in kernel) if u]  # d(Ker df-wedge)
+        df_below = _indexed(space.index, _monomial_images(problem.f, prev_below.items)[1])
+        im_df = [v for v in df_below if v]  # df wedge Omega^(i-1)
         im_dfd = linalg.Echelon()  # df wedge d(Omega^(i-2))
-        for wedge, exp in below_2.items:
-            gamma = DifferentialForm.monomial_form(
-                problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
-            )
-            w2 = df_wedge(problem.f, gamma.exterior_derivative())
+        for d_gamma in _indexed(prev_below.index, _monomial_images(problem.f, below_2.items)[0]):
+            w2 = _combine(df_below, d_gamma)
             if w2:
-                im_dfd.add(space.vec(w2))
+                im_dfd.add(w2)
 
         # intersection of span(d_kernel) and span(im_df)
-        columns = d_kernel + [_neg_vec(v) for v in im_df]
+        columns = d_kernel + [{k: -val for k, val in v.items()} for v in im_df]
         for combo in linalg.nullspace(linalg.transpose(columns), len(columns)):
             u = _combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
@@ -1025,8 +996,15 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     return PPrimeResult(True, None, weights, cap_relative)
 
 
-def _neg_vec(v: linalg.Vec) -> linalg.Vec:
-    return {k: -val for k, val in v.items()}
+def _image_kernel(images: Sequence[list]) -> list[linalg.Vec]:
+    """Canonical basis of the combinations of basis forms whose keyed images sum to 0."""
+    img = DynamicIndex()
+    return linalg.nullspace(linalg.transpose([img.vec(entries) for entries in images]), len(images))
+
+
+def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
+    """Each keyed image of _monomial_images as a vector over a basis index."""
+    return [{index[key]: coeff for key, coeff in entries} for entries in images]
 
 
 def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int):

@@ -33,11 +33,6 @@ class GMPiece:
         if not _is_nilpotent(n):
             raise ValueError("matrix is not nilpotent")
 
-    @property
-    def monodromy_exponent(self) -> Fraction:
-        """alpha mod 1 in [0, 1): the symbolic monodromy eigenvalue datum."""
-        return self.alpha - (self.alpha.numerator // self.alpha.denominator)
-
 
 def _zero_matrix(dim: int) -> tuple[tuple[Fraction, ...], ...]:
     z = Fraction(0)

@@ -14,7 +14,6 @@ whose first m components vanish generate the kernel.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -157,21 +156,7 @@ def _interreduce(basis):
 # -- public ideal interface ---------------------------------------------------
 
 
-class _GBCache:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._data: dict = {}
-
-    def get(self, key):
-        with self._lock:
-            return self._data.get(key)
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-
-
-_cache = _GBCache()
+_cache: dict = {}
 
 
 def _ideal_key(gens: Sequence[Polynomial], order: MonomialOrder):
@@ -179,11 +164,7 @@ def _ideal_key(gens: Sequence[Polynomial], order: MonomialOrder):
     return (order.signature(), order.rows, canon)
 
 
-def groebner_basis(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    use_cache: bool = True,
-) -> list[Polynomial]:
+def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> list[Polynomial]:
     """Reduced Groebner basis (monic, interreduced, sorted by leading term)."""
     gens = [g for g in gens if g]
     if not gens:
@@ -191,16 +172,14 @@ def groebner_basis(
     nvars = gens[0].nvars
     if order is None:
         order = grevlex(nvars)
-    key = _ideal_key(gens, order) if use_cache else None
-    if key is not None:
-        hit = _cache.get(key)
-        if hit is not None:
-            return list(hit)
+    key = _ideal_key(gens, order)
+    hit = _cache.get(key)
+    if hit is not None:
+        return list(hit)
     flats = [_to_flat(g, order) for g in gens]
     gb = _interreduce(_buchberger(flats, order, use_product_criterion=True))
     result = [_from_flat(f, nvars) for f in gb]
-    if key is not None:
-        _cache.put(key, list(result))
+    _cache[key] = list(result)
     return result
 
 

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import CapExceeded, DynamicIndex, _bounded_exponents, _form_entries
-from brieskorn.forms import DifferentialForm, df_wedge
+from brieskorn.engine import (
+    CapExceeded,
+    DynamicIndex,
+    _bounded_exponents,
+    _form_entries,
+    _image_kernel,
+    _monomial_images,
+)
+from brieskorn.forms import DifferentialForm
 from brieskorn.poly import Polynomial
 
 
@@ -141,7 +148,10 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
 
     Both sides are multigraded (each monomial slice is finite-dimensional),
     so the comparison runs exponent vector by exponent vector up to the
-    total-degree bound.
+    total-degree bound.  On log forms df/f-wedge is the constant Koszul map
+    sum_j m_j eta_j-wedge, so its kernel is one set of coefficient vectors,
+    placed at each log-multidegree.  A failure's witness is the first A-form
+    outside span(g * A~), else the first g * A~-form outside span(A).
     """
     if not 0 <= i <= germ.nvars:
         raise ValueError("form degree out of range")
@@ -149,112 +159,54 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         raise CapExceeded("degree bound must be >= 1")
     n = germ.nvars
     f = germ.polynomial()
-    m = germ.exponents
-
     wedges_i = list(itertools.combinations(range(n), i))
-    wedges_up = list(itertools.combinations(range(n), i + 1))
+    upidx = {w: k for k, w in enumerate(itertools.combinations(range(n), i + 1))}
+    koszul_cols = []
+    for wedge in wedges_i:
+        col: linalg.Vec = {}
+        for j in range(n):
+            if j not in wedge:
+                row = upidx[tuple(sorted(wedge + (j,)))]
+                sign = (-1) ** sum(1 for t in wedge if t < j)
+                col[row] = col.get(row, Fraction(0)) + sign * germ.exponents[j]
+        koszul_cols.append(col)
+    log_kernel = linalg.nullspace(linalg.transpose(koszul_cols), len(wedges_i))
 
     for nu in _bounded_exponents(n, degree_bound):
         # polynomial side: forms of multidegree nu (dx_j counts one unit of x_j)
-        poly_cols = []
-        poly_keys = []
-        for wedge in wedges_i:
-            exp = list(nu)
-            ok = True
-            for j in wedge:
-                exp[j] -= 1
-                if exp[j] < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            poly_keys.append((wedge, tuple(exp)))
-        if not poly_keys:
+        items = [
+            (wedge, tuple(v - (j in wedge) for j, v in enumerate(nu)))
+            for wedge in wedges_i
+            if all(nu[j] for j in wedge)
+        ]
+        if not items:
             continue
-        img = DynamicIndex()
-        for wedge, exp in poly_keys:
-            form = DifferentialForm.monomial_form(n, wedge, Polynomial.monomial(n, exp))
-            poly_cols.append(img.vec(_form_entries(df_wedge(f, form))))
-        kernel = linalg.nullspace(linalg.transpose(poly_cols), len(poly_cols))
-
-        # log side at log-multidegree b = nu - (1,...,1), Koszul with constants m_j
-        b = tuple(v - 1 for v in nu)
-        log_kernel_forms: list[DifferentialForm] = []
-        if all(v >= 0 for v in b):
-            log_cols = []
-            upidx = {w: k for k, w in enumerate(wedges_up)}
-            for wedge in wedges_i:
-                col: linalg.Vec = {}
-                for j in range(n):
-                    if j in wedge:
-                        continue
-                    merged = tuple(sorted(wedge + (j,)))
-                    sign = (-1) ** sum(1 for t in wedge if t < j)
-                    col[upidx[merged]] = col.get(upidx[merged], Fraction(0)) + sign * m[j]
-                log_cols.append(col)
-            for combo in linalg.nullspace(linalg.transpose(log_cols), len(wedges_i)):
-                lf = LogForm(
-                    n,
-                    i,
-                    {
-                        wedges_i[j]: Polynomial.monomial(n, b, coeff)
-                        for j, coeff in combo.items()
-                    },
-                )
-                log_kernel_forms.append(lf.to_polynomial_form(germ))
-
-        # compare spans inside the nu-slice
         space = DynamicIndex()
-        a_side = linalg.Echelon()
-        for combo in kernel:
-            entries = []
-            for j, coeff in combo.items():
-                wedge, exp = poly_keys[j]
-                entries.append(((wedge, exp), coeff))
-            a_side.add(space.vec(entries))
-        g_side = linalg.Echelon()
-        g_vecs = []
-        for form in log_kernel_forms:
-            v = space.vec(_form_entries(form))
-            g_vecs.append((form, v))
-            g_side.add(v)
-        if a_side.rank != g_side.rank:
-            witness = None
-            for combo in kernel:
-                entries = []
-                for j, coeff in combo.items():
-                    wedge, exp = poly_keys[j]
-                    entries.append(((wedge, exp), coeff))
-                v = space.vec(entries)
-                if g_side.reduce(v):
-                    polys: dict[tuple[int, ...], dict] = {}
-                    for j, coeff in combo.items():
-                        wedge, exp = poly_keys[j]
-                        polys.setdefault(wedge, {})[exp] = coeff
-                    witness = DifferentialForm(
-                        n, i, {w: Polynomial(n, t) for w, t in polys.items()}
-                    )
-                    break
-            if witness is None:
-                for form, v in g_vecs:
-                    if a_side.reduce(v):
-                        witness = form
-                        break
+        a_side = []
+        for combo in _image_kernel(_monomial_images(f, items)[1]):
+            # one item per wedge, so each coordinate is one coefficient polynomial
+            terms = {items[j][0]: Polynomial.monomial(n, items[j][1], c) for j, c in combo.items()}
+            form = DifferentialForm(n, i, terms)
+            a_side.append((form, space.vec(_form_entries(form))))
+
+        # log side at log-multidegree b = nu - (1,...,1)
+        b = tuple(v - 1 for v in nu)
+        g_side = []
+        if all(v >= 0 for v in b):
+            for combo in log_kernel:
+                lf = LogForm(n, i, {wedges_i[j]: Polynomial.monomial(n, b, c) for j, c in combo.items()})
+                form = lf.to_polynomial_form(germ)
+                g_side.append((form, space.vec(_form_entries(form))))
+
+        witness = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
+        if witness is not None:
             return AEqualsGAtilde(False, witness, degree_bound)
-        for form, v in g_vecs:
-            if a_side.reduce(v):
-                return AEqualsGAtilde(False, form, degree_bound)
-        for combo in kernel:
-            entries = []
-            for j, coeff in combo.items():
-                wedge, exp = poly_keys[j]
-                entries.append(((wedge, exp), coeff))
-            v = space.vec(entries)
-            if g_side.reduce(v):
-                polys = {}
-                for j, coeff in combo.items():
-                    wedge, exp = poly_keys[j]
-                    polys.setdefault(wedge, {})[exp] = coeff
-                witness = DifferentialForm(n, i, {w: Polynomial(n, t) for w, t in polys.items()})
-                return AEqualsGAtilde(False, witness, degree_bound)
     return AEqualsGAtilde(True, None, degree_bound)
+
+
+def _first_outside(candidates, spanning):
+    """The first form of (form, vector) candidates outside the span of spanning."""
+    ech = linalg.Echelon()
+    for _form, v in spanning:
+        ech.add(v)
+    return next((form for form, v in candidates if ech.reduce(v)), None)

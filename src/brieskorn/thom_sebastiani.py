@@ -19,7 +19,8 @@ from brieskorn.engine import (
     NotFoundWithin,
     TorsionCertificate,
     _monomial_images,
-    solve_in_kernel,
+    _s_chain,
+    _SBlock,
     spectrum,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential
@@ -100,12 +101,13 @@ def vanish_g_k_dg(
     if cap is None:
         raise ValueError("a search cap is needed with non-positive weights")
     space = FormSpace(combined, target.degree - 1, weight, cap)
-    eta = solve_in_kernel(space, *_monomial_images(combined, space), target)
-    if eta is None:
+    chain = _s_chain([_SBlock(space, *_monomial_images(combined.f, space.items))], target)
+    if chain is None:
         return NotFoundWithin(cap, not combined.positive_weights)
-    if df_wedge(combined.f, eta) or eta.exterior_derivative() != target:
+    cert = VanishingCertificate(k, chain[0], target)
+    if not cert.verify(combined):
         raise AssertionError("vanishing certificate failed re-verification")
-    return VanishingCertificate(k, eta, target)
+    return cert
 
 
 @dataclass

@@ -357,9 +357,12 @@ class TestVerifyReplay:
 
 class TestScriptEntry:
     def test_subprocess_invocation(self):
+        # the child finds the package in src/ whether or not the parent's path has it
+        src = os.path.join(ROOT, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "brieskorn.cli", "spectrum", prob("a1.json")],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["spectrum"] == ["-1/2"]

@@ -36,6 +36,17 @@ def P3(text):
     return parse_polynomial(text, XYZ)
 
 
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty Groebner cache for the test; calling the fixture empties it again."""
+
+    def reset():
+        monkeypatch.setattr(groebner, "_cache", {})
+
+    reset()
+    return reset
+
+
 def random_poly(rng, nvars, nterms=3, maxdeg=3):
     terms = {}
     for _ in range(rng.randint(1, nterms)):
@@ -80,11 +91,11 @@ class TestOrders:
         with pytest.raises(ValueError):
             weighted([1, 0], 2)
 
-    def test_weighted_order_groebner(self):
+    def test_weighted_order_groebner(self, cold_cache):
         # a weighted order is a legitimate GB order end to end
         order = weighted([Fraction(1, 2), Fraction(1, 3)], 2)
         gens = [P2("x*y - 1"), P2("y^2 - 1")]
-        gb = groebner_basis(gens, order, use_cache=False)
+        gb = groebner_basis(gens, order)
         for g in gens:
             assert normal_form(g, gb, order).is_zero
 
@@ -125,19 +136,20 @@ class TestGroebnerBasis:
 
                         assert not _backend.normal_form(s, flats)
 
-    def test_determinism(self):
+    def test_determinism(self, cold_cache):
         gens = [P3("x^2 + y*z"), P3("y^3 - z"), P3("x*z - y")]
-        a = groebner_basis(gens, use_cache=False)
-        b = groebner_basis(list(reversed(gens)), use_cache=False)
+        a = groebner_basis(gens)
+        cold_cache()  # otherwise the reversed generators hit the cached basis
+        b = groebner_basis(list(reversed(gens)))
         assert a == b
 
-    def test_against_sympy(self):
+    def test_against_sympy(self, cold_cache):
         sympy = pytest.importorskip("sympy")
         syms = sympy.symbols("x y z")
         rng = random.Random(13)
         for trial in range(15):
             gens = [random_poly(rng, 3, nterms=3, maxdeg=2) for _ in range(2)]
-            gb = groebner_basis(gens, use_cache=False)
+            gb = groebner_basis(gens)
             expr = [sympy.sympify(g.serialize(XYZ)) for g in gens if g]
             ref = sympy.groebner(expr, *syms, order="grevlex")
             ours = sorted(g.serialize(XYZ) for g in gb)
@@ -156,14 +168,14 @@ class TestNormalForm:
         assert normal_form(P2("x + y"), [P2("x")]) == P2("y")
         assert normal_form(P2("x^2 + y"), [P2("x^2 - y")]) == P2("2*y")
 
-    def test_membership_random_triples(self):
+    def test_membership_random_triples(self, cold_cache):
         rng = random.Random(14)
         for _ in range(200):
             gens = [random_poly(rng, 2) for _ in range(rng.randint(1, 3))]
             gens = [g for g in gens if g]
             if not gens:
                 continue
-            gb = groebner_basis(gens, use_cache=False)
+            gb = groebner_basis(gens)
             # member by construction
             member = sum(
                 (random_poly(rng, 2, nterms=2) * g for g in gens),
@@ -277,11 +289,12 @@ class TestSyzygiesOfPartials:
 
 
 class TestCacheConcurrency:
-    def test_concurrent_basis_requests(self):
+    def test_concurrent_basis_requests(self, cold_cache):
         import threading
 
         gens = [P3("x^2 + y*z"), P3("y^3 - z"), P3("x*z - y")]
-        expected = groebner_basis(gens, use_cache=False)
+        expected = groebner_basis(gens)
+        cold_cache()  # the threads compute and store the basis themselves
         results = [None] * 8
         errors = []
 

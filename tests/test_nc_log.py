@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from brieskorn.engine import ct_basis, problem_from_strings
+from brieskorn import linalg
+from brieskorn.engine import DynamicIndex, _bounded_exponents, _form_entries, ct_basis, problem_from_strings
+from brieskorn.forms import df_wedge
 from brieskorn.nc_log import (
     LogForm,
     MonomialGerm,
@@ -93,6 +95,37 @@ class TestKernelIdentity:
     def test_more_cases(self):
         for m, i in [((2, 3), 1), ((2, 2, 2), 2), ((1, 2), 1), ((3, 3), 2)]:
             assert verify_a_equals_g_atilde(MonomialGerm(m), i, 6).holds
+
+    def test_every_small_monomial_germ(self):
+        # n <= 3, exponents <= 3, every form degree: 141 cases
+        cases = 0
+        for n in range(1, 4):
+            for m in itertools.product(range(1, 4), repeat=n):
+                for i in range(n + 1):
+                    res = verify_a_equals_g_atilde(MonomialGerm(m), i, 4)
+                    assert res.holds and res.witness is None, (m, i)
+                    cases += 1
+        assert cases == 141
+
+    def test_failing_branch_reports_an_a_form_outside_g_atilde(self, monkeypatch):
+        # multiplying g * A~ by x breaks the identity; the witness must be a
+        # df-killed form that no (broken) g * A~ form up to the bound spans
+        original = LogForm.to_polynomial_form
+        x = Polynomial.variable(2, 0)
+        monkeypatch.setattr(LogForm, "to_polynomial_form", lambda lf, germ: original(lf, germ) * x)
+        germ = MonomialGerm((2, 2))
+        res = verify_a_equals_g_atilde(germ, 1, 4)
+        assert not res.holds
+        witness = res.witness
+        assert witness and not df_wedge(germ.polynomial(), witness)
+        # Ker(df/f-wedge) in degree 1 is spanned by eta_x + eta_y, since m = (2, 2)
+        index = DynamicIndex()
+        g_span = linalg.Echelon()
+        for b in _bounded_exponents(2, 4):
+            mono = Polynomial.monomial(2, b)
+            g_form = LogForm(2, 1, {(0,): mono, (1,): mono}).to_polynomial_form(germ)
+            g_span.add(index.vec(_form_entries(g_form)))
+        assert g_span.reduce(index.vec(_form_entries(witness)))
 
 
 class TestCrossEngine:
