@@ -20,6 +20,7 @@ from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
     InvariantViolation,
+    NonIsolatedError,
     TorsionCertificate,
 )
 from brieskorn.forms import df_wedge, form_from_payload, volume_form
@@ -97,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations ---------------------------------------------------
 
 
-def _load(path: str) -> ProblemFile:
-    return load_problem_file(path)
-
-
 def _bound(*candidates):
     """The first bound given, in order of precedence; an explicit 0 counts."""
     return next((b for b in candidates if b is not None), None)
@@ -121,14 +118,13 @@ def _class_from_monomial(pf: ProblemFile, text: str) -> CohomologyClass:
     return CohomologyClass(problem, problem.n, volume_form(problem.nvars, poly))
 
 
-def _torsion_payload(pf: ProblemFile, cls, cert_or_not, kind: str):
-    problem = pf.problem
+def _torsion_payload(variables, cert_or_not, kind: str):
     if isinstance(cert_or_not, TorsionCertificate):
         return {
             "kind": kind,
             "status": "found",
             "order": cert_or_not.order,
-            "witness": [w.payload(problem.variables) for w in cert_or_not.witness],
+            "witness": [w.payload(variables) for w in cert_or_not.witness],
         }
     return {
         "kind": kind,
@@ -139,7 +135,7 @@ def _torsion_payload(pf: ProblemFile, cls, cert_or_not, kind: str):
 
 
 def cmd_analyze(args) -> tuple[dict, dict, int]:
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
     cap = _bound(args.max_degree, pf.options.max_degree)
     p_max = _bound(args.max_t_power, pf.options.max_t_power)
@@ -153,7 +149,6 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
         "kernel_generators": [g.payload(problem.variables) for g in gens],
     }
     certificates = []
-    exit_code = EXIT_OK
     if mu is not None:
         basis = engine.ct_basis(problem, reduced=True)
         result["rank"] = len(basis)
@@ -168,8 +163,8 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
             rs = engine.torsion_order_s(cls, r_max, cap=cap)
             row = {
                 "class": cls.serialize(),
-                "t": _torsion_payload(pf, cls, rt, "t-torsion"),
-                "s": _torsion_payload(pf, cls, rs, "s-torsion"),
+                "t": _torsion_payload(problem.variables, rt, "t-torsion"),
+                "s": _torsion_payload(problem.variables, rs, "s-torsion"),
             }
             probe_rows.append(row)
             for payload, cert in (("t", rt), ("s", rs)):
@@ -178,16 +173,16 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
                         {
                             "type": "torsion",
                             "class": cls.serialize(),
-                            **_torsion_payload(pf, cls, cert, payload + "-torsion"),
+                            **_torsion_payload(problem.variables, cert, payload + "-torsion"),
                         }
                     )
         result["torsion_probes"] = probe_rows
     bounds = {"max_degree": cap, "max_t_power": p_max, "max_s_power": r_max, "seed": args.seed}
-    return {"result": result, "certificates": certificates, "bounds": bounds}, pf, exit_code
+    return {"result": result, "certificates": certificates, "bounds": bounds}, pf, EXIT_OK
 
 
 def cmd_kernel(args):
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.n - 1
     gens = engine.kernel_generator_forms(problem, i)
@@ -209,7 +204,7 @@ def cmd_kernel(args):
 
 
 def cmd_torsion(args):
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
     cap = _bound(args.max_degree, pf.options.max_degree)
     p_max = _bound(args.max_t_power, pf.options.max_t_power)
@@ -226,8 +221,8 @@ def cmd_torsion(args):
             {
                 "monomial": text,
                 "class": cls.serialize(),
-                "t": _torsion_payload(pf, cls, rt, "t-torsion"),
-                "s": _torsion_payload(pf, cls, rs, "s-torsion"),
+                "t": _torsion_payload(problem.variables, rt, "t-torsion"),
+                "s": _torsion_payload(problem.variables, rs, "s-torsion"),
                 "existence_agrees": isinstance(rt, TorsionCertificate)
                 == isinstance(rs, TorsionCertificate),
             }
@@ -239,7 +234,7 @@ def cmd_torsion(args):
                         "type": "torsion",
                         "monomial": text,
                         "degree": cls.i,
-                        **_torsion_payload(pf, cls, cert, kind),
+                        **_torsion_payload(problem.variables, cert, kind),
                     }
                 )
             else:
@@ -250,17 +245,14 @@ def cmd_torsion(args):
 
 
 def cmd_spectrum(args):
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
-    mu = problem.milnor_number()
-    if mu is None:
-        raise ProblemFileError(f"{args.problem}: spectrum needs an isolated singularity")
     basis = engine.ct_basis(problem, reduced=True)
     module = gm_model.from_brieskorn(problem)
     psi, phi = gm_model.psi_phi(module)
     result = {
         "problem": problem.serialize(),
-        "milnor_number": mu,
+        "milnor_number": problem.milnor_number(),
         "rank": len(basis),
         "spectrum": [format_rational(b.exponent) for b in basis],
         "gm_pieces": module.serialize()["pieces"],
@@ -272,7 +264,7 @@ def cmd_spectrum(args):
 
 
 def cmd_nc(args):
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
     f = problem.f
     if not f.is_monomial():
@@ -360,8 +352,8 @@ def cmd_micro(args):
 
 
 def cmd_ts(args):
-    pf = _load(args.problem)
-    pg = _load(args.problem_g)
+    pf = load_problem_file(args.problem)
+    pg = load_problem_file(args.problem_g)
     report = thom_sebastiani.ts_compare(pf.problem, pg.problem)
     basis_f = engine.ct_basis(pf.problem, reduced=True)
     cls_f = basis_f[0].cls if basis_f else None
@@ -402,7 +394,7 @@ def cmd_ts(args):
 
 
 def cmd_check_p(args):
-    pf = _load(args.problem)
+    pf = load_problem_file(args.problem)
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.n
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
@@ -546,9 +538,9 @@ def main(argv=None) -> int:
         if getattr(args, "verify", None):
             source = None
             if args.command == "ts":
-                source = (_load(args.problem), _load(args.problem_g))
+                source = (load_problem_file(args.problem), load_problem_file(args.problem_g))
             elif hasattr(args, "problem"):
-                source = _load(args.problem)
+                source = load_problem_file(args.problem)
             return verify_report(args.verify, args.command, source)
         payload, source, exit_code = _HANDLERS[args.command](args)
         report = {
@@ -559,7 +551,7 @@ def main(argv=None) -> int:
         }
         emit(report, args)
         return exit_code
-    except (ProblemFileError, ParseError, ValueError) as exc:
+    except (ProblemFileError, ParseError, ValueError, NonIsolatedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CapExceeded, microdiff.TruncationOverflow) as exc:

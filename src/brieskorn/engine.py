@@ -360,14 +360,12 @@ def _form_entries(form: DifferentialForm, group=None):
 
 def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Vec]:
     """Basis of Ker(df-wedge) restricted to the enumerated slice space."""
-    img = DynamicIndex()
-    columns = []
+    nv = problem.nvars
+    images = []
     for wedge, exp in space.items:
-        form = DifferentialForm.monomial_form(
-            problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp)
-        )
-        columns.append(img.vec(_form_entries(df_wedge(problem.f, form))))
-    return linalg.nullspace(linalg.transpose(columns), space.dim)
+        form = DifferentialForm.monomial_form(nv, wedge, Polynomial.monomial(nv, exp))
+        images.append(_form_entries(df_wedge(problem.f, form)))
+    return _image_kernel(images)
 
 
 def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
@@ -420,6 +418,17 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list],
     return d_images, df_images
 
 
+def _image_kernel(images: Sequence[Iterable[tuple]]) -> list[linalg.Vec]:
+    """Canonical basis of the combinations of basis forms whose keyed images sum to 0."""
+    img = DynamicIndex()
+    return linalg.nullspace(linalg.transpose([img.vec(entries) for entries in images]), len(images))
+
+
+def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
+    """Each keyed image of _monomial_images as a vector over a basis index."""
+    return [{index[key]: coeff for key, coeff in entries} for entries in images]
+
+
 # -- weight slices of H^i -----------------------------------------------------
 
 
@@ -435,7 +444,6 @@ class HSlice:
     classes: list[CohomologyClass]
     space: FormSpace
     _reducer: linalg.Echelon
-    boundary_rank: int
 
     @property
     def dim(self) -> int:
@@ -467,16 +475,16 @@ def _copy_echelon(e: linalg.Echelon) -> linalg.Echelon:
     return c
 
 
-def _resolve_cap(problem: GermProblem, c: Fraction, cap: int | None) -> tuple[int, bool]:
-    # positive weights: the slice is finite, the derived cap covers it exactly
-    if problem.positive_weights:
-        return problem.auto_cap(c), False
-    if cap is None:
-        raise CapExceeded(
-            "slice spaces can be infinite-dimensional with non-positive weights; "
-            "pass an explicit total-degree cap"
-        )
-    return cap, True
+def _slice_cap(problem: GermProblem, c: Fraction, cap: int | None, least: int = 0) -> int:
+    """Total-degree cap of a weight-c slice space.
+
+    With positive weights the slice is finite and the derived cap covers it
+    exactly; otherwise the given cap, raised to least, and without one
+    CapExceeded (from auto_cap).
+    """
+    if problem.positive_weights or cap is None:
+        return problem.auto_cap(c)
+    return max(cap, least)
 
 
 def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
@@ -484,23 +492,20 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
 
     With positive weights the slice is finite and the cap is derived; with
     some weight <= 0 an explicit cap is required and completeness (not
-    kernel membership) is cap-relative.
+    kernel membership) is cap-relative.  The d images come from exponent
+    arithmetic (_monomial_images), built only over a nonzero kernel.
     """
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
     c = Fraction(c)
-    cap, cap_relative = _resolve_cap(problem, c, cap)
-    space = FormSpace(problem, i, c, cap)
+    space = FormSpace(problem, i, c, _slice_cap(problem, c, cap))
 
     kernel = _df_kernel_vectors(problem, space)
 
     # closed kernel vectors: restrict d to the kernel span
-    if i < problem.n:
-        img = DynamicIndex()
-        columns = [
-            img.vec(_form_entries(space.form(v).exterior_derivative())) for v in kernel
-        ]
-        combos = linalg.nullspace(linalg.transpose(columns), len(kernel))
+    if i < problem.n and kernel:
+        d_images = [dict(entries) for entries in _monomial_images(problem.f, space.items)[0]]
+        combos = _image_kernel([_combine(d_images, v).items() for v in kernel])
         closed = [v for v in (_combine(kernel, combo) for combo in combos) if v]
     else:
         closed = kernel
@@ -508,12 +513,14 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
     # boundary space d(A^{i-1}) at the same weight
     reducer = linalg.Echelon()
     if i >= 1:
-        prev = FormSpace(problem, i - 1, c, cap + 1)
-        for v in _df_kernel_vectors(problem, prev):
-            d_img = prev.form(v).exterior_derivative()
-            if d_img:
-                reducer.add(space.vec(d_img))
-    boundary_rank = reducer.rank
+        prev = FormSpace(problem, i - 1, c, space.cap + 1)
+        prev_kernel = _df_kernel_vectors(problem, prev)
+        if prev_kernel:
+            d_prev = _indexed(space.index, _monomial_images(problem.f, prev.items)[0])
+            for v in prev_kernel:
+                d_img = _combine(d_prev, v)
+                if d_img:
+                    reducer.add(d_img)
 
     classes = []
     ech = _copy_echelon(reducer)
@@ -525,7 +532,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
             rep = space.form({k: val * inv for k, val in residue.items()})
             classes.append(CohomologyClass(problem, i, rep))
             ech.add(v)
-    return HSlice(problem, i, c, cap, cap_relative, classes, space, reducer, boundary_rank)
+    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes, space, reducer)
 
 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
@@ -616,13 +623,6 @@ class TorsionCertificate:
             return not df_wedge(f, chain[-1])
         return False
 
-    def serialize(self, variables) -> dict:
-        return {
-            "kind": self.kind,
-            "order": self.order,
-            "witness": [w.payload(variables) for w in self.witness],
-        }
-
 
 @dataclass
 class NotFoundWithin:
@@ -630,14 +630,6 @@ class NotFoundWithin:
 
     bound: int
     cap_limited: bool
-
-
-def _eta_cap(problem: GermProblem, weight: Fraction, cap: int | None, min_degree: int) -> int:
-    if problem.positive_weights:
-        return problem.auto_cap(weight)  # the full slice; search is exact
-    if cap is None:
-        raise CapExceeded("torsion searches need a total-degree cap with non-positive weights")
-    return max(cap, min_degree)
 
 
 def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
@@ -679,12 +671,18 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
 
 @dataclass
 class _SBlock:
-    """Block j of the s-chain system: the slice space of eta_j and, for each
-    basis form beta of it, the keyed entries of d(beta) and df wedge beta."""
+    """A block of a slice system: a slice space and, for each basis form
+    beta of it, the keyed entries of d(beta) and df wedge beta."""
 
     space: FormSpace
     d_images: list[list]
     df_images: list[list]
+
+
+def _block(problem: GermProblem, i: int, weight: Fraction, cap: int | None, least: int = 0):
+    """The degree-i, weight slice block, capped by _slice_cap."""
+    space = FormSpace(problem, i, weight, _slice_cap(problem, weight, cap, least))
+    return _SBlock(space, *_monomial_images(problem.f, space.items))
 
 
 def _block_degrees(cls: CohomologyClass) -> tuple[int, int]:
@@ -694,12 +692,10 @@ def _block_degrees(cls: CohomologyClass) -> tuple[int, int]:
 
 
 def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
-    problem = cls.problem
+    """Block j of the s-chain system: the slice of eta_j."""
     base, step = _block_degrees(cls)
-    weight = cls.weight + j * problem.degree
-    eta_cap = _eta_cap(problem, weight, cap, base + j * step)
-    space = FormSpace(problem, cls.i - 1, weight, eta_cap)
-    return _SBlock(space, *_monomial_images(problem.f, space.items))
+    weight = cls.weight + j * cls.problem.degree
+    return _block(cls.problem, cls.i - 1, weight, cap, base + j * step)
 
 
 def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:
@@ -711,7 +707,7 @@ def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:
     cap <= base + p * step.
     """
     if cls.problem.positive_weights or cap is None:
-        return 1  # without a cap, _eta_cap refuses the first block anyway
+        return 1  # without a cap, _slice_cap refuses the first block anyway
     base, step = _block_degrees(cls)
     return max(1, -((base - cap) // step))  # ceil((cap - base) / step)
 
@@ -859,12 +855,7 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
         max_c = max(max_c, d)
 
     # candidate slice weights: volume-form weights of monomials up to the bound
-    candidates = sorted(
-        {
-            monomial_weight(exp, problem.weights) + sum_w
-            for exp in iter_monomials_of_weight_range(problem, max_c - sum_w)
-        }
-    )
+    candidates = sorted(s + sum_w for s in _monomial_weights(problem.weights, max_c - sum_w))
     slices: dict[Fraction, HSlice] = {}
     out: list[CtBasisClass] = []
     for c in candidates:
@@ -885,30 +876,13 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
     return out
 
 
-def iter_monomials_of_weight_range(problem: GermProblem, max_weight: Fraction):
-    """All monomials with weight <= max_weight (positive weights only)."""
-    if not problem.positive_weights:
-        raise CapExceeded("weight-range enumeration needs positive weights")
-    if max_weight < 0:
-        return []
-    nvars = problem.nvars
-    seen: list[tuple[int, ...]] = []
-    exp = [0] * nvars
-
-    def rec(i: int, used: Fraction):
-        if i == nvars:
-            seen.append(tuple(exp))
-            return
-        w = problem.weights[i]
-        k = 0
-        while used + w * k <= max_weight:
-            exp[i] = k
-            rec(i + 1, used + w * k)
-            k += 1
-        exp[i] = 0
-
-    rec(0, Fraction(0))
-    return seen
+def _monomial_weights(weights: Sequence[Fraction], bound: Fraction) -> set[Fraction]:
+    """Weights <= bound of all monomials, for positive weights: the sums
+    s + k * w_i <= bound, built one variable at a time."""
+    sums = {Fraction(0)} if bound >= 0 else set()
+    for w in weights:
+        sums = {s + k * w for s in sums for k in range(int((bound - s) / w) + 1)}
+    return sums
 
 
 def spectrum(problem: GermProblem, reduced: bool = True) -> list[Fraction]:
@@ -967,9 +941,6 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     cap_relative = not problem.positive_weights
     ambient_cap = degree_bound + max(problem.f.total_degree(), 1) + 1
     for c in weights:
-        probe = FormSpace(problem, i, c, degree_bound)
-        if not probe.items:
-            continue
         space = FormSpace(problem, i, c, ambient_cap)
         prev_here = FormSpace(problem, i - 1, c, degree_bound + 1)
         prev_below = FormSpace(problem, i - 1, c - problem.degree, degree_bound + 1)
@@ -994,17 +965,6 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
             if u and im_dfd.reduce(u):
                 return PPrimeResult(False, space.form(u), weights, cap_relative)
     return PPrimeResult(True, None, weights, cap_relative)
-
-
-def _image_kernel(images: Sequence[list]) -> list[linalg.Vec]:
-    """Canonical basis of the combinations of basis forms whose keyed images sum to 0."""
-    img = DynamicIndex()
-    return linalg.nullspace(linalg.transpose([img.vec(entries) for entries in images]), len(images))
-
-
-def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
-    """Each keyed image of _monomial_images as a vector over a basis index."""
-    return [{index[key]: coeff for key, coeff in entries} for entries in images]
 
 
 def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int):

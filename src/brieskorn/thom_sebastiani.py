@@ -13,14 +13,12 @@ from fractions import Fraction
 
 from brieskorn.engine import (
     CohomologyClass,
-    FormSpace,
     GermProblem,
     NonIsolatedError,
     NotFoundWithin,
     TorsionCertificate,
-    _monomial_images,
+    _block,
     _s_chain,
-    _SBlock,
     spectrum,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential
@@ -97,13 +95,10 @@ def vanish_g_k_dg(
     weight = target.weighted_degree(combined.weights)
     if weight is None:
         raise ValueError("product form is not homogeneous")
-    cap = combined.auto_cap(weight) if combined.positive_weights else search_cap
-    if cap is None:
-        raise ValueError("a search cap is needed with non-positive weights")
-    space = FormSpace(combined, target.degree - 1, weight, cap)
-    chain = _s_chain([_SBlock(space, *_monomial_images(combined.f, space.items))], target)
+    block = _block(combined, target.degree - 1, weight, search_cap)
+    chain = _s_chain([block], target)
     if chain is None:
-        return NotFoundWithin(cap, not combined.positive_weights)
+        return NotFoundWithin(block.space.cap, not combined.positive_weights)
     cert = VanishingCertificate(k, chain[0], target)
     if not cert.verify(combined):
         raise AssertionError("vanishing certificate failed re-verification")

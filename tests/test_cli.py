@@ -203,6 +203,10 @@ class TestInputContract:
             (["torsion", prob("barlet35.json"), "--max-degree", "abc"],
              "argument --max-degree: invalid int value: 'abc'"),
             (["frobnicate", prob("cusp.json")], "argument command: invalid choice: 'frobnicate'"),
+            (["ts", prob("barlet35.json"), prob("ts_y2.json")], "error: the first operand must be isolated"),
+            (["ts", prob("a1.json"), prob("barlet35.json")],
+             "error: rank/exponent comparison implemented for isolated second operands"),
+            (["spectrum", prob("barlet35.json")], "error: C{t}-basis needs an isolated singularity"),
         ],
         ids=["torsion-negative-max-degree", "check-p-negative-max-degree",
              "micro-negative-factorial-bound", "micro-negative-commutator-bound",
@@ -212,7 +216,8 @@ class TestInputContract:
              "torsion-negative-max-t-power", "micro-negative-max-s-power", "kernel-max-t-power",
              "ts-max-powers", "spectrum-max-degree", "micro-max-t-power", "torsion-seed",
              "unknown-flag", "missing-problem", "missing-command", "max-degree-not-an-integer",
-             "unknown-command"],
+             "unknown-command", "ts-non-isolated-first", "ts-non-isolated-second",
+             "spectrum-non-isolated"],
     )
     def test_bad_argument(self, argv, message, capsys):
         self.expect(argv, 1, message, capsys)

@@ -11,8 +11,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from brieskorn.engine import wedge_tuples  # noqa: E402
-from brieskorn.forms import DifferentialForm, df_wedge  # noqa: E402
+from brieskorn.engine import (  # noqa: E402
+    problem_from_strings,
+    sample_top_classes,
+    tdt_action,
+    wedge_tuples,
+)
+from brieskorn.forms import DifferentialForm, VectorField, df_wedge  # noqa: E402
 from brieskorn.poly import Polynomial, parse_polynomial  # noqa: E402
 
 NVARS = 3
@@ -23,6 +28,7 @@ bounded = settings(derandomize=True, deadline=None, max_examples=60, database=No
 coefficients = st.builds(
     Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5)
 )
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 exponents = st.tuples(*[st.integers(0, 3)] * NVARS)
 polynomials = st.dictionaries(exponents, coefficients, max_size=4).map(
     lambda terms: Polynomial(NVARS, terms)
@@ -62,3 +68,36 @@ def test_wedge_is_graded_commutative(alpha, beta):
 def test_serialize_then_parse_is_the_identity(p, names):
     for variables in (VARIABLES, names):
         assert parse_polynomial(p.serialize(variables), variables) == p
+
+
+@bounded
+@given(
+    st.lists(rationals, min_size=NVARS, max_size=NVARS),
+    exponents,
+    st.sampled_from([w for i in range(NVARS + 1) for w in wedge_tuples(NVARS, i)]),
+    coefficients,
+)
+def test_euler_lie_derivative_multiplies_by_the_weighted_degree(weights, exp, wedge, coeff):
+    # L_E omega = deg_w(omega) * omega for E = sum w_i x_i d_i and a
+    # w-homogeneous omega = x^a dx_I, whose weight is counted here directly
+    omega = DifferentialForm.monomial_form(NVARS, wedge, Polynomial.monomial(NVARS, exp, coeff))
+    euler = VectorField([Polynomial.variable(NVARS, i) * w for i, w in enumerate(weights)])
+    degree = sum(a * w for a, w in zip(exp, weights)) + sum(weights[k] for k in wedge)
+    assert omega.lie_derivative(euler) == omega * degree
+
+
+GERMS = [
+    (["x", "y"], ["3", "2"], "x^2 + y^3"),
+    (["x", "y"], ["3", "2"], "x^3 + x*y^3"),
+    (["x", "y"], ["1", "1"], "x^2*y^2"),
+    (["x", "y", "z"], ["1", "1", "-1"], "x^5/5 + y^5/5 + x^3*y^3*z/3"),
+]
+
+
+@bounded
+@given(st.sampled_from(GERMS), st.integers(0, 10**6))
+def test_tdt_acts_on_top_classes_by_the_residue_exponent(germ, seed):
+    problem = problem_from_strings(*germ)
+    for cls in sample_top_classes(problem, 2, seed):
+        expected = cls.representative * (cls.weight / problem.degree - 1)
+        assert tdt_action(cls).representative == expected
