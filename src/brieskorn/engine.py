@@ -20,11 +20,20 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from brieskorn import groebner, linalg
-from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential, volume_form
+from brieskorn.forms import (
+    DifferentialForm,
+    VectorField,
+    df_wedge,
+    differential,
+    partial_terms,
+    volume_form,
+)
 from brieskorn.poly import (
+    ONE,
     Polynomial,
     format_rational,
     iter_monomials_of_weight,
@@ -360,11 +369,15 @@ def _form_entries(form: DifferentialForm, group=None):
 
 def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Vec]:
     """Basis of Ker(df-wedge) restricted to the enumerated slice space."""
-    nv = problem.nvars
+    nv, f = problem.nvars, problem.f
     images = []
     for wedge, exp in space.items:
-        form = DifferentialForm.monomial_form(nv, wedge, Polynomial.monomial(nv, exp))
-        images.append(_form_entries(df_wedge(problem.f, form)))
+        # x^exp dx_wedge, unvalidated: the space's items are valid by construction
+        coeff = Polynomial.__new__(Polynomial)
+        coeff.nvars, coeff.terms, coeff._hash = nv, {exp: ONE}, None
+        form = DifferentialForm.__new__(DifferentialForm)
+        form.nvars, form.degree, form.coeffs = nv, space.i, {wedge: coeff}
+        images.append(_form_entries(df_wedge(f, form)))
     return _image_kernel(images)
 
 
@@ -373,7 +386,8 @@ def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
     out: linalg.Vec = {}
     for j, coeff in coeffs.items():
         for k, val in vectors[j].items():
-            s = out.get(k, Fraction(0)) + coeff * val
+            s = out.get(k)
+            s = coeff * val if s is None else s + coeff * val
             if s:
                 out[k] = s
             else:
@@ -385,19 +399,19 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list],
     """Keyed entries of d(beta) and of df wedge beta for every basis form beta.
 
     beta = x^e dx_w runs over items, a list of (w, e) pairs.  Both images
-    come from exponent arithmetic with the partials of f taken once: d(beta)
-    has the entry sign * e_j at (w + j, e - 1_j), and df wedge beta holds the
-    terms of sign * (df/dx_j) x^e at w + j, for each j not in w, where sign
-    is (-1)^(number of indices of w below j).  Entries and their order equal
-    _form_entries of beta.exterior_derivative() and df_wedge(f, beta): the
-    wedges w + j ascend with j, and shifting the (sorted) terms of a partial
-    by e keeps their order.  Keys within one image are distinct.
+    come from exponent arithmetic, with the partials of f taken once per f
+    (forms.partial_terms, shared with df_wedge) and one Fraction per
+    distinct d entry: d(beta) has the entry sign * e_j at (w + j, e - 1_j),
+    and df wedge beta holds the terms of sign * (df/dx_j) x^e at w + j, for
+    each j not in w, where sign is (-1)^(number of indices of w below j).
+    Entries and their order equal _form_entries of
+    beta.exterior_derivative() and df_wedge(f, beta): the wedges w + j
+    ascend with j, and shifting the (sorted) terms of a partial by e keeps
+    their order.  Keys within one image are distinct.
     """
     nvars = f.nvars
-    partials = []
-    for j in range(nvars):
-        terms = sorted(f.partial_derivative(j).terms.items())
-        partials.append((terms, [(exp, -c) for exp, c in terms]))
+    partials = partial_terms(f)
+    scalars: dict[int, Fraction] = {}
     d_images, df_images = [], []
     for wedge, exp in items:
         d_entries, df_entries = [], []
@@ -410,9 +424,13 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list],
             odd = below % 2
             if exp[j]:
                 lowered = (*exp[:j], exp[j] - 1, *exp[j + 1 :])
-                d_entries.append(((new_wedge, lowered), Fraction(-exp[j] if odd else exp[j])))
+                k = -exp[j] if odd else exp[j]
+                scalar = scalars.get(k)
+                if scalar is None:
+                    scalar = scalars[k] = Fraction(k)
+                d_entries.append(((new_wedge, lowered), scalar))
             for e2, c in partials[j][odd]:
-                df_entries.append(((new_wedge, tuple(a + b for a, b in zip(e2, exp))), c))
+                df_entries.append(((new_wedge, tuple(map(add, e2, exp))), c))
         d_images.append(d_entries)
         df_images.append(df_entries)
     return d_images, df_images

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from brieskorn.poly import Polynomial, format_rational, monomial_weight
@@ -324,14 +325,62 @@ def differential(p: Polynomial) -> DifferentialForm:
 
 
 @functools.lru_cache(maxsize=8)
-def _df(f: Polynomial) -> DifferentialForm:
-    # shared by every caller: wedge() builds a new form and never mutates it
-    return differential(f)
+def partial_terms(f: Polynomial) -> tuple[tuple[list, list], ...]:
+    """Per variable j, the sorted terms of df/dx_j and the same terms negated.
+
+    Shared by every caller, which only reads them.
+    """
+    out = []
+    for j in range(f.nvars):
+        terms = sorted(f.partial_derivative(j).terms.items())
+        out.append((terms, [(exp, -c) for exp, c in terms]))
+    return tuple(out)
 
 
 def df_wedge(f: Polynomial, omega: DifferentialForm) -> DifferentialForm:
-    """df wedged onto omega, with the standard Koszul signs."""
-    return _df(f).wedge(omega)
+    """df wedged onto omega, with the standard Koszul signs.
+
+    By exponent arithmetic: for each term p dx_w of omega and each j not in
+    w, (df/dx_j) p lands at the wedge w + j with the sign (-1)^(number of
+    indices of w below j).  A form of degree >= nvars gives zero.
+    """
+    if f.nvars != omega.nvars:
+        raise ValueError("forms on different coordinate rings")
+    nvars = f.nvars
+    acc: dict[WedgeIndex, dict] = {}
+    if omega.degree < nvars:
+        partials = partial_terms(f)
+        for wedge, p in omega.coeffs.items():
+            terms = p.terms.items()
+            below = 0  # indices of the wedge below j
+            for j in range(nvars):
+                if below < len(wedge) and wedge[below] == j:
+                    below += 1
+                    continue
+                dterms = partials[j][below % 2]
+                if not dterms:
+                    continue
+                new_wedge = (*wedge[:below], j, *wedge[below:])
+                out = acc.get(new_wedge)
+                if out is None:
+                    out = acc[new_wedge] = {}
+                for e2, c2 in terms:
+                    unit = c2 == 1
+                    for e1, c1 in dterms:
+                        exp = tuple(map(add, e1, e2))
+                        c = c1 if unit else c1 * c2
+                        s = out.get(exp)
+                        out[exp] = c if s is None else s + c
+    coeffs = {}
+    for wedge, out in acc.items():
+        out = {exp: c for exp, c in out.items() if c}
+        if out:
+            q = Polynomial.__new__(Polynomial)
+            q.nvars, q.terms, q._hash = nvars, out, None
+            coeffs[wedge] = q
+    form = DifferentialForm.__new__(DifferentialForm)
+    form.nvars, form.degree, form.coeffs = nvars, omega.degree + 1, coeffs
+    return form
 
 
 def volume_form(nvars: int, coefficient: Polynomial | None = None) -> DifferentialForm:

@@ -9,6 +9,7 @@ order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -124,7 +125,8 @@ class Echelon:
             if not c:
                 continue
             for col, val in row.items():
-                s = out.get(col, Fraction(0)) - c * val
+                s = out.get(col)
+                s = -(c * val) if s is None else s - c * val
                 if s:
                     out[col] = s
                 else:
@@ -148,15 +150,14 @@ class Echelon:
                 continue
             updated = dict(existing)
             for col, val in row.items():
-                s = updated.get(col, Fraction(0)) - c * val
+                s = updated.get(col)
+                s = -(c * val) if s is None else s - c * val
                 if s:
                     updated[col] = s
                 else:
                     updated.pop(col, None)
             self.rows[i] = updated
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
+        at = bisect_left(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self.rows.insert(at, row)
         return True

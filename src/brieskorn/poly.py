@@ -15,7 +15,7 @@ allowed) give the quasi-homogeneous grading used throughout the engine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -463,45 +463,73 @@ def iter_monomials_of_weight(
     Enumeration order is deterministic (lexicographic in the exponent).
     With mixed-sign weights the cap is what keeps this finite.  Weights and
     target are scaled once to integers (by the lcm of their denominators),
-    so the search itself does integer arithmetic only.
+    so the search itself does integer arithmetic only.  Each exponent runs
+    only over the values that leave a remainder the later variables can
+    still reach, both by size and by divisibility.
     """
     target = Fraction(target)
     weights = [_as_fraction(w) for w in weights]
     scale = lcm(target.denominator, *(w.denominator for w in weights))
     ws = [w.numerator * (scale // w.denominator) for w in weights]
-    pos_tail = [0] * (nvars + 1)
-    neg_tail = [0] * (nvars + 1)
-    for i in range(nvars - 1, -1, -1):
-        pos_tail[i] = max(pos_tail[i + 1], ws[i])
-        neg_tail[i] = min(neg_tail[i + 1], ws[i])
-
-    exp = [0] * nvars
-    last = nvars - 1
-
-    def rec(i: int, remaining: int, budget: int) -> Iterator[Exponent]:
-        # with at most `budget` more exponent units, the reachable weight
-        # lies in [budget*neg_tail, budget*pos_tail]
-        if remaining > budget * pos_tail[i] or remaining < budget * neg_tail[i]:
-            return
-        w = ws[i]
-        if i == last:
-            # the bounds above leave at most one exponent, or every one when w == 0
-            if w == 0:
-                for k in range(budget + 1):
-                    exp[i] = k
-                    yield tuple(exp)
-            elif remaining % w == 0:
-                exp[i] = remaining // w
-                yield tuple(exp)
-            exp[i] = 0
-            return
-        for k in range(budget + 1):
-            exp[i] = k
-            yield from rec(i + 1, remaining - w * k, budget - k)
-        exp[i] = 0
-
     if nvars == 0:
         if target == 0:
             yield ()
         return
-    yield from rec(0, target.numerator * (scale // target.denominator), degree_cap)
+    # over x_i.., `budget` exponent units reach weights in
+    # [budget*neg_tail[i], budget*pos_tail[i]], all multiples of gcd_tail[i]
+    pos_tail = [0] * (nvars + 1)
+    neg_tail = [0] * (nvars + 1)
+    gcd_tail = [0] * (nvars + 1)
+    for i in range(nvars - 1, -1, -1):
+        pos_tail[i] = max(pos_tail[i + 1], ws[i])
+        neg_tail[i] = min(neg_tail[i + 1], ws[i])
+        gcd_tail[i] = gcd(gcd_tail[i + 1], ws[i])
+    # for a multiple `remaining` of gcd_tail[i], remaining - ws[i]*k is a
+    # multiple of gcd_tail[i+1] exactly when k is congruent to
+    # (remaining / gcd_tail[i]) * inverse[i] modulo step[i]
+    step = [gcd_tail[i + 1] // gcd_tail[i] if gcd_tail[i + 1] else 1 for i in range(nvars)]
+    inverse = [pow(ws[i] // gcd_tail[i], -1, step[i]) if step[i] > 1 else 0 for i in range(nvars)]
+    exp = [0] * nvars
+    last = nvars - 1
+    w_last = ws[last]
+
+    def rec(i: int, remaining: int, budget: int) -> Iterator[Exponent]:
+        # i < last, and remaining is reachable by x_i.. within budget.  The k
+        # that keep remaining - w*k reachable by x_(i+1).. within budget - k
+        # satisfy a*k <= r for both (a, r) below and lie in the residue class.
+        w = ws[i]
+        pos, neg = pos_tail[i + 1], neg_tail[i + 1]
+        lo, hi = 0, budget
+        for a, r in ((pos - w, budget * pos - remaining), (w - neg, remaining - budget * neg)):
+            if a > 0:
+                hi = min(hi, r // a)
+            elif a < 0:
+                lo = max(lo, -(r // -a))
+            elif r < 0:
+                return
+        if step[i] > 1:
+            lo += (remaining // gcd_tail[i] * inverse[i] - lo) % step[i]
+        for k in range(lo, hi + 1, step[i]):
+            exp[i] = k
+            if i + 1 < last:
+                yield from rec(i + 1, remaining - w * k, budget - k)
+            elif w_last:
+                exp[last] = (remaining - w * k) // w_last
+                yield tuple(exp)
+            else:  # remaining == w * k, and the last exponent is free
+                for m in range(budget - k + 1):
+                    exp[last] = m
+                    yield tuple(exp)
+        exp[i] = exp[last] = 0
+
+    remaining = target.numerator * (scale // target.denominator)
+    if degree_cap < 0 or not degree_cap * neg_tail[0] <= remaining <= degree_cap * pos_tail[0]:
+        return
+    if gcd_tail[0] and remaining % gcd_tail[0]:
+        return
+    if nvars > 1:
+        yield from rec(0, remaining, degree_cap)
+    elif w_last:
+        yield (remaining // w_last,)
+    else:
+        yield from ((m,) for m in range(degree_cap + 1))

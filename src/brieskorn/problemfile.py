@@ -73,6 +73,8 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     polynomial = data["polynomial"]
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ProblemFileError(f"{source}: variables must be a list of strings")
+    if len(set(variables)) != len(variables):
+        raise ProblemFileError(f"{source}: duplicate variable names")
     if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
         raise ProblemFileError(f"{source}: weights must be a list of rational strings")
     if not isinstance(polynomial, str):

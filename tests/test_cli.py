@@ -160,17 +160,20 @@ class TestInputContract:
             ({"options": {"max_degree": -1}}, "options.max_degree must be >= 0, got -1"),
             ({"options": {"max_t_power": 0}}, "options.max_t_power must be >= 1, got 0"),
             ({"options": {"max_s_power": 0}}, "options.max_s_power must be >= 1, got 0"),
+            ({"variables": ["x", "x"]}, "duplicate variable names"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
              "option-float", "option-null", "weight-zero-denominator",
              "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
              "weight-whitespace", "weight-signed-denominator", "weight-empty",
-             "option-negative-max-degree", "option-zero-max-t-power", "option-zero-max-s-power"],
+             "option-negative-max-degree", "option-zero-max-t-power", "option-zero-max-s-power",
+             "variables-duplicate"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
+        # each message names the file it is about
         path = tmp_path / "p.json"
         path.write_text(json.dumps({**self.GERM, **change}))
-        self.expect(["torsion", str(path)], 1, message, capsys)
+        self.expect(["torsion", str(path)], 1, f"{path}: {message}", capsys)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -210,3 +210,47 @@ class TestWeightEnumeration:
                 if sum(e) <= cap and monomial_weight(e, w) == target
             ]
             assert got == brute, (w, target, cap)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            ["1"],
+            ["0"],
+            ["-2/3"],
+            ["1/2", "1/3"],
+            ["0", "0"],
+            ["-1", "-1/2"],
+            ["3", "-2"],
+            ["1/3", "1/4", "1/5"],
+            ["1", "0", "2"],
+            ["-1/2", "-1", "-3/2"],
+            ["2", "-1", "0"],
+            ["1/3", "1/4", "1/5", "1/6"],
+            ["0", "1", "0", "1"],
+            ["-1", "-2", "-1", "-3"],
+            ["3/2", "-1", "2/3", "-1/2"],
+        ],
+    )
+    def test_bounded_enumeration_equals_brute_force_in_order(self, weights):
+        # positive, zero, negative and mixed weights for n = 1..4; integral
+        # and rational targets, each cap 0..6
+        import itertools
+
+        w = weight_vector(weights)
+        nvars = len(w)
+        for cap in range(7):
+            box = [
+                (e, monomial_weight(e, w))
+                for e in itertools.product(range(cap + 1), repeat=nvars)
+                if sum(e) <= cap
+            ]
+            for target in sorted({c for _, c in box} | {Fraction(1, 7), Fraction(-5, 2)}):
+                got = list(iter_monomials_of_weight(nvars, w, target, cap))
+                assert got == [e for e, c in box if c == target], (weights, target, cap)
+
+    def test_negative_cap_and_unreachable_target_give_nothing(self):
+        w = weight_vector(["1/2", "1/3", "-1"])
+        assert list(iter_monomials_of_weight(3, w, Fraction(0), -1)) == []
+        assert list(iter_monomials_of_weight(3, w, Fraction(1, 7), 6)) == []  # off the lattice
+        assert list(iter_monomials_of_weight(3, w, Fraction(4), 6)) == []  # beyond 6 * 1/2
+        assert list(iter_monomials_of_weight(2, weight_vector([2, 4]), Fraction(3), 6)) == []  # odd

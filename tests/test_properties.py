@@ -17,7 +17,7 @@ from brieskorn.engine import (  # noqa: E402
     tdt_action,
     wedge_tuples,
 )
-from brieskorn.forms import DifferentialForm, VectorField, df_wedge  # noqa: E402
+from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential  # noqa: E402
 from brieskorn.poly import Polynomial, parse_polynomial  # noqa: E402
 
 NVARS = 3
@@ -54,6 +54,24 @@ def test_d_squared_is_zero(omega):
 @given(polynomials, forms())
 def test_df_wedge_twice_is_zero(f, omega):
     assert df_wedge(f, df_wedge(f, omega)).is_zero
+
+
+@pytest.mark.parametrize("degree", range(NVARS + 1))
+@bounded
+@given(polynomials, st.data())
+def test_df_wedge_equals_the_wedge_with_df(degree, f, data):
+    # df_wedge works on exponents; the wedge product sorts the wedge tuples
+    omega = data.draw(forms(degree))
+    got = df_wedge(f, omega)
+    assert got == differential(f).wedge(omega)
+    assert got.degree == omega.degree + 1
+
+
+@bounded
+@given(polynomials, forms(NVARS))
+def test_df_wedge_of_a_top_form_is_zero(f, omega):
+    got = df_wedge(f, omega)
+    assert got.is_zero and got.degree == NVARS + 1
 
 
 @bounded
