@@ -35,8 +35,10 @@ from brieskorn.forms import (
 from brieskorn.poly import (
     ONE,
     Polynomial,
+    exponent_key,
     format_rational,
     iter_monomials_of_weight,
+    lattice_congruences,
     monomial_weight,
     parse_polynomial,
     weight_vector,
@@ -96,6 +98,7 @@ class GermProblem:
         self.nvars = len(self.variables)
         self._milnor: object = _UNSET
         self._kernel_cache: dict[int, groebner.SubmoduleOfFree] = {}
+        self._congruences: list | None = None
 
     # -- derived data ----------------------------------------------------
 
@@ -142,6 +145,56 @@ class GermProblem:
     @property
     def isolated(self) -> bool:
         return self.milnor_number() is not None
+
+    # -- key classes: the characters of f's diagonal symmetry group ----------
+
+    @property
+    def congruences(self) -> list[tuple[tuple[int, ...], int]]:
+        """Congruences that tell the key classes of one weight apart.
+
+        The key of x^e dx_W is the class of e + 1_W in Z^n / L0, where L0 is
+        spanned by the differences of f's exponent vectors; its congruences
+        come from poly.lattice_congruences.  The weight vanishes on L0, so
+        when Z^n / L0 has a single free factor, that factor is the weight,
+        which a slice fixes, and its congruence is left out.  Computed on
+        first use.
+        """
+        if self._congruences is None:
+            exps = list(self.f.terms)
+            pairs = lattice_congruences(([a - b for a, b in zip(e, exps[0])] for e in exps[1:]), self.nvars)
+            free = sum(1 for _c, m in pairs if not m)
+            self._congruences = [(c, m) for c, m in pairs if m or free > 1]
+        return self._congruences
+
+    def key(self, wedge: Sequence[int], exp: Sequence[int]) -> tuple[int, ...]:
+        """Key of the monomial form x^exp dx_wedge: the class of exp + 1_wedge."""
+        v = list(exp)
+        for k in wedge:
+            v[k] += 1
+        return exponent_key(self.congruences, v)
+
+    def form_keys(self, form: DifferentialForm, shift: int = 0) -> frozenset:
+        """Keys of the terms of a form, each moved by shift * [m] for a monomial m of f.
+
+        d keeps keys and both df wedge and multiplication by f add [m], so
+        the unknown eta_j of an s-chain (and of t-level j) for this form
+        has keys form_keys(form, j).
+        """
+        m = next(iter(self.f.terms))
+        return frozenset(
+            self.key(wedge, [a + shift * b for a, b in zip(exp, m)])
+            for wedge, poly in form.coeffs.items()
+            for exp in poly.terms
+        )
+
+    def exponent_classes(self, keys: Iterable[tuple], wedge: Sequence[int]):
+        """The classes argument of iter_monomials_of_weight that keeps the
+        exponents e of the forms x^e dx_wedge with a key in keys."""
+        unit = self.key(wedge, (0,) * self.nvars)
+        moduli = [m for _c, m in self.congruences]
+        return self.congruences, {
+            tuple((a - b) % m if m else a - b for a, b, m in zip(key, unit, moduli)) for key in keys
+        }
 
     def auto_cap(self, c: Fraction) -> int:
         """Total-degree bound of monomials of weight <= c (positive weights only)."""
@@ -296,9 +349,9 @@ def wedge_tuples(nvars: int, i: int) -> list[tuple[int, ...]]:
 
 class FormSpace:
     """Enumerated basis of weight-c forms of degree i with coefficient
-    total degree <= cap."""
+    total degree <= cap; with keys, only the forms whose key is in keys."""
 
-    def __init__(self, problem: GermProblem, i: int, c: Fraction, cap: int):
+    def __init__(self, problem: GermProblem, i: int, c: Fraction, cap: int, keys=None):
         self.problem = problem
         self.i = i
         self.c = Fraction(c)
@@ -306,8 +359,9 @@ class FormSpace:
         items: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for wedge in wedge_tuples(problem.nvars, i):
             shift = sum(problem.weights[k] for k in wedge)
+            classes = None if keys is None else problem.exponent_classes(keys, wedge)
             for exp in iter_monomials_of_weight(
-                problem.nvars, problem.weights, self.c - shift, cap
+                problem.nvars, problem.weights, self.c - shift, cap, classes
             ):
                 items.append((wedge, exp))
         items.sort()
@@ -697,9 +751,10 @@ class _SBlock:
     df_images: list[list]
 
 
-def _block(problem: GermProblem, i: int, weight: Fraction, cap: int | None, least: int = 0):
-    """The degree-i, weight slice block, capped by _slice_cap."""
-    space = FormSpace(problem, i, weight, _slice_cap(problem, weight, cap, least))
+def _block(problem: GermProblem, i: int, weight: Fraction, cap: int | None, keys, least: int = 0):
+    """The degree-i, weight slice block of the given keys, capped by _slice_cap
+    (a cap for the whole slice)."""
+    space = FormSpace(problem, i, weight, _slice_cap(problem, weight, cap, least), keys)
     return _SBlock(space, *_monomial_images(problem.f, space.items))
 
 
@@ -710,10 +765,12 @@ def _block_degrees(cls: CohomologyClass) -> tuple[int, int]:
 
 
 def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
-    """Block j of the s-chain system: the slice of eta_j."""
+    """Block j of the s-chain system: the slice of eta_j, restricted to the
+    keys eta_j can have (GermProblem.form_keys)."""
     base, step = _block_degrees(cls)
-    weight = cls.weight + j * cls.problem.degree
-    return _block(cls.problem, cls.i - 1, weight, cap, base + j * step)
+    problem = cls.problem
+    weight = cls.weight + j * problem.degree
+    return _block(problem, cls.i - 1, weight, cap, problem.form_keys(cls.representative, j), base + j * step)
 
 
 def _monotone_level(cls: CohomologyClass, cap: int | None) -> int:

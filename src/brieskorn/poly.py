@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -457,6 +458,7 @@ def iter_monomials_of_weight(
     weights: Sequence[Fraction],
     target: Fraction,
     degree_cap: int,
+    classes: tuple[Sequence[tuple[Exponent, int]], Iterable[tuple[int, ...]]] | None = None,
 ) -> Iterator[Exponent]:
     """Yield exponents with weighted degree `target` and total degree <= cap.
 
@@ -466,13 +468,27 @@ def iter_monomials_of_weight(
     so the search itself does integer arithmetic only.  Each exponent runs
     only over the values that leave a remainder the later variables can
     still reach, both by size and by divisibility.
+
+    classes, a pair (congruences, keys), keeps only the exponents whose
+    exponent_key under those congruences lies in keys.  The search carries
+    one integer, sum(g_k * e_k) over the exponents set so far (_key_test),
+    and tests it before an exponent's tuple is built.
     """
+    if degree_cap < 0:
+        return
     target = Fraction(target)
     weights = [_as_fraction(w) for w in weights]
     scale = lcm(target.denominator, *(w.denominator for w in weights))
     ws = [w.numerator * (scale // w.denominator) for w in weights]
+    gs, test = [0] * nvars, None
+    if classes is not None:
+        congruences, keys = classes
+        if congruences:
+            gs, test = _key_test(congruences, set(keys), degree_cap)
+        elif () not in keys:  # a single class, whose key is ()
+            return
     if nvars == 0:
-        if target == 0:
+        if target == 0 and (test is None or test(0)):
             yield ()
         return
     # over x_i.., `budget` exponent units reach weights in
@@ -491,13 +507,14 @@ def iter_monomials_of_weight(
     inverse = [pow(ws[i] // gcd_tail[i], -1, step[i]) if step[i] > 1 else 0 for i in range(nvars)]
     exp = [0] * nvars
     last = nvars - 1
-    w_last = ws[last]
+    w_last, g_last = ws[last], gs[last]
 
-    def rec(i: int, remaining: int, budget: int) -> Iterator[Exponent]:
+    def rec(i: int, remaining: int, budget: int, key: int) -> Iterator[Exponent]:
         # i < last, and remaining is reachable by x_i.. within budget.  The k
         # that keep remaining - w*k reachable by x_(i+1).. within budget - k
         # satisfy a*k <= r for both (a, r) below and lie in the residue class.
-        w = ws[i]
+        # key is sum(gs[j] * exp[j]) over j < i.
+        w, g = ws[i], gs[i]
         pos, neg = pos_tail[i + 1], neg_tail[i + 1]
         lo, hi = 0, budget
         for a, r in ((pos - w, budget * pos - remaining), (w - neg, remaining - budget * neg)):
@@ -512,24 +529,106 @@ def iter_monomials_of_weight(
         for k in range(lo, hi + 1, step[i]):
             exp[i] = k
             if i + 1 < last:
-                yield from rec(i + 1, remaining - w * k, budget - k)
+                yield from rec(i + 1, remaining - w * k, budget - k, key + g * k)
             elif w_last:
-                exp[last] = (remaining - w * k) // w_last
-                yield tuple(exp)
-            else:  # remaining == w * k, and the last exponent is free
-                for m in range(budget - k + 1):
-                    exp[last] = m
+                e = (remaining - w * k) // w_last
+                if test is None or test(key + g * k + g_last * e):
+                    exp[last] = e
                     yield tuple(exp)
+            else:  # remaining == w * k, and the last exponent is free
+                for e in range(budget - k + 1):
+                    if test is None or test(key + g * k + g_last * e):
+                        exp[last] = e
+                        yield tuple(exp)
         exp[i] = exp[last] = 0
 
     remaining = target.numerator * (scale // target.denominator)
-    if degree_cap < 0 or not degree_cap * neg_tail[0] <= remaining <= degree_cap * pos_tail[0]:
+    if not degree_cap * neg_tail[0] <= remaining <= degree_cap * pos_tail[0]:
         return
     if gcd_tail[0] and remaining % gcd_tail[0]:
         return
     if nvars > 1:
-        yield from rec(0, remaining, degree_cap)
-    elif w_last:
-        yield (remaining // w_last,)
+        yield from rec(0, remaining, degree_cap, 0)
     else:
-        yield from ((m,) for m in range(degree_cap + 1))
+        single = [remaining // w_last] if w_last else range(degree_cap + 1)
+        yield from ((e,) for e in single if test is None or test(g_last * e))
+
+
+def exponent_key(congruences: Sequence[tuple[Exponent, int]], exp: Sequence[int]) -> tuple[int, ...]:
+    """One entry per congruence (c, m): sum(c_k * e_k) mod m, unreduced for m = 0."""
+    return tuple(sum(map(mul, c, exp)) % m if m else sum(map(mul, c, exp)) for c, m in congruences)
+
+
+def _key_test(congruences, keys: set, cap: int):
+    """(g, test): for an exponent e of total degree <= cap, test(sum(g_k * e_k))
+    tells whether exponent_key(congruences, e) lies in keys.
+
+    One congruence with a modulus: g = c, and test reduces mod m.  Otherwise
+    each value v = sum(c_k * e_k), at most b = cap * max|c_k| in size, is
+    packed as the digit v + b in radix 2b + 1, and test unpacks the digits.
+    """
+    if len(congruences) == 1 and congruences[0][1]:
+        ((c, m),) = congruences
+        residues = {key[0] for key in keys}
+        return list(c), lambda v: v % m in residues
+    radices = [2 * cap * max(map(abs, c)) + 1 for c, _m in congruences]
+    g, offset, place = [0] * len(congruences[0][0]), 0, 1
+    for (c, _m), radix in zip(congruences, radices):
+        g = [a + place * b for a, b in zip(g, c)]
+        offset += place * (radix // 2)
+        place *= radix
+
+    def test(v: int) -> bool:
+        v += offset
+        key = []
+        for (_c, m), radix in zip(congruences, radices):
+            v, digit = divmod(v, radix)
+            digit -= radix // 2
+            key.append(digit % m if m else digit)
+        return tuple(key) in keys
+
+    return g, test
+
+
+def lattice_congruences(generators: Iterable[Sequence[int]], nvars: int) -> list[tuple[Exponent, int]]:
+    """Congruences that tell the cosets of the lattice L spanned by generators apart.
+
+    Pairs (c, m): u lies in L iff sum(c_k u_k) is divisible by m for every
+    pair (equal to 0 for m = 0), so exponent_key(pairs, v) names the coset
+    v + L.  Integer row and column operations bring the generator rows A to
+    a diagonal D = U A V (U, V unimodular; only V is kept).  u = x A for an
+    integer x iff u V lies in the row lattice of D, so the columns of V are
+    the c and the diagonal of D the m, with m = 0 past the rank.  Pairs with
+    m = 1 hold everywhere and are left out; the c of a pair with m > 1 are
+    reduced mod m.
+    """
+    rows = [list(g) for g in generators if any(g)]
+    cols = [[int(r == c) for r in range(nvars)] for c in range(nvars)]  # V, by column
+    t = 0
+    while t < min(len(rows), nvars):
+        # move the smallest nonzero entry of the block past (t, t) to (t, t)
+        entries = [(abs(v), i, j) for i in range(t, len(rows)) for j in range(t, nvars) if (v := rows[i][j])]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        rows[t], rows[i] = rows[i], rows[t]
+        for row in rows:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        pivot, done = rows[t][t], True
+        for row in rows[t + 1 :]:  # clear column t by row operations
+            q = row[t] // pivot
+            if q:
+                row[:] = [a - q * b for a, b in zip(row, rows[t])]
+            done = done and not row[t]
+        for j in range(t + 1, nvars):  # clear row t by column operations
+            q = rows[t][j] // pivot
+            if q:
+                for row in rows:
+                    row[j] -= q * row[t]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[t])]
+            done = done and not rows[t][j]
+        if done:  # else a remainder smaller than the pivot is left
+            t += 1
+    moduli = [abs(rows[k][k]) for k in range(t)] + [0] * (nvars - t)
+    return [(tuple(a % m for a in c) if m else tuple(c), m) for c, m in zip(cols, moduli) if m != 1]

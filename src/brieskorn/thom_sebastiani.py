@@ -95,7 +95,7 @@ def vanish_g_k_dg(
     weight = target.weighted_degree(combined.weights)
     if weight is None:
         raise ValueError("product form is not homogeneous")
-    block = _block(combined, target.degree - 1, weight, search_cap)
+    block = _block(combined, target.degree - 1, weight, search_cap, combined.form_keys(target))
     chain = _s_chain([block], target)
     if chain is None:
         return NotFoundWithin(block.space.cap, not combined.positive_weights)

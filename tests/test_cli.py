@@ -1,5 +1,6 @@
 """CLI: report shape, determinism, exit codes, verify replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -361,6 +362,26 @@ class TestVerifyReplay:
               "--max-t-power", "4", "--max-s-power", "4", "--out", str(out_path)])
         code = main(["torsion", prob("cusp.json"), "--verify", str(out_path)])
         assert code == 1
+
+
+class TestMultiKeyTorsionReports:
+    """Representatives whose terms lie in two key classes of barlet35 (see
+    README, "Key classes"); the searches restrict their blocks to the union
+    of the classes.  No benchmark workload runs these, so their reports are
+    pinned here: the sha256 values were recorded before the restriction."""
+
+    @pytest.mark.parametrize(
+        "monomial, code, digest",
+        [
+            ("x+y", 0, "2480ecb7a5884ef407c1f8c1423ae272a9083900b39b57f46f4f02df86183030"),
+            ("x*y+y^2", 2, "47db7abef5777460836d5e717f2eab27dd7abcf622247d11930315f816410301"),
+        ],
+    )
+    def test_report_is_byte_identical(self, monomial, code, digest, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["torsion", prob("barlet35.json"), "--monomial", monomial, "--out", str(report)]) == code
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+        capsys.readouterr()
 
 
 class TestScriptEntry:

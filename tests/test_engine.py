@@ -379,17 +379,6 @@ class TestTorsion:
         assert isinstance(rs, NotFoundWithin) and rs.cap_limited
 
 
-def s_reference(cls, r_max, cap):
-    """(order, chain) of the first depth whose full block system is consistent."""
-    blocks = []
-    for r in range(r_max):
-        blocks.append(engine._s_block(cls, r, cap))
-        chain = engine._s_chain(blocks, cls.representative)
-        if chain is not None:
-            return r + 1, chain
-    return None
-
-
 @pytest.fixture
 def spaces(monkeypatch):
     """Arguments of every FormSpace built while the test runs."""
@@ -410,7 +399,8 @@ def top_class(problem, monomial):
 
 
 class TestStaircase:
-    """The forward sweep of torsion_order_s against the full block systems."""
+    """The forward sweep of torsion_order_s, over the key classes of its
+    target, against the full block systems over whole slices."""
 
     R_MAX = 4
 
@@ -424,7 +414,7 @@ class TestStaircase:
             assert isinstance(result, TorsionCertificate)
             assert (result.order, result.witness) == expected
 
-    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
+    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2", "x + y", "x*y + y^2"])
     def test_barlet_classes(self, monomial):
         self.check(top_class(BP, monomial), 14)
 
@@ -517,6 +507,78 @@ def t_reference(cls, p_max, cap):
     return None
 
 
+def s_reference(cls, r_max, cap):
+    """(order, chain) of the first depth whose full block system over whole
+    slices, not restricted to the target's key classes, is consistent."""
+    problem = cls.problem
+    base, step = engine._block_degrees(cls)
+    blocks = []
+    for r in range(r_max):
+        weight = cls.weight + r * problem.degree
+        blocks.append(engine._block(problem, cls.i - 1, weight, cap, None, base + r * step))
+        chain = engine._s_chain(blocks, cls.representative)
+        if chain is not None:
+            return r + 1, chain
+    return None
+
+
+NC22 = problem_from_strings(["x", "y"], ["1", "1"], "x^2*y^2", name="nc22")
+CUSP = problem_from_strings(["x", "y"], ["3", "2"], "x^2 + y^3", name="cusp")
+
+
+class TestKeyClasses:
+    """Blocks restricted to the key classes of their target against whole slices."""
+
+    @pytest.mark.parametrize(
+        "problem, cap, slice_weights, most_keys",
+        [(BP, 8, [-2, 0, 1, 3, 5, 8], 5), (NC22, None, [2, 3, 5, 6], 7), (CUSP, None, [5, 7, 12, 13, 19], 1)],
+        ids=["barlet35", "nc22", "cusp"],
+    )
+    def test_keyed_spaces_partition_each_slice(self, problem, cap, slice_weights, most_keys):
+        most = 0
+        for i in range(problem.n + 1):
+            for c in map(F, slice_weights):
+                space_cap = cap if cap is not None else problem.auto_cap(c)
+                whole = engine.FormSpace(problem, i, c, space_cap)
+                keys = sorted({problem.key(*item) for item in whole.items})
+                parts = [engine.FormSpace(problem, i, c, space_cap, {key}) for key in keys]
+                assert sum(part.dim for part in parts) == whole.dim
+                assert sorted(item for part in parts for item in part.items) == whole.items
+                for key, part in zip(keys, parts):
+                    assert part.dim and all(problem.key(*item) == key for item in part.items)
+                    if problem is NC22:  # L0 = 0: one vector e + 1_W per class
+                        assert len({tuple(e + (k in w) for k, e in enumerate(exp)) for w, exp in part.items}) == 1
+                if len(keys) > 1:  # a multi-key space is the union of its classes
+                    union = engine.FormSpace(problem, i, c, space_cap, set(keys[:2]))
+                    assert union.items == sorted(parts[0].items + parts[1].items)
+                most = max(most, len(keys))
+        assert most == most_keys  # cusp: Z^2 / L0 = Z, one class per weight
+
+    @pytest.mark.parametrize("form, found", [("x + y", True), ("x*y + y^2", False)])
+    def test_two_key_barlet_targets(self, form, found):
+        # the blocks keep the union of both classes; TestStaircase and
+        # TestSolveInKernel compare these searches with whole slices
+        cls = top_class(BP, form)
+        assert len(BP.form_keys(cls.representative)) == 2
+        assert isinstance(torsion_order_t(cls, 10, cap=14), TorsionCertificate) is found
+        assert isinstance(torsion_order_s(cls, 10, cap=14), TorsionCertificate) is found
+
+    def test_sampled_nc22_s_searches_match_whole_slices(self):
+        # nc22 t-searches: TestSolveInKernel.test_sampled_t_searches_match_the_kernel_basis_solve
+        for cls in sample_top_classes(NC22, 5, seed=3, degree_bound=4):
+            TestStaircase().check(cls, None)
+
+    def test_key_classes_of_barlet35_have_order_five(self):
+        # Z^3 / L0 = Z + Z/5: past the weight, one congruence mod 5 splits
+        # the 3-forms x^e dx^dy^dz into five classes; loading the problem
+        # does not compute it
+        problem = load_problem_file(os.path.join(PROBLEMS, "barlet35.json")).problem
+        assert problem._congruences is None
+        assert [m for _c, m in problem.congruences] == [5]
+        keys = {problem.key((0, 1, 2), exp) for exp in itertools.product(range(5), repeat=3)}
+        assert len(keys) == 5
+
+
 class TestSolveInKernel:
     """Exponent-arithmetic images and the stacked solve against the
     DifferentialForm-built images and the kernel-basis solve."""
@@ -556,7 +618,7 @@ class TestSolveInKernel:
         assert index.index == {"a": 0, "b": 1, "c": 2, "d": 3}
         assert index.vec([("d", F(-1)), ("e", F(7, 2))]) == {3: F(-1), 4: F(7, 2)}
 
-    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2"])
+    @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2", "x + y", "x*y + y^2"])
     def test_barlet_t_search_matches_the_kernel_basis_solve(self, monomial):
         self.check_t(top_class(BP, monomial), 10, 14)
 

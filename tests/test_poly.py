@@ -8,7 +8,9 @@ import pytest
 from brieskorn.poly import (
     ParseError,
     Polynomial,
+    exponent_key,
     iter_monomials_of_weight,
+    lattice_congruences,
     monomial_weight,
     parse_polynomial,
     weight_vector,
@@ -254,3 +256,100 @@ class TestWeightEnumeration:
         assert list(iter_monomials_of_weight(3, w, Fraction(1, 7), 6)) == []  # off the lattice
         assert list(iter_monomials_of_weight(3, w, Fraction(4), 6)) == []  # beyond 6 * 1/2
         assert list(iter_monomials_of_weight(2, weight_vector([2, 4]), Fraction(3), 6)) == []  # odd
+
+    def test_all_variable_counts_and_negative_caps_match_brute_force(self):
+        # nvars 0..5, caps -2..4: a negative cap yields nothing, also for
+        # the empty exponent of zero variables
+        import itertools
+
+        rng = random.Random(11)
+        for nvars in range(6):
+            for cap in range(-2, 5):
+                w = weight_vector([Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(nvars)])
+                box = [
+                    (e, monomial_weight(e, w))
+                    for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars)
+                    if sum(e) <= cap
+                ]
+                for target in sorted({c for _, c in box} | {Fraction(0), Fraction(1, 7)}):
+                    got = list(iter_monomials_of_weight(nvars, w, target, cap))
+                    assert got == [e for e, c in box if c == target], (nvars, w, target, cap)
+        assert list(iter_monomials_of_weight(0, [], Fraction(0), -1)) == []
+        assert list(iter_monomials_of_weight(0, [], Fraction(0), 0)) == [()]
+
+
+def random_lattice(rng, nvars):
+    return [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(rng.randint(0, nvars + 1))]
+
+
+class TestKeyClasses:
+    def test_congruences_vanish_exactly_on_the_lattice(self):
+        # the generators have key 0, so the key is constant on cosets; for a
+        # full-rank lattice the keys of a box of side |det| are |det| many,
+        # so distinct cosets have distinct keys
+        import itertools
+
+        rng = random.Random(7)
+        full_rank = 0
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            gens = random_lattice(rng, nvars)
+            congruences = lattice_congruences(gens, nvars)
+            zero = tuple(0 for _ in congruences)
+            assert all(exponent_key(congruences, g) == zero for g in gens)
+            assert all(m != 1 and len(c) == nvars for c, m in congruences)
+            if len(gens) == nvars:
+                det = round(_det(gens))
+                if det and abs(det) <= 40:
+                    full_rank += 1
+                    assert all(m for _c, m in congruences)
+                    box = itertools.product(range(abs(det)), repeat=nvars)
+                    assert len({exponent_key(congruences, v) for v in box}) == abs(det)
+        assert full_rank > 20
+
+    def test_barlet35_lattice_has_one_factor_of_order_five(self):
+        # L0 of x^5 + y^5 + x^3 y^3 z: Z^3 / L0 = Z + Z/5, with x + 2z mod 5
+        # one character of the Z/5 part
+        congruences = lattice_congruences([(-5, 5, 0), (-2, 3, 1)], 3)
+        assert sorted(m for _c, m in congruences) == [0, 5]
+        assert all(sum(a * b for a, b in zip((1, 0, 2), g)) % 5 == 0 for g in ((-5, 5, 0), (-2, 3, 1)))
+
+    def test_classes_filter_matches_brute_force(self):
+        # keys drawn from the box, several at a time, with moduli and free
+        # (m = 0) congruences; the filtered enumeration keeps its order
+        import itertools
+
+        rng = random.Random(19)
+        for _ in range(300):
+            nvars = rng.randint(0, 4)
+            w = weight_vector([Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(nvars)])
+            congruences = lattice_congruences(random_lattice(rng, nvars), nvars)
+            cap = rng.randint(-1, 5)
+            box = [e for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars) if sum(e) <= cap]
+            present = sorted({exponent_key(congruences, e) for e in box})
+            keys = set(rng.sample(present, min(len(present), rng.randint(0, 3))))
+            for target in sorted({monomial_weight(e, w) for e in box})[:4]:
+                got = list(iter_monomials_of_weight(nvars, w, target, cap, (congruences, keys)))
+                expected = [
+                    e for e in box if monomial_weight(e, w) == target and exponent_key(congruences, e) in keys
+                ]
+                assert got == expected, (w, congruences, keys, target, cap)
+
+
+def _det(rows):
+    from fractions import Fraction as Fr
+
+    m = [[Fr(x) for x in r] for r in rows]
+    n, det = len(m), Fr(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            q = m[r][c] / m[c][c]
+            m[r] = [a - q * b for a, b in zip(m[r], m[c])]
+    return det

@@ -8,17 +8,19 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from brieskorn.engine import (  # noqa: E402
+    GermProblem,
+    _monomial_images,
     problem_from_strings,
     sample_top_classes,
     tdt_action,
     wedge_tuples,
 )
 from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential  # noqa: E402
-from brieskorn.poly import Polynomial, parse_polynomial  # noqa: E402
+from brieskorn.poly import Polynomial, iter_monomials_of_weight, monomial_weight, parse_polynomial  # noqa: E402
 
 NVARS = 3
 VARIABLES = ["x", "y", "z"]
@@ -119,3 +121,53 @@ def test_tdt_acts_on_top_classes_by_the_residue_exponent(germ, seed):
     for cls in sample_top_classes(problem, 2, seed):
         expected = cls.representative * (cls.weight / problem.degree - 1)
         assert tdt_action(cls).representative == expected
+
+
+@st.composite
+def quasi_homogeneous_germs(draw):
+    """f with one to four monomials of one nonzero weight, in 1..3 variables
+    with weights of either sign."""
+    nvars = draw(st.integers(1, NVARS))
+    weights = draw(st.lists(st.integers(-2, 4), min_size=nvars, max_size=nvars))
+    first = draw(st.tuples(*[st.integers(0, 4)] * nvars))
+    degree = monomial_weight(first, weights)
+    assume(degree != 0)
+    others = list(iter_monomials_of_weight(nvars, weights, degree, 6))
+    chosen = {first, *draw(st.lists(st.sampled_from(others), max_size=3))} if others else {first}
+    f = Polynomial(nvars, {e: draw(coefficients) for e in sorted(chosen)})
+    return GermProblem(VARIABLES[:nvars], weights, f)
+
+
+@bounded
+@given(quasi_homogeneous_germs(), st.data())
+def test_d_keeps_the_key_and_df_wedge_adds_the_key_of_f(problem, data):
+    # key of x^e dx_W: the class of e + 1_W; [m] is the same for every
+    # monomial m of f, and d(beta), df wedge beta are built by _monomial_images
+    nvars = problem.nvars
+    monomials = list(problem.f.terms)
+    assert len({problem.key((), m) for m in monomials}) == 1
+    m = monomials[0]
+    degree = data.draw(st.integers(0, nvars))
+    items = data.draw(
+        st.lists(st.tuples(st.sampled_from(wedge_tuples(nvars, degree)), st.tuples(*[st.integers(0, 4)] * nvars)), max_size=4)
+    )
+    d_images, df_images = _monomial_images(problem.f, items)
+    for (wedge, exp), d_entries, df_entries in zip(items, d_images, df_images):
+        key = problem.key(wedge, exp)
+        assert all(problem.key(*target) == key for target, _c in d_entries)
+        shifted = problem.key(wedge, [a + b for a, b in zip(exp, m)])
+        assert all(problem.key(*target) == shifted for target, _c in df_entries)
+
+
+@bounded
+@given(quasi_homogeneous_germs(), st.data())
+def test_the_key_is_constant_on_cosets_of_the_exponent_difference_lattice(problem, data):
+    nvars = problem.nvars
+    monomials = list(problem.f.terms)
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=nvars, max_size=nvars))
+    multiples = data.draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+    lattice_vector = [
+        sum(x * (e[k] - monomials[0][k]) for x, e in zip(multiples, monomials)) for k in range(nvars)
+    ]
+    moved = [a + b for a, b in zip(v, lattice_vector)]
+    assert problem.key((), moved) == problem.key((), v)
