@@ -474,7 +474,18 @@ def emit(report: dict, args) -> None:
 def verify_report(path: str, command: str, source) -> int:
     """Replay mode: re-check every certificate embedded in a report."""
     with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            print(f"verify: {path}: malformed JSON: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+    if not isinstance(report, dict):
+        print(f"verify: {path}: report top level must be an object", file=sys.stderr)
+        return EXIT_INPUT
+    certificates = report.get("certificates", [])
+    if not isinstance(certificates, list):
+        print(f"verify: {path}: certificates must be a list", file=sys.stderr)
+        return EXIT_INPUT
     if report.get("command") != command:
         print(f"verify: report was produced by {report.get('command')!r}, not {command!r}",
               file=sys.stderr)
@@ -484,7 +495,7 @@ def verify_report(path: str, command: str, source) -> int:
         return EXIT_INPUT
     failures = 0
     total = 0
-    for cert in report.get("certificates", []):
+    for cert in certificates:
         total += 1
         if not _verify_certificate(cert, source):
             failures += 1
@@ -493,6 +504,9 @@ def verify_report(path: str, command: str, source) -> int:
 
 
 def _verify_certificate(cert: dict, source) -> bool:
+    if not isinstance(cert, dict):
+        print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
+        return False
     kind = cert.get("type")
     try:
         if kind == "torsion":

@@ -1,16 +1,15 @@
 """Finite models of regular holonomic modules in one variable.
 
-A model is a finite list of pieces (alpha, dim, N): alpha the rational
-exponent (generalized t*dt eigenvalue), N the nilpotent part on that piece.
-Engine-built models come from the t*dt eigenvalues on the C{t}-basis of the
-top Brieskorn module of an isolated quasi-homogeneous germ (semisimple, so
-N = 0, exponents in (-1, n-1)).  Monodromy stays symbolic: alpha mod 1,
-never a complex float.
+A model is a finite list of pieces (alpha, dim): alpha the rational exponent
+(t*dt eigenvalue) and dim its multiplicity.  Models are engine-built only:
+they come from the t*dt eigenvalues on the C{t}-basis of the top Brieskorn
+module of an isolated quasi-homogeneous germ, whose monodromy is semisimple
+(nilpotent part N = 0, exponents in (-1, n-1)).  Monodromy stays symbolic:
+alpha mod 1, never a complex float.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,50 +21,10 @@ from brieskorn.poly import format_rational
 class GMPiece:
     alpha: Fraction
     dim: int
-    nilpotent: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("piece dimension must be positive")
-        n = self.nilpotent
-        if len(n) != self.dim or any(len(row) != self.dim for row in n):
-            raise ValueError("nilpotent matrix shape must match the dimension")
-        if not _is_nilpotent(n):
-            raise ValueError("matrix is not nilpotent")
-
-
-def _zero_matrix(dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    z = Fraction(0)
-    return tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-
-
-def _mat_mul(a, b):
-    dim = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(dim)), Fraction(0)) for j in range(dim))
-        for i in range(dim)
-    )
-
-
-def _is_nilpotent(m) -> bool:
-    dim = len(m)
-    power = m
-    for _ in range(dim):
-        if all(not entry for row in power for entry in row):
-            return True
-        power = _mat_mul(power, m)
-    return all(not entry for row in power for entry in row)
-
-
-def _mat_rank(m) -> int:
-    from brieskorn import linalg
-
-    ech = linalg.Echelon()
-    for row in m:
-        vec = {j: v for j, v in enumerate(row) if v}
-        if vec:
-            ech.add(vec)
-    return ech.rank
 
 
 class ElementaryGMModule:
@@ -100,55 +59,36 @@ class ElementaryGMModule:
         return sum(p.dim for p in self.pieces if p.alpha >= alpha)
 
     def serialize(self) -> dict:
+        """Pieces with their (zero) nilpotent parts written out as dim x dim matrices."""
         return {
             "pieces": [
                 {
                     "alpha": format_rational(p.alpha),
                     "dim": p.dim,
-                    "nilpotent": [[format_rational(v) for v in row] for row in p.nilpotent],
+                    "nilpotent": [["0"] * p.dim for _ in range(p.dim)],
                 }
                 for p in self.pieces
             ]
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ElementaryGMModule":
-        pieces = []
-        for item in payload["pieces"]:
-            dim = int(item["dim"])
-            nil = item.get("nilpotent")
-            if nil is None:
-                matrix = _zero_matrix(dim)
-            else:
-                matrix = tuple(tuple(Fraction(v) for v in row) for row in nil)
-            pieces.append(GMPiece(Fraction(item["alpha"]), dim, matrix))
-        return cls(pieces)
-
-    @classmethod
-    def load(cls, path) -> "ElementaryGMModule":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_payload(json.load(fh))
 
     def __repr__(self):
         body = ", ".join(f"({format_rational(p.alpha)}, {p.dim})" for p in self.pieces)
         return f"ElementaryGMModule([{body}])"
 
 
-def from_brieskorn(problem: GermProblem, i: int | None = None) -> ElementaryGMModule:
+def from_brieskorn(problem: GermProblem) -> ElementaryGMModule:
     """Model of the top Gauss-Manin lattice of an isolated germ.
 
     Pieces are read off the t*dt eigenvalues c/d - 1 on the C{t}-basis of
     the reduced top module; quasi-homogeneity makes the action semisimple,
     so every nilpotent part is zero.
     """
-    if i is not None and i != problem.n:
-        raise ValueError("only the top cohomological degree carries the lattice model")
     if problem.milnor_number() is None:
         raise NonIsolatedError("finite models need an isolated singularity")
     counts: dict[Fraction, int] = {}
     for item in ct_basis(problem, reduced=True):
         counts[item.exponent] = counts.get(item.exponent, 0) + 1
-    pieces = [GMPiece(alpha, dim, _zero_matrix(dim)) for alpha, dim in counts.items()]
+    pieces = [GMPiece(alpha, dim) for alpha, dim in counts.items()]
     return ElementaryGMModule(pieces)
 
 
@@ -219,7 +159,7 @@ def dt_cone_kernel_dim(module: ElementaryGMModule) -> int:
     The connection lowers exponents by one; on an engine-built lattice
     (exponents in (-1, n-1), semisimple) a kernel vector would have to sit
     at a nonnegative integer exponent with no pairing below it, inside the
-    kernel of the nilpotent part.
+    kernel of the nilpotent part, which is the whole piece since N = 0.
     """
     total = 0
     for p in module.pieces:
@@ -227,5 +167,5 @@ def dt_cone_kernel_dim(module: ElementaryGMModule) -> int:
             below = module.piece_at(p.alpha - 1)
             if below is None:
                 continue  # the pairing leaves the recorded window: no kernel
-            total += p.dim - _mat_rank(p.nilpotent)
+            total += p.dim
     return total

@@ -1,15 +1,21 @@
 """Groebner bases over Q for ideals and submodules of free modules.
 
+One monomial order throughout: graded reverse lexicographic (grevlex),
+compared through the additive integer key (sum(e), -e[n-1], ..., -e[1]).
+Keys add under multiplication, so the kernels compute one key per input
+monomial and then only ever add/subtract/compare small integer tuples.
+
 Buchberger's algorithm with the coprime-lcm and chain pair criteria (the
 coprime criterion only for ideals; it is not sound for module S-vectors).
 Everything is deterministic for fixed input: pairs are popped from a heap
 keyed by lcm order key, bases are interreduced, made monic and sorted.
 
 Module terms live in a free module R^r with position-over-term order,
-component 0 highest.  Kernels of matrices (syzygies) are computed by the
-graph-module elimination trick: the generators (column_j, e_j) of the graph
-submodule of R^(m+n) are run through Buchberger under POT; basis elements
-whose first m components vanish generate the kernel.
+component 0 highest: the full term key is (-component,) + key.  Kernels of
+matrices (syzygies) are computed by the graph-module elimination trick: the
+generators (column_j, e_j) of the graph submodule of R^(m+n) are run through
+Buchberger under POT; basis elements whose first m components vanish
+generate the kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from heapq import heappop, heappush
 from typing import Sequence
 
 from brieskorn import _backend
-from brieskorn.orders import MonomialOrder, elimination, grevlex
 from brieskorn.poly import Polynomial
 
 INFINITE = object()  # quotient_dimension sentinel
@@ -29,26 +34,26 @@ INFINITE = object()  # quotient_dimension sentinel
 # -- flat conversion ----------------------------------------------------------
 
 
-def _to_flat(p: Polynomial, order: MonomialOrder, comp: int = 0):
-    terms = [
-        ((-comp,) + order.key(exp), exp, c.numerator, c.denominator)
-        for exp, c in p.terms.items()
-    ]
-    terms.sort(key=lambda t: t[0], reverse=True)
-    return terms
+def _key(exp: Sequence[int]) -> tuple[int, ...]:
+    """The grevlex key of an exponent vector: a > b iff _key(a) > _key(b)."""
+    return (sum(exp),) + tuple(-e for e in reversed(exp[1:]))
 
 
-def _vector_to_flat(vec: Sequence[Polynomial], order: MonomialOrder):
+def _vector_to_flat(vec: Sequence[Polynomial]):
     terms = []
     for comp, p in enumerate(vec):
         for exp, c in p.terms.items():
-            terms.append(((-comp,) + order.key(exp), exp, c.numerator, c.denominator))
+            terms.append(((-comp,) + _key(exp), exp, c.numerator, c.denominator))
     terms.sort(key=lambda t: t[0], reverse=True)
     return terms
 
 
+def _to_flat(p: Polynomial):
+    return _vector_to_flat((p,))
+
+
 def _from_flat(terms, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {exp: Fraction(num, den) for _key, exp, num, den in terms})
+    return Polynomial(nvars, {exp: Fraction(num, den) for _, exp, num, den in terms})
 
 
 def _flat_to_vector(terms, nvars: int, rank: int) -> tuple[Polynomial, ...]:
@@ -76,7 +81,7 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _buchberger(flats, order: MonomialOrder, use_product_criterion: bool):
+def _buchberger(flats, use_product_criterion: bool):
     basis = [_monic(f) for f in flats if f]
     basis.sort(key=lambda f: f[0][0])
     heap = []
@@ -88,7 +93,7 @@ def _buchberger(flats, order: MonomialOrder, use_product_criterion: bool):
             if ki[0] != kt[0]:
                 continue  # S-vectors only for leads in the same component
             lcm = _lcm_exp(ei, et)
-            heappush(heap, ((kt[0],) + order.key(lcm), i, t, lcm))
+            heappush(heap, ((kt[0],) + _key(lcm), i, t, lcm))
 
     for t in range(len(basis)):
         push_pairs(t)
@@ -104,7 +109,7 @@ def _buchberger(flats, order: MonomialOrder, use_product_criterion: bool):
             continue
         if _chain_criterion(basis, i, j, lcm, ki[0], treated):
             continue
-        s = _spoly(fi, fj, lcm, order)
+        s = _spoly(fi, fj, lcm)
         r = _backend.normal_form(s, basis)
         if r:
             basis.append(_monic(r))
@@ -126,8 +131,8 @@ def _chain_criterion(basis, i, j, lcm, comp, treated) -> bool:
     return False
 
 
-def _spoly(f, g, lcm, order: MonomialOrder):
-    klcm = order.key(lcm)
+def _spoly(f, g, lcm):
+    klcm = _key(lcm)
     kf, ef = f[0][0], f[0][1]
     kg, eg = g[0][0], g[0][1]
     sf = (0,) + tuple(a - b for a, b in zip(klcm, kf[1:]))
@@ -159,91 +164,52 @@ def _interreduce(basis):
 _cache: dict = {}
 
 
-def _ideal_key(gens: Sequence[Polynomial], order: MonomialOrder):
-    canon = tuple(sorted(tuple(sorted(p.terms.items())) for p in gens))
-    return (order.signature(), order.rows, canon)
+def _ideal_key(gens: Sequence[Polynomial]):
+    return tuple(sorted(tuple(sorted(p.terms.items())) for p in gens))
 
 
-def groebner_basis(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> list[Polynomial]:
+def groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     """Reduced Groebner basis (monic, interreduced, sorted by leading term)."""
     gens = [g for g in gens if g]
     if not gens:
         return []
-    nvars = gens[0].nvars
-    if order is None:
-        order = grevlex(nvars)
-    key = _ideal_key(gens, order)
+    key = _ideal_key(gens)
     hit = _cache.get(key)
     if hit is not None:
         return list(hit)
-    flats = [_to_flat(g, order) for g in gens]
-    gb = _interreduce(_buchberger(flats, order, use_product_criterion=True))
-    result = [_from_flat(f, nvars) for f in gb]
+    flats = [_to_flat(g) for g in gens]
+    gb = _interreduce(_buchberger(flats, use_product_criterion=True))
+    result = [_from_flat(f, gens[0].nvars) for f in gb]
     _cache[key] = list(result)
     return result
 
 
-def normal_form(
-    p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder | None = None
-) -> Polynomial:
+def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of p modulo `basis`; unique when basis is a Groebner basis."""
-    if order is None:
-        order = grevlex(p.nvars)
-    flats = [_to_flat(g, order) for g in basis if g]
-    return _from_flat(_backend.normal_form(_to_flat(p, order), flats), p.nvars)
+    flats = [_to_flat(g) for g in basis if g]
+    return _from_flat(_backend.normal_form(_to_flat(p), flats), p.nvars)
 
 
-def ideal_member(
-    p: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder | None = None
-) -> bool:
+def ideal_member(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
     if p.is_zero:
         return True
-    if order is None:
-        order = grevlex(p.nvars)
-    return normal_form(p, groebner_basis(gens, order), order).is_zero
+    return normal_form(p, groebner_basis(gens)).is_zero
 
 
-def ideal_intersect(
-    gens_i: Sequence[Polynomial], gens_j: Sequence[Polynomial]
-) -> list[Polynomial]:
-    """Generators of I cap J via one auxiliary elimination variable.
-
-    I cap J = (t*I + (1-t)*J) cap Q[x], with t the new first variable.
-    """
-    gens_i = [g for g in gens_i if g]
-    gens_j = [g for g in gens_j if g]
-    if not gens_i or not gens_j:
-        return []
-    nvars = gens_i[0].nvars
-    big = nvars + 1
-    lift = list(range(1, big))
-    t = Polynomial.variable(big, 0)
-    one_minus_t = Polynomial.constant(big, 1) - t
-    work = [t * g.remap_variables(big, lift) for g in gens_i]
-    work += [one_minus_t * h.remap_variables(big, lift) for h in gens_j]
-    gb = groebner_basis(work, elimination(1, big))
-    kept = []
-    for p in gb:
-        if all(exp[0] == 0 for exp in p.terms):
-            kept.append(Polynomial(nvars, {exp[1:]: c for exp, c in p.terms.items()}))
-    return groebner_basis(kept) if kept else []
-
-
-def quotient_dimension(gens: Sequence[Polynomial], order: MonomialOrder | None = None):
+def quotient_dimension(gens: Sequence[Polynomial]):
     """Q-dimension of the polynomial ring modulo (gens): an int or INFINITE."""
-    std = standard_monomials(gens, order)
+    std = standard_monomials(gens)
     return INFINITE if std is INFINITE else len(std)
 
 
-def standard_monomials(gens: Sequence[Polynomial], order: MonomialOrder | None = None):
+def standard_monomials(gens: Sequence[Polynomial]):
     """Monomial basis of the (finite-dimensional) quotient ring, or INFINITE."""
     gens = [g for g in gens if g]
     if not gens:
         return INFINITE
     nvars = gens[0].nvars
-    order = order or grevlex(nvars)
-    gb = groebner_basis(gens, order)
-    leads = [max(p.terms, key=order.key) for p in gb]
+    gb = groebner_basis(gens)
+    leads = [max(p.terms, key=_key) for p in gb]
     if any(sum(e) == 0 for e in leads):
         return []
     bounds = [None] * nvars
@@ -282,7 +248,7 @@ def is_in_radical(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
     u = Polynomial.variable(big, nvars)
     work = [g.remap_variables(big, lift) for g in gens if g]
     work.append(Polynomial.constant(big, 1) - u * p.remap_variables(big, lift))
-    gb = groebner_basis(work, grevlex(big))
+    gb = groebner_basis(work)
     return len(gb) == 1 and gb[0] == 1
 
 
@@ -308,28 +274,20 @@ class SubmoduleOfFree:
         return self.generators[0][0].nvars
 
 
-def module_groebner_flat(
-    vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder
-):
-    flats = [f for f in (_vector_to_flat(v, order) for v in vectors) if f]
-    return _interreduce(_buchberger(flats, order, use_product_criterion=False))
+def module_groebner_flat(vectors: Sequence[Sequence[Polynomial]]):
+    flats = [f for f in (_vector_to_flat(v) for v in vectors) if f]
+    return _interreduce(_buchberger(flats, use_product_criterion=False))
 
 
-def module_normal_form_flat(vec, gb_flat, order: MonomialOrder):
-    return _backend.normal_form(_vector_to_flat(vec, order), gb_flat)
+def module_normal_form_flat(vec, gb_flat):
+    return _backend.normal_form(_vector_to_flat(vec), gb_flat)
 
 
-def module_member(
-    vec: Sequence[Polynomial],
-    module: SubmoduleOfFree,
-    order: MonomialOrder | None = None,
-) -> bool:
+def module_member(vec: Sequence[Polynomial], module: SubmoduleOfFree) -> bool:
     if all(p.is_zero for p in vec):
         return True
-    if order is None:
-        order = grevlex(vec[0].nvars)
-    gb = module_groebner_flat(module.generators, order)
-    return not module_normal_form_flat(vec, gb, order)
+    gb = module_groebner_flat(module.generators)
+    return not module_normal_form_flat(vec, gb)
 
 
 def modules_equal(a: SubmoduleOfFree, b: SubmoduleOfFree) -> bool:
@@ -353,7 +311,6 @@ def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
             raise ValueError("ragged matrix")
         for p in row:
             nvars = p.nvars
-    order = grevlex(nvars)
     zero = Polynomial.zero(nvars)
     columns = []
     for j in range(n):
@@ -361,7 +318,7 @@ def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
         unit = [zero] * n
         unit[j] = Polynomial.constant(nvars, 1)
         columns.append(tuple(col + unit))
-    gb = module_groebner_flat(columns, order)
+    gb = module_groebner_flat(columns)
     gens = []
     for f in gb:
         vec = _flat_to_vector(f, nvars, m + n)

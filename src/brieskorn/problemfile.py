@@ -99,10 +99,11 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ProblemFileError(f"{source}: options must be an object")
+    default = ProblemOptions()
     options = ProblemOptions(
-        max_degree=_int_option(opts, "max_degree", None, source, minimum=0),
-        max_t_power=_int_option(opts, "max_t_power", 10, source, minimum=1),
-        max_s_power=_int_option(opts, "max_s_power", 10, source, minimum=1),
+        max_degree=_int_option(opts, "max_degree", default.max_degree, source, minimum=0),
+        max_t_power=_int_option(opts, "max_t_power", default.max_t_power, source, minimum=1),
+        max_s_power=_int_option(opts, "max_s_power", default.max_s_power, source, minimum=1),
     )
     return ProblemFile(name=name, problem=problem, options=options, digest=digest, raw=data)
 

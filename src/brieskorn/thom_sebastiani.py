@@ -25,7 +25,7 @@ from brieskorn.forms import DifferentialForm, df_wedge, differential
 from brieskorn.poly import format_rational
 
 
-def combined_problem(pf: GermProblem, pg: GermProblem, name: str | None = None) -> GermProblem:
+def combined_problem(pf: GermProblem, pg: GermProblem) -> GermProblem:
     """The germ f + g on the disjoint union of the two variable sets.
 
     Both weight vectors are rescaled so each summand has degree 1, making
@@ -41,7 +41,7 @@ def combined_problem(pf: GermProblem, pg: GermProblem, name: str | None = None) 
     nv = len(variables)
     f_lift = pf.f.remap_variables(nv, list(range(pf.nvars)))
     g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-    return GermProblem(variables, weights, f_lift + g_lift, name=name)
+    return GermProblem(variables, weights, f_lift + g_lift)
 
 
 def lift_form(form: DifferentialForm, offset: int, nv: int) -> DifferentialForm:
@@ -54,9 +54,7 @@ def lift_form(form: DifferentialForm, offset: int, nv: int) -> DifferentialForm:
     return DifferentialForm(nv, form.degree, coeffs)
 
 
-def external_product(
-    cls_f: CohomologyClass, cls_g: CohomologyClass, combined: GermProblem | None = None
-) -> CohomologyClass:
+def external_product(cls_f: CohomologyClass, cls_g: CohomologyClass) -> CohomologyClass:
     """Class of (rep_f wedge rep_g) on the sum germ.
 
     The first operand must be closed and df-killed with positive degree
@@ -66,8 +64,7 @@ def external_product(
     pf, pg = cls_f.problem, cls_g.problem
     if cls_f.i == 0:
         raise ValueError("first operand must have positive degree")
-    if combined is None:
-        combined = combined_problem(pf, pg)
+    combined = combined_problem(pf, pg)
     nv = combined.nvars
     wf = lift_form(cls_f.representative, 0, nv)
     wg = lift_form(cls_g.representative, pf.nvars, nv)

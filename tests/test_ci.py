@@ -1,0 +1,18 @@
+"""The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify")."""
+
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def test_tier1_workflow():
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
+        workflow = yaml.safe_load(fh)
+    assert set(workflow["on"]) == {"push", "pull_request"}
+    steps = workflow["jobs"]["tests"]["steps"]
+    assert {"python-version": "3.11"} in [s.get("with") for s in steps]
+    assert [s["run"] for s in steps if "run" in s] == ["pip install -e . pytest hypothesis sympy", TIER1]

@@ -363,6 +363,54 @@ class TestVerifyReplay:
         code = main(["torsion", prob("cusp.json"), "--verify", str(out_path)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda report: [], "report top level must be an object"),
+            (lambda report: [report], "report top level must be an object"),
+            (lambda report: "kernel", "report top level must be an object"),
+            (lambda report: {**report, "certificates": 5}, "certificates must be a list"),
+            (lambda report: {**report, "certificates": {}}, "certificates must be a list"),
+            (lambda report: {**report, "certificates": None}, "certificates must be a list"),
+            (None, "malformed JSON: "),
+        ],
+        ids=[
+            "empty-list", "wrapped-in-list", "string",
+            "certificates-number", "certificates-object", "certificates-null", "malformed-json",
+        ],
+    )
+    def test_malformed_report_is_bad_input(self, change, message, tmp_path, capsys):
+        """Otherwise a valid report (its command and input digest match)."""
+        path = tmp_path / "k.json"
+        main(["kernel", prob("cusp.json"), "--out", str(path)])
+        report = json.loads(path.read_text())
+        path.write_text("{" if change is None else json.dumps(change(report)))
+        capsys.readouterr()
+        code = main(["kernel", prob("cusp.json"), "--verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"verify: {path}: {message}")
+
+    @pytest.mark.parametrize("bad", [5, "kernel-generator", [], None], ids=repr)
+    def test_non_object_certificate_is_a_failed_certificate(self, bad, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        main(["kernel", prob("cusp.json"), "--out", str(path)])
+        capsys.readouterr()
+        report = json.loads(path.read_text())
+        n = len(report["certificates"])
+        assert n > 0
+        report["certificates"].insert(0, bad)
+        path.write_text(json.dumps(report))
+        code = main(["kernel", prob("cusp.json"), "--verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == f"verified {n}/{n + 1} certificates\n"
+        assert captured.err.splitlines() == [
+            f"verify: certificate is not an object ({type(bad).__name__})"
+        ]
+
 
 class TestMultiKeyTorsionReports:
     """Representatives whose terms lie in two key classes of barlet35 (see

@@ -1,6 +1,5 @@
 """Finite Gauss-Manin models: pieces, windows, can, V-graded dimensions."""
 
-import json
 from fractions import Fraction as F
 
 import pytest
@@ -90,7 +89,7 @@ class TestCanMap:
         assert can.shared_dim == 1 and can.surjective
 
     def test_only_zero_piece_vacuous(self):
-        m = ElementaryGMModule.from_payload({"pieces": [{"alpha": "0", "dim": 1}]})
+        m = ElementaryGMModule([GMPiece(F(0), 1)])
         can = can_map(m)
         assert can.unipotent_target_dim == 0 and can.surjective
 
@@ -103,9 +102,7 @@ class TestCanMap:
             assert can_map(model_of(text, vs, ws)).surjective
 
     def test_explicit_minus_one_piece_blocks_surjectivity(self):
-        m = ElementaryGMModule.from_payload(
-            {"pieces": [{"alpha": "0", "dim": 1}, {"alpha": "-1", "dim": 1}]}
-        )
+        m = ElementaryGMModule([GMPiece(F(0), 1), GMPiece(F(-1), 1)])
         assert not can_map(m).surjective
 
 
@@ -131,37 +128,31 @@ class TestVDim:
         assert m.v_filtration_dim(alphas[0]) == m.total_dimension
 
 
-class TestModelFiles:
-    def test_roundtrip(self, tmp_path):
-        m = model_of("x^4+y^3", ["x", "y"], ["3", "4"])
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(m.serialize()))
-        back = ElementaryGMModule.load(path)
-        assert [(p.alpha, p.dim) for p in back.pieces] == [
-            (p.alpha, p.dim) for p in m.pieces
-        ]
-
-    def test_hand_authored_nilpotent(self):
-        payload = {
+class TestPieces:
+    def test_serialize_writes_zero_nilpotent_parts(self):
+        m = ElementaryGMModule([GMPiece(F(1, 3), 2), GMPiece(F(-1, 2), 1), GMPiece(F(0), 3)])
+        assert m.serialize() == {
             "pieces": [
-                {"alpha": "0", "dim": 2, "nilpotent": [["0", "1"], ["0", "0"]]},
-                {"alpha": "-1/2", "dim": 1},
+                {"alpha": "-1/2", "dim": 1, "nilpotent": [["0"]]},
+                {"alpha": "0", "dim": 3, "nilpotent": [["0", "0", "0"]] * 3},
+                {"alpha": "1/3", "dim": 2, "nilpotent": [["0", "0"], ["0", "0"]]},
             ]
         }
-        m = ElementaryGMModule.from_payload(payload)
-        assert m.total_dimension == 3
-        psi, phi = psi_phi(m)
-        assert psi.dim == 3 and phi.dim == 3
 
-    def test_non_nilpotent_rejected(self):
+    def test_engine_model_serializes_one_square_zero_matrix_per_piece(self):
+        m = model_of("x^3+y^3", ["x", "y"], ["1", "1"])
+        pieces = m.serialize()["pieces"]
+        assert [p["dim"] for p in pieces] == [1, 2, 1]
+        for p in pieces:
+            assert p["nilpotent"] == [["0"] * p["dim"] for _ in range(p["dim"])]
+
+    def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ValueError):
-            GMPiece(F(0), 1, ((F(1),),))
+            GMPiece(F(0), 0)
 
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(ValueError):
-            ElementaryGMModule(
-                [GMPiece(F(0), 1, ((F(0),),)), GMPiece(F(0), 1, ((F(0),),))]
-            )
+            ElementaryGMModule([GMPiece(F(0), 1), GMPiece(F(0), 2)])
 
 
 class TestDtCone:
@@ -172,3 +163,8 @@ class TestDtCone:
             ("x^2+y^2+z^2", ["x", "y", "z"], ["1", "1", "1"]),
         ]:
             assert dt_cone_kernel_dim(model_of(text, vs, ws)) == 0
+
+    def test_integral_piece_with_a_piece_below(self):
+        # N = 0: the whole piece at 1 pairs with the piece at 0, none below 0
+        m = ElementaryGMModule([GMPiece(F(0), 2), GMPiece(F(1), 3), GMPiece(F(1, 2), 1)])
+        assert dt_cone_kernel_dim(m) == 3

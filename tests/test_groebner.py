@@ -1,17 +1,17 @@
-"""Groebner engine: bases, normal forms, intersections, syzygies."""
+"""Groebner engine (grevlex): bases, normal forms, quotients, syzygies."""
 
+import itertools
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from brieskorn import groebner
+from brieskorn import _backend, groebner
 from brieskorn.groebner import (
     INFINITE,
     SubmoduleOfFree,
     groebner_basis,
-    ideal_intersect,
-    ideal_member,
     is_in_radical,
     module_kernel,
     module_member,
@@ -21,8 +21,8 @@ from brieskorn.groebner import (
     standard_monomials,
     syzygies,
 )
-from brieskorn.orders import elimination, grevlex, lex, weighted
 from brieskorn.poly import Polynomial, parse_polynomial
+from brieskorn.problemfile import load_problem_file
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -55,11 +55,10 @@ def random_poly(rng, nvars, nterms=3, maxdeg=3):
     return Polynomial(nvars, terms)
 
 
-class TestOrders:
+class TestGrevlexKey:
     def test_grevlex_definition(self):
         # a > b iff higher total degree, or equal and last nonzero of a-b < 0
         rng = random.Random(11)
-        order = grevlex(3)
         for _ in range(500):
             a = tuple(rng.randint(0, 5) for _ in range(3))
             b = tuple(rng.randint(0, 5) for _ in range(3))
@@ -71,33 +70,22 @@ class TestOrders:
                 diff = [x - y for x, y in zip(a, b)]
                 last = max(i for i, v in enumerate(diff) if v)
                 expect = diff[last] < 0
-            assert (order.key(a) > order.key(b)) == expect
-
-    def test_lex(self):
-        order = lex(2)
-        assert order.key((1, 0)) > order.key((0, 5))
+            assert (groebner._key(a) > groebner._key(b)) == expect
 
     def test_keys_additive(self):
         rng = random.Random(12)
-        for order in (grevlex(3), lex(3), weighted([1, 2, 3], 3), elimination(1, 3)):
+        for nvars in range(5):
             for _ in range(100):
-                a = tuple(rng.randint(0, 4) for _ in range(3))
-                b = tuple(rng.randint(0, 4) for _ in range(3))
-                ka, kb = order.key(a), order.key(b)
-                kc = order.key(tuple(x + y for x, y in zip(a, b)))
+                a = tuple(rng.randint(0, 4) for _ in range(nvars))
+                b = tuple(rng.randint(0, 4) for _ in range(nvars))
+                ka, kb = groebner._key(a), groebner._key(b)
+                kc = groebner._key(tuple(x + y for x, y in zip(a, b)))
                 assert tuple(x + y for x, y in zip(ka, kb)) == kc
 
-    def test_weighted_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            weighted([1, 0], 2)
-
-    def test_weighted_order_groebner(self, cold_cache):
-        # a weighted order is a legitimate GB order end to end
-        order = weighted([Fraction(1, 2), Fraction(1, 3)], 2)
-        gens = [P2("x*y - 1"), P2("y^2 - 1")]
-        gb = groebner_basis(gens, order)
-        for g in gens:
-            assert normal_form(g, gb, order).is_zero
+    def test_key_layout(self):
+        assert groebner._key((2, 3, 5)) == (10, -5, -3)
+        assert groebner._key((7,)) == (7,)
+        assert groebner._key(()) == (0,)
 
 
 class TestGroebnerBasis:
@@ -109,9 +97,9 @@ class TestGroebnerBasis:
         gb = groebner_basis([P2("x"), P2("y")])
         assert set(gb) == {P2("x"), P2("y")}
 
-    def test_lex_example(self):
-        # derived by hand: spoly(xy-1, y^2-1) = x - y, then both reduce
-        gb = groebner_basis([P2("x*y - 1"), P2("y^2 - 1")], lex(2))
+    def test_hand_example(self):
+        # spoly(xy-1, y^2-1) = y*(xy-1) - x*(y^2-1) = x - y, which is reduced
+        gb = groebner_basis([P2("x*y - 1"), P2("y^2 - 1")])
         assert set(gb) == {P2("x - y"), P2("y^2 - 1")}
 
     def test_zero_ideal(self):
@@ -125,16 +113,13 @@ class TestGroebnerBasis:
             [P2("x^3 - 2*x*y"), P2("x^2*y - 2*y^2 + x")],
         ]
         for gens in cases:
-            for order in (grevlex(gens[0].nvars), lex(gens[0].nvars)):
-                gb = groebner_basis(gens, order)
-                flats = [groebner._to_flat(g, order) for g in gb]
-                for i in range(len(flats)):
-                    for j in range(i + 1, len(flats)):
-                        lcm = groebner._lcm_exp(flats[i][0][1], flats[j][0][1])
-                        s = groebner._spoly(flats[i], flats[j], lcm, order)
-                        from brieskorn import _backend
-
-                        assert not _backend.normal_form(s, flats)
+            gb = groebner_basis(gens)
+            flats = [groebner._to_flat(g) for g in gb]
+            for i in range(len(flats)):
+                for j in range(i + 1, len(flats)):
+                    lcm = groebner._lcm_exp(flats[i][0][1], flats[j][0][1])
+                    s = groebner._spoly(flats[i], flats[j], lcm)
+                    assert not _backend.normal_form(s, flats)
 
     def test_determinism(self, cold_cache):
         gens = [P3("x^2 + y*z"), P3("y^3 - z"), P3("x*z - y")]
@@ -160,6 +145,82 @@ class TestGroebnerBasis:
                 assert normal_form(g, ref_polys).is_zero or g in ref_polys
             for r in ref_polys:
                 assert normal_form(r, gb).is_zero
+
+
+PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
+ISOLATED = ["a1", "cusp", "smooth", "ts_y2", "ts_y3", "ts_z2", "x3y3"]
+
+
+class TestEngineIdealsAgainstSympy:
+    """The ideals the engine works with, against sympy's exact grevlex bases."""
+
+    @staticmethod
+    def sympy_basis(gens, variables):
+        sympy = pytest.importorskip("sympy")
+        syms = sympy.symbols(variables)
+        exprs = [sympy.sympify(g.serialize(variables).replace("^", "**")) for g in gens]
+        ref = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+        basis = {parse_polynomial(str(e).replace("**", "^"), variables) for e in ref.exprs}
+        leads = [sympy.Poly(e, *syms).monoms(order="grevlex")[0] for e in ref.exprs]
+        return basis, leads
+
+    def test_corpus_isolation(self):
+        isolated = sorted(
+            name[:-5]
+            for name in os.listdir(PROBLEMS)
+            if load_problem_file(os.path.join(PROBLEMS, name)).problem.milnor_number() is not None
+        )
+        assert isolated == ISOLATED
+
+    @pytest.mark.parametrize("name", [*ISOLATED, "barlet35"])
+    def test_jacobian_basis(self, name, cold_cache):
+        problem = load_problem_file(os.path.join(PROBLEMS, name + ".json")).problem
+        ref, leads = self.sympy_basis(problem.jacobian, list(problem.variables))
+        gb = groebner_basis(problem.jacobian)
+        assert len(gb) == len(ref) and set(gb) == ref
+        assert sorted(max(g.terms, key=groebner._key) for g in gb) == sorted(leads)
+
+    @pytest.mark.parametrize("name", [*ISOLATED, "barlet35", "nc22"])
+    def test_radical_membership_basis(self, name, cold_cache):
+        # is_in_radical(p, [f]) runs Buchberger on (f, 1 - u*p) with one more variable u
+        problem = load_problem_file(os.path.join(PROBLEMS, name + ".json")).problem
+        big = problem.nvars + 1
+        lift = list(range(problem.nvars))
+        for i in range(problem.nvars):
+            p = Polynomial.variable(problem.nvars, i) + Polynomial.constant(problem.nvars, 1)
+            u = Polynomial.variable(big, problem.nvars)
+            work = [problem.f.remap_variables(big, lift)]
+            work.append(Polynomial.constant(big, 1) - u * p.remap_variables(big, lift))
+            ref, _leads = self.sympy_basis(work, [*problem.variables, "u"])
+            assert set(groebner_basis(work)) == ref
+            assert is_in_radical(p, [problem.f]) == (ref == {Polynomial.constant(big, 1)})
+
+    @pytest.mark.parametrize("name", ISOLATED)
+    def test_standard_monomials(self, name, cold_cache):
+        problem = load_problem_file(os.path.join(PROBLEMS, name + ".json")).problem
+        _ref, leads = self.sympy_basis(problem.jacobian, list(problem.variables))
+        box = max((max(e) for e in leads), default=0)
+        expect = sorted(
+            e
+            for e in itertools.product(range(box), repeat=problem.nvars)
+            if not any(all(a <= b for a, b in zip(lead, e)) for lead in leads)
+        )
+        assert standard_monomials(problem.jacobian) == expect
+        assert quotient_dimension(problem.jacobian) == problem.milnor_number() == len(expect)
+
+    def test_barlet_syzygies(self, cold_cache):
+        # the module the engine builds from the partials: relations, Koszul ones included
+        problem = load_problem_file(os.path.join(PROBLEMS, "barlet35.json")).problem
+        partials = list(problem.partials)
+        syz = syzygies(partials)
+        assert syz.generators
+        for vec in syz.generators:
+            assert sum((v * p for v, p in zip(vec, partials)), Polynomial.zero(3)).is_zero
+        zero = Polynomial.zero(3)
+        for i, j in itertools.combinations(range(3), 2):
+            kos = [zero] * 3
+            kos[i], kos[j] = partials[j], -partials[i]
+            assert module_member(tuple(kos), syz)
 
 
 class TestNormalForm:
@@ -189,30 +250,6 @@ class TestNormalForm:
             std = standard_monomials(gens)
             probe = member + Polynomial.monomial(2, std[-1])
             assert not normal_form(probe, gb).is_zero
-
-
-class TestIntersection:
-    def test_coprime_principal(self):
-        assert ideal_intersect([P2("x")], [P2("y")]) == [P2("x*y")]
-
-    def test_nested_principal(self):
-        assert ideal_intersect([P2("x^2")], [P2("x^3")]) == [P2("x^3")]
-
-    def test_barlet_intersection_contains(self):
-        f = P3("x^5/5 + y^5/5 + x^3*y^3*z/3")
-        fx, fy, fz = (f.partial_derivative(i) for i in range(3))
-        inter = ideal_intersect([fx, fy], [fz])
-        assert ideal_member(P3("x^3*y^3*(x^2+y^3*z)"), inter)
-
-    def test_symmetry(self):
-        rng = random.Random(15)
-        for _ in range(25):
-            I = [random_poly(rng, 2) for _ in range(2)]
-            J = [random_poly(rng, 2) for _ in range(2)]
-            a = ideal_intersect(I, J)
-            b = ideal_intersect(J, I)
-            assert all(ideal_member(p, b) for p in a)
-            assert all(ideal_member(p, a) for p in b)
 
 
 class TestQuotientDimension:
