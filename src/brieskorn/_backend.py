@@ -12,7 +12,9 @@ Data formats:
       num, den:        coefficient as a reduced fraction, den > 0
   flat polynomial  list of flat terms, strictly descending in key
 
-  sparse row       list of (col, num, den), strictly increasing in col
+  sparse row       list of (col, int), strictly increasing in col, no zero
+                   entries; echelon() and rref() take primitive rows (the gcd
+                   of the entries is 1) and return primitive rows
 """
 
 import heapq
@@ -117,19 +119,19 @@ def normal_form(p, basis):
 
 
 def echelon(rows):
-    """Row echelon form of sparse rational rows, by fraction-free forward
-    elimination (Bareiss, Math. Comp. 22, 1968).
+    """Row echelon form of primitive integer rows, by fraction-free forward
+    elimination (Bareiss, Math. Comp. 22, 1968); empty rows are skipped.
 
     Returns (echelon_rows, pivot_columns): the pivots ascend, and row k is a
-    primitive integer row [(col, int)] (content 1) whose leading entry is
-    positive and sits at pivots[k].  Pivot columns are not cleared from the
-    rows above, so this is all the callers need that only read the pivots,
-    or that back-solve one column (linalg.solve_columns).
+    primitive integer row whose leading entry is positive and sits at
+    pivots[k].  Pivot columns are not cleared from the rows above, so this
+    is all the callers need that only read the pivots, or that back-solve
+    one column (linalg.solve_columns).
 
-    Rows are primitive integer vectors throughout (denominators cleared,
-    content divided out), with one gcd pass per produced row instead of one
-    per entry.  Pending rows sit in buckets by leading column, with a heap
-    of the columns whose bucket is nonempty.  Each step pops the smallest
+    Rows stay primitive throughout (each elimination divides out the
+    content), with one gcd pass per produced row instead of one per entry.
+    Pending rows sit in buckets by leading column, with a heap of the
+    columns whose bucket is nonempty.  Each step pops the smallest
     such column; the sparsest row of its bucket (earliest arrival on ties)
     becomes the pivot, and only the other rows of that bucket are
     eliminated, since no other pending row holds that column.  Each reduced
@@ -137,9 +139,8 @@ def echelon(rows):
     cancels to zero.  Pivots are thus found in increasing column order.
     """
     buckets = {}
-    for r in rows:
-        if r:
-            row = _int_row(r)
+    for row in rows:
+        if row:
             buckets.setdefault(row[0][0], []).append(row)
     heap = list(buckets)
     heapq.heapify(heap)
@@ -171,16 +172,17 @@ def echelon(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form of sparse rational rows.
+    """Reduced row echelon form of primitive integer rows.
 
     Returns (reduced_rows, pivot_columns); reduced rows are sorted by pivot
-    column, each pivot coefficient is 1 and is the only nonzero entry in its
-    column.  The output is the unique RREF of the input.
+    column, and each pivot column holds no nonzero entry but the positive
+    leading entry of its row.  Row k divided by its leading entry is row k
+    of the unique RREF of the input.
 
     This is echelon() followed by back-substitution, which runs bottom-up:
     every row below the current one is already fully reduced, so clearing
     from a row exactly the pivot columns it holds brings in no other pivot
-    column.  Each row is finally divided by its leading entry.
+    column.
     """
     done, pivots = echelon(rows)
     where = {col: k for k, col in enumerate(pivots)}
@@ -189,25 +191,7 @@ def rref(rows):
         for col in [c for c, _n in row[1:] if c in where]:
             row = _int_eliminate(row, done[where[col]], col)
         done[k] = row
-    out = []
-    for row in done:
-        lead = row[0][1]
-        out.append([(c, *_norm(n, lead)) for c, n in row])
-    return out, pivots
-
-
-def _int_row(row):
-    """Clear denominators and strip content: [(col, int)] with gcd 1."""
-    scale = 1
-    for _c, _n, d in row:
-        scale = scale * d // gcd(scale, d)
-    ints = [(c, n * (scale // d)) for c, n, d in row]
-    g = 0
-    for _c, n in ints:
-        g = gcd(g, n)
-        if g == 1:
-            return ints
-    return [(c, n // g) for c, n in ints] if g > 1 else ints
+    return done, pivots
 
 
 def _int_eliminate(row, piv, col):

@@ -25,7 +25,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import df_wedge, form_from_payload, volume_form
 from brieskorn.poly import ParseError, format_rational, parse_polynomial
-from brieskorn.problemfile import ProblemFile, ProblemFileError, load_problem_file
+from brieskorn.problemfile import ProblemFileError, load_problem_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -112,8 +112,7 @@ def _check_bounds(args) -> None:
             raise ValueError(f"{flag} must be >= {minimum}, got {value}")
 
 
-def _class_from_monomial(pf: ProblemFile, text: str) -> CohomologyClass:
-    problem = pf.problem
+def _class_from_monomial(problem, text: str) -> CohomologyClass:
     poly = parse_polynomial(text, problem.variables)
     return CohomologyClass(problem, problem.n, volume_form(problem.nvars, poly))
 
@@ -134,12 +133,29 @@ def _torsion_payload(variables, cert_or_not, kind: str):
     }
 
 
-def cmd_analyze(args) -> tuple[dict, dict, int]:
-    pf = load_problem_file(args.problem)
+def _torsion_searches(args, pf, classes):
+    """Both torsion searches on each class, each bound taken from its flag,
+    else from the problem file.
+
+    Returns the bounds and, per class, the class, its t and s payloads, and
+    those of the two that carry a certificate.
+    """
+    bounds = {key: _bound(getattr(args, key), getattr(pf.options, key))
+              for key in ("max_degree", "max_t_power", "max_s_power")}
+    cap = bounds["max_degree"]
+    variables = pf.problem.variables
+    rows = []
+    for cls in classes:
+        rt = engine.torsion_order_t(cls, bounds["max_t_power"], cap=cap)
+        rs = engine.torsion_order_s(cls, bounds["max_s_power"], cap=cap)
+        t = _torsion_payload(variables, rt, "t-torsion")
+        s = _torsion_payload(variables, rs, "s-torsion")
+        rows.append((cls, t, s, [p for p in (t, s) if p["status"] == "found"]))
+    return bounds, rows
+
+
+def cmd_analyze(args, pf):
     problem = pf.problem
-    cap = _bound(args.max_degree, pf.options.max_degree)
-    p_max = _bound(args.max_t_power, pf.options.max_t_power)
-    r_max = _bound(args.max_s_power, pf.options.max_s_power)
     mu = problem.milnor_number()
     gens = engine.kernel_generator_forms(problem, problem.n - 1)
     result = {
@@ -148,41 +164,22 @@ def cmd_analyze(args) -> tuple[dict, dict, int]:
         "kernel_degree": problem.n - 1,
         "kernel_generators": [g.payload(problem.variables) for g in gens],
     }
-    certificates = []
     if mu is not None:
         basis = engine.ct_basis(problem, reduced=True)
         result["rank"] = len(basis)
         result["spectrum"] = [format_rational(b.exponent) for b in basis]
         module = gm_model.from_brieskorn(problem)
         result["gm_pieces"] = module.serialize()["pieces"]
-    else:
-        probes = engine.sample_top_classes(problem, 3, args.seed)
-        probe_rows = []
-        for cls in probes:
-            rt = engine.torsion_order_t(cls, p_max, cap=cap)
-            rs = engine.torsion_order_s(cls, r_max, cap=cap)
-            row = {
-                "class": cls.serialize(),
-                "t": _torsion_payload(problem.variables, rt, "t-torsion"),
-                "s": _torsion_payload(problem.variables, rs, "s-torsion"),
-            }
-            probe_rows.append(row)
-            for payload, cert in (("t", rt), ("s", rs)):
-                if isinstance(cert, TorsionCertificate):
-                    certificates.append(
-                        {
-                            "type": "torsion",
-                            "class": cls.serialize(),
-                            **_torsion_payload(problem.variables, cert, payload + "-torsion"),
-                        }
-                    )
-        result["torsion_probes"] = probe_rows
-    bounds = {"max_degree": cap, "max_t_power": p_max, "max_s_power": r_max, "seed": args.seed}
-    return {"result": result, "certificates": certificates, "bounds": bounds}, pf, EXIT_OK
+    probes = engine.sample_top_classes(problem, 3, args.seed) if mu is None else []
+    bounds, rows = _torsion_searches(args, pf, probes)
+    if mu is None:
+        result["torsion_probes"] = [{"class": c.serialize(), "t": t, "s": s} for c, t, s, _ in rows]
+    certs = [{"type": "torsion", "class": c.serialize(), **p} for c, _t, _s, found in rows for p in found]
+    bounds["seed"] = args.seed
+    return {"result": result, "certificates": certs, "bounds": bounds}, EXIT_OK
 
 
-def cmd_kernel(args):
-    pf = load_problem_file(args.problem)
+def cmd_kernel(args, pf):
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.n - 1
     gens = engine.kernel_generator_forms(problem, i)
@@ -192,60 +189,30 @@ def cmd_kernel(args):
         "generator_count": len(gens),
         "generators": [g.payload(problem.variables) for g in gens],
     }
-    certs = [
-        {
-            "type": "kernel-generator",
-            "form_degree": i,
-            "form": g.payload(problem.variables),
-        }
-        for g in gens
-    ]
-    return {"result": result, "certificates": certs, "bounds": {}}, pf, EXIT_OK
+    certs = [{"type": "kernel-generator", "form_degree": i, "form": g} for g in result["generators"]]
+    return {"result": result, "certificates": certs, "bounds": {}}, EXIT_OK
 
 
-def cmd_torsion(args):
-    pf = load_problem_file(args.problem)
+def cmd_torsion(args, pf):
     problem = pf.problem
-    cap = _bound(args.max_degree, pf.options.max_degree)
-    p_max = _bound(args.max_t_power, pf.options.max_t_power)
-    r_max = _bound(args.max_s_power, pf.options.max_s_power)
     monomials = args.monomial or ["1"]
-    rows = []
-    certificates = []
-    exit_code = EXIT_OK
-    for text in monomials:
-        cls = _class_from_monomial(pf, text)
-        rt = engine.torsion_order_t(cls, p_max, cap=cap)
-        rs = engine.torsion_order_s(cls, r_max, cap=cap)
-        rows.append(
-            {
-                "monomial": text,
-                "class": cls.serialize(),
-                "t": _torsion_payload(problem.variables, rt, "t-torsion"),
-                "s": _torsion_payload(problem.variables, rs, "s-torsion"),
-                "existence_agrees": isinstance(rt, TorsionCertificate)
-                == isinstance(rs, TorsionCertificate),
-            }
-        )
-        for kind, cert in (("t-torsion", rt), ("s-torsion", rs)):
-            if isinstance(cert, TorsionCertificate):
-                certificates.append(
-                    {
-                        "type": "torsion",
-                        "monomial": text,
-                        "degree": cls.i,
-                        **_torsion_payload(problem.variables, cert, kind),
-                    }
-                )
-            else:
-                exit_code = EXIT_BOUND
-    result = {"problem": problem.serialize(), "classes": rows}
-    bounds = {"max_degree": cap, "max_t_power": p_max, "max_s_power": r_max}
-    return {"result": result, "certificates": certificates, "bounds": bounds}, pf, exit_code
+    bounds, rows = _torsion_searches(args, pf, (_class_from_monomial(problem, m) for m in monomials))
+    classes = [
+        # the searches agree on existence when both or neither found a certificate
+        {"monomial": m, "class": c.serialize(), "t": t, "s": s, "existence_agrees": len(found) != 1}
+        for m, (c, t, s, found) in zip(monomials, rows)
+    ]
+    certs = [
+        {"type": "torsion", "monomial": m, "degree": c.i, **p}
+        for m, (c, _t, _s, found) in zip(monomials, rows)
+        for p in found
+    ]
+    exit_code = EXIT_OK if all(len(found) == 2 for *_, found in rows) else EXIT_BOUND
+    result = {"problem": problem.serialize(), "classes": classes}
+    return {"result": result, "certificates": certs, "bounds": bounds}, exit_code
 
 
-def cmd_spectrum(args):
-    pf = load_problem_file(args.problem)
+def cmd_spectrum(args, pf):
     problem = pf.problem
     basis = engine.ct_basis(problem, reduced=True)
     module = gm_model.from_brieskorn(problem)
@@ -260,11 +227,10 @@ def cmd_spectrum(args):
         "phi": [[format_rational(a), d] for a, d in phi.pieces],
         "can_surjective": gm_model.can_map(module).surjective,
     }
-    return {"result": result, "certificates": [], "bounds": {}}, pf, EXIT_OK
+    return {"result": result, "certificates": [], "bounds": {}}, EXIT_OK
 
 
-def cmd_nc(args):
-    pf = load_problem_file(args.problem)
+def cmd_nc(args, pf):
     problem = pf.problem
     f = problem.f
     if not f.is_monomial():
@@ -296,7 +262,7 @@ def cmd_nc(args):
             "witness": check.witness.payload(problem.variables) if check.witness else None,
         },
     }
-    return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, pf, EXIT_OK
+    return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
 
 
 def cmd_micro(args):
@@ -348,12 +314,10 @@ def cmd_micro(args):
         "integrate_bound": args.integrate_bound,
         "s_cap": cap,
     }
-    return {"result": result, "certificates": [], "bounds": bounds}, None, EXIT_OK
+    return {"result": result, "certificates": [], "bounds": bounds}, EXIT_OK
 
 
-def cmd_ts(args):
-    pf = load_problem_file(args.problem)
-    pg = load_problem_file(args.problem_g)
+def cmd_ts(args, pf, pg):
     report = thom_sebastiani.ts_compare(pf.problem, pg.problem)
     basis_f = engine.ct_basis(pf.problem, reduced=True)
     cls_f = basis_f[0].cls if basis_f else None
@@ -389,12 +353,10 @@ def cmd_ts(args):
     if not report.passed:
         exit_code = EXIT_INVARIANT
     bounds = {"k_max": args.k_max, "max_degree": args.max_degree}
-    payload = {"result": result, "certificates": certificates, "bounds": bounds}
-    return payload, (pf, pg), exit_code
+    return {"result": result, "certificates": certificates, "bounds": bounds}, exit_code
 
 
-def cmd_check_p(args):
-    pf = load_problem_file(args.problem)
+def cmd_check_p(args, pf):
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.n
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
@@ -407,7 +369,7 @@ def cmd_check_p(args):
         "cap_relative": res.cap_relative,
         "witness": res.witness.payload(problem.variables) if res.witness else None,
     }
-    return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, pf, EXIT_OK
+    return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
 
 
 _HANDLERS = {
@@ -425,12 +387,14 @@ _HANDLERS = {
 # -- report emission and verification -------------------------------------------
 
 
-def _input_digest(source) -> str:
-    if source is None:
-        return ""
-    if isinstance(source, tuple):
-        return "+".join(p.digest for p in source)
-    return source.digest
+def _sources(args) -> tuple:
+    """The problem files a command reads: none for micro, two for ts, one otherwise."""
+    names = [name for name in ("problem", "problem_g") if hasattr(args, name)]
+    return tuple(load_problem_file(getattr(args, name)) for name in names)
+
+
+def _input_digest(sources) -> str:
+    return "+".join(pf.digest for pf in sources)
 
 
 def render_text(report: dict) -> str:
@@ -471,7 +435,7 @@ def emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def verify_report(path: str, command: str, source) -> int:
+def verify_report(path: str, command: str, sources: tuple) -> int:
     """Replay mode: re-check every certificate embedded in a report."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -490,54 +454,66 @@ def verify_report(path: str, command: str, source) -> int:
         print(f"verify: report was produced by {report.get('command')!r}, not {command!r}",
               file=sys.stderr)
         return EXIT_INPUT
-    if report.get("input_digest") != _input_digest(source):
+    if report.get("input_digest") != _input_digest(sources):
         print("verify: input digest mismatch", file=sys.stderr)
         return EXIT_INPUT
     failures = 0
     total = 0
     for cert in certificates:
         total += 1
-        if not _verify_certificate(cert, source):
+        if not _verify_certificate(cert, sources):
             failures += 1
     print(f"verified {total - failures}/{total} certificates")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
-def _verify_certificate(cert: dict, source) -> bool:
+def _count(value, what: str) -> int:
+    """value, if it is a non-negative int (a bool is not)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _class_from_payload(problem, payload: dict) -> CohomologyClass:
+    """The class a report serialized; CohomologyClass checks that it is one of f."""
+    degree = _count(payload["degree"], "class degree")
+    form = form_from_payload(payload["form"], problem.variables, degree)
+    return CohomologyClass(problem, degree, form)
+
+
+def _verify_certificate(cert: dict, sources: tuple) -> bool:
     if not isinstance(cert, dict):
         print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
         return False
     kind = cert.get("type")
     try:
         if kind == "torsion":
-            pf = source if isinstance(source, ProblemFile) else source[0]
-            problem = pf.problem
+            problem = sources[0].problem
             text = cert.get("monomial")
             if text is not None:
-                cls = _class_from_monomial(pf, text)
+                cls = _class_from_monomial(problem, text)
             else:
-                payload = cert["class"]
-                rep = form_from_payload(payload["form"], problem.variables, payload["degree"])
-                cls = CohomologyClass(problem, payload["degree"], rep)
+                cls = _class_from_payload(problem, cert["class"])
             witness = [
                 form_from_payload(w, problem.variables, cls.i - 1) for w in cert["witness"]
             ]
-            tc = TorsionCertificate(cert["kind"].split("-")[0], cert["order"], witness)
+            search = {"t-torsion": "t", "s-torsion": "s"}[cert["kind"]]
+            tc = TorsionCertificate(search, _count(cert["order"], "order"), witness)
             return tc.verify(cls)
         if kind == "kernel-generator":
-            pf = source if isinstance(source, ProblemFile) else source[0]
-            problem = pf.problem
-            form = form_from_payload(
-                cert["form"], problem.variables, cert["form_degree"]
-            )
-            return not df_wedge(problem.f, form)
+            problem = sources[0].problem
+            degree = _count(cert["form_degree"], "form_degree")
+            return not df_wedge(problem.f, form_from_payload(cert["form"], problem.variables, degree))
         if kind == "vanishing":
-            pf, pg = source
-            combined = thom_sebastiani.combined_problem(pf.problem, pg.problem)
-            eta_degree = pf.problem.n + pg.problem.n - 1
-            eta = form_from_payload(cert["eta"], combined.variables, eta_degree)
-            target = form_from_payload(cert["target"], combined.variables, eta_degree + 1)
-            return thom_sebastiani.VanishingCertificate(cert.get("k"), eta, target).verify(combined)
+            pf, pg = sources
+            k = _count(cert["k"], "k")
+            cls_f = _class_from_payload(pf.problem, cert["f_class"])
+            combined, target = thom_sebastiani.vanishing_target(cls_f, pg.problem, k)
+            if form_from_payload(cert["target"], combined.variables, target.degree) != target:
+                print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
+                return False
+            eta = form_from_payload(cert["eta"], combined.variables, target.degree - 1)
+            return thom_sebastiani.VanishingCertificate(k, eta, target).verify(combined)
     except Exception as exc:  # a malformed certificate is a failed certificate
         print(f"verify: certificate error: {exc}", file=sys.stderr)
         return False
@@ -549,17 +525,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_bounds(args)
-        if getattr(args, "verify", None):
-            source = None
-            if args.command == "ts":
-                source = (load_problem_file(args.problem), load_problem_file(args.problem_g))
-            elif hasattr(args, "problem"):
-                source = load_problem_file(args.problem)
-            return verify_report(args.verify, args.command, source)
-        payload, source, exit_code = _HANDLERS[args.command](args)
+        sources = _sources(args)
+        if args.verify:
+            return verify_report(args.verify, args.command, sources)
+        payload, exit_code = _HANDLERS[args.command](args, *sources)
         report = {
             "command": args.command,
-            "input_digest": _input_digest(source),
+            "input_digest": _input_digest(sources),
             "version": __version__,
             **payload,
         }

@@ -1002,7 +1002,6 @@ def delta_at_origin(problem: GermProblem) -> int:
 class PPrimeResult:
     holds: bool
     witness: DifferentialForm | None
-    checked_weights: list[Fraction]
     cap_relative: bool
 
 
@@ -1038,8 +1037,8 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
         for combo in linalg.nullspace(linalg.transpose(columns), len(columns)):
             u = _combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
-                return PPrimeResult(False, space.form(u), weights, cap_relative)
-    return PPrimeResult(True, None, weights, cap_relative)
+                return PPrimeResult(False, space.form(u), cap_relative)
+    return PPrimeResult(True, None, cap_relative)
 
 
 def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
-from brieskorn.poly import Polynomial, format_rational, monomial_weight
+from brieskorn.poly import Polynomial, format_rational, monomial_weight, parse_rational
 
 WedgeIndex = tuple[int, ...]
 
@@ -389,14 +389,18 @@ def volume_form(nvars: int, coefficient: Polynomial | None = None) -> Differenti
 
 
 def form_from_payload(payload: list, variables: Sequence[str], degree: int) -> DifferentialForm:
-    """Inverse of DifferentialForm.payload (used by report verification)."""
+    """Inverse of DifferentialForm.payload (used by report verification); a
+    ValueError on exponents that are not non-negative ints (a Laurent form
+    is not a polynomial form) and on coefficients that are not literals."""
     index = {name: i for i, name in enumerate(variables)}
     nvars = len(variables)
     coeffs: dict[WedgeIndex, Polynomial] = {}
     for entry in payload:
         wedge = tuple(index[name] for name in entry["wedge"])
-        exp = tuple(int(v) for v in entry["exponents"])
-        coeff = Fraction(entry["coeff"])
+        exp = tuple(entry["exponents"])
+        if not all(type(v) is int and v >= 0 for v in exp):
+            raise ValueError(f"exponents {entry['exponents']!r} are not non-negative integers")
+        coeff = parse_rational(entry["coeff"])
         poly = coeffs.get(wedge, Polynomial.zero(nvars))
         coeffs[wedge] = poly + Polynomial.monomial(nvars, exp, coeff)
     return DifferentialForm(nvars, degree, coeffs)

@@ -1,16 +1,18 @@
 """Exact rational linear algebra on sparse vectors.
 
 Vectors are {column index: Fraction} dicts over some enumerated basis; the
-batch row reduction runs in the kernel (see _backend), while the
-incremental echelon accumulator used for span/quotient bookkeeping lives
-here.  Everything is deterministic: pivot choice, iteration order, output
-order.
+batch row reduction runs in the kernel (see _backend) on primitive integer
+rows, each vector converted once on the way in and each entry once on the
+way out, while the incremental echelon accumulator used for span/quotient
+bookkeeping lives here.  Everything is deterministic: pivot choice,
+iteration order, output order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from brieskorn import _backend
@@ -18,18 +20,27 @@ from brieskorn import _backend
 Vec = dict[int, Fraction]
 
 
-def to_row(vec: Vec):
-    return [(c, v.numerator, v.denominator) for c, v in sorted(vec.items()) if v]
-
-
-def from_row(row) -> Vec:
-    return {c: Fraction(n, d) for c, n, d in row}
+def _int_row(vec: Vec):
+    """vec as a primitive integer row [(col, int)]: a positive multiple with
+    integer entries whose gcd is 1, zeros dropped, columns ascending."""
+    row = [(c, v.numerator, v.denominator) for c, v in vec.items()]
+    row.sort()
+    scale = 1
+    for _c, _n, d in row:
+        scale = scale * d // gcd(scale, d)
+    ints = [(c, n * (scale // d)) for c, n, d in row if n]
+    g = 0
+    for _c, n in ints:
+        g = gcd(g, n)
+        if g == 1:
+            return ints
+    return [(c, n // g) for c, n in ints] if g > 1 else ints
 
 
 def rref(vectors: Iterable[Vec]):
     """Reduced row echelon form; returns (rows as Vec list, pivot columns)."""
-    rows, pivots = _backend.rref([to_row(v) for v in vectors])
-    return [from_row(r) for r in rows], list(pivots)
+    rows, pivots = _backend.rref([_int_row(v) for v in vectors])
+    return [{c: Fraction(n, row[0][1]) for c, n in row} for row in rows], pivots
 
 
 def transpose(columns: Sequence[Vec]) -> list[Vec]:
@@ -63,17 +74,6 @@ def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     return list(basis.values())
 
 
-def _column_rows(columns: Sequence[Vec]):
-    """Kernel rows of the matrix with the given columns, in ascending row
-    index; zero entries are dropped."""
-    rows: dict[int, list] = {}
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            if c:
-                rows.setdefault(i, []).append((j, c.numerator, c.denominator))
-    return [rows[i] for i in sorted(rows)]
-
-
 def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target; None when inconsistent.
 
@@ -87,7 +87,7 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     RREF.
     """
     m = len(columns)
-    rows, pivots = _backend.echelon(_column_rows([*columns, target]))
+    rows, pivots = _backend.echelon([_int_row(r) for r in transpose([*columns, target])])
     if pivots and pivots[-1] == m:
         return None
     x = [Fraction(0)] * m

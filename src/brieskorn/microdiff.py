@@ -156,11 +156,11 @@ def normal_order(word: Sequence[tuple[str, int]], cap: int = DEFAULT_S_CAP) -> S
 
 @dataclass
 class FactorialReport:
-    """Expansion of t^(p+q-1) * s with its pure-s coefficient isolated."""
+    """The pure-s coefficient of t^(p+q-1) * s, and whether every other term
+    carries a positive t-power."""
 
     p: int
     q: int
-    expansion: SkewElement
     pure_s_coefficient: Fraction
     factorial: int
     tail_has_positive_t: bool
@@ -181,7 +181,7 @@ def lemma_a_certificate(p: int, q: int, cap: int = DEFAULT_S_CAP) -> FactorialRe
     expansion = normal_order([("t", m), ("s", 1)], cap)
     coeff = expansion.coefficient(p + q, 0)
     tail_ok = all(k >= 1 for (j, k) in expansion.coeffs if j != p + q)
-    return FactorialReport(p, q, expansion, coeff, math.factorial(m), tail_ok)
+    return FactorialReport(p, q, coeff, math.factorial(m), tail_ok)
 
 
 def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:

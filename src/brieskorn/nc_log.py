@@ -81,18 +81,6 @@ class LogForm:
             and self.coeffs == other.coeffs
         )
 
-    def serialize(self, variables) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for idx, poly in sorted(self.coeffs.items()):
-            eta = "^".join(f"dlog({variables[i]})" for i in idx)
-            body = poly.serialize(variables)
-            if len(poly) > 1:
-                body = f"({body})"
-            chunks.append(f"{body} {eta}".strip() if eta else body)
-        return " + ".join(chunks)
-
     def to_polynomial_form(self, germ: MonomialGerm) -> DifferentialForm:
         """Multiply by g = prod x_i: g * x^b eta_I = x^b prod_{j not in I} x_j dx_I."""
         out: dict[tuple[int, ...], Polynomial] = {}
@@ -140,7 +128,6 @@ def residue_eigenvalues(germ: MonomialGerm, p: int) -> list[Fraction]:
 class AEqualsGAtilde:
     holds: bool
     witness: DifferentialForm | None
-    checked_degree: int
 
 
 def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> AEqualsGAtilde:
@@ -200,8 +187,8 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
 
         witness = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
         if witness is not None:
-            return AEqualsGAtilde(False, witness, degree_bound)
-    return AEqualsGAtilde(True, None, degree_bound)
+            return AEqualsGAtilde(False, witness)
+    return AEqualsGAtilde(True, None)
 
 
 def _first_outside(candidates, spanning):

@@ -14,6 +14,7 @@ allowed) give the quasi-homogeneous grading used throughout the engine.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -294,6 +295,21 @@ def format_rational(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+# a rational literal: an integer p or a quotient p/q of integers
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text) -> Fraction:
+    """The value of a rational literal p or p/q; anything else is a ValueError."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"{text!r} is not a rational literal p or p/q")
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(int(num), int(den or 1))
+
+
 # -- parser -------------------------------------------------------------------
 #
 # expr   := ['-'] term (('+'|'-') term)*
@@ -440,13 +456,7 @@ def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
 
 def weight_vector(entries: Iterable) -> tuple[Fraction, ...]:
     """Normalize a weight specification (ints, Fractions or "p/q" strings)."""
-    out = []
-    for w in entries:
-        if isinstance(w, str):
-            out.append(Fraction(w))
-        else:
-            out.append(_as_fraction(w))
-    return tuple(out)
+    return tuple(parse_rational(w) if isinstance(w, str) else _as_fraction(w) for w in entries)
 
 
 def monomial_weight(exp: Exponent, weights: Sequence[Fraction]) -> Fraction:

@@ -9,27 +9,29 @@ Schema:
     "options": {"max_degree": 14, "max_t_power": 10, "max_s_power": 10}
   }
 
-Weights are rational strings ("p/q" or integers), never floats.
-Quasi-homogeneity is validated on load.
+Weights are rational strings ("p/q" or integers), never floats.  "name" and
+"options" may be left out; a key outside this schema, at the top level or in
+"options", is refused rather than ignored.  Quasi-homogeneity is validated
+on load.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from brieskorn.engine import GermProblem
-from brieskorn.poly import ParseError, parse_polynomial
+from brieskorn.poly import ParseError, parse_polynomial, parse_rational
 
 
 class ProblemFileError(ValueError):
     pass
 
 
-# a weight string: an integer p or a quotient p/q of integers
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_KEYS = ("name", "variables", "weights", "polynomial", "options")
+# each option and its least value
+_OPTIONS = {"max_degree": 0, "max_t_power": 1, "max_s_power": 1}
 
 
 @dataclass
@@ -45,7 +47,6 @@ class ProblemFile:
     problem: GermProblem
     options: ProblemOptions
     digest: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def load_problem_file(path: str) -> ProblemFile:
@@ -65,6 +66,7 @@ def load_problem_file(path: str) -> ProblemFile:
 def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>") -> ProblemFile:
     if not isinstance(data, dict):
         raise ProblemFileError(f"{source}: top level must be an object")
+    _refuse_unknown(data, _KEYS, "key", source)
     for key in ("variables", "weights", "polynomial"):
         if key not in data:
             raise ProblemFileError(f"{source}: missing required key {key!r}")
@@ -82,11 +84,12 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     if len(weights) != len(variables):
         raise ProblemFileError(f"{source}: weights length must equal variables length")
     for i, w in enumerate(weights):
-        match = _RATIONAL.fullmatch(w)
-        if match is None:
-            raise ProblemFileError(f"{source}: weights[{i}] = {w!r} is not a rational literal p or p/q")
-        if match.group(2) is not None and int(match.group(2)) == 0:
-            raise ProblemFileError(f"{source}: weights[{i}] = {w!r} has a zero denominator")
+        try:
+            parse_rational(w)
+        except ValueError as exc:
+            raise ProblemFileError(f"{source}: weights[{i}] = {exc}") from None
+    if not isinstance(data.get("name", ""), str):
+        raise ProblemFileError(f"{source}: name must be a string")
     name = data.get("name") or "problem"
     try:
         f = parse_polynomial(polynomial, variables)
@@ -99,21 +102,26 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     opts = data.get("options", {})
     if not isinstance(opts, dict):
         raise ProblemFileError(f"{source}: options must be an object")
+    _refuse_unknown(opts, _OPTIONS, "option", source)
     default = ProblemOptions()
     options = ProblemOptions(
-        max_degree=_int_option(opts, "max_degree", default.max_degree, source, minimum=0),
-        max_t_power=_int_option(opts, "max_t_power", default.max_t_power, source, minimum=1),
-        max_s_power=_int_option(opts, "max_s_power", default.max_s_power, source, minimum=1),
+        **{key: _int_option(opts, key, getattr(default, key), source, least) for key, least in _OPTIONS.items()}
     )
-    return ProblemFile(name=name, problem=problem, options=options, digest=digest, raw=data)
+    return ProblemFile(name=name, problem=problem, options=options, digest=digest)
 
 
-def _int_option(opts: dict, key: str, default, source: str, minimum: int | None = None):
+def _refuse_unknown(found: dict, known, what: str, source: str) -> None:
+    unknown = sorted(set(found) - set(known))
+    if unknown:
+        raise ProblemFileError(f"{source}: unknown {what} {unknown[0]!r} (known: {', '.join(known)})")
+
+
+def _int_option(opts: dict, key: str, default, source: str, minimum: int):
     value = opts.get(key, default)
     if value is None and default is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFileError(f"{source}: options.{key} must be an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ProblemFileError(f"{source}: options.{key} must be >= {minimum}, got {value}")
     return value

@@ -71,6 +71,18 @@ def external_product(cls_f: CohomologyClass, cls_g: CohomologyClass) -> Cohomolo
     return CohomologyClass(combined, cls_f.i + cls_g.i, wf.wedge(wg))
 
 
+def vanishing_target(cls_f: CohomologyClass, pg: GermProblem, k: int):
+    """The sum germ f + g and the form rep_f wedge g^k dg on it."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    pf = cls_f.problem
+    combined = combined_problem(pf, pg)
+    nv = combined.nvars
+    wf = lift_form(cls_f.representative, 0, nv)
+    g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
+    return combined, wf.wedge(differential(g_lift) * (g_lift ** k))
+
+
 def vanish_g_k_dg(
     cls_f: CohomologyClass,
     pg: GermProblem,
@@ -79,16 +91,9 @@ def vanish_g_k_dg(
 ):
     """Certificate that rep_f wedge g^k dg is exact in the sum germ's kernel
     complex: an eta with dh-wedge eta = 0 and d(eta) = rep_f wedge g^k dg."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    pf = cls_f.problem
-    combined = combined_problem(pf, pg)
-    nv = combined.nvars
-    wf = lift_form(cls_f.representative, 0, nv)
-    g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-    target = wf.wedge(differential(g_lift) * (g_lift ** k))
+    combined, target = vanishing_target(cls_f, pg, k)
     if target.is_zero:
-        return TorsionCertificate("t", 0, [DifferentialForm.zero(nv, cls_f.i)])
+        return TorsionCertificate("t", 0, [DifferentialForm.zero(combined.nvars, cls_f.i)])
     weight = target.weighted_degree(combined.weights)
     if weight is None:
         raise ValueError("product form is not homogeneous")

@@ -1,4 +1,5 @@
-"""The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify")."""
+"""The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify"),
+after installing the test dependencies from their one list in pyproject.toml."""
 
 import os
 
@@ -15,4 +16,12 @@ def test_tier1_workflow():
     assert set(workflow["on"]) == {"push", "pull_request"}
     steps = workflow["jobs"]["tests"]["steps"]
     assert {"python-version": "3.11"} in [s.get("with") for s in steps]
-    assert [s["run"] for s in steps if "run" in s] == ["pip install -e . pytest hypothesis sympy", TIER1]
+    assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', TIER1]
+
+
+def test_test_extra_holds_every_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    # pyyaml: this module's own workflow check
+    assert sorted(project["optional-dependencies"]["test"]) == ["hypothesis", "pytest", "pyyaml", "sympy"]

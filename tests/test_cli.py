@@ -162,13 +162,16 @@ class TestInputContract:
             ({"options": {"max_t_power": 0}}, "options.max_t_power must be >= 1, got 0"),
             ({"options": {"max_s_power": 0}}, "options.max_s_power must be >= 1, got 0"),
             ({"variables": ["x", "x"]}, "duplicate variable names"),
+            ({"options": {"max_t_powr": 1}}, "unknown option 'max_t_powr'"),
+            ({"nmae": "x"}, "unknown key 'nmae'"),
+            ({"name": ["x"]}, "name must be a string"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
              "option-float", "option-null", "weight-zero-denominator",
              "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
              "weight-whitespace", "weight-signed-denominator", "weight-empty",
              "option-negative-max-degree", "option-zero-max-t-power", "option-zero-max-s-power",
-             "variables-duplicate"],
+             "variables-duplicate", "option-misspelt", "key-misspelt", "name-list"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
         # each message names the file it is about
@@ -410,6 +413,95 @@ class TestVerifyReplay:
         assert captured.err.splitlines() == [
             f"verify: certificate is not an object ({type(bad).__name__})"
         ]
+
+
+def laurent_terms():
+    """The terms of d(x^-1 df) for barlet35: exact and df-killed, so adding
+    them to a t-witness keeps both of its identities, but x^-2*y^4 dx^dy
+    makes the sum a Laurent form, not a polynomial one."""
+    return [
+        {"coeff": "-1", "exponents": [-2, 4, 0], "wedge": ["x", "y"]},
+        {"coeff": "-1", "exponents": [1, 2, 1], "wedge": ["x", "y"]},
+        {"coeff": "-1/3", "exponents": [1, 3, 0], "wedge": ["x", "z"]},
+    ]
+
+
+class TestReplayRefusesForgeries:
+    """A forged certificate fails replay even where it would pass the
+    checks of its identities once reinterpreted."""
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda c: c["witness"][0][0].update(exponents=[3.4, 3.4, 2.4]), "are not non-negative integers"),
+            (lambda c: c["witness"][0][0].update(exponents=[3, True, 2]), "are not non-negative integers"),
+            (lambda c: c["witness"][0][0].update(coeff="0.5"), "'0.5' is not a rational literal"),
+            (lambda c: c["witness"][0][0].update(coeff=0.5), "0.5 is not a rational literal"),
+            (lambda c: c["witness"][0][0].update(coeff="1/0"), "'1/0' has a zero denominator"),
+            (lambda c: c["witness"][0].extend(laurent_terms()), "[-2, 4, 0] are not non-negative integers"),
+            (lambda c: c.update(order=True), "order must be a non-negative integer, got True"),
+            (lambda c: c.update(order=1.0), "order must be a non-negative integer, got 1.0"),
+            (lambda c: c.update(kind="t-anything"), "certificate error: 't-anything'"),
+        ],
+        ids=["exponents-float", "exponent-bool", "coeff-decimal", "coeff-number",
+             "coeff-zero-denominator", "laurent-witness", "order-bool", "order-float", "kind-unknown"],
+    )
+    def test_forged_t_certificate(self, forge, message, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
+        assert main([*argv, "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        t_cert = report["certificates"][0]
+        assert t_cert["kind"] == "t-torsion" and len(report["certificates"]) == 2
+        forge(t_cert)
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([*argv, "--verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "verified 1/2 certificates\n"
+        assert message in captured.err and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "forge, message",
+        [
+            (lambda c: c.update(eta=[], target=[]), "vanishing target is not f_class wedge g^k dg"),
+            (lambda c: c.update(k=99), "vanishing target is not f_class wedge g^k dg"),
+            (lambda c: c.update(k=-1), "certificate error: k must be a non-negative integer, got -1"),
+            (lambda c: c.update(k=True), "certificate error: k must be a non-negative integer, got True"),
+            (lambda c: c["f_class"].update(form=[]), "certificate error: zero representative needs an explicit weight"),
+        ],
+        ids=["empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero"],
+    )
+    def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys):
+        path = tmp_path / "ts.json"
+        argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
+        assert main([*argv, "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        n = len(report["certificates"])
+        assert n == 4 and all(c["type"] == "vanishing" for c in report["certificates"])
+        for cert in report["certificates"]:
+            forge(cert)
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([*argv, "--verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"verified 0/{n} certificates\n"
+        assert captured.err.splitlines() == [f"verify: {message}"] * n
+
+    def test_f_class_must_be_a_class_of_f(self, tmp_path, capsys):
+        """A representative that df-wedge does not kill is refused by CohomologyClass."""
+        path = tmp_path / "ts.json"
+        argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
+        main([*argv, "--out", str(path)])
+        report = json.loads(path.read_text())
+        for cert in report["certificates"]:
+            cert["f_class"].update(degree=1, form=[{"coeff": "1", "exponents": [0, 0], "wedge": ["x"]}])
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([*argv, "--verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "verified 0/4 certificates\n"
+        assert "representative not in Ker(df-wedge)" in captured.err
 
 
 class TestMultiKeyTorsionReports:

@@ -25,15 +25,19 @@ def rand_vecs(rng, nrows, ncols, fill=0.35):
 def test_rref_properties():
     rng = random.Random(35)
     for _ in range(100):
-        rows = rand_rows(rng, rng.randint(1, 8), rng.randint(1, 10))
-        reduced, pivots = _backend.rref(rows)
+        vecs = rand_vecs(rng, rng.randint(1, 8), rng.randint(1, 10))
+        reduced, pivots = _backend.rref([linalg._int_row(v) for v in vecs])
         assert pivots == sorted(pivots)
         for row, p in zip(reduced, pivots):
-            assert row[0][0] == p and Fraction(row[0][1], row[0][2]) == 1
+            assert row[0][0] == p and row[0][1] > 0
             # pivot columns are cleared everywhere else
             for other in reduced:
                 if other is not row:
-                    assert all(c != p for c, _n, _d in other)
+                    assert all(c != p for c, _n in other)
+        # the Vec layer divides each row by its leading entry
+        rows, vec_pivots = linalg.rref(vecs)
+        assert vec_pivots == pivots
+        assert all(row[p] == 1 for row, p in zip(rows, pivots))
 
 
 def test_rref_matches_sympy():
@@ -100,9 +104,9 @@ def test_rref_of_a_permuted_identity_eliminates_nothing(monkeypatch):
     n = 1000
     order = list(range(n))
     random.Random(38).shuffle(order)
-    reduced, pivots = _backend.rref([[(c, 1, 1)] for c in order])
+    reduced, pivots = _backend.rref([[(c, 1)] for c in order])
     assert pivots == list(range(n))
-    assert reduced == [[(c, 1, 1)] for c in range(n)]
+    assert reduced == [[(c, 1)] for c in range(n)]
     # each pivot column is held by exactly one row, so no row is touched
     assert calls[0] == 0
 
@@ -182,7 +186,7 @@ def test_echelon_pivots_and_row_space_match_rref():
     for k in range(80):
         ncols = rng.randint(1, 12)
         vecs = adversarial_vecs(rng, rng.randint(1, 8), ncols) if k % 2 else rand_vecs(rng, rng.randint(1, 8), ncols)
-        rows = [linalg.to_row(v) for v in vecs]
+        rows = [linalg._int_row(v) for v in vecs]
         ech, pivots = _backend.echelon(rows)
         reduced, rref_pivots = _backend.rref(rows)
         assert pivots == rref_pivots
@@ -196,7 +200,7 @@ def test_echelon_pivots_and_row_space_match_rref():
                 g = math.gcd(g, n)
             assert g == 1
         # same row space: the echelon rows reduce to the same RREF
-        assert _backend.rref([[(c, n, 1) for c, n in row] for row in ech]) == (reduced, pivots)
+        assert _backend.rref(ech) == (reduced, pivots)
 
 
 def solve_by_rref(columns, target):
@@ -278,3 +282,20 @@ def test_solve_columns_on_an_upper_triangular_system_eliminates_nothing(monkeypa
     assert combine(x, columns) == target
     # the full RREF of the same system would eliminate
     assert solve_by_rref(columns, target) == x and calls[0] > 0
+
+
+def test_int_row_is_the_primitive_positive_multiple():
+    rng = random.Random(44)
+    for _ in range(100):
+        vec = rand_vecs(rng, 1, 12, fill=0.5)[0]
+        vec[rng.randint(0, 14)] = Fraction(0)  # a stored zero is dropped
+        row = linalg._int_row(vec)
+        cols = [c for c, _n in row]
+        assert cols == sorted(c for c, v in vec.items() if v)
+        assert all(type(n) is int and n for _c, n in row)
+        assert math.gcd(*(n for _c, n in row)) == (1 if row else 0)
+        if row:  # a positive multiple of vec
+            c0, n0 = row[0]
+            scale = Fraction(n0) / vec[c0]
+            assert scale > 0 and all(n == scale * vec[c] for c, n in row)
+    assert linalg._int_row({}) == []

@@ -9,10 +9,12 @@ from brieskorn.poly import (
     ParseError,
     Polynomial,
     exponent_key,
+    format_rational,
     iter_monomials_of_weight,
     lattice_congruences,
     monomial_weight,
     parse_polynomial,
+    parse_rational,
     weight_vector,
 )
 
@@ -353,3 +355,17 @@ def _det(rows):
             q = m[r][c] / m[c][c]
             m[r] = [a - q * b for a, b in zip(m[r], m[c])]
     return det
+
+
+class TestRationalLiterals:
+    def test_inverse_of_format_rational(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            assert parse_rational(format_rational(c)) == c
+        assert parse_rational("+6/4") == Fraction(3, 2) and parse_rational("-007") == -7
+
+    def test_weight_strings_share_the_grammar(self):
+        assert weight_vector(["1/2", "-3"]) == (Fraction(1, 2), Fraction(-3))
+        with pytest.raises(ValueError, match="is not a rational literal"):
+            weight_vector(["0.5"])
