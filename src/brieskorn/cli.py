@@ -10,6 +10,7 @@ strings), so repeated runs on the same input are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -81,7 +82,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(" ".join(message.split()))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Built lazily, not at import; a parse leaves no state in it, since each
+    parse_args call fills a fresh namespace.
+    """
     parser = _Parser(
         prog="brieskorn",
         description="Exact Brieskorn-module computations for quasi-homogeneous germs",
@@ -474,11 +481,22 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _check_claim(what: str, claimed, actual) -> None:
+    """A report's description of a class must be that of the rebuilt class."""
+    if claimed != actual:
+        raise ValueError(f"{what} is {claimed!r}, but the class has {actual!r}")
+
+
 def _class_from_payload(problem, payload: dict) -> CohomologyClass:
-    """The class a report serialized; CohomologyClass checks that it is one of f."""
+    """The class a report serialized; CohomologyClass checks that it is one of f,
+    and its weight and exponent must be written as serialize() writes them."""
     degree = _count(payload["degree"], "class degree")
     form = form_from_payload(payload["form"], problem.variables, degree)
-    return CohomologyClass(problem, degree, form)
+    cls = CohomologyClass(problem, degree, form)
+    described = cls.serialize()
+    for key in ("weight", "exponent"):
+        _check_claim(f"class {key}", payload[key], described[key])
+    return cls
 
 
 def _verify_certificate(cert: dict, sources: tuple) -> bool:
@@ -492,6 +510,7 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
             text = cert.get("monomial")
             if text is not None:
                 cls = _class_from_monomial(problem, text)
+                _check_claim("degree", _count(cert["degree"], "degree"), cls.i)
             else:
                 cls = _class_from_payload(problem, cert["class"])
             witness = [

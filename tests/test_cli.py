@@ -1,5 +1,6 @@
 """CLI: report shape, determinism, exit codes, verify replay."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -442,9 +443,12 @@ class TestReplayRefusesForgeries:
             (lambda c: c.update(order=True), "order must be a non-negative integer, got True"),
             (lambda c: c.update(order=1.0), "order must be a non-negative integer, got 1.0"),
             (lambda c: c.update(kind="t-anything"), "certificate error: 't-anything'"),
+            (lambda c: c.update(degree=7), "certificate error: degree is 7, but the class has 3"),
+            (lambda c: c.update(degree=3.0), "degree must be a non-negative integer, got 3.0"),
         ],
         ids=["exponents-float", "exponent-bool", "coeff-decimal", "coeff-number",
-             "coeff-zero-denominator", "laurent-witness", "order-bool", "order-float", "kind-unknown"],
+             "coeff-zero-denominator", "laurent-witness", "order-bool", "order-float", "kind-unknown",
+             "degree-7", "degree-float"],
     )
     def test_forged_t_certificate(self, forge, message, tmp_path, capsys):
         path = tmp_path / "t.json"
@@ -469,8 +473,9 @@ class TestReplayRefusesForgeries:
             (lambda c: c.update(k=-1), "certificate error: k must be a non-negative integer, got -1"),
             (lambda c: c.update(k=True), "certificate error: k must be a non-negative integer, got True"),
             (lambda c: c["f_class"].update(form=[]), "certificate error: zero representative needs an explicit weight"),
+            (lambda c: c["f_class"].update(weight="99"), "certificate error: class weight is '99', but the class has '5'"),
         ],
-        ids=["empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero"],
+        ids=["empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero", "f-class-weight"],
     )
     def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys):
         path = tmp_path / "ts.json"
@@ -487,6 +492,34 @@ class TestReplayRefusesForgeries:
         captured = capsys.readouterr()
         assert captured.out == f"verified 0/{n} certificates\n"
         assert captured.err.splitlines() == [f"verify: {message}"] * n
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("weight", "99", "class weight is '99', but the class has '{weight}'"),
+            ("exponent", "7/3", "class exponent is '7/3', but the class has '{exponent}'"),
+            ("weight", 7, "class weight is 7, but the class has '{weight}'"),
+        ],
+        ids=["weight-99", "exponent-7/3", "weight-number"],
+    )
+    def test_forged_analyze_class(self, key, value, message, tmp_path, capsys):
+        """analyze certificates carry their class; its weight and exponent
+        must be the rebuilt class's, written as format_rational writes them."""
+        path = tmp_path / "a.json"
+        argv = ["analyze", prob("barlet35.json"), "--max-t-power", "3", "--max-s-power", "3", "--max-degree", "10"]
+        assert main([*argv, "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        certs = report["certificates"]
+        assert len(certs) == 4 and all(c["type"] == "torsion" for c in certs)
+        expected = [f"verify: certificate error: {message.format(**c['class'])}" for c in certs]
+        for cert in certs:
+            cert["class"][key] = value
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([*argv, "--verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "verified 0/4 certificates\n"
+        assert captured.err.splitlines() == expected
 
     def test_f_class_must_be_a_class_of_f(self, tmp_path, capsys):
         """A representative that df-wedge does not kill is refused by CohomologyClass."""
@@ -524,14 +557,110 @@ class TestMultiKeyTorsionReports:
         capsys.readouterr()
 
 
+def child_env(**extra):
+    """The environment of a child python that finds the package in src/,
+    whether or not the parent's path has it."""
+    src = os.path.join(ROOT, "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
+
+
+class TestRepeatedCalls:
+    """main may be called again and again in one process: it builds its
+    parser once, and no call leaves anything behind for the next one."""
+
+    # --monomial appends to a list, --seed has a default: neither may leak
+    SEQUENCE = [
+        ["torsion", prob("cusp.json"), "--monomial", "x", "--monomial", "1"],
+        ["torsion", prob("cusp.json")],
+        ["analyze", prob("cusp.json"), "--seed", "5"],
+        ["analyze", prob("cusp.json")],
+        ["spectrum", prob("cusp.json"), "--max-degree", "3"],
+        ["kernel", prob("cusp.json"), "--format", "text"],
+        ["--help"],
+        ["--version"],
+        ["--help"],
+        ["--version"],
+    ]
+
+    @staticmethod
+    def call(argv, capsys):
+        """(exit code, stdout, stderr) of one in-process main call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and --version exit through argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def alone(argv):
+        """(exit code, stdout, stderr) of the command in a process of its own."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "brieskorn.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=child_env(COLUMNS="80"),
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_each_call_matches_its_own_process(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width in both
+        capsys.readouterr()
+        results = {}
+        for argv in self.SEQUENCE:
+            got = self.call(argv, capsys)
+            if tuple(argv) not in results:
+                results[tuple(argv)] = self.alone(argv)
+            assert got == results[tuple(argv)], argv
+        codes = [results[tuple(argv)][0] for argv in self.SEQUENCE]
+        # cusp is isolated: no top class is torsion, so both searches exhaust (exit 2)
+        assert codes == [2, 2, 0, 0, 1, 0, 0, 0, 0, 0]
+        torsion = [json.loads(results[tuple(argv)][1]) for argv in self.SEQUENCE[:2]]
+        assert [c["monomial"] for c in torsion[0]["result"]["classes"]] == ["x", "1"]
+        assert [c["monomial"] for c in torsion[1]["result"]["classes"]] == ["1"]
+        seeds = [json.loads(results[tuple(argv)][1])["bounds"]["seed"] for argv in self.SEQUENCE[2:4]]
+        assert seeds == [5, 0]
+        message = results[tuple(self.SEQUENCE[4])][2]
+        assert message.startswith("error: unrecognized arguments: --max-degree 3")
+        assert len(message.splitlines()) == 1
+
+    def test_no_second_parser(self, monkeypatch, capsys):
+        self.call(["--version"], capsys)  # the parser exists from here on
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in self.SEQUENCE:
+            self.call(argv, capsys)
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        """A fresh process, so the check does not depend on what pytest imported first."""
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+            "import brieskorn.cli\n"
+            "at_import = len(built)\n"
+            "brieskorn.cli.main(['spectrum', 'missing.json'])\n"
+            "print(at_import, len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env(),
+        )
+        at_import, after_main = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert after_main > 0
+
+
 class TestScriptEntry:
     def test_subprocess_invocation(self):
-        # the child finds the package in src/ whether or not the parent's path has it
-        src = os.path.join(ROOT, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "brieskorn.cli", "spectrum", prob("a1.json")],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["spectrum"] == ["-1/2"]
