@@ -331,23 +331,20 @@ def cmd_ts(args, pf, pg):
     vanish_rows = []
     certificates = []
     exit_code = EXIT_OK
-    combined = thom_sebastiani.combined_problem(pf.problem, pg.problem)
     if cls_f is not None:
         for k in range(args.k_max + 1):
-            cert = thom_sebastiani.vanish_g_k_dg(cls_f, pg.problem, k, args.max_degree)
-            if isinstance(cert, thom_sebastiani.VanishingCertificate):
+            combined, target, cert = thom_sebastiani.vanish_g_k_dg(cls_f, pg.problem, k, args.max_degree)
+            if isinstance(cert, TorsionCertificate):
                 vanish_rows.append({"k": k, "status": "found"})
                 certificates.append(
                     {
                         "type": "vanishing",
                         "k": k,
                         "f_class": cls_f.serialize(),
-                        "target": cert.target.payload(combined.variables),
-                        "eta": cert.eta.payload(combined.variables),
+                        "target": target.payload(combined.variables),
+                        "eta": cert.witness[0].payload(combined.variables),
                     }
                 )
-            elif isinstance(cert, TorsionCertificate):
-                vanish_rows.append({"k": k, "status": "trivial"})
             else:
                 vanish_rows.append({"k": k, "status": "not-found-within"})
                 exit_code = EXIT_BOUND
@@ -532,7 +529,7 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
                 print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
                 return False
             eta = form_from_payload(cert["eta"], combined.variables, target.degree - 1)
-            return thom_sebastiani.VanishingCertificate(k, eta, target).verify(combined)
+            return engine.exact_chain(combined.f, target, [eta])
     except Exception as exc:  # a malformed certificate is a failed certificate
         print(f"verify: certificate error: {exc}", file=sys.stderr)
         return False
@@ -542,7 +539,10 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version; a usage error raises ValueError
+            return exc.code
         _check_bounds(args)
         sources = _sources(args)
         if args.verify:

@@ -660,13 +660,25 @@ def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialFor
 # -- torsion searches ----------------------------------------------------------
 
 
+def exact_chain(f: Polynomial, target: DifferentialForm, chain: Sequence[DifferentialForm]) -> bool:
+    """The exactness identity every certificate rests on: a nonempty chain
+    with d(chain[0]) = target, d(chain[j]) = df wedge chain[j-1] and
+    df wedge chain[-1] = 0."""
+    if not chain:
+        return False
+    for eta in chain:
+        if eta.exterior_derivative() != target:
+            return False
+        target = df_wedge(f, eta)
+    return not target
+
+
 @dataclass
 class TorsionCertificate:
     """Exact, independently re-checkable witness of torsion annihilation.
 
-    kind "t": order p with f^p * rep = d(witness[0]) and witness[0] in A.
-    kind "s": order rho = len(chain) with d(chain[0]) = rep,
-              d(chain[j]) = df wedge chain[j-1], df wedge chain[-1] = 0.
+    kind "t": order p; the witness is an exact_chain of length 1 for f^p * rep.
+    kind "s": order rho >= 1; the witness is an exact_chain of length rho for rep.
     """
 
     kind: str
@@ -675,25 +687,13 @@ class TorsionCertificate:
 
     def verify(self, cls: CohomologyClass) -> bool:
         f = cls.problem.f
-        rep = cls.representative
         if self.kind == "t":
-            if len(self.witness) != 1:
-                return False
-            eta = self.witness[0]
-            if df_wedge(f, eta):
-                return False
-            return eta.exterior_derivative() == rep * (f ** self.order)
-        if self.kind == "s":
-            chain = self.witness
-            if len(chain) != self.order:
-                return False
-            if chain[0].exterior_derivative() != rep:
-                return False
-            for j in range(1, len(chain)):
-                if chain[j].exterior_derivative() != df_wedge(f, chain[j - 1]):
-                    return False
-            return not df_wedge(f, chain[-1])
-        return False
+            target, length = cls.representative * f**self.order, 1
+        elif self.kind == "s":
+            target, length = cls.representative, self.order
+        else:
+            return False
+        return len(self.witness) == length and exact_chain(f, target, self.witness)
 
 
 @dataclass

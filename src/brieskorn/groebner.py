@@ -267,12 +267,6 @@ class SubmoduleOfFree:
             if len(v) != self.ambient_rank:
                 raise ValueError("generator length does not match ambient rank")
 
-    @property
-    def nvars(self) -> int:
-        if not self.generators:
-            raise ValueError("empty module has no ring context")
-        return self.generators[0][0].nvars
-
 
 def module_groebner_flat(vectors: Sequence[Sequence[Polynomial]]):
     flats = [f for f in (_vector_to_flat(v) for v in vectors) if f]

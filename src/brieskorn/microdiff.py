@@ -248,15 +248,6 @@ class TruncatedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def serialize(self) -> str:
-        chunks = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            cs = format_rational(c)
-            chunks.append(cs if k == 0 else (f"{cs}*t^{k}" if k > 1 else f"{cs}*t"))
-        return " + ".join(chunks) if chunks else "0"
-
 
 def integrate_series(u: TruncatedSeries) -> TruncatedSeries:
     """Integration without constant term: t^k -> t^(k+1)/(k+1).

@@ -14,14 +14,16 @@ from fractions import Fraction
 from brieskorn.engine import (
     CohomologyClass,
     GermProblem,
+    InvariantViolation,
     NonIsolatedError,
     NotFoundWithin,
     TorsionCertificate,
     _block,
     _s_chain,
+    exact_chain,
     spectrum,
 )
-from brieskorn.forms import DifferentialForm, df_wedge, differential
+from brieskorn.forms import DifferentialForm, differential
 from brieskorn.poly import format_rational
 
 
@@ -89,35 +91,22 @@ def vanish_g_k_dg(
     k: int,
     search_cap: int | None = None,
 ):
-    """Certificate that rep_f wedge g^k dg is exact in the sum germ's kernel
-    complex: an eta with dh-wedge eta = 0 and d(eta) = rep_f wedge g^k dg."""
+    """(h, target, result) for the sum germ h = f + g and target = rep_f wedge
+    g^k dg on it.  result is a t-certificate of order 0 that the target is
+    exact in h's kernel complex, an eta with dh-wedge eta = 0 and d(eta) =
+    target, or NotFoundWithin.  A zero class has no weighted degree and is
+    refused (ValueError)."""
     combined, target = vanishing_target(cls_f, pg, k)
-    if target.is_zero:
-        return TorsionCertificate("t", 0, [DifferentialForm.zero(combined.nvars, cls_f.i)])
     weight = target.weighted_degree(combined.weights)
     if weight is None:
         raise ValueError("product form is not homogeneous")
     block = _block(combined, target.degree - 1, weight, search_cap, combined.form_keys(target))
     chain = _s_chain([block], target)
     if chain is None:
-        return NotFoundWithin(block.space.cap, not combined.positive_weights)
-    cert = VanishingCertificate(k, chain[0], target)
-    if not cert.verify(combined):
-        raise AssertionError("vanishing certificate failed re-verification")
-    return cert
-
-
-@dataclass
-class VanishingCertificate:
-    k: int
-    eta: DifferentialForm
-    target: DifferentialForm
-
-    def verify(self, combined: GermProblem) -> bool:
-        return (
-            not df_wedge(combined.f, self.eta)
-            and self.eta.exterior_derivative() == self.target
-        )
+        return combined, target, NotFoundWithin(block.space.cap, not combined.positive_weights)
+    if not exact_chain(combined.f, target, chain):
+        raise InvariantViolation("vanishing certificate failed re-verification")
+    return combined, target, TorsionCertificate("t", 0, chain)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from brieskorn.engine import (
     NotFoundWithin,
     TorsionCertificate,
     ct_basis,
+    exact_chain,
     extend_with_inert_variable,
     h_slice,
     kernel_forms,
@@ -35,7 +36,7 @@ from brieskorn.forms import df_wedge, volume_form
 from brieskorn.groebner import SubmoduleOfFree, ideal_member, modules_equal
 from brieskorn.nc_log import MonomialGerm, log_relative_basis, residue_eigenvalues
 from brieskorn.poly import Polynomial, parse_polynomial
-from brieskorn.thom_sebastiani import VanishingCertificate, ts_compare, vanish_g_k_dg
+from brieskorn.thom_sebastiani import ts_compare, vanish_g_k_dg
 
 BARLET_CAP = 14
 ISOLATED_CORPUS = [
@@ -226,8 +227,9 @@ def test_acceptance_08_thom_sebastiani():
         verdicts.append(f"{pf.f.serialize(pf.variables)}+{pg.f.serialize(pg.variables)}")
     cls = ct_basis(x2, reduced=True)[0].cls
     for k in range(4):
-        cert = vanish_g_k_dg(cls, y2, k)
-        assert isinstance(cert, VanishingCertificate)
+        combined, target, cert = vanish_g_k_dg(cls, y2, k)
+        assert isinstance(cert, TorsionCertificate) and (cert.kind, cert.order) == ("t", 0)
+        assert exact_chain(combined.f, target, cert.witness)
     print("ACCEPTANCE 8 PASS: rank/exponent equality for " + ", ".join(verdicts)
           + "; vanishing certificates k<=3")
 

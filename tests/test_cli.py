@@ -232,9 +232,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
     def test_help_and_version_exit_zero(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
 
@@ -466,8 +464,37 @@ class TestReplayRefusesForgeries:
         assert message in captured.err and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda c: c.update(witness=c["witness"][:-1], order=c["order"] - 1),
+            lambda c: c.update(witness=c["witness"] + c["witness"][-1:], order=c["order"] + 1),
+            lambda c: c.update(order=c["order"] + 1),
+            lambda c: c["witness"][0].extend(c["witness"][0]),
+            lambda c: c.update(witness=[], order=0),
+        ],
+        ids=["drop-last-link", "append-link", "order-not-length", "double-first-link", "order-0-empty"],
+    )
+    def test_forged_s_certificate(self, forge, tmp_path, capsys):
+        """Each way the chain check can fail: the length, the first link
+        (d(chain[0]) = rep), a middle link (d(chain[j]) = df wedge chain[j-1])
+        and the last (df wedge chain[-1] = 0).  The forms are well formed, so
+        the check fails without a message."""
+        path = tmp_path / "s.json"
+        argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
+        assert main([*argv, "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        s_cert = report["certificates"][1]
+        assert (s_cert["kind"], s_cert["order"], len(s_cert["witness"])) == ("s-torsion", 2, 2)
+        forge(s_cert)
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main([*argv, "--verify", str(path)]) == 3
+        assert capsys.readouterr() == ("verified 1/2 certificates\n", "")
+
+    @pytest.mark.parametrize(
         "forge, message",
         [
+            (lambda c: c["eta"].extend(c["eta"]), None),
             (lambda c: c.update(eta=[], target=[]), "vanishing target is not f_class wedge g^k dg"),
             (lambda c: c.update(k=99), "vanishing target is not f_class wedge g^k dg"),
             (lambda c: c.update(k=-1), "certificate error: k must be a non-negative integer, got -1"),
@@ -475,7 +502,7 @@ class TestReplayRefusesForgeries:
             (lambda c: c["f_class"].update(form=[]), "certificate error: zero representative needs an explicit weight"),
             (lambda c: c["f_class"].update(weight="99"), "certificate error: class weight is '99', but the class has '5'"),
         ],
-        ids=["empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero", "f-class-weight"],
+        ids=["double-eta", "empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero", "f-class-weight"],
     )
     def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys):
         path = tmp_path / "ts.json"
@@ -491,7 +518,7 @@ class TestReplayRefusesForgeries:
         assert main([*argv, "--verify", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == f"verified 0/{n} certificates\n"
-        assert captured.err.splitlines() == [f"verify: {message}"] * n
+        assert captured.err.splitlines() == ([] if message is None else [f"verify: {message}"] * n)
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -585,10 +612,7 @@ class TestRepeatedCalls:
     @staticmethod
     def call(argv, capsys):
         """(exit code, stdout, stderr) of one in-process main call."""
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help and --version exit through argparse
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
