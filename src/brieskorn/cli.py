@@ -175,8 +175,7 @@ def cmd_analyze(args, pf):
         basis = engine.ct_basis(problem, reduced=True)
         result["rank"] = len(basis)
         result["spectrum"] = [format_rational(b.exponent) for b in basis]
-        module = gm_model.from_brieskorn(problem)
-        result["gm_pieces"] = module.serialize()["pieces"]
+        result["gm_pieces"] = gm_model.serialize(gm_model.from_brieskorn(problem))
     probes = engine.sample_top_classes(problem, 3, args.seed) if mu is None else []
     bounds, rows = _torsion_searches(args, pf, probes)
     if mu is None:
@@ -222,17 +221,17 @@ def cmd_torsion(args, pf):
 def cmd_spectrum(args, pf):
     problem = pf.problem
     basis = engine.ct_basis(problem, reduced=True)
-    module = gm_model.from_brieskorn(problem)
-    psi, phi = gm_model.psi_phi(module)
+    pieces = gm_model.from_brieskorn(problem)
+    psi, phi = gm_model.psi_phi(pieces)
     result = {
         "problem": problem.serialize(),
         "milnor_number": problem.milnor_number(),
         "rank": len(basis),
         "spectrum": [format_rational(b.exponent) for b in basis],
-        "gm_pieces": module.serialize()["pieces"],
-        "psi": [[format_rational(a), d] for a, d in psi.pieces],
-        "phi": [[format_rational(a), d] for a, d in phi.pieces],
-        "can_surjective": gm_model.can_map(module).surjective,
+        "gm_pieces": gm_model.serialize(pieces),
+        "psi": [[format_rational(a), d] for a, d in psi],
+        "phi": [[format_rational(a), d] for a, d in phi],
+        "can_surjective": gm_model.can_surjective(pieces),
     }
     return {"result": result, "certificates": [], "bounds": {}}, EXIT_OK
 

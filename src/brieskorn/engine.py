@@ -142,10 +142,6 @@ class GermProblem:
             self._milnor = None if dim is groebner.INFINITE else dim
         return self._milnor
 
-    @property
-    def isolated(self) -> bool:
-        return self.milnor_number() is not None
-
     # -- key classes: the characters of f's diagonal symmetry group ----------
 
     @property
@@ -686,11 +682,17 @@ class TorsionCertificate:
     witness: list[DifferentialForm]
 
     def verify(self, cls: CohomologyClass) -> bool:
-        f = cls.problem.f
+        f, rep = cls.problem.f, cls.representative
         if self.kind == "t":
-            target, length = cls.representative * f**self.order, 1
+            # d lowers coefficient degree by at least one and f^p * rep has degree
+            # p * deg f + deg rep exactly, so a witness no higher than that cannot
+            # reach a nonzero target: refuse it before f^p is expanded
+            top = max((w.total_degree_cap() for w in self.witness), default=-1)
+            if not rep.is_zero and top <= rep.total_degree_cap() + self.order * f.total_degree():
+                return False
+            target, length = (rep if rep.is_zero else rep * f**self.order), 1
         elif self.kind == "s":
-            target, length = cls.representative, self.order
+            target, length = rep, self.order
         else:
             return False
         return len(self.witness) == length and exact_chain(f, target, self.witness)

@@ -147,17 +147,9 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     n = germ.nvars
     f = germ.polynomial()
     wedges_i = list(itertools.combinations(range(n), i))
-    upidx = {w: k for k, w in enumerate(itertools.combinations(range(n), i + 1))}
-    koszul_cols = []
-    for wedge in wedges_i:
-        col: linalg.Vec = {}
-        for j in range(n):
-            if j not in wedge:
-                row = upidx[tuple(sorted(wedge + (j,)))]
-                sign = (-1) ** sum(1 for t in wedge if t < j)
-                col[row] = col.get(row, Fraction(0)) + sign * germ.exponents[j]
-        koszul_cols.append(col)
-    log_kernel = linalg.nullspace(linalg.transpose(koszul_cols), len(wedges_i))
+    # on constant forms the Koszul map is df'-wedge for the linear f' = sum_j m_j x_j
+    linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(germ.exponents)), Polynomial.zero(n))
+    log_kernel = _image_kernel(_monomial_images(linear, [(w, (0,) * n) for w in wedges_i])[1])
 
     for nu in _bounded_exponents(n, degree_bound):
         # polynomial side: forms of multidegree nu (dx_j counts one unit of x_j)

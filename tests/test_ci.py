@@ -25,3 +25,11 @@ def test_test_extra_holds_every_test_dependency():
         project = tomllib.load(fh)["project"]
     # pyyaml: this module's own workflow check
     assert sorted(project["optional-dependencies"]["test"]) == ["hypothesis", "pytest", "pyyaml", "sympy"]
+
+
+def test_tier1_collects_tests_and_perfbench():
+    # so tier-1 runs the work-counter pin, perfbench/test_counters.py (README, "Tests")
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
+    assert options["testpaths"] == ["tests", "perfbench"]

@@ -11,6 +11,7 @@ import pytest
 
 from brieskorn import engine
 from brieskorn.cli import main
+from brieskorn.poly import Polynomial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -425,6 +426,14 @@ def laurent_terms():
     ]
 
 
+def order_at_the_degree_bound(cert):
+    """Order 10^6 and a witness term of coefficient degree 7 * 10^6 =
+    order * deg f + deg rep (barlet35's f has degree 7, the class 1 degree 0):
+    d of it cannot reach f^order * rep."""
+    cert.update(order=10**6)
+    cert["witness"][0].append({"coeff": "1", "exponents": [7 * 10**6, 0, 0], "wedge": ["x", "y"]})
+
+
 class TestReplayRefusesForgeries:
     """A forged certificate fails replay even where it would pass the
     checks of its identities once reinterpreted."""
@@ -443,12 +452,17 @@ class TestReplayRefusesForgeries:
             (lambda c: c.update(kind="t-anything"), "certificate error: 't-anything'"),
             (lambda c: c.update(degree=7), "certificate error: degree is 7, but the class has 3"),
             (lambda c: c.update(degree=3.0), "degree must be a non-negative integer, got 3.0"),
+            (lambda c: c.update(order=10**6), None),
+            (order_at_the_degree_bound, None),
         ],
         ids=["exponents-float", "exponent-bool", "coeff-decimal", "coeff-number",
              "coeff-zero-denominator", "laurent-witness", "order-bool", "order-float", "kind-unknown",
-             "degree-7", "degree-float"],
+             "degree-7", "degree-float", "order-million", "order-million-witness-at-bound"],
     )
-    def test_forged_t_certificate(self, forge, message, tmp_path, capsys):
+    def test_forged_t_certificate(self, forge, message, tmp_path, capsys, monkeypatch):
+        """A message of None: the forms are well formed and the check fails
+        without one.  A forged order is refused by the witness's degree, so
+        replay never expands f^order: the spy on powers refuses large ones."""
         path = tmp_path / "t.json"
         argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
         assert main([*argv, "--out", str(path)]) == 0
@@ -458,10 +472,24 @@ class TestReplayRefusesForgeries:
         forge(t_cert)
         path.write_text(json.dumps(report))
         capsys.readouterr()
+        powers = []
+        power = Polynomial.__pow__
+
+        def spy(self, n):
+            powers.append(n)
+            if n > 1000:
+                raise AssertionError(f"f^{n} expanded")
+            return power(self, n)
+
+        monkeypatch.setattr(Polynomial, "__pow__", spy)
         assert main([*argv, "--verify", str(path)]) == 3
+        assert all(n < 10**6 for n in powers)
         captured = capsys.readouterr()
         assert captured.out == "verified 1/2 certificates\n"
-        assert message in captured.err and len(captured.err.splitlines()) == 1
+        if message is None:
+            assert captured.err == ""
+        else:
+            assert message in captured.err and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "forge",

@@ -354,6 +354,13 @@ class TestTorsion:
         bad = TorsionCertificate("t", cert.order + 1, cert.witness)
         assert not bad.verify(cls)
 
+    def test_zero_class_certificate_needs_no_power_of_f(self):
+        zero = CohomologyClass(BP, 3, DifferentialForm.zero(3, 3), weight=F(1))
+        cert = torsion_order_t(zero, 4)
+        assert (cert.kind, cert.order) == ("t", 1) and cert.verify(zero)
+        # the zero target has no degree to bound the witness by, and is never expanded
+        assert TorsionCertificate("t", 10**6, cert.witness).verify(zero)
+
     def test_degree_one_always_free(self):
         for p in (BP, problem_from_strings(["x", "y"], ["3", "2"], "x^2+y^3")):
             cls = CohomologyClass(p, 1, differential(p.f))

@@ -1,8 +1,10 @@
-"""Property tests: identities of the form calculus and the parser round trip.
+"""Property tests: identities of the form calculus, the parser round trip and
+the Gauss-Manin data of an exponent multiset.
 
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,14 @@ from brieskorn.engine import (  # noqa: E402
     wedge_tuples,
 )
 from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential  # noqa: E402
-from brieskorn.poly import Polynomial, iter_monomials_of_weight, monomial_weight, parse_polynomial  # noqa: E402
+from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
+from brieskorn.poly import (  # noqa: E402
+    Polynomial,
+    format_rational,
+    iter_monomials_of_weight,
+    monomial_weight,
+    parse_polynomial,
+)
 
 NVARS = 3
 VARIABLES = ["x", "y", "z"]
@@ -171,3 +180,22 @@ def test_the_key_is_constant_on_cosets_of_the_exponent_difference_lattice(proble
     ]
     moved = [a + b for a, b in zip(v, lattice_vector)]
     assert problem.key((), moved) == problem.key((), v)
+
+
+@bounded
+@given(st.lists(st.one_of(st.just(Fraction(-1)), st.integers(-3, 3).map(Fraction), rationals), max_size=12))
+def test_gm_data_are_functions_of_the_exponent_multiset(alphas):
+    # the pieces as gm_model.from_brieskorn builds them from its exponents
+    pieces = sorted(Counter(alphas).items())
+    psi, phi = psi_phi(pieces)
+    for window, inside in [(psi, lambda a: -1 < a <= 0), (phi, lambda a: -1 <= a < 0)]:
+        window_alphas = [a for a, _d in window]
+        assert window_alphas == sorted(set(window_alphas))
+        assert sum(d for _a, d in window) == len(alphas)
+        assert all(inside(a) and d > 0 for a, d in window)
+        # each window exponent is some exponent of the multiset reduced mod 1
+        assert all(any((a - b).denominator == 1 for b in alphas) for a in window_alphas)
+    for piece, (a, d) in zip(serialize(pieces), pieces, strict=True):
+        assert (piece["alpha"], piece["dim"]) == (format_rational(a), d)
+        assert len(piece["nilpotent"]) == d and all(row == ["0"] * d for row in piece["nilpotent"])
+    assert can_surjective(pieces) == (Fraction(-1) not in alphas)
