@@ -78,6 +78,18 @@ class TestPsiPhi:
         assert all(F(-1) < a <= 0 for a, _d in psi)
         assert all(F(-1) <= a < 0 for a, _d in phi)
 
+    def test_congruent_exponents_merge(self):
+        # -1/2, 1/2 and 3/2 agree mod 1: one window piece carrying all their dims
+        psi, phi = psi_phi([(F(-1, 2), 1), (F(1, 3), 4), (F(1, 2), 2), (F(3, 2), 3)])
+        assert psi == [(F(-2, 3), 4), (F(-1, 2), 6)]
+        assert phi == [(F(-2, 3), 4), (F(-1, 2), 6)]
+
+    def test_integral_exponents_land_on_the_closed_ends(self):
+        # the unipotent part: psi keeps 0 in (-1, 0], phi keeps -1 in [-1, 0)
+        psi, phi = psi_phi([(F(-1), 1), (F(0), 2), (F(1), 3)])
+        assert psi == [(F(0), 6)]
+        assert phi == [(F(-1), 6)]
+
 
 class TestCanMap:
     def test_a1_identity_on_fractional_piece(self):
