@@ -523,8 +523,14 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
             pf, pg = sources
             k = _count(cert["k"], "k")
             cls_f = _class_from_payload(pf.problem, cert["f_class"])
-            combined, target = thom_sebastiani.vanishing_target(cls_f, pg.problem, k)
-            if form_from_payload(cert["target"], combined.variables, target.degree) != target:
+            target = form_from_payload(cert["target"], pf.problem.variables + pg.problem.variables, cls_f.i + 1)
+            # f and g share no variable, so the top degrees add; comparing them
+            # refuses a forged k before g^k is expanded
+            top = cls_f.representative.total_degree_cap() + (k + 1) * pg.problem.f.total_degree() - 1
+            combined = None
+            if target.total_degree_cap() == top:
+                combined, expected = thom_sebastiani.vanishing_target(cls_f, pg.problem, k)
+            if combined is None or target != expected:
                 print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
                 return False
             eta = form_from_payload(cert["eta"], combined.variables, target.degree - 1)

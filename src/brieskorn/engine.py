@@ -424,10 +424,11 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
     for wedge, exp in space.items:
         # x^exp dx_wedge, unvalidated: the space's items are valid by construction
         coeff = Polynomial.__new__(Polynomial)
-        coeff.nvars, coeff.terms, coeff._hash = nv, {exp: ONE}, None
+        coeff.nvars, coeff.terms, coeff._hash, coeff._partials = nv, {exp: ONE}, None, None
         form = DifferentialForm.__new__(DifferentialForm)
         form.nvars, form.degree, form.coeffs = nv, space.i, {wedge: coeff}
-        images.append(_form_entries(df_wedge(f, form)))
+        image = df_wedge(f, form)
+        images.append([((w, e), c) for w, poly in image.coeffs.items() for e, c in poly.terms.items()])
     return _image_kernel(images)
 
 
@@ -445,7 +446,7 @@ def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
     return out
 
 
-def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list], list[list]]:
+def _monomial_images(f: Polynomial, items: Sequence[tuple], df: bool = True) -> tuple[list[list], list[list]]:
     """Keyed entries of d(beta) and of df wedge beta for every basis form beta.
 
     beta = x^e dx_w runs over items, a list of (w, e) pairs.  Both images
@@ -457,10 +458,11 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list],
     Entries and their order equal _form_entries of
     beta.exterior_derivative() and df_wedge(f, beta): the wedges w + j
     ascend with j, and shifting the (sorted) terms of a partial by e keeps
-    their order.  Keys within one image are distinct.
+    their order.  Keys within one image are distinct.  With df false the df
+    images are left empty.
     """
     nvars = f.nvars
-    partials = partial_terms(f)
+    partials = partial_terms(f) if df else (((), ()),) * nvars
     scalars: dict[int, Fraction] = {}
     d_images, df_images = [], []
     for wedge, exp in items:
@@ -487,9 +489,21 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple]) -> tuple[list[list],
 
 
 def _image_kernel(images: Sequence[Iterable[tuple]]) -> list[linalg.Vec]:
-    """Canonical basis of the combinations of basis forms whose keyed images sum to 0."""
-    img = DynamicIndex()
-    return linalg.nullspace(linalg.transpose([img.vec(entries) for entries in images]), len(images))
+    """Canonical basis of the combinations of basis forms whose keyed images sum to 0.
+
+    Each image holds distinct keys with nonzero coefficients, so each key is
+    one equation row {image index: coeff}.  Row order changes neither the
+    RREF nor the null space.
+    """
+    equations: dict = {}
+    for j, entries in enumerate(images):
+        for key, coeff in entries:
+            row = equations.get(key)
+            if row is None:
+                equations[key] = {j: coeff}
+            else:
+                row[j] = coeff
+    return linalg.nullspace(list(equations.values()), len(images))
 
 
 def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
@@ -526,7 +540,7 @@ class HSlice:
 
     def quotient_complement(self, seed_forms: Iterable[DifferentialForm]):
         """Classes of this slice independent modulo boundaries + seed forms."""
-        ech = _copy_echelon(self._reducer)
+        ech = self._reducer.copy()
         for f in seed_forms:
             ech.add(self.space.vec(f))
         out = []
@@ -534,13 +548,6 @@ class HSlice:
             if ech.add(self.space.vec(cls.representative)):
                 out.append(cls)
         return out
-
-
-def _copy_echelon(e: linalg.Echelon) -> linalg.Echelon:
-    c = linalg.Echelon()
-    c.rows = [dict(r) for r in e.rows]
-    c.pivots = list(e.pivots)
-    return c
 
 
 def _slice_cap(problem: GermProblem, c: Fraction, cap: int | None, least: int = 0) -> int:
@@ -572,7 +579,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
 
     # closed kernel vectors: restrict d to the kernel span
     if i < problem.n and kernel:
-        d_images = [dict(entries) for entries in _monomial_images(problem.f, space.items)[0]]
+        d_images = [dict(entries) for entries in _monomial_images(problem.f, space.items, df=False)[0]]
         combos = _image_kernel([_combine(d_images, v).items() for v in kernel])
         closed = [v for v in (_combine(kernel, combo) for combo in combos) if v]
     else:
@@ -584,14 +591,14 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
         prev = FormSpace(problem, i - 1, c, space.cap + 1)
         prev_kernel = _df_kernel_vectors(problem, prev)
         if prev_kernel:
-            d_prev = _indexed(space.index, _monomial_images(problem.f, prev.items)[0])
+            d_prev = _indexed(space.index, _monomial_images(problem.f, prev.items, df=False)[0])
             for v in prev_kernel:
                 d_img = _combine(d_prev, v)
                 if d_img:
                     reducer.add(d_img)
 
     classes = []
-    ech = _copy_echelon(reducer)
+    ech = reducer.copy()
     for v in closed:
         residue = ech.reduce(v)
         if residue:

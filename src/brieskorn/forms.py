@@ -8,7 +8,6 @@ permutation parity, which fixes every Koszul sign bit-stably.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -324,17 +323,19 @@ def differential(p: Polynomial) -> DifferentialForm:
     return DifferentialForm(p.nvars, 1, coeffs)
 
 
-@functools.lru_cache(maxsize=8)
 def partial_terms(f: Polynomial) -> tuple[tuple[list, list], ...]:
     """Per variable j, the sorted terms of df/dx_j and the same terms negated.
 
-    Shared by every caller, which only reads them.
+    Kept on f itself, so they go with it, and shared by every caller, which
+    only reads them.
     """
-    out = []
-    for j in range(f.nvars):
-        terms = sorted(f.partial_derivative(j).terms.items())
-        out.append((terms, [(exp, -c) for exp, c in terms]))
-    return tuple(out)
+    if f._partials is None:
+        out = []
+        for j in range(f.nvars):
+            terms = sorted(f.partial_derivative(j).terms.items())
+            out.append((terms, [(exp, -c) for exp, c in terms]))
+        f._partials = tuple(out)
+    return f._partials
 
 
 def df_wedge(f: Polynomial, omega: DifferentialForm) -> DifferentialForm:
@@ -376,7 +377,7 @@ def df_wedge(f: Polynomial, omega: DifferentialForm) -> DifferentialForm:
         out = {exp: c for exp, c in out.items() if c}
         if out:
             q = Polynomial.__new__(Polynomial)
-            q.nvars, q.terms, q._hash = nvars, out, None
+            q.nvars, q.terms, q._hash, q._partials = nvars, out, None, None
             coeffs[wedge] = q
     form = DifferentialForm.__new__(DifferentialForm)
     form.nvars, form.degree, form.coeffs = nvars, omega.degree + 1, coeffs

@@ -1,16 +1,16 @@
 """Exact rational linear algebra on sparse vectors.
 
-Vectors are {column index: Fraction} dicts over some enumerated basis; the
-batch row reduction runs in the kernel (see _backend) on primitive integer
-rows, each vector converted once on the way in and each entry once on the
-way out, while the incremental echelon accumulator used for span/quotient
-bookkeeping lives here.  Everything is deterministic: pivot choice,
-iteration order, output order.
+Vectors are {column index: Fraction} dicts over some enumerated basis.  All
+elimination is fraction-free, on integer rows: each vector is converted once
+on the way in and each entry once on the way out.  The batch row reduction
+runs in the kernel (see _backend) on primitive rows [(col, int)]; the
+incremental accumulator Echelon, used for span and quotient bookkeeping,
+keeps a scaled RREF of {col: int} rows here.  Everything is deterministic:
+pivot choice, iteration order, output order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -64,7 +64,8 @@ def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     """
     rows, pivots = rref(equations)
     pivot_set = set(pivots)
-    basis = {free: {free: Fraction(1)} for free in range(ncols) if free not in pivot_set}
+    one = Fraction(1)  # immutable, so one object serves every free column
+    basis = {free: {free: one} for free in range(ncols) if free not in pivot_set}
     # scatter each pivot row into the vectors of the free columns it holds
     for p, row in zip(pivots, rows):
         for c, val in row.items():
@@ -104,60 +105,95 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
 
 
 class Echelon:
-    """Incremental reduced echelon accumulator over Q.
+    """Incremental reduced echelon accumulator over Q, on integer rows.
 
-    add() returns True when the vector enlarges the span; reduce() returns
-    the canonical residual of a vector modulo the current span.
+    The rows are a scaled RREF, kept by pivot column: each is a primitive
+    integer row {col: int} with a positive entry at its own pivot and no
+    entry in any other pivot column.  Rows are replaced, never changed in
+    place, so copy() shares them.  add() returns True when the vector
+    enlarges the span; reduce() returns the canonical residual of a vector
+    modulo the current span, the one congruent vector with no entry in a
+    pivot column.
     """
 
     def __init__(self):
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self._rows)
+
+    def copy(self) -> "Echelon":
+        c = Echelon()
+        c._rows = dict(self._rows)
+        return c
+
+    def _residual(self, vec: Vec) -> tuple[int, dict[int, int]]:
+        """(scale, ints) with ints / scale the residual of vec.
+
+        Clearing a pivot brings in no other pivot column, so only the pivots
+        in vec's support are looked up, in any order.
+        """
+        scale = 1
+        for v in vec.values():
+            d = v.denominator
+            if d != 1:
+                scale = scale * d // gcd(scale, d)
+        out = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
+        rows = self._rows
+        for p in [c for c in out if c in rows]:
+            m, out = _clear(out, rows[p], p)
+            scale *= m
+        return scale, out
 
     def reduce(self, vec: Vec) -> Vec:
-        out = {c: v for c, v in vec.items() if v}
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if not c:
-                continue
-            for col, val in row.items():
-                s = out.get(col)
-                s = -(c * val) if s is None else s - c * val
-                if s:
-                    out[col] = s
-                else:
-                    out.pop(col, None)
-        return out
+        scale, out = self._residual(vec)
+        return {c: Fraction(n, scale) for c, n in out.items()}
 
     def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
+        return not self._residual(vec)[1]
 
     def add(self, vec: Vec) -> bool:
-        r = self.reduce(vec)
+        _scale, r = self._residual(vec)
         if not r:
             return False
         pivot = min(r)
-        inv = 1 / r[pivot]
-        row = {c: v * inv for c, v in r.items()}
+        row = _primitive(r, r[pivot])
         # Jordan step: clear the new pivot column from existing rows
-        for i, existing in enumerate(self.rows):
-            c = existing.get(pivot)
-            if not c:
-                continue
-            updated = dict(existing)
-            for col, val in row.items():
-                s = updated.get(col)
-                s = -(c * val) if s is None else s - c * val
-                if s:
-                    updated[col] = s
-                else:
-                    updated.pop(col, None)
-            self.rows[i] = updated
-        at = bisect_left(self.pivots, pivot)
-        self.pivots.insert(at, pivot)
-        self.rows.insert(at, row)
+        for p, existing in list(self._rows.items()):
+            if pivot in existing:
+                self._rows[p] = _primitive(_clear(dict(existing), row, pivot)[1], 1)
+        self._rows[pivot] = row
         return True
+
+
+def _clear(ints: dict[int, int], row: dict[int, int], p: int) -> tuple[int, dict[int, int]]:
+    """(m, m * ints - q * row) for the least m > 0 that clears column p of
+    ints (row[p] > 0); ints itself is changed when m is 1."""
+    g = gcd(ints[p], row[p])
+    m, q = row[p] // g, ints[p] // g
+    if m != 1:
+        ints = {c: n * m for c, n in ints.items()}
+    for c, n in row.items():
+        s = ints.get(c, 0) - q * n
+        if s:
+            ints[c] = s
+        else:
+            del ints[c]
+    return m, ints
+
+
+def _primitive(ints: dict[int, int], sign: int) -> dict[int, int]:
+    """ints divided by their content, negated when sign is negative."""
+    g = 0
+    for n in ints.values():
+        g = gcd(g, n)
+        if g == 1:
+            break
+    if sign < 0:
+        g = -g
+    return ints if g == 1 else {c: n // g for c, n in ints.items()}

@@ -257,6 +257,7 @@ def integrate_series(u: TruncatedSeries) -> TruncatedSeries:
     """
     out = [Fraction(0)] * (u.cap + 1)
     for k in range(u.cap):
-        out[k + 1] = u.coeffs[k] / (k + 1)
+        if u.coeffs[k]:
+            out[k + 1] = u.coeffs[k] / (k + 1)
     lost = 1 if u.coeffs[u.cap] else 0
     return TruncatedSeries(out, u.cap, u.shrunk + lost)

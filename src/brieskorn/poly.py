@@ -46,7 +46,8 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    # _hash and _partials (forms.partial_terms) are filled on first use
+    __slots__ = ("nvars", "terms", "_hash", "_partials")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         self.nvars = nvars
@@ -59,7 +60,7 @@ class Polynomial:
                 if c:
                     clean[exp] = c
         self.terms = clean
-        self._hash = None
+        self._hash = self._partials = None
 
     # -- constructors ---------------------------------------------------
 
@@ -142,7 +143,7 @@ class Polynomial:
             else:
                 out.pop(exp, None)
         p = Polynomial.__new__(Polynomial)
-        p.nvars, p.terms, p._hash = self.nvars, out, None
+        p.nvars, p.terms, p._hash, p._partials = self.nvars, out, None, None
         return p
 
     __radd__ = __add__
@@ -151,7 +152,7 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         p.nvars = self.nvars
         p.terms = {e: -c for e, c in self.terms.items()}
-        p._hash = None
+        p._hash = p._partials = None
         return p
 
     def __sub__(self, other) -> "Polynomial":
@@ -172,7 +173,7 @@ class Polynomial:
             p = Polynomial.__new__(Polynomial)
             p.nvars = self.nvars
             p.terms = {e: k * c for e, k in self.terms.items()}
-            p._hash = None
+            p._hash = p._partials = None
             return p
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -187,7 +188,7 @@ class Polynomial:
                 else:
                     out.pop(exp, None)
         p = Polynomial.__new__(Polynomial)
-        p.nvars, p.terms, p._hash = self.nvars, out, None
+        p.nvars, p.terms, p._hash, p._partials = self.nvars, out, None, None
         return p
 
     __rmul__ = __mul__

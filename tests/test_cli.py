@@ -525,14 +525,18 @@ class TestReplayRefusesForgeries:
             (lambda c: c["eta"].extend(c["eta"]), None),
             (lambda c: c.update(eta=[], target=[]), "vanishing target is not f_class wedge g^k dg"),
             (lambda c: c.update(k=99), "vanishing target is not f_class wedge g^k dg"),
+            (lambda c: c.update(k=10**6), "vanishing target is not f_class wedge g^k dg"),
             (lambda c: c.update(k=-1), "certificate error: k must be a non-negative integer, got -1"),
             (lambda c: c.update(k=True), "certificate error: k must be a non-negative integer, got True"),
             (lambda c: c["f_class"].update(form=[]), "certificate error: zero representative needs an explicit weight"),
             (lambda c: c["f_class"].update(weight="99"), "certificate error: class weight is '99', but the class has '5'"),
         ],
-        ids=["double-eta", "empty-eta-and-target", "k-99", "k-negative", "k-bool", "f-class-zero", "f-class-weight"],
+        ids=["double-eta", "empty-eta-and-target", "k-99", "k-million", "k-negative", "k-bool", "f-class-zero",
+             "f-class-weight"],
     )
-    def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys):
+    def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys, monkeypatch):
+        """A forged k is refused by the target's degree, so replay never
+        expands g^k: the spy on powers refuses large ones."""
         path = tmp_path / "ts.json"
         argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
         assert main([*argv, "--out", str(path)]) == 0
@@ -543,7 +547,18 @@ class TestReplayRefusesForgeries:
             forge(cert)
         path.write_text(json.dumps(report))
         capsys.readouterr()
+        powers = []
+        power = Polynomial.__pow__
+
+        def spy(self, n):
+            powers.append(n)
+            if n > 1000:
+                raise AssertionError(f"g^{n} expanded")
+            return power(self, n)
+
+        monkeypatch.setattr(Polynomial, "__pow__", spy)
         assert main([*argv, "--verify", str(path)]) == 3
+        assert all(n < 10**6 for n in powers)
         captured = capsys.readouterr()
         assert captured.out == f"verified 0/{n} certificates\n"
         assert captured.err.splitlines() == ([] if message is None else [f"verify: {message}"] * n)
@@ -687,6 +702,22 @@ class TestRepeatedCalls:
         for argv in self.SEQUENCE:
             self.call(argv, capsys)
         assert built == []
+
+    def test_a_second_spectrum_compares_no_polynomials(self, monkeypatch, capsys):
+        """The partials of f are kept on f itself, so no cache shared across
+        calls compares the germ of a new command with an equal earlier one."""
+        argv = ["spectrum", prob("cusp.json")]
+        first = self.call(argv, capsys)
+        compared = []
+        eq = Polynomial.__eq__
+
+        def spy(self, other):
+            compared.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(Polynomial, "__eq__", spy)
+        assert self.call(argv, capsys) == first
+        assert compared == []
 
     def test_import_builds_no_parser(self):
         """A fresh process, so the check does not depend on what pytest imported first."""

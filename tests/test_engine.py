@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from fraction_echelon import FractionEchelon
 
 from brieskorn import engine, linalg, thom_sebastiani
 from brieskorn.engine import (
@@ -136,7 +137,8 @@ class TestSlices:
 def h_slice_reference(problem, i, c, cap):
     """(classes, reducer) of the weight-c slice of H^i with d taken through
     the DifferentialForm operators: FormSpace.form, exterior_derivative and
-    FormSpace.vec of every kernel vector."""
+    FormSpace.vec of every kernel vector, and the boundaries reduced by the
+    Fraction reference echelon."""
     space = engine.FormSpace(problem, i, c, cap)
     kernel = engine._df_kernel_vectors(problem, space)
     closed = kernel
@@ -145,16 +147,18 @@ def h_slice_reference(problem, i, c, cap):
         columns = [img.vec(engine._form_entries(space.form(v).exterior_derivative())) for v in kernel]
         combos = linalg.nullspace(linalg.transpose(columns), len(kernel))
         closed = [v for v in (engine._combine(kernel, combo) for combo in combos) if v]
-    reducer = linalg.Echelon()
+    boundaries = []
     if i >= 1:
         prev = engine.FormSpace(problem, i - 1, c, cap + 1)
         for v in engine._df_kernel_vectors(problem, prev):
             d_img = prev.form(v).exterior_derivative()
             if d_img:
-                reducer.add(space.vec(d_img))
+                boundaries.append(space.vec(d_img))
+    reducer, ech = FractionEchelon(), FractionEchelon()
+    for b in boundaries:
+        reducer.add(b)
+        ech.add(b)
     classes = []
-    ech = linalg.Echelon()
-    ech.rows, ech.pivots = [dict(r) for r in reducer.rows], list(reducer.pivots)
     for v in closed:
         residue = ech.reduce(v)
         if residue:

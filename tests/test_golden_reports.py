@@ -1,10 +1,11 @@
 """Golden diff: reports of the benchmark's commands stay byte-identical.
 
 The benchmark (perfbench/) records the exit code and report sha256 of every
-command it runs in perfbench/golden.json.  This test builds the corpus-cli
-and torsion-barlet35 workloads with the shipped variable names, runs each
-command through cli.main and compares against that file, which it only
-reads.
+command it runs in perfbench/golden.json.  This test builds the corpus-cli,
+torsion-barlet35 and spectrum-bp workloads with the shipped variable names,
+runs each command through cli.main and compares against that file, which it
+only reads.  Each spectrum report of a Brieskorn-Pham germ is also checked
+against the closed forms (run.spectrum_oracle).
 """
 
 import json
@@ -30,9 +31,12 @@ TORSION_CLASSES = ("1", "z", "z^2", "x*y", "x^2*y^3*z^2")
 def test_reports_match_the_recorded_golden(tmp_path, monkeypatch, capsys):
     corpus = workloads.build("corpus-cli", 0, str(tmp_path / "corpus"), ROOT, names_index=0)
     torsion = workloads.build("torsion-barlet35", 0, str(tmp_path / "torsion"), ROOT, names_index=0)
+    spectra = workloads.build("spectrum-bp", 0, str(tmp_path / "spectra"), ROOT, names_index=0)
     assert sorted(c.argv[3] for c in torsion.commands) == sorted(TORSION_CLASSES)
-    digests = {p: run.file_sha256(p) for p in corpus.problems + torsion.problems}
-    for i, cmd in enumerate(corpus.commands + torsion.commands):
+    assert len(spectra.commands) == 2
+    digests = {p: run.file_sha256(p) for p in corpus.problems + torsion.problems + spectra.problems}
+    oracles = 0
+    for i, cmd in enumerate(corpus.commands + torsion.commands + spectra.commands):
         # every command starts with the process-global Groebner cache empty
         monkeypatch.setattr(groebner, "_cache", type(groebner._cache)())
         key = run.command_key(cmd.argv, digests)
@@ -43,4 +47,9 @@ def test_reports_match_the_recorded_golden(tmp_path, monkeypatch, capsys):
             assert not report.exists(), key
         else:
             assert run.file_sha256(str(report)) == expected["report_sha256"], key
+        if cmd.oracle is not None:
+            oracles += 1
+            assert run.spectrum_oracle(json.loads(report.read_text()), cmd.oracle) is None, key
+    # spectrum on a1, cusp, x3y3, smooth and on both generated germs
+    assert oracles == 6
     capsys.readouterr()

@@ -1,5 +1,6 @@
-"""Property tests: identities of the form calculus, the parser round trip and
-the Gauss-Manin data of an exponent multiset.
+"""Property tests: identities of the form calculus, the parser round trip,
+the Gauss-Manin data of an exponent multiset and the integer echelon
+accumulator against its Fraction reference.
 
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
@@ -12,7 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from fraction_echelon import FractionEchelon  # noqa: E402
 
+from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     GermProblem,
     _monomial_images,
@@ -199,3 +202,42 @@ def test_gm_data_are_functions_of_the_exponent_multiset(alphas):
         assert (piece["alpha"], piece["dim"]) == (format_rational(a), d)
         assert len(piece["nilpotent"]) == d and all(row == ["0"] * d for row in piece["nilpotent"])
     assert can_surjective(pieces) == (Fraction(-1) not in alphas)
+
+
+# non-unit denominators and both signs, so leads are negative as often as not
+sparse_vectors = st.dictionaries(
+    st.integers(0, 7), st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)), max_size=5
+)
+
+
+@st.composite
+def vector_sequences(draw):
+    """Sparse rational vectors, about half of them combinations of earlier ones."""
+    vectors = []
+    for _ in range(draw(st.integers(1, 10))):
+        if vectors and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            x, y = draw(rationals), draw(rationals)
+            combo = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()}
+            vectors.append({c: v for c, v in combo.items() if v})
+        else:
+            vectors.append(draw(sparse_vectors))
+    return vectors
+
+
+@bounded
+@given(vector_sequences(), st.lists(sparse_vectors, max_size=4))
+def test_echelon_agrees_with_the_fraction_reference(vectors, probes):
+    ech, ref = linalg.Echelon(), FractionEchelon()
+    snapshot = None
+    for k, v in enumerate(vectors):
+        assert ech.add(v) == ref.add(v)
+        assert (ech.rank, ech.pivots) == (ref.rank, ref.pivots)
+        for probe in probes + vectors:
+            residual = ref.reduce(probe)
+            assert ech.reduce(probe) == residual
+            assert ech.contains(probe) == (not residual)
+        if k == len(vectors) // 2:
+            snapshot, at = ech.copy(), (ref.rank, ref.pivots[:], [ref.reduce(p) for p in probes])
+    # adding to the original leaves an earlier copy as it was
+    assert (snapshot.rank, snapshot.pivots, [snapshot.reduce(p) for p in probes]) == at
