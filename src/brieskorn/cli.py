@@ -26,7 +26,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import df_wedge, form_from_payload, volume_form
 from brieskorn.poly import ParseError, format_rational, parse_polynomial
-from brieskorn.problemfile import ProblemFileError, load_problem_file
+from brieskorn.problemfile import _OPTIONS, ProblemFileError, load_problem_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -35,13 +35,14 @@ EXIT_INVARIANT = 3
 
 
 # every argument a subcommand may take: add_argument keywords, and for a
-# bound its least value (None: no least value is checked here)
+# bound its least value (None: no least value is checked here); a search
+# bound has the least value of its problem-file option
 _ARGUMENTS = {
     "problem": ({"help": "problem JSON file"}, None),
     "problem_g": ({"help": "problem JSON file for the second germ"}, None),
-    "--max-degree": ({"type": int, "help": "total-degree cap"}, 0),
-    "--max-t-power": ({"type": int, "help": "t-torsion search depth"}, 1),
-    "--max-s-power": ({"type": int, "help": "s-torsion search depth (micro: s-power cap)"}, 1),
+    "--max-degree": ({"type": int, "help": "total-degree cap"}, _OPTIONS["max_degree"]),
+    "--max-t-power": ({"type": int, "help": "t-torsion search depth"}, _OPTIONS["max_t_power"]),
+    "--max-s-power": ({"type": int, "help": "s-torsion search depth (micro: s-power cap)"}, _OPTIONS["max_s_power"]),
     "--seed": ({"type": int, "default": 0, "help": "sampling seed"}, None),
     "--form-degree": ({"type": int}, None),
     "--monomial": ({"action": "append", "help": "coefficient monomial of the top class (repeatable)"}, None),
@@ -140,15 +141,19 @@ def _torsion_payload(variables, cert_or_not, kind: str):
     }
 
 
+def _search_bounds(args, pf) -> dict:
+    """The three torsion search bounds, each taken from its flag, else (and
+    for a command without the flag) from the problem file."""
+    return {key: _bound(getattr(args, key, None), getattr(pf.options, key)) for key in _OPTIONS}
+
+
 def _torsion_searches(args, pf, classes):
-    """Both torsion searches on each class, each bound taken from its flag,
-    else from the problem file.
+    """Both torsion searches on each class, within _search_bounds.
 
     Returns the bounds and, per class, the class, its t and s payloads, and
     those of the two that carry a certificate.
     """
-    bounds = {key: _bound(getattr(args, key), getattr(pf.options, key))
-              for key in ("max_degree", "max_t_power", "max_s_power")}
+    bounds = _search_bounds(args, pf)
     cap = bounds["max_degree"]
     variables = pf.problem.variables
     rows = []
@@ -438,8 +443,10 @@ def emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def verify_report(path: str, command: str, sources: tuple) -> int:
-    """Replay mode: re-check every certificate embedded in a report."""
+def verify_report(args, sources: tuple) -> int:
+    """Replay mode: re-check every certificate of the report args.verify,
+    within the search bounds args and sources give the command."""
+    path, command = args.verify, args.command
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -464,7 +471,7 @@ def verify_report(path: str, command: str, sources: tuple) -> int:
     total = 0
     for cert in certificates:
         total += 1
-        if not _verify_certificate(cert, sources):
+        if not _verify_certificate(cert, args, sources):
             failures += 1
     print(f"verified {total - failures}/{total} certificates")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
@@ -495,7 +502,7 @@ def _class_from_payload(problem, payload: dict) -> CohomologyClass:
     return cls
 
 
-def _verify_certificate(cert: dict, sources: tuple) -> bool:
+def _verify_certificate(cert: dict, args, sources: tuple) -> bool:
     if not isinstance(cert, dict):
         print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
         return False
@@ -514,7 +521,7 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
             ]
             search = {"t-torsion": "t", "s-torsion": "s"}[cert["kind"]]
             tc = TorsionCertificate(search, _count(cert["order"], "order"), witness)
-            return tc.verify(cls)
+            return tc.verify(cls, max_order=_search_bounds(args, sources[0])["max_t_power"])
         if kind == "kernel-generator":
             problem = sources[0].problem
             degree = _count(cert["form_degree"], "form_degree")
@@ -529,6 +536,8 @@ def _verify_certificate(cert: dict, sources: tuple) -> bool:
             top = cls_f.representative.total_degree_cap() + (k + 1) * pg.problem.f.total_degree() - 1
             combined = None
             if target.total_degree_cap() == top:
+                if k > args.k_max:  # the degree matches, so g^k would be expanded
+                    raise ValueError(f"k {k} is above --k-max {args.k_max}")
                 combined, expected = thom_sebastiani.vanishing_target(cls_f, pg.problem, k)
             if combined is None or target != expected:
                 print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
@@ -551,7 +560,7 @@ def main(argv=None) -> int:
         _check_bounds(args)
         sources = _sources(args)
         if args.verify:
-            return verify_report(args.verify, args.command, sources)
+            return verify_report(args, sources)
         payload, exit_code = _HANDLERS[args.command](args, *sources)
         report = {
             "command": args.command,

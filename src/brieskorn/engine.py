@@ -1,17 +1,18 @@
 """Core engine: kernel-of-df complexes for quasi-homogeneous germs.
 
 For a quasi-homogeneous polynomial f this module computes the subcomplex
-A^i = Ker(df-wedge) of polynomial forms, finite weight slices of its
-d-cohomology H^i, the actions of t (multiplication by f), s = dt^{-1}
-(via the Euler antiderivative) and t*dt on classes, bounded torsion
-searches with re-verifiable certificates, Milnor numbers, f-annihilating
-vector fields and the degreewise torsion-freeness criterion
-d(Ker df) cap Im(df) = Im(df d).
+A^i = Ker(df-wedge) of polynomial forms and its module generators,
+finite weight slices of its d-cohomology H^i, the C{t}-basis and spectrum
+of an isolated germ, bounded t- and s-torsion searches with re-verifiable
+certificates, Milnor numbers and the degreewise torsion-freeness
+criterion d(Ker df) cap Im(df) = Im(df d).
 
-Grading conventions: a form's weight counts dx_i with weight w_i; t raises
-weight by deg(f), d preserves it, and on a weight-c class the residue-type
-operator t*dt acts by c/deg(f) - 1 (the -1 accounting for the df-wedge
-identification of A-classes with relative forms).
+Grading conventions: a form's weight counts dx_i with weight w_i; t
+(multiplication by f) raises weight by deg(f), d preserves it, and on a
+weight-c class the residue-type operator t*dt acts by c/deg(f) - 1 (the -1
+accounting for the df-wedge identification of A-classes with relative
+forms).  The actions of t, s and t*dt themselves are not computed here;
+the test suite's oracles check the reported exponents against them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Iterable, Sequence
 from brieskorn import groebner, linalg
 from brieskorn.forms import (
     DifferentialForm,
-    VectorField,
     df_wedge,
     differential,
     partial_terms,
@@ -40,7 +40,6 @@ from brieskorn.poly import (
     iter_monomials_of_weight,
     lattice_congruences,
     monomial_weight,
-    parse_polynomial,
     weight_vector,
 )
 
@@ -51,10 +50,6 @@ class EngineError(Exception):
 
 class CapExceeded(EngineError):
     """A computation needs a total-degree cap it was not given."""
-
-
-class DegenerateWeight(EngineError):
-    """s-action on a weight-0 class: no homogeneous antiderivative."""
 
 
 class NonIsolatedError(EngineError):
@@ -71,8 +66,8 @@ class InvariantViolation(EngineError):
 class GermProblem:
     """A quasi-homogeneous polynomial germ with its weight data.
 
-    Construction validates quasi-homogeneity (the normalized Euler field is
-    the engine's antiderivative mechanism, so nothing else is accepted).
+    Construction validates quasi-homogeneity: the weight slices, and every
+    computation built on them, need f to be weighted homogeneous.
     """
 
     def __init__(self, variables: Sequence[str], weights, f: Polynomial, name: str | None = None):
@@ -86,10 +81,7 @@ class GermProblem:
             raise ValueError("the zero polynomial is not a germ")
         degree = f.weighted_degree(self.weights)
         if degree is None:
-            raise ValueError(
-                "f is not quasi-homogeneous for the given weights; "
-                "the engine's connection actions need the Euler antiderivative"
-            )
+            raise ValueError("f is not quasi-homogeneous for the given weights")
         if degree == 0:
             raise ValueError("quasi-homogeneity degree must be nonzero")
         self.f = f
@@ -117,23 +109,6 @@ class GermProblem:
     @property
     def jacobian(self) -> list[Polynomial]:
         return [p for p in self.partials if p]
-
-    @property
-    def euler_field(self) -> VectorField:
-        """E = sum w_i x_i d_i, so E(f) = deg(f) * f."""
-        comps = [
-            Polynomial.variable(self.nvars, i) * self.weights[i] for i in range(self.nvars)
-        ]
-        return VectorField(comps)
-
-    @property
-    def xi(self) -> VectorField:
-        """Normalized Euler field, xi(f) = f."""
-        comps = [
-            Polynomial.variable(self.nvars, i) * (self.weights[i] / self.degree)
-            for i in range(self.nvars)
-        ]
-        return VectorField(comps)
 
     def milnor_number(self):
         """Dimension of the Jacobian quotient, or None when non-isolated."""
@@ -219,25 +194,6 @@ class GermProblem:
 _UNSET = object()
 
 
-def problem_from_strings(variables, weight_strings, polynomial_text, name=None) -> GermProblem:
-    f = parse_polynomial(polynomial_text, variables)
-    return GermProblem(variables, weight_strings, f, name=name)
-
-
-def extend_with_inert_variable(problem: GermProblem, var: str, weight) -> GermProblem:
-    """The same f viewed in one more variable (pullback along a projection)."""
-    if var in problem.variables:
-        raise ValueError(f"variable {var!r} already present")
-    nv = problem.nvars + 1
-    f = problem.f.remap_variables(nv, list(range(problem.nvars)))
-    return GermProblem(
-        tuple(problem.variables) + (var,),
-        tuple(problem.weights) + (Fraction(weight),),
-        f,
-        name=problem.name,
-    )
-
-
 # -- cohomology classes -------------------------------------------------------
 
 
@@ -294,46 +250,6 @@ class CohomologyClass:
             f"CohomologyClass(i={self.i}, c={self.weight}, "
             f"{self.representative.serialize(self.problem.variables)})"
         )
-
-
-def t_action(cls: CohomologyClass) -> CohomologyClass:
-    """Multiplication by f (weight goes up by deg f)."""
-    return CohomologyClass(
-        cls.problem,
-        cls.i,
-        cls.representative * cls.problem.f,
-        weight=cls.weight + cls.problem.degree,
-    )
-
-
-def s_action(cls: CohomologyClass) -> CohomologyClass:
-    """dt^{-1} via the Euler antiderivative: df wedge (i_E rep)/c.
-
-    For degree-1 classes the antiderivative is additionally checked to
-    vanish on f^{-1}(0) (radical membership), the canonical choice.
-    """
-    c = cls.weight
-    if c == 0:
-        raise DegenerateWeight("no homogeneous antiderivative at weight 0")
-    problem = cls.problem
-    eta = cls.representative.interior_product(problem.euler_field) * (1 / c)
-    if eta.exterior_derivative() != cls.representative:
-        raise InvariantViolation("Euler antiderivative failed (representative not closed?)")
-    if cls.i == 1:
-        poly = eta.coeffs.get((), Polynomial.zero(problem.nvars))
-        poly = poly - poly.constant_term()
-        if not groebner.is_in_radical(poly, [problem.f]):
-            raise InvariantViolation("degree-1 antiderivative does not vanish on the zero fiber")
-        eta = DifferentialForm.from_polynomial(poly)
-    return CohomologyClass(
-        problem, cls.i, df_wedge(problem.f, eta), weight=c + problem.degree
-    )
-
-
-def tdt_action(cls: CohomologyClass) -> CohomologyClass:
-    """Lie derivative along the normalized Euler field, minus the identity."""
-    rep = cls.representative.lie_derivative(cls.problem.xi) - cls.representative
-    return CohomologyClass(cls.problem, cls.i, rep, weight=cls.weight)
 
 
 # -- ambient slice spaces ------------------------------------------------------
@@ -531,13 +447,6 @@ class HSlice:
     def dim(self) -> int:
         return len(self.classes)
 
-    def reduce(self, form: DifferentialForm) -> linalg.Vec:
-        """Canonical coordinates of a form modulo the boundary space."""
-        return self._reducer.reduce(self.space.vec(form))
-
-    def contains_boundary(self, form: DifferentialForm) -> bool:
-        return not self.reduce(form)
-
     def quotient_complement(self, seed_forms: Iterable[DifferentialForm]):
         """Classes of this slice independent modulo boundaries + seed forms."""
         ech = self._reducer.copy()
@@ -688,7 +597,10 @@ class TorsionCertificate:
     order: int
     witness: list[DifferentialForm]
 
-    def verify(self, cls: CohomologyClass) -> bool:
+    def verify(self, cls: CohomologyClass, max_order: int | None = None) -> bool:
+        """The certificate's identity on cls.  A t-certificate whose witness
+        passes the degree check but whose order is above max_order is refused
+        with a ValueError, before f^order is expanded."""
         f, rep = cls.problem.f, cls.representative
         if self.kind == "t":
             # d lowers coefficient degree by at least one and f^p * rep has degree
@@ -697,6 +609,8 @@ class TorsionCertificate:
             top = max((w.total_degree_cap() for w in self.witness), default=-1)
             if not rep.is_zero and top <= rep.total_degree_cap() + self.order * f.total_degree():
                 return False
+            if max_order is not None and self.order > max_order:
+                raise ValueError(f"t-order {self.order} is above the search bound {max_order}")
             target, length = (rep if rep.is_zero else rep * f**self.order), 1
         elif self.kind == "s":
             target, length = rep, self.order
@@ -895,17 +809,7 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     return NotFoundWithin(r_max, not problem.positive_weights)
 
 
-def class_is_boundary(cls: CohomologyClass, cap: int | None = None) -> bool:
-    """Exactness test for the representative in its own weight slice."""
-    sl = h_slice(cls.problem, cls.i, cls.weight, cap)
-    return sl.contains_boundary(cls.representative)
-
-
 # -- Milnor data and the C{t} basis --------------------------------------------
-
-
-def milnor_number(problem: GermProblem):
-    return problem.milnor_number()
 
 
 @dataclass
@@ -972,36 +876,6 @@ def _monomial_weights(weights: Sequence[Fraction], bound: Fraction) -> set[Fract
 def spectrum(problem: GermProblem, reduced: bool = True) -> list[Fraction]:
     """Sorted multiset of t*dt eigenvalues on the C{t}-basis classes."""
     return sorted(item.exponent for item in ct_basis(problem, reduced=reduced))
-
-
-# -- vector fields annihilating f ------------------------------------------------
-
-
-def theta_f(problem: GermProblem, degree_bound: int) -> list[VectorField]:
-    """Generators of {xi : xi(f) = 0} with components of degree <= bound.
-
-    The full syzygy generating set of the partials is computed; the bound
-    only filters the reported generators.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be >= 1")
-    syz = groebner.syzygies(list(problem.partials))
-    fields = []
-    for vec in syz.generators:
-        if max((p.total_degree() for p in vec), default=-1) <= degree_bound:
-            fields.append(VectorField(vec))
-    return fields
-
-
-def delta_at_origin(problem: GermProblem) -> int:
-    """Rank of the constant parts of Theta_f at the origin."""
-    syz = groebner.syzygies(list(problem.partials))
-    ech = linalg.Echelon()
-    for vec in syz.generators:
-        v = {i: p.constant_term() for i, p in enumerate(vec) if p.constant_term()}
-        if v:
-            ech.add(v)
-    return ech.rank
 
 
 # -- condition (P'): degreewise torsion-freeness criterion -----------------------
@@ -1081,23 +955,3 @@ def sample_top_classes(
         out.append(CohomologyClass(problem, problem.n, rep))
     return out
 
-
-def random_kernel_elements(
-    problem: GermProblem, i: int, count: int, seed: int, degree_bound: int = 4
-) -> list[DifferentialForm]:
-    """Random polynomial combinations of the A^i module generators."""
-    gens = kernel_generator_forms(problem, i)
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count and gens:
-        form = DifferentialForm.zero(problem.nvars, i)
-        for g in gens:
-            if rng.random() < 0.5:
-                continue
-            exp = tuple(rng.randint(0, degree_bound) for _ in range(problem.nvars))
-            coeff = Fraction(rng.randint(-3, 3))
-            if coeff:
-                form = form + g * Polynomial.monomial(problem.nvars, exp, coeff)
-        if form:
-            out.append(form)
-    return out

@@ -1,5 +1,5 @@
 """Polynomial differential forms and the operators the engine composes:
-exterior derivative, df-wedge, interior product, Lie derivative.
+exterior derivative, wedge and df-wedge.
 
 A degree-i form stores Polynomial coefficients against strictly increasing
 wedge index tuples.  Wedging arbitrary tuples sorts them and tracks the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from brieskorn.poly import Polynomial, format_rational, monomial_weight, parse_rational
 
@@ -63,10 +63,6 @@ class DifferentialForm:
     @classmethod
     def zero(cls, nvars: int, degree: int) -> "DifferentialForm":
         return cls(nvars, degree)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "DifferentialForm":
-        return cls(p.nvars, 0, {(): p})
 
     @classmethod
     def monomial_form(cls, nvars: int, wedge: Sequence[int], poly: Polynomial):
@@ -185,38 +181,6 @@ class DifferentialForm:
         f.nvars, f.degree, f.coeffs = self.nvars, self.degree + 1, out
         return f
 
-    def interior_product(self, field: "VectorField") -> "DifferentialForm":
-        """Contraction with a vector field; zero form on degree-0 input."""
-        if self.degree == 0:
-            return DifferentialForm.zero(self.nvars, 0)
-        out: dict[WedgeIndex, Polynomial] = {}
-        for w, p in self.coeffs.items():
-            for pos, idx in enumerate(w):
-                comp = field.components[idx]
-                if not comp:
-                    continue
-                q = p * comp
-                if pos % 2:
-                    q = -q
-                nw = w[:pos] + w[pos + 1 :]
-                s = out.get(nw)
-                s = q if s is None else s + q
-                if s:
-                    out[nw] = s
-                else:
-                    out.pop(nw, None)
-        f = DifferentialForm.__new__(DifferentialForm)
-        f.nvars, f.degree, f.coeffs = self.nvars, self.degree - 1, out
-        return f
-
-    def lie_derivative(self, field: "VectorField") -> "DifferentialForm":
-        """Cartan's formula: L_v = d(i_v .) + i_v(d .)."""
-        b = self.exterior_derivative().interior_product(field)
-        if self.degree == 0:
-            return b
-        a = self.interior_product(field).exterior_derivative()
-        return a + b
-
     # -- grading ----------------------------------------------------------------
 
     def weighted_degree(self, weights: Sequence[Fraction]):
@@ -269,48 +233,6 @@ class DifferentialForm:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"DifferentialForm({self.serialize(names)})"
-
-
-class VectorField:
-    """Polynomial vector field, one component per coordinate."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[Polynomial]):
-        self.components = tuple(components)
-        if not self.components:
-            raise ValueError("vector field needs at least one component")
-        n = self.components[0].nvars
-        if any(p.nvars != n for p in self.components):
-            raise ValueError("components from different rings")
-        if len(self.components) != n:
-            raise ValueError("component count must equal variable count")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.components)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Directional derivative of a polynomial."""
-        out = Polynomial.zero(p.nvars)
-        for i, comp in enumerate(self.components):
-            if comp:
-                out = out + comp * p.partial_derivative(i)
-        return out
-
-    def serialize(self, variables: Sequence[str]) -> str:
-        chunks = []
-        for i, p in enumerate(self.components):
-            if p:
-                body = p.serialize(variables)
-                if len(p) > 1:
-                    body = f"({body})"
-                chunks.append(f"{body}*d/d{variables[i]}")
-        return " + ".join(chunks) if chunks else "0"
-
-    def __repr__(self):
-        names = [f"x{i}" for i in range(self.nvars)]
-        return f"VectorField({self.serialize(names)})"
 
 
 def differential(p: Polynomial) -> DifferentialForm:

@@ -190,12 +190,6 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _from_flat(_backend.normal_form(_to_flat(p), flats), p.nvars)
 
 
-def ideal_member(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
-    if p.is_zero:
-        return True
-    return normal_form(p, groebner_basis(gens)).is_zero
-
-
 def quotient_dimension(gens: Sequence[Polynomial]):
     """Q-dimension of the polynomial ring modulo (gens): an int or INFINITE."""
     std = standard_monomials(gens)
@@ -238,20 +232,6 @@ def standard_monomials(gens: Sequence[Polynomial]):
     return out
 
 
-def is_in_radical(p: Polynomial, gens: Sequence[Polynomial]) -> bool:
-    """Rabinowitsch trick: p in rad(gens) iff 1 in (gens, 1 - u*p)."""
-    if p.is_zero:
-        return True
-    nvars = p.nvars
-    big = nvars + 1
-    lift = list(range(nvars))
-    u = Polynomial.variable(big, nvars)
-    work = [g.remap_variables(big, lift) for g in gens if g]
-    work.append(Polynomial.constant(big, 1) - u * p.remap_variables(big, lift))
-    gb = groebner_basis(work)
-    return len(gb) == 1 and gb[0] == 1
-
-
 # -- submodules of free modules -----------------------------------------------
 
 
@@ -271,26 +251,6 @@ class SubmoduleOfFree:
 def module_groebner_flat(vectors: Sequence[Sequence[Polynomial]]):
     flats = [f for f in (_vector_to_flat(v) for v in vectors) if f]
     return _interreduce(_buchberger(flats, use_product_criterion=False))
-
-
-def module_normal_form_flat(vec, gb_flat):
-    return _backend.normal_form(_vector_to_flat(vec), gb_flat)
-
-
-def module_member(vec: Sequence[Polynomial], module: SubmoduleOfFree) -> bool:
-    if all(p.is_zero for p in vec):
-        return True
-    gb = module_groebner_flat(module.generators)
-    return not module_normal_form_flat(vec, gb)
-
-
-def modules_equal(a: SubmoduleOfFree, b: SubmoduleOfFree) -> bool:
-    """Mutual membership of generators (span equality)."""
-    if a.ambient_rank != b.ambient_rank:
-        return False
-    return all(module_member(v, b) for v in a.generators) and all(
-        module_member(v, a) for v in b.generators
-    )
 
 
 def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
@@ -321,7 +281,3 @@ def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
     gens.sort(key=lambda v: tuple(sorted(p.terms) for p in v))
     return SubmoduleOfFree(n, gens)
 
-
-def syzygies(polys: Sequence[Polynomial]) -> SubmoduleOfFree:
-    """Relations sum_j v_j * polys_j = 0."""
-    return module_kernel([list(polys)])

@@ -119,14 +119,6 @@ class Echelon:
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
     def copy(self) -> "Echelon":
         c = Echelon()
         c._rows = dict(self._rows)
@@ -153,9 +145,6 @@ class Echelon:
     def reduce(self, vec: Vec) -> Vec:
         scale, out = self._residual(vec)
         return {c: Fraction(n, scale) for c, n in out.items()}
-
-    def contains(self, vec: Vec) -> bool:
-        return not self._residual(vec)[1]
 
     def add(self, vec: Vec) -> bool:
         _scale, r = self._residual(vec)

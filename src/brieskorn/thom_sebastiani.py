@@ -1,9 +1,9 @@
-"""External products of classes for sums f + g in disjoint variables.
+"""Sums f + g of germs in disjoint variables (Thom-Sebastiani).
 
-The product of classes is wedge of representatives; on eigenclasses the
-residue exponents add as alpha_f + alpha_g + 1.  For isolated operands the
-rank and exponent multiset of the sum germ are compared against mu(f)
-copies of the reduced spectrum of g shifted by each f-exponent + 1.
+For isolated operands the rank and exponent multiset of the sum germ are
+compared against mu(f) copies of the reduced spectrum of g shifted by each
+f-exponent + 1.  The form rep_f wedge g^k dg on the sum germ is shown exact
+in its kernel complex by a certificate.
 """
 
 from __future__ import annotations
@@ -54,23 +54,6 @@ def lift_form(form: DifferentialForm, offset: int, nv: int) -> DifferentialForm:
             nv, list(range(offset, offset + poly.nvars))
         )
     return DifferentialForm(nv, form.degree, coeffs)
-
-
-def external_product(cls_f: CohomologyClass, cls_g: CohomologyClass) -> CohomologyClass:
-    """Class of (rep_f wedge rep_g) on the sum germ.
-
-    The first operand must be closed and df-killed with positive degree
-    (its class invariants guarantee that); the product's residue exponent
-    is alpha_f + alpha_g + 1.
-    """
-    pf, pg = cls_f.problem, cls_g.problem
-    if cls_f.i == 0:
-        raise ValueError("first operand must have positive degree")
-    combined = combined_problem(pf, pg)
-    nv = combined.nvars
-    wf = lift_form(cls_f.representative, 0, nv)
-    wg = lift_form(cls_g.representative, pf.nvars, nv)
-    return CohomologyClass(combined, cls_f.i + cls_g.i, wf.wedge(wg))
 
 
 def vanishing_target(cls_f: CohomologyClass, pg: GermProblem, k: int):
@@ -158,22 +141,3 @@ def ts_compare(pf: GermProblem, pg: GermProblem) -> TSReport:
         exponents_equal=left == right,
     )
 
-
-def eigenvalue_additivity_check(cls_f: CohomologyClass, cls_g: CohomologyClass) -> bool:
-    """alpha_h = alpha_f + alpha_g + 1 on the external product."""
-    prod = external_product(cls_f, cls_g)
-    return prod.tdt_eigenvalue() == cls_f.tdt_eigenvalue() + cls_g.tdt_eigenvalue() + 1
-
-
-def t_compatibility_check(cls_f: CohomologyClass, cls_g: CohomologyClass) -> bool:
-    """h * (w_f wedge w_g) = (f w_f) wedge w_g + w_f wedge (g w_g) exactly."""
-    pf, pg = cls_f.problem, cls_g.problem
-    combined = combined_problem(pf, pg)
-    nv = combined.nvars
-    wf = lift_form(cls_f.representative, 0, nv)
-    wg = lift_form(cls_g.representative, pf.nvars, nv)
-    f_lift = pf.f.remap_variables(nv, list(range(pf.nvars)))
-    g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-    lhs = wf.wedge(wg) * combined.f
-    rhs = (wf * f_lift).wedge(wg) + wf.wedge(wg * g_lift)
-    return lhs == rhs

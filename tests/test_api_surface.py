@@ -1,0 +1,73 @@
+"""No API without a caller: every definition in src/brieskorn is referenced
+somewhere in src/brieskorn outside its own body.
+
+The check is name-based.  A definition counts as referenced when its name
+occurs as an ast.Name or as the attribute of an ast.Attribute anywhere in the
+package outside the definition itself, whatever that occurrence refers to.
+So a definition whose name another definition also uses (a module function
+milnor_number next to the method GermProblem.milnor_number, say) escapes the
+check.  Dunders are exempt, and so are methods that override an attribute of
+a base class (argparse calls cli._Parser.error, the package does not).
+"""
+
+import ast
+import importlib
+import os
+
+import brieskorn
+
+PACKAGE = os.path.dirname(os.path.abspath(brieskorn.__file__))
+
+
+def _modules():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            path = os.path.join(PACKAGE, name)
+            with open(path, encoding="utf-8") as fh:
+                yield name[:-3], ast.parse(fh.read(), path)
+
+
+def _definitions(tree):
+    """(qualified name, node, enclosing class name or None) of each module-level
+    function and class and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item, node.name
+
+
+def _overrides(module, class_name, name) -> bool:
+    cls = getattr(importlib.import_module(f"brieskorn.{module}"), class_name)
+    return any(hasattr(base, name) for base in cls.__mro__[1:])
+
+
+def unreferenced():
+    """Qualified names (module.name) of the definitions nothing references."""
+    references = []  # (module, line, name)
+    definitions = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                references.append((module, node.lineno, node.attr))
+        definitions.extend((module, *d) for d in _definitions(tree))
+    out = []
+    for module, qualified, node, class_name in definitions:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if class_name is not None and _overrides(module, class_name, name):
+            continue
+        inside = range(node.lineno, node.end_lineno + 1)
+        if not any(n == name and not (m == module and line in inside) for m, line, n in references):
+            out.append(f"{module}.{qualified}")
+    return out
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    assert unreferenced() == []
+

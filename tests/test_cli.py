@@ -434,6 +434,23 @@ def order_at_the_degree_bound(cert):
     cert["witness"][0].append({"coeff": "1", "exponents": [7 * 10**6, 0, 0], "wedge": ["x", "y"]})
 
 
+def order_past_the_degree_bound(cert):
+    """Order 10^6 and a witness term one degree above order * deg f + deg rep:
+    the degree check passes, and only the search bound stops replay from
+    expanding f^order."""
+    cert.update(order=10**6)
+    cert["witness"][0].append({"coeff": "1", "exponents": [7 * 10**6 + 1, 0, 0], "wedge": ["x", "y"]})
+
+
+def target_at_the_degree_bound(cert):
+    """k = 10^6 and the target 2 z^e dx^dy^dz at the degree the check expects,
+    e = deg rep_f + (k + 1) * deg g - 1 with g = z^2: only --k-max stops
+    replay from expanding g^k."""
+    k = 10**6
+    top = max(sum(term["exponents"]) for term in cert["f_class"]["form"])
+    cert.update(k=k, target=[{"coeff": "2", "exponents": [0, 0, top + 2 * (k + 1) - 1], "wedge": ["x", "y", "z"]}])
+
+
 class TestReplayRefusesForgeries:
     """A forged certificate fails replay even where it would pass the
     checks of its identities once reinterpreted."""
@@ -454,15 +471,18 @@ class TestReplayRefusesForgeries:
             (lambda c: c.update(degree=3.0), "degree must be a non-negative integer, got 3.0"),
             (lambda c: c.update(order=10**6), None),
             (order_at_the_degree_bound, None),
+            (order_past_the_degree_bound, "certificate error: t-order 1000000 is above the search bound 10"),
         ],
         ids=["exponents-float", "exponent-bool", "coeff-decimal", "coeff-number",
              "coeff-zero-denominator", "laurent-witness", "order-bool", "order-float", "kind-unknown",
-             "degree-7", "degree-float", "order-million", "order-million-witness-at-bound"],
+             "degree-7", "degree-float", "order-million", "order-million-witness-at-bound",
+             "order-million-witness-past-bound"],
     )
     def test_forged_t_certificate(self, forge, message, tmp_path, capsys, monkeypatch):
         """A message of None: the forms are well formed and the check fails
-        without one.  A forged order is refused by the witness's degree, so
-        replay never expands f^order: the spy on powers refuses large ones."""
+        without one.  A forged order is refused by the witness's degree or,
+        past it, by the problem file's max_t_power, so replay never expands
+        f^order: the spy on powers refuses large ones."""
         path = tmp_path / "t.json"
         argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
         assert main([*argv, "--out", str(path)]) == 0
@@ -530,13 +550,15 @@ class TestReplayRefusesForgeries:
             (lambda c: c.update(k=True), "certificate error: k must be a non-negative integer, got True"),
             (lambda c: c["f_class"].update(form=[]), "certificate error: zero representative needs an explicit weight"),
             (lambda c: c["f_class"].update(weight="99"), "certificate error: class weight is '99', but the class has '5'"),
+            (target_at_the_degree_bound, "certificate error: k 1000000 is above --k-max 3"),
         ],
         ids=["double-eta", "empty-eta-and-target", "k-99", "k-million", "k-negative", "k-bool", "f-class-zero",
-             "f-class-weight"],
+             "f-class-weight", "k-million-target-at-bound"],
     )
     def test_forged_vanishing_certificate(self, forge, message, tmp_path, capsys, monkeypatch):
-        """A forged k is refused by the target's degree, so replay never
-        expands g^k: the spy on powers refuses large ones."""
+        """A forged k is refused by the target's degree or, at a matching
+        degree, by --k-max, so replay never expands g^k: the spy on powers
+        refuses large ones."""
         path = tmp_path / "ts.json"
         argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
         assert main([*argv, "--out", str(path)]) == 0

@@ -8,36 +8,41 @@ from fractions import Fraction as F
 import pytest
 from fraction_echelon import FractionEchelon
 
+from oracles import (
+    apply,
+    class_is_boundary,
+    contract,
+    euler_field,
+    extend_with_inert_variable,
+    modules_equal,
+    problem_from_strings,
+    random_kernel_elements,
+    s_action,
+    slice_residual,
+    t_action,
+    tdt_action,
+    xi,
+)
+
 from brieskorn import engine, linalg, thom_sebastiani
 from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
-    DegenerateWeight,
     InvariantViolation,
     NotFoundWithin,
     TorsionCertificate,
     check_p_prime,
-    class_is_boundary,
     ct_basis,
-    delta_at_origin,
-    extend_with_inert_variable,
     h_slice,
     kernel_forms,
     kernel_generator_forms,
-    milnor_number,
-    problem_from_strings,
-    random_kernel_elements,
-    s_action,
     sample_top_classes,
     spectrum,
-    t_action,
-    tdt_action,
-    theta_f,
     torsion_order_s,
     torsion_order_t,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
-from brieskorn.groebner import SubmoduleOfFree, modules_equal
+from brieskorn.groebner import SubmoduleOfFree
 from brieskorn.poly import Polynomial, parse_polynomial
 from brieskorn.problemfile import load_problem_file
 
@@ -66,14 +71,14 @@ class TestGermProblem:
             problem_from_strings(["x"], ["1"], "3")  # degree zero
 
     def test_euler_field(self):
-        assert BP.xi.apply(BP.f) == BP.f
-        assert BP.euler_field.apply(BP.f) == BP.f * BP.degree
+        assert apply(xi(BP), BP.f) == BP.f
+        assert apply(euler_field(BP), BP.f) == BP.f * BP.degree
 
     def test_milnor(self):
-        assert milnor_number(A1) == 1
-        assert milnor_number(problem_from_strings(["x", "y"], ["1", "1"], "x^2+y^2")) == 1
-        assert milnor_number(problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3")) == 4
-        assert milnor_number(BP) is None
+        assert A1.milnor_number() == 1
+        assert problem_from_strings(["x", "y"], ["1", "1"], "x^2+y^2").milnor_number() == 1
+        assert problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3").milnor_number() == 4
+        assert BP.milnor_number() is None
 
 
 class TestKernelForms:
@@ -196,7 +201,7 @@ class TestSliceLayer:
                 assert [cls.serialize() for cls in sl.classes] == [cls.serialize() for cls in classes]
                 for k in range(sl.space.dim):
                     basis_form = sl.space.form({k: F(1)})
-                    assert sl.reduce(basis_form) == reducer.reduce({k: F(1)})
+                    assert slice_residual(sl, basis_form) == reducer.reduce({k: F(1)})
                 if i < problem.n:
                     classes_seen += sl.dim
                 boundaries_seen += reducer.rank
@@ -240,7 +245,7 @@ class TestActions:
         rep = volume_form(3, Polynomial.monomial(3, (0, 0, 1)))
         cls = CohomologyClass(BP, 3, rep)
         assert cls.weight == 0
-        with pytest.raises(DegenerateWeight):
+        with pytest.raises(ValueError, match="no homogeneous antiderivative at weight 0"):
             s_action(cls)
 
     def test_s_degree_one_normalization(self):
@@ -295,9 +300,9 @@ class TestEigenvalueLaws:
         ]:
             p = problem_from_strings(vs, ws, text)
             for omega in random_kernel_elements(p, 1, 100, seed=9):
-                assert df_wedge(p.f, omega.interior_product(p.xi)) == omega * p.f
+                assert df_wedge(p.f, contract(omega, xi(p))) == omega * p.f
         for omega in random_kernel_elements(BP, 2, 100, seed=10):
-            assert df_wedge(BP.f, omega.interior_product(BP.xi)) == omega * BP.f
+            assert df_wedge(BP.f, contract(omega, xi(BP))) == omega * BP.f
 
     def test_commutation_on_classes(self):
         # t(s(w)) - s(t(w)) = s(s(w)) exactly on representatives
@@ -873,7 +878,7 @@ class TestRankAndSpectrum:
             ("x^2+y^2+z^2", ["x", "y", "z"], ["1", "1", "1"], 1),
         ]:
             p = problem_from_strings(vs, ws, text)
-            assert milnor_number(p) == mu
+            assert p.milnor_number() == mu
             assert len(ct_basis(p, reduced=True)) == mu
 
     def test_cusp_spectrum(self):
@@ -885,35 +890,6 @@ class TestRankAndSpectrum:
         p = problem_from_strings(["x"], ["1"], "x^5")
         assert len(ct_basis(p, reduced=False)) == 5
         assert spectrum(p, reduced=True) == [F(k, 5) - 1 for k in range(1, 5)]
-
-
-class TestThetaAndDelta:
-    def test_xy(self):
-        p = problem_from_strings(["x", "y"], ["1", "1"], "x*y")
-        fields = theta_f(p, 3)
-        assert any(
-            v.components[0] == parse_polynomial("x", ["x", "y"])
-            and v.components[1] == parse_polynomial("-y", ["x", "y"])
-            for v in fields
-        ) or any(
-            v.components[0] == parse_polynomial("-x", ["x", "y"])
-            and v.components[1] == parse_polynomial("y", ["x", "y"])
-            for v in fields
-        )
-        assert delta_at_origin(p) == 0
-
-    def test_cylinder(self):
-        p = problem_from_strings(["x", "y", "z"], ["1", "1", "1"], "x^2+y^2")
-        assert delta_at_origin(p) == 1
-
-    def test_smooth_many_variables(self):
-        p = problem_from_strings(["x", "y", "z", "w"], ["1", "1", "1", "1"], "x")
-        assert delta_at_origin(p) == 3
-        assert theta_f(p, 1)  # contains the coordinate fields
-
-    def test_theta_annihilates_f(self):
-        for v in theta_f(BP, 6):
-            assert v.apply(BP.f).is_zero
 
 
 class TestPPrime:

@@ -3,8 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import problem_from_strings
 
-from brieskorn.engine import NonIsolatedError, problem_from_strings
+from brieskorn.engine import NonIsolatedError
 from brieskorn.gm_model import can_surjective, from_brieskorn, psi_phi, serialize
 
 

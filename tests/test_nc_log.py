@@ -5,9 +5,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from oracles import problem_from_strings
 
 from brieskorn import linalg
-from brieskorn.engine import DynamicIndex, _bounded_exponents, _form_entries, ct_basis, problem_from_strings
+from brieskorn.engine import DynamicIndex, _bounded_exponents, _form_entries, ct_basis
 from brieskorn.forms import df_wedge
 from brieskorn.nc_log import (
     LogForm,

@@ -14,17 +14,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from fraction_echelon import FractionEchelon  # noqa: E402
+from oracles import lie_derivative, problem_from_strings, tdt_action  # noqa: E402
 
 from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     GermProblem,
     _monomial_images,
-    problem_from_strings,
     sample_top_classes,
-    tdt_action,
     wedge_tuples,
 )
-from brieskorn.forms import DifferentialForm, VectorField, df_wedge, differential  # noqa: E402
+from brieskorn.forms import DifferentialForm, df_wedge, differential  # noqa: E402
 from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
 from brieskorn.poly import (  # noqa: E402
     Polynomial,
@@ -113,9 +112,9 @@ def test_euler_lie_derivative_multiplies_by_the_weighted_degree(weights, exp, we
     # L_E omega = deg_w(omega) * omega for E = sum w_i x_i d_i and a
     # w-homogeneous omega = x^a dx_I, whose weight is counted here directly
     omega = DifferentialForm.monomial_form(NVARS, wedge, Polynomial.monomial(NVARS, exp, coeff))
-    euler = VectorField([Polynomial.variable(NVARS, i) * w for i, w in enumerate(weights)])
+    euler = tuple(Polynomial.variable(NVARS, i) * w for i, w in enumerate(weights))
     degree = sum(a * w for a, w in zip(exp, weights)) + sum(weights[k] for k in wedge)
-    assert omega.lie_derivative(euler) == omega * degree
+    assert lie_derivative(omega, euler) == omega * degree
 
 
 GERMS = [
@@ -232,12 +231,10 @@ def test_echelon_agrees_with_the_fraction_reference(vectors, probes):
     snapshot = None
     for k, v in enumerate(vectors):
         assert ech.add(v) == ref.add(v)
-        assert (ech.rank, ech.pivots) == (ref.rank, ref.pivots)
+        assert sorted(ech._rows) == ref.pivots  # one row per pivot, so the ranks agree too
         for probe in probes + vectors:
-            residual = ref.reduce(probe)
-            assert ech.reduce(probe) == residual
-            assert ech.contains(probe) == (not residual)
+            assert ech.reduce(probe) == ref.reduce(probe)
         if k == len(vectors) // 2:
-            snapshot, at = ech.copy(), (ref.rank, ref.pivots[:], [ref.reduce(p) for p in probes])
+            snapshot, at = ech.copy(), (ref.pivots[:], [ref.reduce(p) for p in probes])
     # adding to the original leaves an earlier copy as it was
-    assert (snapshot.rank, snapshot.pivots, [snapshot.reduce(p) for p in probes]) == at
+    assert (sorted(snapshot._rows), [snapshot.reduce(p) for p in probes]) == at

@@ -3,21 +3,19 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import external_product, problem_from_strings
 
 from brieskorn.engine import (
     CohomologyClass,
     TorsionCertificate,
     ct_basis,
     exact_chain,
-    problem_from_strings,
 )
 from brieskorn.forms import DifferentialForm
 from brieskorn.poly import Polynomial
 from brieskorn.thom_sebastiani import (
     combined_problem,
-    eigenvalue_additivity_check,
-    external_product,
-    t_compatibility_check,
+    lift_form,
     ts_compare,
     vanish_g_k_dg,
 )
@@ -62,16 +60,25 @@ class TestExternalProduct:
         assert prod.tdt_eigenvalue() == 0
 
     def test_additivity_on_engine_classes(self):
+        # alpha_h = alpha_f + alpha_g + 1 on the external product
         for pf, pg in [(X2, Y2), (X2, Y3), (X3Y3, Z2)]:
             for bf in ct_basis(pf, reduced=True):
                 for bg in ct_basis(pg, reduced=True):
-                    assert eigenvalue_additivity_check(bf.cls, bg.cls)
+                    prod = external_product(bf.cls, bg.cls)
+                    assert prod.tdt_eigenvalue() == bf.cls.tdt_eigenvalue() + bg.cls.tdt_eigenvalue() + 1
 
     def test_t_compatibility(self):
+        # h * (w_f wedge w_g) = (f w_f) wedge w_g + w_f wedge (g w_g) exactly
         for pf, pg in [(X2, Y3), (X3Y3, Z2)]:
+            h = combined_problem(pf, pg)
+            nv = h.nvars
+            f_lift = pf.f.remap_variables(nv, list(range(pf.nvars)))
+            g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
             for bf in ct_basis(pf, reduced=True):
                 for bg in ct_basis(pg, reduced=True):
-                    assert t_compatibility_check(bf.cls, bg.cls)
+                    wf = lift_form(bf.cls.representative, 0, nv)
+                    wg = lift_form(bg.cls.representative, pf.nvars, nv)
+                    assert wf.wedge(wg) * h.f == (wf * f_lift).wedge(wg) + wf.wedge(wg * g_lift)
 
 
 class TestComparison:
