@@ -1,5 +1,6 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
-contraction and the Lie derivative, and Groebner membership.
+contraction and the Lie derivative, Theta_f and delta, and Groebner
+membership.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -12,7 +13,7 @@ polynomials, one per variable.
 import random
 from fractions import Fraction
 
-from brieskorn import _backend, groebner
+from brieskorn import _backend, groebner, linalg
 from brieskorn.engine import CohomologyClass, GermProblem, InvariantViolation, h_slice, kernel_generator_forms
 from brieskorn.forms import DifferentialForm, df_wedge
 from brieskorn.poly import Polynomial, parse_polynomial
@@ -73,6 +74,29 @@ def lie_derivative(form: DifferentialForm, field) -> DifferentialForm:
     if form.degree == 0:
         return b
     return contract(form, field).exterior_derivative() + b
+
+
+def theta_f(p: GermProblem, degree_bound: int) -> list[tuple]:
+    """Generators of {v : v(f) = 0} with components of degree <= bound.
+
+    The full syzygy generating set of the partials is computed; the bound
+    only filters the reported generators.
+    """
+    if degree_bound < 1:
+        raise ValueError("degree_bound must be >= 1")
+    syz = groebner.module_kernel([list(p.partials)])
+    return [vec for vec in syz.generators if max((c.total_degree() for c in vec), default=-1) <= degree_bound]
+
+
+def delta_at_origin(p: GermProblem) -> int:
+    """Rank of the constant parts of Theta_f at the origin."""
+    ech = linalg.Echelon()
+    rank = 0
+    for vec in groebner.module_kernel([list(p.partials)]).generators:
+        v = {i: c.constant_term() for i, c in enumerate(vec) if c.constant_term()}
+        if v and ech.add(v):
+            rank += 1
+    return rank
 
 
 # -- the actions on classes -------------------------------------------------------

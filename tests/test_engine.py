@@ -12,6 +12,7 @@ from oracles import (
     apply,
     class_is_boundary,
     contract,
+    delta_at_origin,
     euler_field,
     extend_with_inert_variable,
     modules_equal,
@@ -21,6 +22,7 @@ from oracles import (
     slice_residual,
     t_action,
     tdt_action,
+    theta_f,
     xi,
 )
 
@@ -890,6 +892,31 @@ class TestRankAndSpectrum:
         p = problem_from_strings(["x"], ["1"], "x^5")
         assert len(ct_basis(p, reduced=False)) == 5
         assert spectrum(p, reduced=True) == [F(k, 5) - 1 for k in range(1, 5)]
+
+
+class TestThetaAndDelta:
+    def test_xy(self):
+        p = problem_from_strings(["x", "y"], ["1", "1"], "x*y")
+        fields = theta_f(p, 3)
+        assert any(
+            v[0] == parse_polynomial("x", ["x", "y"]) and v[1] == parse_polynomial("-y", ["x", "y"]) for v in fields
+        ) or any(
+            v[0] == parse_polynomial("-x", ["x", "y"]) and v[1] == parse_polynomial("y", ["x", "y"]) for v in fields
+        )
+        assert delta_at_origin(p) == 0
+
+    def test_cylinder(self):
+        p = problem_from_strings(["x", "y", "z"], ["1", "1", "1"], "x^2+y^2")
+        assert delta_at_origin(p) == 1
+
+    def test_smooth_many_variables(self):
+        p = problem_from_strings(["x", "y", "z", "w"], ["1", "1", "1", "1"], "x")
+        assert delta_at_origin(p) == 3
+        assert theta_f(p, 1)  # contains the coordinate fields
+
+    def test_theta_annihilates_f(self):
+        for v in theta_f(BP, 6):
+            assert apply(v, BP.f).is_zero
 
 
 class TestPPrime:
