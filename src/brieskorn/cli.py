@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from brieskorn import __version__, engine, gm_model, microdiff, nc_log, thom_sebastiani
 from brieskorn.engine import (
@@ -60,20 +61,16 @@ _LEAST_FOR_COMMAND = {("micro", "--max-s-power"): 0}
 _REPORT_FLAGS = ("--format", "--out", "--verify")
 _SEARCH = ("--max-degree", "--max-t-power", "--max-s-power")
 
-# subcommand: help and the arguments its handler reads, besides _REPORT_FLAGS
-_COMMANDS = {
-    "analyze": ("kernel generators, torsion probes, spectrum", ("problem", *_SEARCH, "--seed")),
-    "kernel": ("module generators of Ker(df-wedge)", ("problem", "--form-degree")),
-    "torsion": ("bounded t- and s-torsion searches on top classes", ("problem", *_SEARCH, "--monomial")),
-    "spectrum": ("exponent multiset of an isolated germ", ("problem",)),
-    "nc": ("normal-crossing log basis, residues, kernel identity", ("problem", "--max-degree", "--form-degree")),
-    "micro": (
-        "operator identities in the t, s skew algebra",
-        ("--max-s-power", "--commutator-bound", "--factorial-bound", "--remark-bound", "--integrate-bound"),
-    ),
-    "ts": ("external-product comparison for a sum of two germs", ("problem", "problem_g", "--max-degree", "--k-max")),
-    "check-p": ("degreewise torsion-freeness criterion", ("problem", "--max-degree", "--form-degree")),
-}
+
+class _Command(NamedTuple):
+    """A subcommand: its help, the arguments its handler reads besides
+    _REPORT_FLAGS, its handler, and the certificate types its reports carry
+    (replay fails any other type)."""
+
+    help: str
+    arguments: tuple
+    handler: Callable
+    certificates: tuple = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"brieskorn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, names) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for name in (*names, *_REPORT_FLAGS):
-            p.add_argument(name, **_ARGUMENTS[name][0])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for argument in (*command.arguments, *_REPORT_FLAGS):
+            p.add_argument(argument, **_ARGUMENTS[argument][0])
     return parser
 
 
@@ -113,7 +110,7 @@ def _bound(*candidates):
 
 def _check_bounds(args) -> None:
     """Refuse a bound below its least value rather than search at some other one."""
-    for flag in _COMMANDS[args.command][1]:
+    for flag in _COMMANDS[args.command].arguments:
         minimum = _LEAST_FOR_COMMAND.get((args.command, flag), _ARGUMENTS[flag][1])
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if minimum is not None and value is not None and value < minimum:
@@ -122,6 +119,8 @@ def _check_bounds(args) -> None:
 
 def _class_from_monomial(problem, text: str) -> CohomologyClass:
     poly = parse_polynomial(text, problem.variables)
+    if poly.is_zero:
+        raise ValueError(f"--monomial {text!r} is the zero class")
     return CohomologyClass(problem, problem.n, volume_form(problem.nvars, poly))
 
 
@@ -329,15 +328,21 @@ def cmd_micro(args):
 
 
 def cmd_ts(args, pf, pg):
-    report = thom_sebastiani.ts_compare(pf.problem, pg.problem)
-    basis_f = engine.ct_basis(pf.problem, reduced=True)
-    cls_f = basis_f[0].cls if basis_f else None
+    f, g = pf.problem, pg.problem
+    if f.milnor_number() is None:
+        raise NonIsolatedError("the first operand must be isolated")
+    if g.milnor_number() is None:
+        raise NonIsolatedError("rank/exponent comparison implemented for isolated second operands")
+    h = thom_sebastiani.combined_problem(f, g)
+    basis_f = engine.ct_basis(f, reduced=True)
+    report = thom_sebastiani.ts_compare(basis_f, g, h)
     vanish_rows = []
     certificates = []
     exit_code = EXIT_OK
-    if cls_f is not None:
+    if basis_f:
+        cls_f = basis_f[0].cls
         for k in range(args.k_max + 1):
-            combined, target, cert = thom_sebastiani.vanish_g_k_dg(cls_f, pg.problem, k, args.max_degree)
+            target, cert = thom_sebastiani.vanish_g_k_dg(cls_f, g, h, k)
             if isinstance(cert, TorsionCertificate):
                 vanish_rows.append({"k": k, "status": "found"})
                 certificates.append(
@@ -345,22 +350,23 @@ def cmd_ts(args, pf, pg):
                         "type": "vanishing",
                         "k": k,
                         "f_class": cls_f.serialize(),
-                        "target": target.payload(combined.variables),
-                        "eta": cert.witness[0].payload(combined.variables),
+                        "target": target.payload(h.variables),
+                        "eta": cert.witness[0].payload(h.variables),
                     }
                 )
             else:
                 vanish_rows.append({"k": k, "status": "not-found-within"})
                 exit_code = EXIT_BOUND
     result = {
-        "f": pf.problem.serialize(),
-        "g": pg.problem.serialize(),
+        "f": f.serialize(),
+        "g": g.serialize(),
         "comparison": report.serialize(),
         "vanishing": vanish_rows,
     }
     if not report.passed:
         exit_code = EXIT_INVARIANT
-    bounds = {"k_max": args.k_max, "max_degree": args.max_degree}
+    # h's slices are finite and never capped
+    bounds = {"k_max": args.k_max, "max_degree": None}
     return {"result": result, "certificates": certificates, "bounds": bounds}, exit_code
 
 
@@ -380,15 +386,24 @@ def cmd_check_p(args, pf):
     return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "kernel": cmd_kernel,
-    "torsion": cmd_torsion,
-    "spectrum": cmd_spectrum,
-    "nc": cmd_nc,
-    "micro": cmd_micro,
-    "ts": cmd_ts,
-    "check-p": cmd_check_p,
+# every subcommand: the parser, the dispatch in main and replay read this table
+_COMMANDS = {
+    "analyze": _Command("kernel generators, torsion probes, spectrum",
+                        ("problem", *_SEARCH, "--seed"), cmd_analyze, ("torsion",)),
+    "kernel": _Command("module generators of Ker(df-wedge)",
+                       ("problem", "--form-degree"), cmd_kernel, ("kernel-generator",)),
+    "torsion": _Command("bounded t- and s-torsion searches on top classes",
+                        ("problem", *_SEARCH, "--monomial"), cmd_torsion, ("torsion",)),
+    "spectrum": _Command("exponent multiset of an isolated germ", ("problem",), cmd_spectrum),
+    "nc": _Command("normal-crossing log basis, residues, kernel identity",
+                   ("problem", "--max-degree", "--form-degree"), cmd_nc),
+    "micro": _Command("operator identities in the t, s skew algebra",
+                      ("--max-s-power", "--commutator-bound", "--factorial-bound", "--remark-bound",
+                       "--integrate-bound"), cmd_micro),
+    "ts": _Command("external-product comparison for a sum of two germs",
+                   ("problem", "problem_g", "--k-max"), cmd_ts, ("vanishing",)),
+    "check-p": _Command("degreewise torsion-freeness criterion",
+                        ("problem", "--max-degree", "--form-degree"), cmd_check_p),
 }
 
 
@@ -507,6 +522,9 @@ def _verify_certificate(cert: dict, args, sources: tuple) -> bool:
         print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
         return False
     kind = cert.get("type")
+    if kind not in _COMMANDS[args.command].certificates:
+        print(f"verify: {args.command} reports carry no {kind!r} certificates", file=sys.stderr)
+        return False
     try:
         if kind == "torsion":
             problem = sources[0].problem
@@ -526,29 +544,27 @@ def _verify_certificate(cert: dict, args, sources: tuple) -> bool:
             problem = sources[0].problem
             degree = _count(cert["form_degree"], "form_degree")
             return not df_wedge(problem.f, form_from_payload(cert["form"], problem.variables, degree))
-        if kind == "vanishing":
-            pf, pg = sources
-            k = _count(cert["k"], "k")
-            cls_f = _class_from_payload(pf.problem, cert["f_class"])
-            target = form_from_payload(cert["target"], pf.problem.variables + pg.problem.variables, cls_f.i + 1)
-            # f and g share no variable, so the top degrees add; comparing them
-            # refuses a forged k before g^k is expanded
-            top = cls_f.representative.total_degree_cap() + (k + 1) * pg.problem.f.total_degree() - 1
-            combined = None
-            if target.total_degree_cap() == top:
-                if k > args.k_max:  # the degree matches, so g^k would be expanded
-                    raise ValueError(f"k {k} is above --k-max {args.k_max}")
-                combined, expected = thom_sebastiani.vanishing_target(cls_f, pg.problem, k)
-            if combined is None or target != expected:
-                print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
-                return False
-            eta = form_from_payload(cert["eta"], combined.variables, target.degree - 1)
-            return engine.exact_chain(combined.f, target, [eta])
+        # the one type left: vanishing
+        f, g = (pf.problem for pf in sources)
+        k = _count(cert["k"], "k")
+        cls_f = _class_from_payload(f, cert["f_class"])
+        target = form_from_payload(cert["target"], f.variables + g.variables, cls_f.i + 1)
+        # f and g share no variable, so the top degrees add; comparing them
+        # refuses a forged k before g^k is expanded
+        top = cls_f.representative.total_degree_cap() + (k + 1) * g.f.total_degree() - 1
+        h = None
+        if target.total_degree_cap() == top:
+            if k > args.k_max:  # the degree matches, so g^k would be expanded
+                raise ValueError(f"k {k} is above --k-max {args.k_max}")
+            h = thom_sebastiani.combined_problem(f, g)
+        if h is None or target != thom_sebastiani.vanishing_target(cls_f, g, h, k):
+            print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
+            return False
+        eta = form_from_payload(cert["eta"], h.variables, target.degree - 1)
+        return engine.exact_chain(h.f, target, [eta])
     except Exception as exc:  # a malformed certificate is a failed certificate
         print(f"verify: certificate error: {exc}", file=sys.stderr)
         return False
-    print(f"verify: unknown certificate type {kind!r}", file=sys.stderr)
-    return False
 
 
 def main(argv=None) -> int:
@@ -561,7 +577,7 @@ def main(argv=None) -> int:
         sources = _sources(args)
         if args.verify:
             return verify_report(args, sources)
-        payload, exit_code = _HANDLERS[args.command](args, *sources)
+        payload, exit_code = _COMMANDS[args.command].handler(args, *sources)
         report = {
             "command": args.command,
             "input_digest": _input_digest(sources),

@@ -184,12 +184,6 @@ def groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return result
 
 
-def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Remainder of p modulo `basis`; unique when basis is a Groebner basis."""
-    flats = [_to_flat(g) for g in basis if g]
-    return _from_flat(_backend.normal_form(_to_flat(p), flats), p.nvars)
-
-
 def quotient_dimension(gens: Sequence[Polynomial]):
     """Q-dimension of the polynomial ring modulo (gens): an int or INFINITE."""
     std = standard_monomials(gens)

@@ -223,16 +223,15 @@ def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:
 class TruncatedSeries:
     """Power series in t known exactly up to degree cap."""
 
-    __slots__ = ("coeffs", "cap", "shrunk")
+    __slots__ = ("coeffs", "cap")
 
-    def __init__(self, coeffs: Iterable = (), cap: int = DEFAULT_S_CAP, shrunk: int = 0):
+    def __init__(self, coeffs: Iterable = (), cap: int = DEFAULT_S_CAP):
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > cap + 1:
             raise ValueError("more coefficients than the cap allows")
         cs.extend([Fraction(0)] * (cap + 1 - len(cs)))
         self.coeffs = cs
         self.cap = cap
-        self.shrunk = shrunk
 
     @classmethod
     def one(cls, cap: int = DEFAULT_S_CAP) -> "TruncatedSeries":
@@ -252,12 +251,13 @@ class TruncatedSeries:
 def integrate_series(u: TruncatedSeries) -> TruncatedSeries:
     """Integration without constant term: t^k -> t^(k+1)/(k+1).
 
-    The top coefficient falls outside the cap; the loss is recorded in
-    `shrunk` (the result is exact up to degree cap - shrunk).
+    A nonzero coefficient at the cap would integrate past it, which raises
+    TruncationOverflow.
     """
+    if u.coeffs[u.cap]:
+        raise TruncationOverflow(f"integrating t^{u.cap} exceeds cap {u.cap}")
     out = [Fraction(0)] * (u.cap + 1)
     for k in range(u.cap):
         if u.coeffs[k]:
             out[k + 1] = u.coeffs[k] / (k + 1)
-    lost = 1 if u.coeffs[u.cap] else 0
-    return TruncatedSeries(out, u.cap, u.shrunk + lost)
+    return TruncatedSeries(out, u.cap)

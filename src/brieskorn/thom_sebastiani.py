@@ -1,9 +1,10 @@
 """Sums f + g of germs in disjoint variables (Thom-Sebastiani).
 
-For isolated operands the rank and exponent multiset of the sum germ are
+For isolated operands the exponent multiset of the sum germ h = f + g is
 compared against mu(f) copies of the reduced spectrum of g shifted by each
-f-exponent + 1.  The form rep_f wedge g^k dg on the sum germ is shown exact
-in its kernel complex by a certificate.
+f-exponent + 1.  The form rep_f wedge g^k dg on h is shown exact in its
+kernel complex by a certificate.  combined_problem builds h once; the
+functions that work on h take it as an argument.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 from brieskorn.engine import (
     CohomologyClass,
+    CtBasisClass,
     GermProblem,
     InvariantViolation,
-    NonIsolatedError,
     NotFoundWithin,
     TorsionCertificate,
     _block,
@@ -56,88 +57,65 @@ def lift_form(form: DifferentialForm, offset: int, nv: int) -> DifferentialForm:
     return DifferentialForm(nv, form.degree, coeffs)
 
 
-def vanishing_target(cls_f: CohomologyClass, pg: GermProblem, k: int):
-    """The sum germ f + g and the form rep_f wedge g^k dg on it."""
+def vanishing_target(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int) -> DifferentialForm:
+    """The form rep_f wedge g^k dg on the sum germ h = combined_problem(f, g)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    pf = cls_f.problem
-    combined = combined_problem(pf, pg)
-    nv = combined.nvars
+    nv = h.nvars
     wf = lift_form(cls_f.representative, 0, nv)
-    g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-    return combined, wf.wedge(differential(g_lift) * (g_lift ** k))
+    g_lift = pg.f.remap_variables(nv, list(range(cls_f.problem.nvars, nv)))
+    return wf.wedge(differential(g_lift) * (g_lift ** k))
 
 
-def vanish_g_k_dg(
-    cls_f: CohomologyClass,
-    pg: GermProblem,
-    k: int,
-    search_cap: int | None = None,
-):
-    """(h, target, result) for the sum germ h = f + g and target = rep_f wedge
-    g^k dg on it.  result is a t-certificate of order 0 that the target is
-    exact in h's kernel complex, an eta with dh-wedge eta = 0 and d(eta) =
-    target, or NotFoundWithin.  A zero class has no weighted degree and is
-    refused (ValueError)."""
-    combined, target = vanishing_target(cls_f, pg, k)
-    weight = target.weighted_degree(combined.weights)
+def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int):
+    """(target, result) for target = rep_f wedge g^k dg on the sum germ h =
+    combined_problem(f, g).  result is a t-certificate of order 0 that the
+    target is exact in h's kernel complex, an eta with dh-wedge eta = 0 and
+    d(eta) = target, or NotFoundWithin.  h's slices need no cap: they are
+    finite, since isolated operands have positive weights (with some weight
+    <= 0, _slice_cap raises CapExceeded).  A zero class has no weighted
+    degree and is refused (ValueError)."""
+    target = vanishing_target(cls_f, pg, h, k)
+    weight = target.weighted_degree(h.weights)
     if weight is None:
         raise ValueError("product form is not homogeneous")
-    block = _block(combined, target.degree - 1, weight, search_cap, combined.form_keys(target))
+    block = _block(h, target.degree - 1, weight, None, h.form_keys(target))
     chain = _s_chain([block], target)
     if chain is None:
-        return combined, target, NotFoundWithin(block.space.cap, not combined.positive_weights)
-    if not exact_chain(combined.f, target, chain):
+        return target, NotFoundWithin(block.space.cap, False)
+    if not exact_chain(h.f, target, chain):
         raise InvariantViolation("vanishing certificate failed re-verification")
-    return combined, target, TorsionCertificate("t", 0, chain)
+    return target, TorsionCertificate("t", 0, chain)
 
 
 @dataclass
 class TSReport:
-    """Rank and exponent comparison for the sum of two isolated germs."""
+    """Exponent multisets for the sum of two isolated germs; the comparison
+    passes when they agree, ranks included."""
 
-    left_rank: int
-    right_rank: int
     left_exponents: list[Fraction]
     right_exponents: list[Fraction]
-    ranks_equal: bool
-    exponents_equal: bool
 
     @property
     def passed(self) -> bool:
-        return self.ranks_equal and self.exponents_equal
+        return self.left_exponents == self.right_exponents
 
     def serialize(self) -> dict:
+        left, right = self.left_exponents, self.right_exponents
         return {
-            "left_rank": self.left_rank,
-            "right_rank": self.right_rank,
-            "left_exponents": [format_rational(a) for a in self.left_exponents],
-            "right_exponents": [format_rational(a) for a in self.right_exponents],
-            "ranks_equal": self.ranks_equal,
-            "exponents_equal": self.exponents_equal,
+            "left_rank": len(left),
+            "right_rank": len(right),
+            "left_exponents": [format_rational(a) for a in left],
+            "right_exponents": [format_rational(a) for a in right],
+            "ranks_equal": len(left) == len(right),
+            "exponents_equal": self.passed,
         }
 
 
-def ts_compare(pf: GermProblem, pg: GermProblem) -> TSReport:
-    """Left: spectrum of g shifted by each f-exponent + 1 (mu(f) copies).
-    Right: the spectrum of f + g computed directly on the sum germ."""
-    if pf.milnor_number() is None:
-        raise NonIsolatedError("the first operand must be isolated")
-    if pg.milnor_number() is None:
-        raise NonIsolatedError(
-            "rank/exponent comparison implemented for isolated second operands"
-        )
-    spec_f = spectrum(pf, reduced=True)
+def ts_compare(basis_f: list[CtBasisClass], pg: GermProblem, h: GermProblem) -> TSReport:
+    """Left: spectrum of g shifted by each exponent of f's reduced C{t}-basis
+    + 1 (mu(f) copies).  Right: the spectrum of the sum germ h computed
+    directly."""
     spec_g = spectrum(pg, reduced=True)
-    left = sorted(af + ag + 1 for af in spec_f for ag in spec_g)
-    combined = combined_problem(pf, pg)
-    right = spectrum(combined, reduced=True)
-    return TSReport(
-        left_rank=len(left),
-        right_rank=len(right),
-        left_exponents=left,
-        right_exponents=right,
-        ranks_equal=len(left) == len(right),
-        exponents_equal=left == right,
-    )
-
+    left = sorted(b.exponent + ag + 1 for b in basis_f for ag in spec_g)
+    return TSReport(left, spectrum(h, reduced=True))

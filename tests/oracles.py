@@ -1,6 +1,6 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
-contraction and the Lie derivative, Theta_f and delta, and Groebner
-membership.
+contraction and the Lie derivative, Theta_f and delta, and Groebner normal
+forms and membership.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -180,8 +180,14 @@ def random_kernel_elements(p: GermProblem, i: int, count: int, seed: int, degree
 # -- Groebner membership ---------------------------------------------------------
 
 
+def normal_form(p: Polynomial, basis) -> Polynomial:
+    """Remainder of p modulo `basis`; unique when basis is a Groebner basis."""
+    flats = [groebner._to_flat(g) for g in basis if g]
+    return groebner._from_flat(_backend.normal_form(groebner._to_flat(p), flats), p.nvars)
+
+
 def ideal_member(poly: Polynomial, gens) -> bool:
-    return poly.is_zero or groebner.normal_form(poly, groebner.groebner_basis(gens)).is_zero
+    return poly.is_zero or normal_form(poly, groebner.groebner_basis(gens)).is_zero
 
 
 def is_in_radical(poly: Polynomial, gens) -> bool:

@@ -42,7 +42,7 @@ from brieskorn.forms import df_wedge, volume_form
 from brieskorn.groebner import SubmoduleOfFree
 from brieskorn.nc_log import MonomialGerm, log_relative_basis, residue_eigenvalues
 from brieskorn.poly import Polynomial, parse_polynomial
-from brieskorn.thom_sebastiani import ts_compare, vanish_g_k_dg
+from brieskorn.thom_sebastiani import combined_problem, ts_compare, vanish_g_k_dg
 
 BARLET_CAP = 14
 ISOLATED_CORPUS = [
@@ -227,12 +227,13 @@ def test_acceptance_08_thom_sebastiani():
     x3y3 = problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3")
     verdicts = []
     for pf, pg in [(x2, y2), (x2, y3), (x3y3, z2)]:
-        rep = ts_compare(pf, pg)
+        rep = ts_compare(ct_basis(pf, reduced=True), pg, combined_problem(pf, pg))
         assert rep.passed
         verdicts.append(f"{pf.f.serialize(pf.variables)}+{pg.f.serialize(pg.variables)}")
     cls = ct_basis(x2, reduced=True)[0].cls
+    combined = combined_problem(x2, y2)
     for k in range(4):
-        combined, target, cert = vanish_g_k_dg(cls, y2, k)
+        target, cert = vanish_g_k_dg(cls, y2, combined, k)
         assert isinstance(cert, TorsionCertificate) and (cert.kind, cert.order) == ("t", 0)
         assert exact_chain(combined.f, target, cert.witness)
     print("ACCEPTANCE 8 PASS: rank/exponent equality for " + ", ".join(verdicts)

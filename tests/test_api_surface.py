@@ -6,13 +6,18 @@ occurs as an ast.Name or as the attribute of an ast.Attribute anywhere in the
 package outside the definition itself, whatever that occurrence refers to.
 So a definition whose name another definition also uses (a module function
 milnor_number next to the method GermProblem.milnor_number, say) escapes the
-check.  Dunders are exempt, and so are methods that override an attribute of
-a base class (argparse calls cli._Parser.error, the package does not).
+check.  The one exception is a module-level name that two modules define
+(rref in linalg and _backend): only a reference that names the module
+counts for it, which is `module.name`, `from brieskorn.module import name`,
+or a bare name inside that module.  Dunders are exempt, and so are methods
+that override an attribute of a base class (argparse calls
+cli._Parser.error, the package does not).
 """
 
 import ast
 import importlib
 import os
+from collections import Counter
 
 import brieskorn
 
@@ -44,17 +49,30 @@ def _overrides(module, class_name, name) -> bool:
     return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
+def _references(module, tree):
+    """(module, line, name, qualifier, imported) of each name occurrence: the
+    qualifier is the module an occurrence names (the owner of `owner.name`,
+    the source module of an import, this module for a bare name), else None.
+    An import counts only for a name that two modules define."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield module, node.lineno, node.id, module, False
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            yield module, node.lineno, node.attr, owner, False
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("brieskorn."):
+            for alias in node.names:
+                yield module, node.lineno, alias.name, node.module.removeprefix("brieskorn."), True
+
+
 def unreferenced():
     """Qualified names (module.name) of the definitions nothing references."""
-    references = []  # (module, line, name)
+    references = []  # (module, line, name, qualifier, imported)
     definitions = []
     for module, tree in _modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                references.append((module, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                references.append((module, node.lineno, node.attr))
+        references.extend(_references(module, tree))
         definitions.extend((module, *d) for d in _definitions(tree))
+    owners = Counter(qualified for _m, qualified, _n, class_name in definitions if class_name is None)
     out = []
     for module, qualified, node, class_name in definitions:
         name = node.name
@@ -62,8 +80,12 @@ def unreferenced():
             continue
         if class_name is not None and _overrides(module, class_name, name):
             continue
+        shared = class_name is None and owners[name] > 1
         inside = range(node.lineno, node.end_lineno + 1)
-        if not any(n == name and not (m == module and line in inside) for m, line, n in references):
+        if not any(
+            n == name and not (m == module and line in inside) and (q == module if shared else not imported)
+            for m, line, n, q, imported in references
+        ):
             out.append(f"{module}.{qualified}")
     return out
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from brieskorn import engine
+from brieskorn import engine, thom_sebastiani
 from brieskorn.cli import main
 from brieskorn.poly import Polynomial
 
@@ -204,6 +204,9 @@ class TestInputContract:
             (["ts", prob("a1.json"), prob("ts_y3.json"), "--max-t-power", "-5", "--max-s-power", "-3"],
              "unrecognized arguments: --max-t-power -5 --max-s-power -3"),
             (["spectrum", prob("cusp.json"), "--max-degree", "3"], "unrecognized arguments: --max-degree 3"),
+            (["ts", prob("a1.json"), prob("ts_y3.json"), "--max-degree", "3"],
+             "unrecognized arguments: --max-degree 3"),
+            (["torsion", prob("barlet35.json"), "--monomial", "0"], "error: --monomial '0' is the zero class"),
             (["micro", "--max-t-power", "2"], "unrecognized arguments: --max-t-power 2"),
             (["torsion", prob("barlet35.json"), "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["torsion", prob("barlet35.json"), "--bogus"], "unrecognized arguments: --bogus"),
@@ -223,7 +226,8 @@ class TestInputContract:
              "ts-negative-k-max", "check-p-form-degree-above-n", "kernel-negative-form-degree",
              "kernel-form-degree-above-n", "analyze-zero-max-t-power", "analyze-zero-max-s-power",
              "torsion-negative-max-t-power", "micro-negative-max-s-power", "kernel-max-t-power",
-             "ts-max-powers", "spectrum-max-degree", "micro-max-t-power", "torsion-seed",
+             "ts-max-powers", "spectrum-max-degree", "ts-max-degree", "torsion-zero-monomial",
+             "micro-max-t-power", "torsion-seed",
              "unknown-flag", "missing-problem", "missing-command", "max-degree-not-an-integer",
              "unknown-command", "ts-non-isolated-first", "ts-non-isolated-second",
              "spectrum-non-isolated"],
@@ -289,6 +293,21 @@ class TestCommands:
         assert comp["ranks_equal"] and comp["exponents_equal"]
         assert comp["left_exponents"] == ["-1/6", "1/6"]
 
+    def test_ts_builds_each_germ_once(self, monkeypatch, capsys):
+        """One C{t}-basis each of f, g and f + g, and one sum germ, which
+        the comparison and every vanishing search share."""
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        spy(engine, "ct_basis")
+        spy(thom_sebastiani, "combined_problem")
+        code, out = run_main(["ts", prob("a1.json"), prob("ts_y3.json")], capsys)
+        assert code == 0 and len(json.loads(out)["result"]["vanishing"]) == 4
+        assert sorted(calls) == ["combined_problem"] + ["ct_basis"] * 3
+
     def test_check_p(self, capsys):
         code, out = run_main(
             ["check-p", prob("nc22.json"), "--form-degree", "2", "--max-degree", "6"],
@@ -352,6 +371,23 @@ class TestVerifyReplay:
         main(["kernel", prob("barlet35.json"), "--out", str(out_path)])
         code = main(["kernel", prob("barlet35.json"), "--verify", str(out_path)])
         assert code == 0
+
+    def test_certificate_of_another_command_fails(self, tmp_path, capsys):
+        """kernel reports carry kernel-generator certificates only: valid
+        torsion certificates appended to one fail its replay."""
+        path = tmp_path / "k.json"
+        main(["kernel", prob("barlet35.json"), "--out", str(path)])
+        main(["torsion", prob("barlet35.json"), "--monomial", "1", "--out", str(tmp_path / "t.json")])
+        report = json.loads(path.read_text())
+        torsion = json.loads((tmp_path / "t.json").read_text())["certificates"]
+        assert (len(report["certificates"]), len(torsion)) == (6, 2)
+        report["certificates"] += torsion
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["kernel", prob("barlet35.json"), "--verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "verified 6/8 certificates\n"
+        assert captured.err.splitlines() == ["verify: kernel reports carry no 'torsion' certificates"] * 2
 
     def test_verify_ts(self, tmp_path, capsys):
         out_path = tmp_path / "ts.json"

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import is_in_radical, module_member, modules_equal
+from oracles import is_in_radical, module_member, modules_equal, normal_form
 
 from brieskorn import _backend, groebner
 from brieskorn.groebner import (
@@ -14,7 +14,6 @@ from brieskorn.groebner import (
     SubmoduleOfFree,
     groebner_basis,
     module_kernel,
-    normal_form,
     quotient_dimension,
     standard_monomials,
 )

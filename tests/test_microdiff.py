@@ -126,7 +126,8 @@ class TestIntegration:
             u = integrate_series(u)
             assert u.coefficient(k) == F(1, math.factorial(k))
 
-    def test_shrink_recorded(self):
-        u = TruncatedSeries([1] * 5, cap=4)
-        v = integrate_series(u)
-        assert v.shrunk == 1
+    def test_overflow_raises(self):
+        # the t^4 term would integrate to t^5, past the cap
+        with pytest.raises(TruncationOverflow, match="exceeds cap 4"):
+            integrate_series(TruncatedSeries([1] * 5, cap=4))
+        assert integrate_series(TruncatedSeries([1] * 4, cap=4)).coefficient(4) == F(1, 4)
