@@ -482,11 +482,14 @@ def verify_report(args, sources: tuple) -> int:
     if report.get("input_digest") != _input_digest(sources):
         print("verify: input digest mismatch", file=sys.stderr)
         return EXIT_INPUT
+    # h = f + g of a ts report, built once at the first vanishing certificate
+    # that needs it; a failed build is not kept and fails each such certificate
+    sum_germ = functools.cache(lambda: thom_sebastiani.combined_problem(*(pf.problem for pf in sources)))
     failures = 0
     total = 0
     for cert in certificates:
         total += 1
-        if not _verify_certificate(cert, args, sources):
+        if not _verify_certificate(cert, args, sources, sum_germ):
             failures += 1
     print(f"verified {total - failures}/{total} certificates")
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
@@ -517,7 +520,7 @@ def _class_from_payload(problem, payload: dict) -> CohomologyClass:
     return cls
 
 
-def _verify_certificate(cert: dict, args, sources: tuple) -> bool:
+def _verify_certificate(cert: dict, args, sources: tuple, sum_germ: Callable) -> bool:
     if not isinstance(cert, dict):
         print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
         return False
@@ -556,7 +559,7 @@ def _verify_certificate(cert: dict, args, sources: tuple) -> bool:
         if target.total_degree_cap() == top:
             if k > args.k_max:  # the degree matches, so g^k would be expanded
                 raise ValueError(f"k {k} is above --k-max {args.k_max}")
-            h = thom_sebastiani.combined_problem(f, g)
+            h = sum_germ()
         if h is None or target != thom_sebastiani.vanishing_target(cls_f, g, h, k):
             print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
             return False

@@ -34,12 +34,12 @@ from brieskorn.forms import (
 )
 from brieskorn.poly import (
     ONE,
+    Grading,
     Polynomial,
     exponent_key,
     format_rational,
     iter_monomials_of_weight,
     lattice_congruences,
-    monomial_weight,
     weight_vector,
 )
 
@@ -67,7 +67,8 @@ class GermProblem:
     """A quasi-homogeneous polynomial germ with its weight data.
 
     Construction validates quasi-homogeneity: the weight slices, and every
-    computation built on them, need f to be weighted homogeneous.
+    computation built on them, need f to be weighted homogeneous.  The
+    grading W = L*w is built once, with scaled_degree D = L*deg(f).
     """
 
     def __init__(self, variables: Sequence[str], weights, f: Polynomial, name: str | None = None):
@@ -79,13 +80,15 @@ class GermProblem:
             raise ValueError("polynomial ring does not match variable list")
         if f.is_zero:
             raise ValueError("the zero polynomial is not a germ")
-        degree = f.weighted_degree(self.weights)
-        if degree is None:
+        self.grading = Grading(self.weights)
+        degrees = {self.grading.monomial(exp) for exp in f.terms}
+        if len(degrees) > 1:
             raise ValueError("f is not quasi-homogeneous for the given weights")
-        if degree == 0:
+        (self.scaled_degree,) = degrees
+        if self.scaled_degree == 0:
             raise ValueError("quasi-homogeneity degree must be nonzero")
         self.f = f
-        self.degree = Fraction(degree)
+        self.degree = Fraction(self.scaled_degree, self.grading.scale)
         self.name = name
         self.nvars = len(self.variables)
         self._milnor: object = _UNSET
@@ -100,7 +103,7 @@ class GermProblem:
 
     @property
     def positive_weights(self) -> bool:
-        return all(w > 0 for w in self.weights)
+        return all(w > 0 for w in self.grading.weights)
 
     @property
     def partials(self) -> tuple[Polynomial, ...]:
@@ -167,8 +170,8 @@ class GermProblem:
             tuple((a - b) % m if m else a - b for a, b, m in zip(key, unit, moduli)) for key in keys
         }
 
-    def auto_cap(self, c: Fraction) -> int:
-        """Total-degree bound of monomials of weight <= c (positive weights only)."""
+    def auto_cap(self, c: int) -> int:
+        """Total-degree bound of monomials of integer weight <= c (positive weights only)."""
         if not self.positive_weights:
             raise CapExceeded(
                 "slice spaces can be infinite-dimensional with non-positive weights; "
@@ -176,7 +179,7 @@ class GermProblem:
             )
         if c < 0:
             return 0
-        return int(c / min(self.weights)) + 1
+        return c // min(self.grading.weights) + 1
 
     def serialize(self) -> dict:
         return {
@@ -202,10 +205,11 @@ class CohomologyClass:
 
     Invariants checked at construction: the representative is killed by
     df-wedge, is w-homogeneous, and is closed when i < n (top degree forms
-    are closed automatically).
+    are closed automatically).  c is the integer slice weight (in units of
+    1/L); weight is the rational one.
     """
 
-    __slots__ = ("problem", "i", "representative", "weight")
+    __slots__ = ("problem", "i", "representative", "c")
 
     def __init__(
         self,
@@ -220,22 +224,30 @@ class CohomologyClass:
             # the zero class; its slice weight must be told explicitly
             if weight is None:
                 raise ValueError("zero representative needs an explicit weight")
-            c = Fraction(weight)
+            c = problem.grading.scaled(weight)
+            if c is None:
+                raise ValueError(f"weight {weight} is off the lattice of slice weights")
         else:
             if df_wedge(problem.f, representative):
                 raise InvariantViolation("representative not in Ker(df-wedge)")
             if i < problem.n and representative.exterior_derivative():
                 raise InvariantViolation("representative of degree < n must be closed")
-            c = representative.weighted_degree(problem.weights)
+            c = problem.grading.form(representative)
             if c is None:
                 raise ValueError("representative must be w-homogeneous")
         self.problem = problem
         self.i = i
         self.representative = representative
-        self.weight = Fraction(c)
+        self.c = c
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.c, self.problem.grading.scale)
 
     def tdt_eigenvalue(self) -> Fraction:
-        return self.weight / self.problem.degree - 1
+        """c/deg(f) - 1, which is c/D - 1 in integer units."""
+        d = self.problem.scaled_degree
+        return Fraction(self.c - d, d)
 
     def serialize(self) -> dict:
         return {
@@ -260,23 +272,22 @@ def wedge_tuples(nvars: int, i: int) -> list[tuple[int, ...]]:
 
 
 class FormSpace:
-    """Enumerated basis of weight-c forms of degree i with coefficient
-    total degree <= cap; with keys, only the forms whose key is in keys."""
+    """Enumerated basis of forms of integer weight c and degree i with
+    coefficient total degree <= cap; with keys, only the forms whose key is
+    in keys.  Items ascend: the wedges do, and so do the exponents of each."""
 
-    def __init__(self, problem: GermProblem, i: int, c: Fraction, cap: int, keys=None):
+    def __init__(self, problem: GermProblem, i: int, c: int, cap: int, keys=None):
         self.problem = problem
         self.i = i
-        self.c = Fraction(c)
+        self.c = c
         self.cap = cap
+        grading = problem.grading
         items: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for wedge in wedge_tuples(problem.nvars, i):
-            shift = sum(problem.weights[k] for k in wedge)
+            shift = sum(grading.weights[k] for k in wedge)
             classes = None if keys is None else problem.exponent_classes(keys, wedge)
-            for exp in iter_monomials_of_weight(
-                problem.nvars, problem.weights, self.c - shift, cap, classes
-            ):
+            for exp in iter_monomials_of_weight(grading, c - shift, cap, classes):
                 items.append((wedge, exp))
-        items.sort()
         self.items = items
         self.index = {key: k for k, key in enumerate(items)}
 
@@ -436,11 +447,11 @@ class HSlice:
 
     problem: GermProblem
     i: int
-    c: Fraction
+    c: int
     cap: int
     cap_relative: bool
     classes: list[CohomologyClass]
-    space: FormSpace
+    space: FormSpace | None
     _reducer: linalg.Echelon
 
     @property
@@ -459,8 +470,8 @@ class HSlice:
         return out
 
 
-def _slice_cap(problem: GermProblem, c: Fraction, cap: int | None, least: int = 0) -> int:
-    """Total-degree cap of a weight-c slice space.
+def _slice_cap(problem: GermProblem, c: int, cap: int | None, least: int = 0) -> int:
+    """Total-degree cap of a slice space of integer weight c.
 
     With positive weights the slice is finite and the derived cap covers it
     exactly; otherwise the given cap, raised to least, and without one
@@ -472,16 +483,20 @@ def _slice_cap(problem: GermProblem, c: Fraction, cap: int | None, least: int = 
 
 
 def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
-    """Exact basis of the weight-c slice of H^i = H(Ker df-wedge, d).
+    """Exact basis of the slice of H^i = H(Ker df-wedge, d) of rational weight c.
 
     With positive weights the slice is finite and the cap is derived; with
     some weight <= 0 an explicit cap is required and completeness (not
     kernel membership) is cap-relative.  The d images come from exponent
-    arithmetic (_monomial_images), built only over a nonzero kernel.
+    arithmetic (_monomial_images), built only over a nonzero kernel.  Off
+    the lattice (1/L)Z no form has weight c: the slice is empty, with no
+    space.
     """
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
-    c = Fraction(c)
+    c = problem.grading.scaled(c)
+    if c is None:
+        return HSlice(problem, i, c, cap, not problem.positive_weights, [], None, linalg.Echelon())
     space = FormSpace(problem, i, c, _slice_cap(problem, c, cap))
 
     kernel = _df_kernel_vectors(problem, space)
@@ -531,24 +546,15 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
     cols = wedge_tuples(problem.nvars, i)
     rows = wedge_tuples(problem.nvars, i + 1)
     row_index = {w: k for k, w in enumerate(rows)}
-    zero = Polynomial.zero(problem.nvars)
+    zero, one = Polynomial.zero(problem.nvars), Polynomial.constant(problem.nvars, 1)
     if not rows:
         # top degree: the target is zero, the kernel is everything
-        gens = []
-        for j in range(len(cols)):
-            unit = [zero] * len(cols)
-            unit[j] = Polynomial.constant(problem.nvars, 1)
-            gens.append(tuple(unit))
+        gens = [tuple(one if k == j else zero for k in range(len(cols))) for j in range(len(cols))]
         module = groebner.SubmoduleOfFree(len(cols), gens)
     else:
         matrix = [[zero] * len(cols) for _ in rows]
         for j, wedge in enumerate(cols):
-            img = df_wedge(
-                problem.f,
-                DifferentialForm.monomial_form(
-                    problem.nvars, wedge, Polynomial.constant(problem.nvars, 1)
-                ),
-            )
+            img = df_wedge(problem.f, DifferentialForm.monomial_form(problem.nvars, wedge, one))
             for w, poly in img.coeffs.items():
                 matrix[row_index[w]][j] = poly
         module = groebner.module_kernel(matrix)
@@ -559,14 +565,7 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
 def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
     module = kernel_forms(problem, i)  # checks the form degree
     cols = wedge_tuples(problem.nvars, i)
-    out = []
-    for vec in module.generators:
-        out.append(
-            DifferentialForm(
-                problem.nvars, i, {w: p for w, p in zip(cols, vec) if p}
-            )
-        )
-    return out
+    return [DifferentialForm(problem.nvars, i, {w: p for w, p in zip(cols, vec) if p}) for vec in module.generators]
 
 
 # -- torsion searches ----------------------------------------------------------
@@ -674,9 +673,9 @@ class _SBlock:
     df_images: list[list]
 
 
-def _block(problem: GermProblem, i: int, weight: Fraction, cap: int | None, keys, least: int = 0):
-    """The degree-i, weight slice block of the given keys, capped by _slice_cap
-    (a cap for the whole slice)."""
+def _block(problem: GermProblem, i: int, weight: int, cap: int | None, keys, least: int = 0):
+    """The degree-i slice block of integer weight and the given keys, capped
+    by _slice_cap (a cap for the whole slice)."""
     space = FormSpace(problem, i, weight, _slice_cap(problem, weight, cap, least), keys)
     return _SBlock(space, *_monomial_images(problem.f, space.items))
 
@@ -692,7 +691,7 @@ def _s_block(cls: CohomologyClass, j: int, cap: int | None) -> _SBlock:
     keys eta_j can have (GermProblem.form_keys)."""
     base, step = _block_degrees(cls)
     problem = cls.problem
-    weight = cls.weight + j * problem.degree
+    weight = cls.c + j * problem.scaled_degree
     return _block(problem, cls.i - 1, weight, cap, problem.form_keys(cls.representative, j), base + j * step)
 
 
@@ -833,21 +832,21 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
     if not problem.positive_weights:
         raise CapExceeded("isolated quasi-homogeneous germs have positive weights")
     n = problem.n
-    d = problem.degree
-    sum_w = sum(problem.weights, Fraction(0))
+    grading, d = problem.grading, problem.scaled_degree
+    sum_w = sum(grading.weights)
     std = groebner.standard_monomials(problem.jacobian)
-    weights_std = sorted({monomial_weight(e, problem.weights) for e in std})
-    max_c = (weights_std[-1] if weights_std else Fraction(0)) + sum_w
+    max_c = max((grading.monomial(e) for e in std), default=0) + sum_w
     # in one variable the omega_0 orbit contributes a generator at weight d
     if n == 1 and not reduced:
         max_c = max(max_c, d)
 
-    # candidate slice weights: volume-form weights of monomials up to the bound
-    candidates = sorted(s + sum_w for s in _monomial_weights(problem.weights, max_c - sum_w))
-    slices: dict[Fraction, HSlice] = {}
+    # candidate slice weights: volume-form weights of monomials up to the
+    # bound, all integers in units of 1/L
+    candidates = sorted(s + sum_w for s in _monomial_weights(grading.weights, max_c - sum_w))
+    slices: dict[int, HSlice] = {}
     out: list[CtBasisClass] = []
     for c in candidates:
-        sl = h_slice(problem, n, c)
+        sl = h_slice(problem, n, Fraction(c, grading.scale))
         slices[c] = sl
         if not sl.classes:
             continue
@@ -856,20 +855,20 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
         if prev is not None:
             seeds.extend(cls.representative * problem.f for cls in prev.classes)
         if reduced and n == 1:
-            k = c / d - 1
-            if k.denominator == 1 and k >= 0:
-                seeds.append(differential(problem.f) * (problem.f ** int(k)))
+            k, r = divmod(c, d)  # c/d - 1 = k - 1 when r = 0
+            if not r and k >= 1:
+                seeds.append(differential(problem.f) * (problem.f ** (k - 1)))
         for cls in sl.quotient_complement(seeds):
             out.append(CtBasisClass(cls, cls.tdt_eigenvalue()))
     return out
 
 
-def _monomial_weights(weights: Sequence[Fraction], bound: Fraction) -> set[Fraction]:
-    """Weights <= bound of all monomials, for positive weights: the sums
-    s + k * w_i <= bound, built one variable at a time."""
-    sums = {Fraction(0)} if bound >= 0 else set()
+def _monomial_weights(weights: Sequence[int], bound: int) -> set[int]:
+    """Integer weights <= bound of all monomials, for positive integer
+    weights: the sums s + k * w_i <= bound, built one variable at a time."""
+    sums = {0} if bound >= 0 else set()
     for w in weights:
-        sums = {s + k * w for s in sums for k in range(int((bound - s) / w) + 1)}
+        sums = {s + k * w for s in sums for k in range((bound - s) // w + 1)}
     return sums
 
 
@@ -900,8 +899,8 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     for c in weights:
         space = FormSpace(problem, i, c, ambient_cap)
         prev_here = FormSpace(problem, i - 1, c, degree_bound + 1)
-        prev_below = FormSpace(problem, i - 1, c - problem.degree, degree_bound + 1)
-        below_2 = FormSpace(problem, i - 2, c - problem.degree, degree_bound + 2)
+        prev_below = FormSpace(problem, i - 1, c - problem.scaled_degree, degree_bound + 1)
+        below_2 = FormSpace(problem, i - 2, c - problem.scaled_degree, degree_bound + 2)
 
         d_here, df_here = _monomial_images(problem.f, prev_here.items)
         d_cols = _indexed(space.index, d_here)
@@ -924,13 +923,12 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     return PPrimeResult(True, None, cap_relative)
 
 
-def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int):
-    out = set()
-    for wedge in wedge_tuples(problem.nvars, i):
-        shift = sum(problem.weights[k] for k in wedge)
-        for exp in _bounded_exponents(problem.nvars, degree_bound):
-            out.add(monomial_weight(exp, problem.weights) + shift)
-    return out
+def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int) -> set[int]:
+    """Integer weights of the degree-i monomial forms of coefficient degree <= degree_bound."""
+    grading = problem.grading
+    monomials = {grading.monomial(exp) for exp in _bounded_exponents(problem.nvars, degree_bound)}
+    shifts = {sum(grading.weights[k] for k in wedge) for wedge in wedge_tuples(problem.nvars, i)}
+    return {shift + m for shift in shifts for m in monomials}
 
 
 def _bounded_exponents(nvars: int, bound: int):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from brieskorn.poly import Polynomial, format_rational, monomial_weight, parse_rational
+from brieskorn.poly import Polynomial, format_rational, parse_rational
 
 WedgeIndex = tuple[int, ...]
 
@@ -180,23 +180,6 @@ class DifferentialForm:
         f = DifferentialForm.__new__(DifferentialForm)
         f.nvars, f.degree, f.coeffs = self.nvars, self.degree + 1, out
         return f
-
-    # -- grading ----------------------------------------------------------------
-
-    def weighted_degree(self, weights: Sequence[Fraction]):
-        """Common weighted degree (dx_i counts with weight w_i), or None."""
-        if not self.coeffs:
-            raise ValueError("the zero form has no weighted degree")
-        degree = None
-        for w, p in self.coeffs.items():
-            shift = sum(weights[i] for i in w)
-            for exp in p.terms:
-                d = monomial_weight(exp, weights) + shift
-                if degree is None:
-                    degree = d
-                elif d != degree:
-                    return None
-        return Fraction(degree)
 
     def total_degree_cap(self) -> int:
         """Maximal coefficient total degree (used for cap bookkeeping)."""

@@ -9,19 +9,20 @@ tests meaningful and all downstream tolerances zero.
   terms    = {exponent: Fraction}     # zero coefficients never stored
 
 Weight vectors (one rational weight per variable, negative and zero weights
-allowed) give the quasi-homogeneous grading used throughout the engine.
+allowed) give the quasi-homogeneous grading used throughout the engine; a
+Grading holds one in integer form, and all weight arithmetic is done there.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -219,24 +220,6 @@ class Polynomial:
                 e[index] = k - 1
                 out[tuple(e)] = c * k
         return Polynomial(self.nvars, out)
-
-    def weighted_degree(self, weights: Sequence[Fraction]):
-        """Common w-degree of all terms, or None when not w-homogeneous.
-
-        Raises ValueError on the zero polynomial (it has every degree).
-        """
-        if not self.terms:
-            raise ValueError("the zero polynomial has no weighted degree")
-        if len(weights) != self.nvars:
-            raise ValueError("weight vector length does not match ring")
-        degree = None
-        for exp in self.terms:
-            d = sum(w * e for w, e in zip(weights, exp))
-            if degree is None:
-                degree = d
-            elif d != degree:
-                return None
-        return Fraction(degree)
 
     def remap_variables(self, new_nvars: int, positions: Sequence[int]) -> "Polynomial":
         """Embed into a larger ring: old variable i becomes variable positions[i]."""
@@ -460,25 +443,69 @@ def weight_vector(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(parse_rational(w) if isinstance(w, str) else _as_fraction(w) for w in entries)
 
 
-def monomial_weight(exp: Exponent, weights: Sequence[Fraction]) -> Fraction:
-    return Fraction(sum(w * e for w, e in zip(weights, exp)))
+class Grading:
+    """The integer form of a weight vector w (ints or Fractions), built once per germ.
+
+    With L (scale) the lcm of the denominators of w, W = L*w (weights) is
+    an integer vector, so every monomial and form weight is an integer in
+    units of 1/L.  Also holds the tables iter_monomials_of_weight searches
+    with: over x_i.., `budget` exponent units reach weights in
+    [budget*neg_tail[i], budget*pos_tail[i]], all multiples of gcd_tail[i];
+    and for a multiple `remaining` of gcd_tail[i], remaining - W_i*k is a
+    multiple of gcd_tail[i+1] exactly when k is congruent to
+    (remaining / gcd_tail[i]) * inverse[i] modulo step[i].
+    """
+
+    __slots__ = ("weights", "scale", "pos_tail", "neg_tail", "gcd_tail", "step", "inverse")
+
+    def __init__(self, weights: Sequence[Fraction]):
+        self.scale = lcm(*(w.denominator for w in weights))
+        ws = self.weights = tuple(w.numerator * (self.scale // w.denominator) for w in weights)
+        # tails over x_i.., accumulated from the last variable back, 0 past it
+        tails = [list(accumulate(reversed(ws), op, initial=0))[::-1] for op in (max, min, gcd)]
+        self.pos_tail, self.neg_tail, self.gcd_tail = tails
+        g = self.gcd_tail
+        self.step = [g[i + 1] // g[i] if g[i + 1] else 1 for i in range(len(ws))]
+        self.inverse = [pow(ws[i] // g[i], -1, s) if s > 1 else 0 for i, s in enumerate(self.step)]
+
+    def monomial(self, exp: Sequence[int]) -> int:
+        """Integer weight of x^exp."""
+        return sum(map(mul, self.weights, exp))
+
+    def form(self, form) -> int | None:
+        """Integer weight of a nonzero differential form, dx_i weighing W_i, or
+        None when its terms differ in weight."""
+        if form.is_zero:
+            raise ValueError("the zero form has no weighted degree")
+        ws = self.weights
+        found = {
+            sum(ws[k] for k in wedge) + sum(map(mul, ws, exp))
+            for wedge, poly in form.coeffs.items()
+            for exp in poly.terms
+        }
+        return found.pop() if len(found) == 1 else None
+
+    def scaled(self, c) -> int | None:
+        """L*c (c an int or Fraction) as an int, or None when c is off the
+        lattice (1/L)Z, where no monomial form has weight c."""
+        q, r = divmod(c.numerator * self.scale, c.denominator)
+        return None if r else q
 
 
 def iter_monomials_of_weight(
-    nvars: int,
-    weights: Sequence[Fraction],
-    target: Fraction,
+    grading: Grading,
+    target: int,
     degree_cap: int,
     classes: tuple[Sequence[tuple[Exponent, int]], Iterable[tuple[int, ...]]] | None = None,
 ) -> Iterator[Exponent]:
-    """Yield exponents with weighted degree `target` and total degree <= cap.
+    """Yield exponents of integer weight `target` (Grading.monomial) and
+    total degree <= cap.
 
     Enumeration order is deterministic (lexicographic in the exponent).
-    With mixed-sign weights the cap is what keeps this finite.  Weights and
-    target are scaled once to integers (by the lcm of their denominators),
-    so the search itself does integer arithmetic only.  Each exponent runs
-    only over the values that leave a remainder the later variables can
-    still reach, both by size and by divisibility.
+    With mixed-sign weights the cap is what keeps this finite.  The search
+    does integer arithmetic only, on the grading's tables: each exponent
+    runs only over the values that leave a remainder the later variables
+    can still reach, both by size and by divisibility.
 
     classes, a pair (congruences, keys), keeps only the exponents whose
     exponent_key under those congruences lies in keys.  The search carries
@@ -487,10 +514,8 @@ def iter_monomials_of_weight(
     """
     if degree_cap < 0:
         return
-    target = Fraction(target)
-    weights = [_as_fraction(w) for w in weights]
-    scale = lcm(target.denominator, *(w.denominator for w in weights))
-    ws = [w.numerator * (scale // w.denominator) for w in weights]
+    ws = grading.weights
+    nvars = len(ws)
     gs, test = [0] * nvars, None
     if classes is not None:
         congruences, keys = classes
@@ -502,20 +527,8 @@ def iter_monomials_of_weight(
         if target == 0 and (test is None or test(0)):
             yield ()
         return
-    # over x_i.., `budget` exponent units reach weights in
-    # [budget*neg_tail[i], budget*pos_tail[i]], all multiples of gcd_tail[i]
-    pos_tail = [0] * (nvars + 1)
-    neg_tail = [0] * (nvars + 1)
-    gcd_tail = [0] * (nvars + 1)
-    for i in range(nvars - 1, -1, -1):
-        pos_tail[i] = max(pos_tail[i + 1], ws[i])
-        neg_tail[i] = min(neg_tail[i + 1], ws[i])
-        gcd_tail[i] = gcd(gcd_tail[i + 1], ws[i])
-    # for a multiple `remaining` of gcd_tail[i], remaining - ws[i]*k is a
-    # multiple of gcd_tail[i+1] exactly when k is congruent to
-    # (remaining / gcd_tail[i]) * inverse[i] modulo step[i]
-    step = [gcd_tail[i + 1] // gcd_tail[i] if gcd_tail[i + 1] else 1 for i in range(nvars)]
-    inverse = [pow(ws[i] // gcd_tail[i], -1, step[i]) if step[i] > 1 else 0 for i in range(nvars)]
+    pos_tail, neg_tail, gcd_tail = grading.pos_tail, grading.neg_tail, grading.gcd_tail
+    step, inverse = grading.step, grading.inverse
     exp = [0] * nvars
     last = nvars - 1
     w_last, g_last = ws[last], gs[last]
@@ -553,15 +566,14 @@ def iter_monomials_of_weight(
                         yield tuple(exp)
         exp[i] = exp[last] = 0
 
-    remaining = target.numerator * (scale // target.denominator)
-    if not degree_cap * neg_tail[0] <= remaining <= degree_cap * pos_tail[0]:
+    if not degree_cap * neg_tail[0] <= target <= degree_cap * pos_tail[0]:
         return
-    if gcd_tail[0] and remaining % gcd_tail[0]:
+    if gcd_tail[0] and target % gcd_tail[0]:
         return
     if nvars > 1:
-        yield from rec(0, remaining, degree_cap, 0)
+        yield from rec(0, target, degree_cap, 0)
     else:
-        single = [remaining // w_last] if w_last else range(degree_cap + 1)
+        single = [target // w_last] if w_last else range(degree_cap + 1)
         yield from ((e,) for e in single if test is None or test(g_last * e))
 
 

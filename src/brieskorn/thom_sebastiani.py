@@ -76,7 +76,7 @@ def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: in
     <= 0, _slice_cap raises CapExceeded).  A zero class has no weighted
     degree and is refused (ValueError)."""
     target = vanishing_target(cls_f, pg, h, k)
-    weight = target.weighted_degree(h.weights)
+    weight = h.grading.form(target)
     if weight is None:
         raise ValueError("product form is not homogeneous")
     block = _block(h, target.degree - 1, weight, None, h.form_keys(target))

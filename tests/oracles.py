@@ -1,6 +1,7 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
-contraction and the Lie derivative, Theta_f and delta, and Groebner normal
-forms and membership.
+contraction and the Lie derivative, Theta_f and delta, Groebner normal
+forms and membership, and the rational weights the integer grading is
+checked against.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -16,7 +17,7 @@ from fractions import Fraction
 from brieskorn import _backend, groebner, linalg
 from brieskorn.engine import CohomologyClass, GermProblem, InvariantViolation, h_slice, kernel_generator_forms
 from brieskorn.forms import DifferentialForm, df_wedge
-from brieskorn.poly import Polynomial, parse_polynomial
+from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
 from brieskorn.thom_sebastiani import combined_problem, lift_form
 
 # -- germs ----------------------------------------------------------------------
@@ -32,6 +33,40 @@ def extend_with_inert_variable(p: GermProblem, var: str, weight) -> GermProblem:
         raise ValueError(f"variable {var!r} already present")
     f = p.f.remap_variables(p.nvars + 1, list(range(p.nvars)))
     return GermProblem((*p.variables, var), (*p.weights, Fraction(weight)), f, name=p.name)
+
+
+# -- rational weights -------------------------------------------------------------
+
+
+def monomial_weight(exp, weights) -> Fraction:
+    """The weight sum(w_k * e_k) of x^exp, in Fractions."""
+    return Fraction(sum(w * e for w, e in zip(weights, exp)))
+
+
+def weighted_degree(form, weights):
+    """Common weight of the terms of a nonzero DifferentialForm (dx_i counts
+    with weight w_i) or Polynomial, or None when they differ, in Fractions."""
+    coeffs = form.coeffs if isinstance(form, DifferentialForm) else {(): form}
+    if not any(coeffs.values()):
+        raise ValueError("zero has no weighted degree")
+    degree = None
+    for wedge, poly in coeffs.items():
+        shift = sum(weights[i] for i in wedge)
+        for exp in poly.terms:
+            d = monomial_weight(exp, weights) + shift
+            if degree is None:
+                degree = d
+            elif d != degree:
+                return None
+    return Fraction(degree)
+
+
+def monomials_of_weight(weights, target, cap, classes=None) -> list:
+    """The exponents iter_monomials_of_weight gives at a rational target:
+    those of the scaled target of Grading(weights), none off its lattice."""
+    grading = Grading(weight_vector(weights))
+    c = grading.scaled(target)
+    return [] if c is None else list(iter_monomials_of_weight(grading, c, cap, classes))
 
 
 # -- vector fields and the exterior calculus ------------------------------------

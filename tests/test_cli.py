@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from brieskorn import engine, thom_sebastiani
 from brieskorn.cli import main
-from brieskorn.poly import Polynomial
+from brieskorn.poly import Polynomial, format_rational, parse_polynomial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -394,6 +395,34 @@ class TestVerifyReplay:
         main(["ts", prob("a1.json"), prob("ts_y2.json"), "--out", str(out_path)])
         code = main(["ts", prob("a1.json"), prob("ts_y2.json"), "--verify", str(out_path)])
         assert code == 0
+
+    def test_ts_replay_builds_the_sum_germ_once(self, tmp_path, capsys, monkeypatch):
+        """The vanishing certificates of one report share one sum germ, built
+        at the first of them (one build per certificate would be 4 here)."""
+        out_path = tmp_path / "ts.json"
+        argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert [c["type"] for c in json.loads(out_path.read_text())["certificates"]] == ["vanishing"] * 4
+        calls = []
+        original = thom_sebastiani.combined_problem
+        monkeypatch.setattr(thom_sebastiani, "combined_problem", lambda *a: calls.append(a) or original(*a))
+        assert main([*argv, "--verify", str(out_path)]) == 0
+        assert capsys.readouterr().out == "verified 4/4 certificates\n"
+        assert len(calls) == 1
+
+    def test_ts_replay_fails_each_certificate_when_the_sum_germ_fails(self, tmp_path, capsys, monkeypatch):
+        out_path = tmp_path / "ts.json"
+        argv = ["ts", prob("cusp.json"), prob("ts_z2.json")]
+        assert main([*argv, "--out", str(out_path)]) == 0
+
+        def broken(*args):
+            raise ValueError("no sum germ")
+
+        monkeypatch.setattr(thom_sebastiani, "combined_problem", broken)
+        assert main([*argv, "--verify", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "verified 0/4 certificates\n"
+        assert captured.err.splitlines() == ["verify: certificate error: no sum germ"] * 4
 
     def test_digest_mismatch(self, tmp_path, capsys):
         out_path = tmp_path / "s.json"
@@ -795,6 +824,46 @@ class TestRepeatedCalls:
         at_import, after_main = map(int, proc.stdout.split())
         assert at_import == 0
         assert after_main > 0
+
+
+class TestWeightScaling:
+    """Multiplying the weights by a positive rational changes no result, only
+    the problem block: the grading W = L*w changes by a factor at most."""
+
+    @pytest.mark.parametrize(
+        "name, weights, polynomial",
+        [("cusp", ["3", "2"], "x^2 + y^3"), ("x3y3", ["1", "1"], "x^3 + y^3"), ("e7", ["3", "2"], "x^3 + x*y^3")],
+    )
+    def test_scaled_weights_give_the_same_results(self, name, weights, polynomial, tmp_path, capsys):
+        variables = ["x", "y"]
+
+        def reports(ws):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"name": name, "variables": variables, "weights": ws, "polynomial": polynomial}))
+            out = {}
+            for command in ("spectrum", "kernel"):
+                code, text = run_main([command, str(path)], capsys)
+                report = json.loads(text)
+                assert report["result"].pop("problem")["weights"] == ws
+                del report["input_digest"]  # the file's bytes differ
+                out[command] = (code, report)
+            return out
+
+        def basis(ws):
+            problem = engine.GermProblem(variables, ws, parse_polynomial(polynomial, variables))
+            return engine.ct_basis(problem)
+
+        base, base_basis = reports(weights), basis(weights)
+        if name == "cusp":
+            assert base["spectrum"][1]["result"]["spectrum"] == ["-1/6", "1/6"]
+        for factor in (Fraction(2), Fraction(3, 5), Fraction(1, 5), Fraction(1, 6)):
+            scaled = [format_rational(Fraction(w) * factor) for w in weights]
+            assert reports(scaled) == base, scaled
+            got = basis(scaled)
+            assert [(b.exponent, b.cls.representative) for b in got] == [
+                (b.exponent, b.cls.representative) for b in base_basis
+            ]
+            assert [b.cls.weight for b in got] == [b.cls.weight * factor for b in base_basis]
 
 
 class TestScriptEntry:

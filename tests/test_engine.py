@@ -16,6 +16,7 @@ from oracles import (
     euler_field,
     extend_with_inert_variable,
     modules_equal,
+    monomial_weight,
     problem_from_strings,
     random_kernel_elements,
     s_action,
@@ -45,7 +46,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
 from brieskorn.groebner import SubmoduleOfFree
-from brieskorn.poly import Polynomial, parse_polynomial
+from brieskorn.poly import Grading, Polynomial, parse_polynomial
 from brieskorn.problemfile import load_problem_file
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
@@ -216,6 +217,9 @@ class TestSliceLayer:
         rng = random.Random(seed)
         nvars = rng.randint(1, 4)
         weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(nvars)]
+        # the candidates are integer weights W = L*w, below the integer bound floor(L*bound)
+        grading = Grading(weights)
+        scale = grading.scale
         for bound in (F(rng.randint(0, 30), rng.randint(1, 3)), F(0), min(weights) / 2, F(-1, 3)):
             ranges = [range(int(bound / w) + 1 if bound >= 0 else 0) for w in weights]
             expected = set()
@@ -223,8 +227,9 @@ class TestSliceLayer:
                 weight = sum((a * w for a, w in zip(exp, weights)), F(0))
                 if weight <= bound:
                     expected.add(weight)
-            assert engine._monomial_weights(weights, bound) == expected
-        assert engine._monomial_weights(weights, F(-1, 3)) == set()
+            got = engine._monomial_weights(grading.weights, bound * scale // 1)
+            assert {F(s, scale) for s in got} == expected
+        assert engine._monomial_weights(grading.weights, F(-1, 3) * scale // 1) == set()
 
 
 class TestActions:
@@ -372,6 +377,12 @@ class TestTorsion:
         # the zero target has no degree to bound the witness by, and is never expanded
         assert TorsionCertificate("t", 10**6, cert.witness).verify(zero)
 
+    def test_zero_class_weight_must_lie_on_the_lattice(self):
+        # barlet35 has L = 1: the class weight is kept as the integer c
+        assert CohomologyClass(BP, 3, DifferentialForm.zero(3, 3), weight=F(-2)).c == -2
+        with pytest.raises(ValueError, match="off the lattice"):
+            CohomologyClass(BP, 3, DifferentialForm.zero(3, 3), weight=F(1, 2))
+
     def test_degree_one_always_free(self):
         for p in (BP, problem_from_strings(["x", "y"], ["3", "2"], "x^2+y^3")):
             cls = CohomologyClass(p, 1, differential(p.f))
@@ -468,7 +479,7 @@ class TestStaircase:
         # polynomial Poincare lemma gives primitives of one degree more,
         # within the block caps.  The non-closed z dx^dy drives it here.
         cls = object.__new__(CohomologyClass)
-        cls.problem, cls.i, cls.weight = BP, 2, F(1)
+        cls.problem, cls.i, cls.c = BP, 2, 1
         cls.representative = DifferentialForm.monomial_form(3, (0, 1), Polynomial.monomial(3, (0, 0, 1)))
         result = torsion_order_s(cls, self.R_MAX, cap=14)
         assert isinstance(result, NotFoundWithin) and result.cap_limited
@@ -496,7 +507,7 @@ class TestStaircase:
             calls.update(rref=0, nullspace=0, _combine=0)
             assert isinstance(torsion_order_s(cls, depth, cap=14), NotFoundWithin)
             assert len(spaces) == depth  # one block per depth, each built once
-            assert [a[2] for a in spaces] == [cls.weight + j * BP.degree for j in range(depth)]
+            assert [a[2] for a in spaces] == [cls.c + j * BP.scaled_degree for j in range(depth)]
             assert calls == {"rref": depth, "nullspace": 0, "_combine": 0}  # one elimination per step
 
 
@@ -516,7 +527,7 @@ def t_reference(cls, p_max, cap):
     problem = cls.problem
     for p in range(1, p_max + 1):
         target = cls.representative * problem.f ** p
-        weight = cls.weight + p * problem.degree
+        weight = cls.c + p * problem.scaled_degree
         eta_cap = engine._slice_cap(problem, weight, cap, target.total_degree_cap() + 1)
         space = engine.FormSpace(problem, cls.i - 1, weight, eta_cap)
         eta = kernel_solve_reference(problem, space, target)
@@ -532,7 +543,7 @@ def s_reference(cls, r_max, cap):
     base, step = engine._block_degrees(cls)
     blocks = []
     for r in range(r_max):
-        weight = cls.weight + r * problem.degree
+        weight = cls.c + r * problem.scaled_degree
         blocks.append(engine._block(problem, cls.i - 1, weight, cap, None, base + r * step))
         chain = engine._s_chain(blocks, cls.representative)
         if chain is not None:
@@ -555,7 +566,7 @@ class TestKeyClasses:
     def test_keyed_spaces_partition_each_slice(self, problem, cap, slice_weights, most_keys):
         most = 0
         for i in range(problem.n + 1):
-            for c in map(F, slice_weights):
+            for c in slice_weights:
                 space_cap = cap if cap is not None else problem.auto_cap(c)
                 whole = engine.FormSpace(problem, i, c, space_cap)
                 keys = sorted({problem.key(*item) for item in whole.items})
@@ -571,6 +582,23 @@ class TestKeyClasses:
                     assert union.items == sorted(parts[0].items + parts[1].items)
                 most = max(most, len(keys))
         assert most == most_keys  # cusp: Z^2 / L0 = Z, one class per weight
+
+    @pytest.mark.parametrize("problem, cap", [(BP, 8), (NC22, 6), (CUSP, 8)], ids=["barlet35", "nc22", "cusp"])
+    def test_items_strictly_ascend(self, problem, cap):
+        # column order fixes the canonical kernel bases, and FormSpace makes
+        # no sort: the wedges ascend, and so do the exponents of each
+        # wedge; slice weights of each sign, with and without keys
+        checked = 0
+        for i in range(problem.n + 1):
+            for c in range(-4, 13):
+                whole = engine.FormSpace(problem, i, c, cap)
+                keys = sorted({problem.key(*item) for item in whole.items})
+                keyed = [engine.FormSpace(problem, i, c, cap, {key}) for key in keys]
+                keyed += [engine.FormSpace(problem, i, c, cap, set(keys[::2]))] if len(keys) > 2 else []
+                for space in [whole, *keyed]:
+                    assert all(a < b for a, b in zip(space.items, space.items[1:])), (i, c)
+                    checked += space.dim > 1
+        assert checked > 10
 
     @pytest.mark.parametrize("form, found", [("x + y", True), ("x*y + y^2", False)])
     def test_two_key_barlet_targets(self, form, found):
@@ -617,8 +645,8 @@ class TestSolveInKernel:
         checked = 0
         for i in range(problem.n + 1):
             for c in slice_weights:
-                space_cap = cap if cap is not None else problem.auto_cap(F(c))
-                space = engine.FormSpace(problem, i, F(c), space_cap)
+                space_cap = cap if cap is not None else problem.auto_cap(c)
+                space = engine.FormSpace(problem, i, c, space_cap)
                 d_images, df_images = engine._monomial_images(problem.f, space.items)
                 assert len(d_images) == len(df_images) == space.dim
                 for (wedge, exp), d_entries, df_entries in zip(space.items, d_images, df_images):
@@ -681,7 +709,7 @@ class TestSolveInKernel:
                 result_target, result = thom_sebastiani.vanish_g_k_dg(item.cls, pg, combined, k)
                 target = wf.wedge(differential(g_lift) * (g_lift ** k))
                 assert result_target == target
-                weight = target.weighted_degree(combined.weights)
+                weight = combined.grading.form(target)
                 space = engine.FormSpace(combined, target.degree - 1, weight, combined.auto_cap(weight))
                 expected = kernel_solve_reference(combined, space, target)
                 if expected is None:
@@ -839,7 +867,6 @@ class TestSliceOracle:
         # monomials.  This checks the whole slice pipeline (kernel, closed
         # forms, boundaries) against pure combinatorics.
         from brieskorn.groebner import standard_monomials
-        from brieskorn.poly import monomial_weight
 
         for text, vs, ws in [
             ("x^2", ["x"], ["1"]),

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from oracles import apply, contract, function_form, lie_derivative
+from oracles import apply, contract, function_form, lie_derivative, weighted_degree
 
 from brieskorn.forms import (
     DifferentialForm,
@@ -12,7 +12,7 @@ from brieskorn.forms import (
     form_from_payload,
     volume_form,
 )
-from brieskorn.poly import Polynomial, parse_polynomial, weight_vector
+from brieskorn.poly import Grading, Polynomial, parse_polynomial, weight_vector
 
 XYZ = ["x", "y", "z"]
 
@@ -169,7 +169,8 @@ class TestLieDerivative:
             exp = tuple(rng.randint(0, 3) for _ in range(3))
             wedge = tuple(sorted(rng.sample(range(3), rng.randint(0, 3))))
             omega = DifferentialForm(3, len(wedge), {wedge: Polynomial.monomial(3, exp)})
-            c = omega.weighted_degree(w)
+            c = Grading(w).form(omega)
+            assert c == weighted_degree(omega, w)
             assert lie_derivative(omega, E) == omega * c
 
 
@@ -184,5 +185,5 @@ class TestSerialization:
 
     def test_weighted_degree_counts_wedges(self):
         w = weight_vector(["1", "1", "-1"])
-        assert volume_form(3).weighted_degree(w) == 1
-        assert G1().weighted_degree(w) == 4
+        assert Grading(w).form(volume_form(3)) == 1
+        assert Grading(w).form(G1()) == 4

@@ -5,6 +5,7 @@ accumulator against its Fraction reference.
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -14,11 +15,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from fraction_echelon import FractionEchelon  # noqa: E402
-from oracles import lie_derivative, problem_from_strings, tdt_action  # noqa: E402
+from oracles import (  # noqa: E402
+    lie_derivative,
+    monomial_weight,
+    problem_from_strings,
+    tdt_action,
+    weighted_degree,
+)
 
 from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     GermProblem,
+    h_slice,
     _monomial_images,
     sample_top_classes,
     wedge_tuples,
@@ -26,10 +34,10 @@ from brieskorn.engine import (  # noqa: E402
 from brieskorn.forms import DifferentialForm, df_wedge, differential  # noqa: E402
 from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
 from brieskorn.poly import (  # noqa: E402
+    Grading,
     Polynomial,
     format_rational,
     iter_monomials_of_weight,
-    monomial_weight,
     parse_polynomial,
 )
 
@@ -117,6 +125,51 @@ def test_euler_lie_derivative_multiplies_by_the_weighted_degree(weights, exp, we
     assert lie_derivative(omega, euler) == omega * degree
 
 
+@bounded
+@given(
+    st.lists(rationals, min_size=NVARS, max_size=NVARS),
+    forms(),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)),
+    st.integers(0, 5),
+)
+def test_grading_agrees_with_the_fraction_reference(weights, omega, c, cap):
+    # weights of each sign (and zero); W = L*w, so every weight is an
+    # integer in units of 1/L, and Fractions appear only in the reference
+    grading = Grading(weights)
+    scale = grading.scale
+    assert [Fraction(w, scale) for w in grading.weights] == weights
+    box = [e for e in itertools.product(range(cap + 1), repeat=NVARS) if sum(e) <= cap]
+    for exp in box:
+        assert Fraction(grading.monomial(exp), scale) == monomial_weight(exp, weights)
+    # a form's weight, None when it is not homogeneous; the terms of the
+    # first term's weight make a homogeneous form
+    assume(not omega.is_zero)
+    got = grading.form(omega)
+    assert (None if got is None else Fraction(got, scale)) == weighted_degree(omega, weights)
+
+    def term_weight(wedge, exp):
+        return monomial_weight(exp, weights) + sum(weights[k] for k in wedge)
+
+    wedge0, poly0 = omega.items()[0]
+    first = term_weight(wedge0, next(iter(poly0.terms)))
+    part = {
+        wedge: Polynomial(NVARS, {e: a for e, a in poly.terms.items() if term_weight(wedge, e) == first})
+        for wedge, poly in omega.coeffs.items()
+    }
+    assert grading.form(DifferentialForm(NVARS, omega.degree, part)) == first * scale
+    # scaled: L*c, or None off the lattice (1/L)Z; the enumeration at the
+    # scaled target is the brute-force filter in its (lexicographic) order,
+    # which is empty off the lattice
+    for target in (c, monomial_weight((1,) * NVARS, weights)):
+        brute = [e for e in box if monomial_weight(e, weights) == target]
+        scaled = grading.scaled(target)
+        if scaled is None:
+            assert (target * scale).denominator > 1 and brute == []
+        else:
+            assert scaled == target * scale
+            assert list(iter_monomials_of_weight(grading, scaled, cap)) == brute
+
+
 GERMS = [
     (["x", "y"], ["3", "2"], "x^2 + y^3"),
     (["x", "y"], ["3", "2"], "x^3 + x*y^3"),
@@ -141,12 +194,30 @@ def quasi_homogeneous_germs(draw):
     nvars = draw(st.integers(1, NVARS))
     weights = draw(st.lists(st.integers(-2, 4), min_size=nvars, max_size=nvars))
     first = draw(st.tuples(*[st.integers(0, 4)] * nvars))
-    degree = monomial_weight(first, weights)
+    grading = Grading(weights)
+    degree = grading.monomial(first)
     assume(degree != 0)
-    others = list(iter_monomials_of_weight(nvars, weights, degree, 6))
+    others = list(iter_monomials_of_weight(grading, degree, 6))
     chosen = {first, *draw(st.lists(st.sampled_from(others), max_size=3))} if others else {first}
     f = Polynomial(nvars, {e: draw(coefficients) for e in sorted(chosen)})
     return GermProblem(VARIABLES[:nvars], weights, f)
+
+
+@bounded
+@given(st.data())
+def test_an_off_lattice_slice_is_empty(data):
+    # a germ of integer weights divided by q, so L divides q, and a slice
+    # weight c with L*c not an integer: no form has weight c
+    problem = data.draw(quasi_homogeneous_germs())
+    q = data.draw(st.integers(1, 4))
+    problem = GermProblem(problem.variables, [w / q for w in problem.weights], problem.f)
+    scale = problem.grading.scale
+    m = data.draw(st.integers(2, 5))
+    c = Fraction(data.draw(st.integers(-6, 6)) * m + 1, m * scale)
+    assert problem.grading.scaled(c) is None
+    i = data.draw(st.integers(0, problem.n))
+    sl = h_slice(problem, i, c, cap=4)
+    assert sl.classes == [] and sl.dim == 0
 
 
 @bounded
