@@ -176,9 +176,9 @@ def cmd_analyze(args, pf):
         "kernel_generators": [g.payload(problem.variables) for g in gens],
     }
     if mu is not None:
-        basis = engine.ct_basis(problem, reduced=True)
+        basis = engine.ct_basis(problem)
         result["rank"] = len(basis)
-        result["spectrum"] = [format_rational(b.exponent) for b in basis]
+        result["spectrum"] = [format_rational(c.tdt_eigenvalue()) for c in basis]
         result["gm_pieces"] = gm_model.serialize(gm_model.from_brieskorn(problem))
     probes = engine.sample_top_classes(problem, 3, args.seed) if mu is None else []
     bounds, rows = _torsion_searches(args, pf, probes)
@@ -224,14 +224,14 @@ def cmd_torsion(args, pf):
 
 def cmd_spectrum(args, pf):
     problem = pf.problem
-    basis = engine.ct_basis(problem, reduced=True)
+    basis = engine.ct_basis(problem)
     pieces = gm_model.from_brieskorn(problem)
     psi, phi = gm_model.psi_phi(pieces)
     result = {
         "problem": problem.serialize(),
         "milnor_number": problem.milnor_number(),
         "rank": len(basis),
-        "spectrum": [format_rational(b.exponent) for b in basis],
+        "spectrum": [format_rational(c.tdt_eigenvalue()) for c in basis],
         "gm_pieces": gm_model.serialize(pieces),
         "psi": [[format_rational(a), d] for a, d in psi],
         "phi": [[format_rational(a), d] for a, d in phi],
@@ -254,17 +254,14 @@ def cmd_nc(args, pf):
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
     i = _bound(args.form_degree, 1)
     check = nc_log.verify_a_equals_g_atilde(germ, i, bound)
+    # one eigenvalue per element of the free log basis, so each rank is a count
+    eigenvalues = {str(p): nc_log.residue_eigenvalues(germ, p) for p in range(germ.nvars)}
     result = {
         "problem": problem.serialize(),
         "e": germ.e,
         "mu_vector": list(germ.mu),
-        "ranks": {
-            str(p): len(nc_log.log_relative_basis(germ, p)) for p in range(germ.nvars)
-        },
-        "residue_eigenvalues": {
-            str(p): [format_rational(a) for a in nc_log.residue_eigenvalues(germ, p)]
-            for p in range(germ.nvars)
-        },
+        "ranks": {p: len(eigs) for p, eigs in eigenvalues.items()},
+        "residue_eigenvalues": {p: [format_rational(a) for a in eigs] for p, eigs in eigenvalues.items()},
         "kernel_identity": {
             "form_degree": i,
             "degree_bound": bound,
@@ -334,13 +331,13 @@ def cmd_ts(args, pf, pg):
     if g.milnor_number() is None:
         raise NonIsolatedError("rank/exponent comparison implemented for isolated second operands")
     h = thom_sebastiani.combined_problem(f, g)
-    basis_f = engine.ct_basis(f, reduced=True)
+    basis_f = engine.ct_basis(f)
     report = thom_sebastiani.ts_compare(basis_f, g, h)
     vanish_rows = []
     certificates = []
     exit_code = EXIT_OK
     if basis_f:
-        cls_f = basis_f[0].cls
+        cls_f = basis_f[0]
         for k in range(args.k_max + 1):
             target, cert = thom_sebastiani.vanish_g_k_dg(cls_f, g, h, k)
             if isinstance(cert, TorsionCertificate):

@@ -811,14 +811,9 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
 # -- Milnor data and the C{t} basis --------------------------------------------
 
 
-@dataclass
-class CtBasisClass:
-    cls: CohomologyClass
-    exponent: Fraction
-
-
-def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
-    """Free C{t}-basis classes of H^n (reduced: modulo the C{t}-span of df).
+def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
+    """Free C{t}-basis classes of the reduced H^n (in one variable, H^1 modulo
+    the C{t}-span of df).
 
     Requires an isolated singularity.  Classes are collected weight slice by
     weight slice; at weight c the new generators are the slice classes
@@ -836,15 +831,12 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
     sum_w = sum(grading.weights)
     std = groebner.standard_monomials(problem.jacobian)
     max_c = max((grading.monomial(e) for e in std), default=0) + sum_w
-    # in one variable the omega_0 orbit contributes a generator at weight d
-    if n == 1 and not reduced:
-        max_c = max(max_c, d)
 
     # candidate slice weights: volume-form weights of monomials up to the
     # bound, all integers in units of 1/L
     candidates = sorted(s + sum_w for s in _monomial_weights(grading.weights, max_c - sum_w))
     slices: dict[int, HSlice] = {}
-    out: list[CtBasisClass] = []
+    out: list[CohomologyClass] = []
     for c in candidates:
         sl = h_slice(problem, n, Fraction(c, grading.scale))
         slices[c] = sl
@@ -854,12 +846,11 @@ def ct_basis(problem: GermProblem, reduced: bool = True) -> list[CtBasisClass]:
         prev = slices.get(c - d)
         if prev is not None:
             seeds.extend(cls.representative * problem.f for cls in prev.classes)
-        if reduced and n == 1:
+        if n == 1:
             k, r = divmod(c, d)  # c/d - 1 = k - 1 when r = 0
             if not r and k >= 1:
                 seeds.append(differential(problem.f) * (problem.f ** (k - 1)))
-        for cls in sl.quotient_complement(seeds):
-            out.append(CtBasisClass(cls, cls.tdt_eigenvalue()))
+        out.extend(sl.quotient_complement(seeds))
     return out
 
 
@@ -872,9 +863,9 @@ def _monomial_weights(weights: Sequence[int], bound: int) -> set[int]:
     return sums
 
 
-def spectrum(problem: GermProblem, reduced: bool = True) -> list[Fraction]:
+def spectrum(problem: GermProblem) -> list[Fraction]:
     """Sorted multiset of t*dt eigenvalues on the C{t}-basis classes."""
-    return sorted(item.exponent for item in ct_basis(problem, reduced=reduced))
+    return sorted(cls.tdt_eigenvalue() for cls in ct_basis(problem))
 
 
 # -- condition (P'): degreewise torsion-freeness criterion -----------------------

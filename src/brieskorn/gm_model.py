@@ -26,7 +26,7 @@ def from_brieskorn(problem: GermProblem) -> Pieces:
     the t*dt eigenvalues c/d - 1 on the C{t}-basis of the reduced top module."""
     if problem.milnor_number() is None:
         raise NonIsolatedError("finite models need an isolated singularity")
-    return sorted(Counter(item.exponent for item in ct_basis(problem, reduced=True)).items())
+    return sorted(Counter(cls.tdt_eigenvalue() for cls in ct_basis(problem)).items())
 
 
 def serialize(pieces: Pieces) -> list[dict]:

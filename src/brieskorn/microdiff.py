@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from brieskorn import linalg
 from brieskorn.poly import format_rational
 
 DEFAULT_S_CAP = 64
@@ -204,8 +205,6 @@ def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:
     ]
     target_key = (2 * p, 0)
     target = {keys.index(target_key): Fraction(1)} if target_key in keys else {}
-    from brieskorn import linalg
-
     solution = linalg.solve_columns(columns, target)
     if solution is None:
         raise AssertionError(

@@ -2,9 +2,9 @@
 
 The relative logarithmic cohomology has the explicit free basis
 x^(k*mu) eta_I (0 <= k < e, I subset of {2..n}), with e = gcd(m_i) and
-mu_i = m_i/e; the residue eigenvalues are k/e.  Log forms are stored
-against the eta_i = dx_i/x_i basis with polynomial coefficients, so no
-poles are ever materialized.
+mu_i = m_i/e, eta_i = dx_i/x_i; the residue eigenvalues are k/e.  The
+kernel identity is checked on polynomial forms only: g * x^b eta_W is the
+monomial form x^(b + 1 - 1_W) dx_W, so no log form or pole is materialized.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from fractions import Fraction
 from brieskorn import linalg
 from brieskorn.engine import (
     CapExceeded,
-    DynamicIndex,
     _bounded_exponents,
-    _form_entries,
     _image_kernel,
     _monomial_images,
 )
@@ -52,61 +50,6 @@ class MonomialGerm:
 
     def polynomial(self) -> Polynomial:
         return Polynomial.monomial(self.nvars, self.exponents)
-
-
-class LogForm:
-    """Combination of wedges of eta_i = dx_i/x_i with polynomial coefficients."""
-
-    __slots__ = ("nvars", "degree", "coeffs")
-
-    def __init__(self, nvars: int, degree: int, coeffs=None):
-        self.nvars = nvars
-        self.degree = degree
-        clean = {}
-        if coeffs:
-            for idx, poly in coeffs.items():
-                idx = tuple(idx)
-                if len(idx) != degree or any(
-                    idx[k] >= idx[k + 1] for k in range(len(idx) - 1)
-                ):
-                    raise ValueError(f"bad eta index tuple {idx}")
-                if poly:
-                    clean[idx] = poly
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LogForm)
-            and (self.nvars, self.degree) == (other.nvars, other.degree)
-            and self.coeffs == other.coeffs
-        )
-
-    def to_polynomial_form(self, germ: MonomialGerm) -> DifferentialForm:
-        """Multiply by g = prod x_i: g * x^b eta_I = x^b prod_{j not in I} x_j dx_I."""
-        out: dict[tuple[int, ...], Polynomial] = {}
-        for idx, poly in self.coeffs.items():
-            shift = [1] * self.nvars
-            for i in idx:
-                shift[i] = 0
-            mono = Polynomial.monomial(self.nvars, tuple(shift))
-            q = poly * mono
-            if q:
-                out[idx] = out.get(idx, Polynomial.zero(self.nvars)) + q
-        return DifferentialForm(self.nvars, self.degree, out)
-
-
-def log_relative_basis(germ: MonomialGerm, p: int) -> list[LogForm]:
-    """The free basis x^(k*mu) eta_I, 0 <= k < e, I in {2..n}, |I| = p."""
-    if not 0 <= p <= germ.nvars - 1:
-        raise ValueError("relative degree p must satisfy 0 <= p <= n-1")
-    mu = germ.mu
-    out = []
-    for k in range(germ.e):
-        exp = tuple(k * m for m in mu)
-        coeff = Polynomial.monomial(germ.nvars, exp)
-        for idx in itertools.combinations(range(1, germ.nvars), p):
-            out.append(LogForm(germ.nvars, p, {idx: coeff}))
-    return out
 
 
 def residue_eigenvalues(germ: MonomialGerm, p: int) -> list[Fraction]:
@@ -152,7 +95,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     log_kernel = _image_kernel(_monomial_images(linear, [(w, (0,) * n) for w in wedges_i])[1])
 
     for nu in _bounded_exponents(n, degree_bound):
-        # polynomial side: forms of multidegree nu (dx_j counts one unit of x_j)
+        # forms of multidegree nu (dx_j counts one unit of x_j): item W is x^(nu - 1_W) dx_W
         items = [
             (wedge, tuple(v - (j in wedge) for j, v in enumerate(nu)))
             for wedge in wedges_i
@@ -160,32 +103,22 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         ]
         if not items:
             continue
-        space = DynamicIndex()
-        a_side = []
-        for combo in _image_kernel(_monomial_images(f, items)[1]):
+        a_side = _image_kernel(_monomial_images(f, items)[1])
+        # g * x^(nu - 1) eta_W is item W, and every wedge is an item when all
+        # nu_j >= 1, so g * A~ at nu is log_kernel read in item coordinates;
+        # when some nu_j = 0 no log form x^(nu - 1) exists
+        g_side = log_kernel if all(nu) else []
+        vec = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
+        if vec is not None:
             # one item per wedge, so each coordinate is one coefficient polynomial
-            terms = {items[j][0]: Polynomial.monomial(n, items[j][1], c) for j, c in combo.items()}
-            form = DifferentialForm(n, i, terms)
-            a_side.append((form, space.vec(_form_entries(form))))
-
-        # log side at log-multidegree b = nu - (1,...,1)
-        b = tuple(v - 1 for v in nu)
-        g_side = []
-        if all(v >= 0 for v in b):
-            for combo in log_kernel:
-                lf = LogForm(n, i, {wedges_i[j]: Polynomial.monomial(n, b, c) for j, c in combo.items()})
-                form = lf.to_polynomial_form(germ)
-                g_side.append((form, space.vec(_form_entries(form))))
-
-        witness = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
-        if witness is not None:
-            return AEqualsGAtilde(False, witness)
+            terms = {items[j][0]: Polynomial.monomial(n, items[j][1], c) for j, c in vec.items()}
+            return AEqualsGAtilde(False, DifferentialForm(n, i, terms))
     return AEqualsGAtilde(True, None)
 
 
 def _first_outside(candidates, spanning):
-    """The first form of (form, vector) candidates outside the span of spanning."""
+    """The first of the candidate vectors outside the span of spanning."""
     ech = linalg.Echelon()
-    for _form, v in spanning:
+    for v in spanning:
         ech.add(v)
-    return next((form for form, v in candidates if ech.reduce(v)), None)
+    return next((v for v in candidates if ech.reduce(v)), None)

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from brieskorn.engine import (
     CohomologyClass,
-    CtBasisClass,
     GermProblem,
     InvariantViolation,
     NotFoundWithin,
@@ -112,10 +111,10 @@ class TSReport:
         }
 
 
-def ts_compare(basis_f: list[CtBasisClass], pg: GermProblem, h: GermProblem) -> TSReport:
+def ts_compare(basis_f: list[CohomologyClass], pg: GermProblem, h: GermProblem) -> TSReport:
     """Left: spectrum of g shifted by each exponent of f's reduced C{t}-basis
     + 1 (mu(f) copies).  Right: the spectrum of the sum germ h computed
     directly."""
-    spec_g = spectrum(pg, reduced=True)
-    left = sorted(b.exponent + ag + 1 for b in basis_f for ag in spec_g)
-    return TSReport(left, spectrum(h, reduced=True))
+    spec_g = spectrum(pg)
+    left = sorted(cls.tdt_eigenvalue() + ag + 1 for cls in basis_f for ag in spec_g)
+    return TSReport(left, spectrum(h))

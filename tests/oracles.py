@@ -1,7 +1,9 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
 contraction and the Lie derivative, Theta_f and delta, Groebner normal
-forms and membership, and the rational weights the integer grading is
-checked against.
+forms and membership, the rational weights the integer grading is checked
+against, and g times a logarithmic form and the log basis rank of a
+normal-crossing germ.  One helper runs a command: nc_report_ranks reads the
+ranks of an `nc` report, for comparison with log_basis_rank.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -11,10 +13,16 @@ functions over brieskorn objects; a vector field is a tuple of component
 polynomials, one per variable.
 """
 
+import functools
+import itertools
+import json
+import math
+import os
 import random
 from fractions import Fraction
 
 from brieskorn import _backend, groebner, linalg
+from brieskorn.cli import main as cli_main
 from brieskorn.engine import CohomologyClass, GermProblem, InvariantViolation, h_slice, kernel_generator_forms
 from brieskorn.forms import DifferentialForm, df_wedge
 from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
@@ -67,6 +75,43 @@ def monomials_of_weight(weights, target, cap, classes=None) -> list:
     grading = Grading(weight_vector(weights))
     c = grading.scaled(target)
     return [] if c is None else list(iter_monomials_of_weight(grading, c, cap, classes))
+
+
+# -- normal-crossing germs --------------------------------------------------------
+
+
+def g_times_log_form(nvars: int, degree: int, b, coeffs) -> DifferentialForm:
+    """g * (x^b sum_W c_W eta_W) for g = prod x_j and eta_W = dx_W / x_W,
+    coeffs mapping each wedge W to c_W: the W term is c_W x^b dx_W times
+    prod_{j not in W} x_j."""
+    terms = {}
+    for wedge, c in coeffs.items():
+        outside = Polynomial.monomial(nvars, tuple(int(j not in wedge) for j in range(nvars)))
+        terms[wedge] = Polynomial.monomial(nvars, tuple(b), c) * outside
+    return DifferentialForm(nvars, degree, terms)
+
+
+def log_basis_rank(exponents, p: int) -> int:
+    """The pairs (k, I) indexing the free log basis x^(k mu) eta_I of
+    prod x_i^(m_i) in relative degree p, counted: 0 <= k < gcd(m_i) and I a
+    p-subset of {2..n}."""
+    e = functools.reduce(math.gcd, exponents)
+    return sum(1 for _pair in itertools.product(range(e), itertools.combinations(range(1, len(exponents)), p)))
+
+
+def nc_report_ranks(directory, exponents) -> dict[int, int]:
+    """The ranks {p: rank} that an `nc` report (degree bound 1) gives for
+    prod x_i^(m_i), run through the CLI in directory."""
+    names = "xyzw"[: len(exponents)]
+    problem, out = os.path.join(directory, "nc.json"), os.path.join(directory, "nc-report.json")
+    with open(problem, "w", encoding="utf-8") as fh:
+        json.dump({
+            "name": "nc", "variables": list(names), "weights": ["1"] * len(names),
+            "polynomial": "*".join(f"{v}^{m}" for v, m in zip(names, exponents)),
+        }, fh)
+    assert cli_main(["nc", problem, "--max-degree", "1", "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        return {int(p): rank for p, rank in json.load(fh)["result"]["ranks"].items()}
 
 
 # -- vector fields and the exterior calculus ------------------------------------

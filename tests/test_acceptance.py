@@ -14,7 +14,9 @@ from oracles import (
     contract,
     extend_with_inert_variable,
     ideal_member,
+    log_basis_rank,
     modules_equal,
+    nc_report_ranks,
     problem_from_strings,
     random_kernel_elements,
     s_action,
@@ -40,7 +42,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import df_wedge, volume_form
 from brieskorn.groebner import SubmoduleOfFree
-from brieskorn.nc_log import MonomialGerm, log_relative_basis, residue_eigenvalues
+from brieskorn.nc_log import MonomialGerm, residue_eigenvalues
 from brieskorn.poly import Polynomial, parse_polynomial
 from brieskorn.thom_sebastiani import combined_problem, ts_compare, vanish_g_k_dg
 
@@ -115,15 +117,19 @@ def test_acceptance_02_torsion_witnesses(barlet):
           f"classes, t-certificates for k=0,1,2 with orders {orders}")
 
 
-def test_acceptance_03_normal_crossing_ranks():
-    """Basis cardinality e*binom(n-1, p) and multiplicity-one degree-0
-    eigenvalues, exhaustively for n <= 4, m_i <= 6."""
+def test_acceptance_03_normal_crossing_ranks(tmp_path):
+    """Basis cardinality e*binom(n-1, p), counted as residue eigenvalues, and
+    multiplicity-one degree-0 eigenvalues, exhaustively for n <= 4, m_i <= 6;
+    the nc report's ranks for n <= 3."""
     checked = 0
     for n in range(1, 5):
         for m in itertools.product(range(1, 7), repeat=n):
             germ = MonomialGerm(m)
-            for p in range(n):
-                assert len(log_relative_basis(germ, p)) == germ.e * math.comb(n - 1, p)
+            ranks = {p: log_basis_rank(m, p) for p in range(n)}
+            assert ranks == {p: germ.e * math.comb(n - 1, p) for p in range(n)}
+            assert {p: len(residue_eigenvalues(germ, p)) for p in range(n)} == ranks
+            if n <= 3:
+                assert nc_report_ranks(tmp_path, m) == ranks
             eigs = residue_eigenvalues(germ, 0)
             assert len(set(eigs)) == len(eigs)
             checked += 1
@@ -137,11 +143,11 @@ def test_acceptance_04_isolated_ranks():
     for text, vs, ws, mu in ISOLATED_CORPUS:
         p = problem_from_strings(vs, ws, text)
         assert p.milnor_number() == mu
-        basis = ct_basis(p, reduced=True)
+        basis = ct_basis(p)
         assert len(basis) == mu
-        for item in basis:
-            assert isinstance(torsion_order_t(item.cls, 5), NotFoundWithin)
-            assert isinstance(torsion_order_s(item.cls, 5), NotFoundWithin)
+        for cls in basis:
+            assert isinstance(torsion_order_t(cls, 5), NotFoundWithin)
+            assert isinstance(torsion_order_s(cls, 5), NotFoundWithin)
         summary.append(f"{text}:{mu}")
     print("ACCEPTANCE 4 PASS: rank = Milnor number and torsion-free on "
           + ", ".join(summary))
@@ -197,8 +203,7 @@ def test_acceptance_07_eigenvalue_laws(barlet):
     classes = 0
     for text, vs, ws, _mu in ISOLATED_CORPUS + [("x^2", ["x"], ["1"], 1)]:
         p = problem_from_strings(vs, ws, text)
-        for item in ct_basis(p, reduced=True):
-            cls = item.cls
+        for cls in ct_basis(p):
             c, d = cls.weight, p.degree
             assert s_action(cls).representative == t_action(cls).representative * (d / c)
             assert tdt_action(cls).representative == cls.representative * (c / d - 1)
@@ -227,10 +232,10 @@ def test_acceptance_08_thom_sebastiani():
     x3y3 = problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3")
     verdicts = []
     for pf, pg in [(x2, y2), (x2, y3), (x3y3, z2)]:
-        rep = ts_compare(ct_basis(pf, reduced=True), pg, combined_problem(pf, pg))
+        rep = ts_compare(ct_basis(pf), pg, combined_problem(pf, pg))
         assert rep.passed
         verdicts.append(f"{pf.f.serialize(pf.variables)}+{pg.f.serialize(pg.variables)}")
-    cls = ct_basis(x2, reduced=True)[0].cls
+    cls = ct_basis(x2)[0]
     combined = combined_problem(x2, y2)
     for k in range(4):
         target, cert = vanish_g_k_dg(cls, y2, combined, k)

@@ -12,6 +12,8 @@ counts for it, which is `module.name`, `from brieskorn.module import name`,
 or a bare name inside that module.  Dunders are exempt, and so are methods
 that override an attribute of a base class (argparse calls
 cli._Parser.error, the package does not).
+
+Also, every module-level import binds a name that its module uses.
 """
 
 import ast
@@ -93,3 +95,25 @@ def unreferenced():
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced() == []
 
+
+
+def unused_imports():
+    """(module, name) of each module-level import whose bound name the
+    module never uses as an ast.Name (an attribute chain `a.b` starts with
+    the Name `a`)."""
+    out = []
+    for module, tree in _modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        out.append((module, bound))
+    return out
+
+
+def test_every_module_level_import_is_used():
+    assert unused_imports() == []

@@ -860,10 +860,10 @@ class TestWeightScaling:
             scaled = [format_rational(Fraction(w) * factor) for w in weights]
             assert reports(scaled) == base, scaled
             got = basis(scaled)
-            assert [(b.exponent, b.cls.representative) for b in got] == [
-                (b.exponent, b.cls.representative) for b in base_basis
+            assert [(c.tdt_eigenvalue(), c.representative) for c in got] == [
+                (c.tdt_eigenvalue(), c.representative) for c in base_basis
             ]
-            assert [b.cls.weight for b in got] == [b.cls.weight * factor for b in base_basis]
+            assert [c.weight for c in got] == [c.weight * factor for c in base_basis]
 
 
 class TestScriptEntry:

@@ -1,22 +1,15 @@
-"""Normal-crossing germs: log bases, residue eigenvalues, kernel identity."""
+"""Normal-crossing germs: log basis ranks, residue eigenvalues, kernel identity."""
 
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
-from oracles import problem_from_strings
+from oracles import g_times_log_form, log_basis_rank, nc_report_ranks, problem_from_strings
 
-from brieskorn import linalg
-from brieskorn.engine import DynamicIndex, _bounded_exponents, _form_entries, ct_basis
-from brieskorn.forms import df_wedge
-from brieskorn.nc_log import (
-    LogForm,
-    MonomialGerm,
-    log_relative_basis,
-    residue_eigenvalues,
-    verify_a_equals_g_atilde,
-)
+from brieskorn import nc_log
+from brieskorn.engine import spectrum
+from brieskorn.forms import DifferentialForm, df_wedge
+from brieskorn.nc_log import MonomialGerm, residue_eigenvalues, verify_a_equals_g_atilde
 from brieskorn.poly import Polynomial
 
 
@@ -33,34 +26,16 @@ class TestMonomialGerm:
 
 
 class TestLogBasis:
-    def test_22_bases(self):
-        g = MonomialGerm((2, 2))
-        one = Polynomial.constant(2, 1)
-        xy = Polynomial.monomial(2, (1, 1))
-        assert log_relative_basis(g, 0) == [
-            LogForm(2, 0, {(): one}),
-            LogForm(2, 0, {(): xy}),
-        ]
-        assert log_relative_basis(g, 1) == [
-            LogForm(2, 1, {(1,): one}),
-            LogForm(2, 1, {(1,): xy}),
-        ]
-
-    def test_11_rank_one(self):
-        g = MonomialGerm((1, 1))
-        for p in range(2):
-            assert len(log_relative_basis(g, p)) == 1
-
-    def test_23_gcd_one(self):
-        assert len(log_relative_basis(MonomialGerm((2, 3)), 0)) == 1
-
-    def test_rank_formula_exhaustive(self):
-        # every monomial germ with n <= 4, exponents <= 6
+    def test_rank_formula_exhaustive(self, tmp_path):
+        # one residue eigenvalue per basis element x^(k mu) eta_I: every
+        # monomial germ with n <= 4, exponents <= 6; the nc report's ranks
+        # on those with n <= 3, exponents <= 3
         for n in range(1, 5):
             for m in itertools.product(range(1, 7), repeat=n):
-                germ = MonomialGerm(m)
-                for p in range(n):
-                    assert len(log_relative_basis(germ, p)) == germ.e * math.comb(n - 1, p)
+                ranks = {p: log_basis_rank(m, p) for p in range(n)}
+                assert {p: len(residue_eigenvalues(MonomialGerm(m), p)) for p in range(n)} == ranks
+                if n <= 3 and max(m) <= 3:
+                    assert nc_report_ranks(tmp_path, m) == ranks
 
 
 class TestResidues:
@@ -108,37 +83,90 @@ class TestKernelIdentity:
                     cases += 1
         assert cases == 141
 
-    def test_failing_branch_reports_an_a_form_outside_g_atilde(self, monkeypatch):
-        # multiplying g * A~ by x breaks the identity; the witness must be a
-        # df-killed form that no (broken) g * A~ form up to the bound spans
-        original = LogForm.to_polynomial_form
-        x = Polynomial.variable(2, 0)
-        monkeypatch.setattr(LogForm, "to_polynomial_form", lambda lf, germ: original(lf, germ) * x)
-        germ = MonomialGerm((2, 2))
-        res = verify_a_equals_g_atilde(germ, 1, 4)
+    def test_empty_log_kernel_reports_an_a_form_outside_g_atilde(self, monkeypatch):
+        res = _check_22_with_log_kernel(monkeypatch, lambda kernel: [])
         assert not res.holds
-        witness = res.witness
-        assert witness and not df_wedge(germ.polynomial(), witness)
-        # Ker(df/f-wedge) in degree 1 is spanned by eta_x + eta_y, since m = (2, 2)
-        index = DynamicIndex()
-        g_span = linalg.Echelon()
-        for b in _bounded_exponents(2, 4):
-            mono = Polynomial.monomial(2, b)
-            g_form = LogForm(2, 1, {(0,): mono, (1,): mono}).to_polynomial_form(germ)
-            g_span.add(index.vec(_form_entries(g_form)))
-        assert g_span.reduce(index.vec(_form_entries(witness)))
+        # the first nonzero A-form: y dx + x dy = g * (eta_x + eta_y), at nu = (1, 1)
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        assert res.witness == DifferentialForm(2, 1, {(0,): y, (1,): x})
+        assert not df_wedge(MonomialGerm((2, 2)).polynomial(), res.witness)
+
+    def test_extra_log_vector_reports_a_g_atilde_form_outside_a(self, monkeypatch):
+        # eta_x alone is outside Ker(df/f-wedge): g * eta_x = y dx, not killed by df-wedge
+        res = _check_22_with_log_kernel(monkeypatch, lambda kernel: kernel + [{0: F(1)}])
+        assert not res.holds
+        assert res.witness == g_times_log_form(2, 1, (0, 0), {(0,): 1})
+        assert res.witness == DifferentialForm(2, 1, {(0,): Polynomial.variable(2, 1)})
+        assert df_wedge(MonomialGerm((2, 2)).polynomial(), res.witness)
+
+    def test_g_atilde_is_the_log_kernel_on_the_items(self, monkeypatch):
+        # at every nu with all nu_j >= 1 the check reads each log-kernel vector
+        # c as a vector over its items (W, nu - 1_W): the form it stands for,
+        # sum_W c_W x^(nu - 1_W) dx_W, must be g * (x^(nu-1) sum_W c_W eta_W)
+        item_lists, kernels = [], []
+        images, image_kernel = nc_log._monomial_images, nc_log._image_kernel
+
+        def record_items(f, items, df=True):
+            item_lists.append(list(items))
+            return images(f, items, df)
+
+        def record_kernel(rows):
+            kernels.append(image_kernel(rows))
+            return kernels[-1]
+
+        monkeypatch.setattr(nc_log, "_monomial_images", record_items)
+        monkeypatch.setattr(nc_log, "_image_kernel", record_kernel)
+        checked = 0
+        for n in range(1, 4):
+            for m in itertools.product(range(1, 4), repeat=n):
+                germ = MonomialGerm(m)
+                for i in range(n + 1):
+                    item_lists.clear()
+                    kernels.clear()
+                    assert verify_a_equals_g_atilde(germ, i, 4).holds
+                    # the first call is the log-side Koszul kernel on the constant items
+                    wedges = [w for w, _exp in item_lists[0]]
+                    log_kernel = kernels[0]
+                    for items in item_lists[1:]:
+                        wedge, exp = items[0]
+                        nu = tuple(v + (j in wedge) for j, v in enumerate(exp))
+                        if not all(nu):
+                            continue
+                        assert [w for w, _exp in items] == wedges
+                        b = tuple(v - 1 for v in nu)
+                        for c in log_kernel:
+                            g_form = g_times_log_form(n, i, b, {wedges[j]: a for j, a in c.items()})
+                            terms = {items[j][0]: Polynomial.monomial(n, items[j][1], a) for j, a in c.items()}
+                            assert g_form == DifferentialForm(n, i, terms)
+                            # g * x^b eta-combination lies in A = Ker(df-wedge)
+                            assert not df_wedge(germ.polynomial(), g_form)
+                            checked += 1
+        assert checked > 0
+
+def _check_22_with_log_kernel(monkeypatch, change):
+    """The degree-1 check on x^2 y^2 up to degree 4, with the log-side Koszul
+    kernel (the first _image_kernel call, on the linear germ 2x + 2y)
+    replaced by change(kernel)."""
+    image_kernel = nc_log._image_kernel
+    calls = []
+
+    def faulty(rows):
+        calls.append(rows)
+        kernel = image_kernel(rows)
+        return change(kernel) if len(calls) == 1 else kernel
+
+    monkeypatch.setattr(nc_log, "_image_kernel", faulty)
+    return verify_a_equals_g_atilde(MonomialGerm((2, 2)), 1, 4)
 
 
 class TestCrossEngine:
     def test_one_variable_rank_and_eigenvalues(self):
-        # engine H^1 rank equals e = q; t*dt eigenvalues (k+1)/q - 1 in (-1, 0]
+        # the reduced spectrum of x^q is {a - 1 : a a residue eigenvalue, a != 0}
         for q in (2, 3, 5):
             p = problem_from_strings(["x"], ["1"], f"x^{q}")
-            basis = ct_basis(p, reduced=False)
-            assert len(basis) == q
-            got = sorted(item.exponent for item in basis)
-            assert got == [F(k + 1, q) - 1 for k in range(q)]
-            assert all(F(-1) < a <= 0 for a in got)
+            eigs = residue_eigenvalues(MonomialGerm((q,)), 0)
+            assert spectrum(p) == [a - 1 for a in eigs if a]
+        assert [str(a) for a in spectrum(problem_from_strings(["x"], ["1"], "x^3"))] == ["-2/3", "-1/3"]
 
     def test_nc22_as_engine_problem(self):
         # x^2 y^2 is non-isolated; its A^1 kernel identity is the nc route

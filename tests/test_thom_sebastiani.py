@@ -26,11 +26,11 @@ def germ(text, vs, ws=None):
 
 
 def unit_class(problem):
-    return ct_basis(problem, reduced=True)[0].cls
+    return ct_basis(problem)[0]
 
 
 def compare(pf, pg):
-    return ts_compare(ct_basis(pf, reduced=True), pg, combined_problem(pf, pg))
+    return ts_compare(ct_basis(pf), pg, combined_problem(pf, pg))
 
 
 X2 = germ("x^2", ["x"])
@@ -66,10 +66,10 @@ class TestExternalProduct:
     def test_additivity_on_engine_classes(self):
         # alpha_h = alpha_f + alpha_g + 1 on the external product
         for pf, pg in [(X2, Y2), (X2, Y3), (X3Y3, Z2)]:
-            for bf in ct_basis(pf, reduced=True):
-                for bg in ct_basis(pg, reduced=True):
-                    prod = external_product(bf.cls, bg.cls)
-                    assert prod.tdt_eigenvalue() == bf.cls.tdt_eigenvalue() + bg.cls.tdt_eigenvalue() + 1
+            for bf in ct_basis(pf):
+                for bg in ct_basis(pg):
+                    prod = external_product(bf, bg)
+                    assert prod.tdt_eigenvalue() == bf.tdt_eigenvalue() + bg.tdt_eigenvalue() + 1
 
     def test_t_compatibility(self):
         # h * (w_f wedge w_g) = (f w_f) wedge w_g + w_f wedge (g w_g) exactly
@@ -78,10 +78,10 @@ class TestExternalProduct:
             nv = h.nvars
             f_lift = pf.f.remap_variables(nv, list(range(pf.nvars)))
             g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-            for bf in ct_basis(pf, reduced=True):
-                for bg in ct_basis(pg, reduced=True):
-                    wf = lift_form(bf.cls.representative, 0, nv)
-                    wg = lift_form(bg.cls.representative, pf.nvars, nv)
+            for bf in ct_basis(pf):
+                for bg in ct_basis(pg):
+                    wf = lift_form(bf.representative, 0, nv)
+                    wg = lift_form(bg.representative, pf.nvars, nv)
                     assert wf.wedge(wg) * h.f == (wf * f_lift).wedge(wg) + wf.wedge(wg * g_lift)
 
 
