@@ -317,33 +317,6 @@ class FormSpace:
         )
 
 
-class DynamicIndex:
-    """Grow-on-demand index for image coordinates."""
-
-    def __init__(self):
-        self.index: dict = {}
-
-    def vec(self, keyed: Iterable[tuple[object, Fraction]]) -> linalg.Vec:
-        out: linalg.Vec = {}
-        for key, coeff in keyed:
-            k = self.index.get(key)
-            if k is None:
-                k = len(self.index)
-                self.index[key] = k
-            if k in out:
-                out[k] += coeff
-            else:
-                out[k] = coeff
-        return {k: v for k, v in out.items() if v}
-
-
-def _form_entries(form: DifferentialForm, group=None):
-    for wedge, poly in sorted(form.coeffs.items()):
-        for exp, coeff in sorted(poly.terms.items()):
-            key = (wedge, exp) if group is None else (group, wedge, exp)
-            yield key, coeff
-
-
 def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Vec]:
     """Basis of Ker(df-wedge) restricted to the enumerated slice space."""
     nv, f = problem.nvars, problem.f
@@ -356,7 +329,7 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
         form.nvars, form.degree, form.coeffs = nv, space.i, {wedge: coeff}
         image = df_wedge(f, form)
         images.append([((w, e), c) for w, poly in image.coeffs.items() for e, c in poly.terms.items()])
-    return _image_kernel(images)
+    return linalg.nullspace(images)
 
 
 def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
@@ -382,11 +355,12 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple], df: bool = True) -> 
     distinct d entry: d(beta) has the entry sign * e_j at (w + j, e - 1_j),
     and df wedge beta holds the terms of sign * (df/dx_j) x^e at w + j, for
     each j not in w, where sign is (-1)^(number of indices of w below j).
-    Entries and their order equal _form_entries of
+    Entries and their order equal the sorted terms of
     beta.exterior_derivative() and df_wedge(f, beta): the wedges w + j
     ascend with j, and shifting the (sorted) terms of a partial by e keeps
-    their order.  Keys within one image are distinct.  With df false the df
-    images are left empty.
+    their order.  Keys within one image are distinct, so each image is a
+    column of keyed entries for linalg.  With df false the df images are
+    left empty.
     """
     nvars = f.nvars
     partials = partial_terms(f) if df else (((), ()),) * nvars
@@ -415,27 +389,14 @@ def _monomial_images(f: Polynomial, items: Sequence[tuple], df: bool = True) -> 
     return d_images, df_images
 
 
-def _image_kernel(images: Sequence[Iterable[tuple]]) -> list[linalg.Vec]:
-    """Canonical basis of the combinations of basis forms whose keyed images sum to 0.
-
-    Each image holds distinct keys with nonzero coefficients, so each key is
-    one equation row {image index: coeff}.  Row order changes neither the
-    RREF nor the null space.
-    """
-    equations: dict = {}
-    for j, entries in enumerate(images):
-        for key, coeff in entries:
-            row = equations.get(key)
-            if row is None:
-                equations[key] = {j: coeff}
-            else:
-                row[j] = coeff
-    return linalg.nullspace(list(equations.values()), len(images))
-
-
 def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
     """Each keyed image of _monomial_images as a vector over a basis index."""
     return [{index[key]: coeff for key, coeff in entries} for entries in images]
+
+
+def _numbered(index: dict, entries) -> linalg.Vec:
+    """Keyed entries as a vector over index, which numbers each new key in turn."""
+    return {index.setdefault(key, len(index)): coeff for key, coeff in entries}
 
 
 # -- weight slices of H^i -----------------------------------------------------
@@ -504,7 +465,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
     # closed kernel vectors: restrict d to the kernel span
     if i < problem.n and kernel:
         d_images = [dict(entries) for entries in _monomial_images(problem.f, space.items, df=False)[0]]
-        combos = _image_kernel([_combine(d_images, v).items() for v in kernel])
+        combos = linalg.nullspace([_combine(d_images, v).items() for v in kernel])
         closed = [v for v in (_combine(kernel, combo) for combo in combos) if v]
     else:
         closed = kernel
@@ -713,8 +674,9 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
     """Canonical solution of the full block system of the given blocks.
 
     Unknowns are the coordinates of eta_0..eta_r, block-major in space
-    order; equation group 0 is d(eta_0) = target, group j is d(eta_j) =
-    df wedge eta_(j-1) and group r+1 is df wedge eta_r = 0.  Free
+    order, each a column for linalg.solve_columns whose entries are keyed
+    (group, wedge, exp); equation group 0 is d(eta_0) = target, group j is
+    d(eta_j) = df wedge eta_(j-1) and group r+1 is df wedge eta_r = 0.  Free
     coordinates are zero.  None when the system is inconsistent.
 
     With one block this is the eta with df wedge eta = 0 and d(eta) =
@@ -725,15 +687,14 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
     a pivot of d restricted to that basis.  Negating the df wedge group is a
     row scaling, which changes neither the pivots nor the solution.
     """
-    img = DynamicIndex()
     columns = []
     for j, block in enumerate(blocks):
         for d_entries, df_entries in zip(block.d_images, block.df_images):
             entries = [((j, *key), coeff) for key, coeff in d_entries]
             entries += [((j + 1, *key), -coeff) for key, coeff in df_entries]
-            columns.append(img.vec(entries))
-    target_vec = img.vec(_form_entries(target, group=0))
-    solution = linalg.solve_columns(columns, target_vec)
+            columns.append(entries)
+    target_entries = [((0, w, e), c) for w, poly in target.coeffs.items() for e, c in poly.terms.items()]
+    solution = linalg.solve_columns(columns, target_entries)
     if solution is None:
         return None
     chain = []
@@ -773,17 +734,19 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     problem = cls.problem
-    index = DynamicIndex()  # coordinates of equation group j
-    state = [(index.vec(_form_entries(cls.representative)), Fraction(1))]
+    rep = cls.representative
+    index: dict = {}  # coordinates of equation group j
+    rep_entries = sorted(((w, e), c) for w, poly in rep.coeffs.items() for e, c in poly.terms.items())
+    state = [(_numbered(index, rep_entries), Fraction(1))]
     blocks: list[_SBlock] = []
     for j in range(r_max):
         block = _s_block(cls, j, cap)
         blocks.append(block)
-        d_parts = [index.vec(entries) for entries in block.d_images]
-        n = len(index.index)
-        index = DynamicIndex()
-        df_parts = [index.vec(entries) for entries in block.df_images]
-        lam = n + len(index.index)
+        d_parts = [_numbered(index, entries) for entries in block.d_images]
+        n = len(index)
+        index = {}
+        df_parts = [_numbered(index, entries) for entries in block.df_images]
+        lam = n + len(index)
         vectors = [{**d, **{n + k: c for k, c in df.items()}} for d, df in zip(d_parts, df_parts)]
         for v, mu in state:
             vectors.append({k: -c for k, c in v.items()})
@@ -895,7 +858,7 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
 
         d_here, df_here = _monomial_images(problem.f, prev_here.items)
         d_cols = _indexed(space.index, d_here)
-        kernel = _image_kernel(df_here)
+        kernel = linalg.nullspace(df_here)
         d_kernel = [u for u in (_combine(d_cols, v) for v in kernel) if u]  # d(Ker df-wedge)
         df_below = _indexed(space.index, _monomial_images(problem.f, prev_below.items)[1])
         im_df = [v for v in df_below if v]  # df wedge Omega^(i-1)
@@ -906,8 +869,8 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
                 im_dfd.add(w2)
 
         # intersection of span(d_kernel) and span(im_df)
-        columns = d_kernel + [{k: -val for k, val in v.items()} for v in im_df]
-        for combo in linalg.nullspace(linalg.transpose(columns), len(columns)):
+        columns = [u.items() for u in d_kernel] + [[(k, -val) for k, val in v.items()] for v in im_df]
+        for combo in linalg.nullspace(columns):
             u = _combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
                 return PPrimeResult(False, space.form(u), cap_relative)

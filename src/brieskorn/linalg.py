@@ -1,12 +1,19 @@
 """Exact rational linear algebra on sparse vectors.
 
-Vectors are {column index: Fraction} dicts over some enumerated basis.  All
-elimination is fraction-free, on integer rows: each vector is converted once
-on the way in and each entry once on the way out.  The batch row reduction
-runs in the kernel (see _backend) on primitive rows [(col, int)]; the
-incremental accumulator Echelon, used for span and quotient bookkeeping,
-keeps a scaled RREF of {col: int} rows here.  Everything is deterministic:
-pivot choice, iteration order, output order.
+Vectors are {column index: Fraction} dicts over some enumerated basis.  A
+slice system is given as columns of keyed entries: one column per unknown,
+each an iterable of (key, Fraction) pairs with distinct keys and nonzero
+coefficients, where a key names an equation.  nullspace and solve_columns
+take such columns and build the equation rows themselves, one row per key
+in order of first appearance; row order changes neither the null space nor
+the canonical solution.
+
+All elimination is fraction-free, on integer rows: each vector is converted
+once on the way in and each entry once on the way out.  The batch row
+reduction runs in the kernel (see _backend) on primitive rows [(col, int)];
+the incremental accumulator Echelon, used for span and quotient
+bookkeeping, keeps a scaled RREF of {col: int} rows here.  Everything is
+deterministic: pivot choice, iteration order, output order.
 """
 
 from __future__ import annotations
@@ -43,29 +50,32 @@ def rref(vectors: Iterable[Vec]):
     return [{c: Fraction(n, row[0][1]) for c, n in row} for row in rows], pivots
 
 
-def transpose(columns: Sequence[Vec]) -> list[Vec]:
-    """Rows of the matrix with the given columns, in ascending row index.
+Column = Iterable[tuple[object, Fraction]]
 
-    Zero entries are dropped, so every returned row is nonzero.
-    """
-    rows: dict[int, Vec] = {}
+
+def _equations(columns: Sequence[Column]) -> list[Vec]:
+    """One equation row {column index: coeff} per key, in order of first appearance."""
+    rows: dict = {}
     for j, col in enumerate(columns):
-        for i, c in col.items():
-            if c:
-                rows.setdefault(i, {})[j] = c
-    return [rows[i] for i in sorted(rows)]
+        for key, coeff in col:
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {j: coeff}
+            else:
+                row[j] = coeff
+    return list(rows.values())
 
 
-def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
-    """Basis of {x in Q^ncols : each equation row dotted with x is 0}.
+def nullspace(columns: Sequence[Column]) -> list[Vec]:
+    """Basis of {x : sum_j x_j * columns[j] = 0}.
 
     Basis vectors are indexed by free columns in ascending order, each with
     a 1 in its free column; this makes the output canonical.
     """
-    rows, pivots = rref(equations)
+    rows, pivots = rref(_equations(columns))
     pivot_set = set(pivots)
     one = Fraction(1)  # immutable, so one object serves every free column
-    basis = {free: {free: one} for free in range(ncols) if free not in pivot_set}
+    basis = {free: {free: one} for free in range(len(columns)) if free not in pivot_set}
     # scatter each pivot row into the vectors of the free columns it holds
     for p, row in zip(pivots, rows):
         for c, val in row.items():
@@ -75,10 +85,11 @@ def nullspace(equations: Sequence[Vec], ncols: int) -> list[Vec]:
     return list(basis.values())
 
 
-def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
+def solve_columns(columns: Sequence[Column], target: Column) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target; None when inconsistent.
 
-    Free coordinates are set to zero, making the solution canonical.
+    Free coordinates are set to zero, making the solution canonical.  A
+    target key that no column holds makes the system inconsistent.
 
     Only forward elimination runs (_backend.echelon on [columns | target]);
     the system is inconsistent exactly when the target column m is a pivot,
@@ -88,7 +99,7 @@ def solve_columns(columns: Sequence[Vec], target: Vec) -> list[Fraction] | None:
     RREF.
     """
     m = len(columns)
-    rows, pivots = _backend.echelon([_int_row(r) for r in transpose([*columns, target])])
+    rows, pivots = _backend.echelon([_int_row(r) for r in _equations([*columns, target])])
     if pivots and pivots[-1] == m:
         return None
     x = [Fraction(0)] * m

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import (
-    CapExceeded,
-    _bounded_exponents,
-    _image_kernel,
-    _monomial_images,
-)
+from brieskorn.engine import CapExceeded, _bounded_exponents, _monomial_images
 from brieskorn.forms import DifferentialForm
 from brieskorn.poly import Polynomial
 
@@ -92,7 +87,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     wedges_i = list(itertools.combinations(range(n), i))
     # on constant forms the Koszul map is df'-wedge for the linear f' = sum_j m_j x_j
     linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(germ.exponents)), Polynomial.zero(n))
-    log_kernel = _image_kernel(_monomial_images(linear, [(w, (0,) * n) for w in wedges_i])[1])
+    log_kernel = linalg.nullspace(_monomial_images(linear, [(w, (0,) * n) for w in wedges_i])[1])
 
     for nu in _bounded_exponents(n, degree_bound):
         # forms of multidegree nu (dx_j counts one unit of x_j): item W is x^(nu - 1_W) dx_W
@@ -103,7 +98,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         ]
         if not items:
             continue
-        a_side = _image_kernel(_monomial_images(f, items)[1])
+        a_side = linalg.nullspace(_monomial_images(f, items)[1])
         # g * x^(nu - 1) eta_W is item W, and every wedge is an item when all
         # nu_j >= 1, so g * A~ at nu is log_kernel read in item coordinates;
         # when some nu_j = 0 no log form x^(nu - 1) exists

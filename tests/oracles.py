@@ -69,6 +69,12 @@ def weighted_degree(form, weights):
     return Fraction(degree)
 
 
+def form_entries(form: DifferentialForm) -> list[tuple]:
+    """The terms of a form as keyed entries ((wedge, exp), coeff), sorted by
+    key: a column of keyed entries for linalg.nullspace and solve_columns."""
+    return sorted(((w, e), c) for w, poly in form.coeffs.items() for e, c in poly.terms.items())
+
+
 def monomials_of_weight(weights, target, cap, classes=None) -> list:
     """The exponents iter_monomials_of_weight gives at a rational target:
     those of the scaled target of Grading(weights), none off its lattice."""

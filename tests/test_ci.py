@@ -1,6 +1,8 @@
 """The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify"),
-after installing the test dependencies from their one list in pyproject.toml."""
+after installing the test dependencies from their one list in pyproject.toml,
+and every source file parses as the oldest Python that pyproject.toml admits."""
 
+import ast
 import os
 
 import pytest
@@ -33,3 +35,22 @@ def test_tier1_collects_tests_and_perfbench():
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         options = tomllib.load(fh)["tool"]["pytest"]["ini_options"]
     assert options["testpaths"] == ["tests", "perfbench"]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # CI runs one newer Python, so syntax that needs more than requires-python
+    # would pass there and fail on install
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["requires-python"] == ">=3.10"
+    paths = [
+        os.path.join(dirpath, name)
+        for top in ("src", "tests", "perfbench")
+        for dirpath, _dirs, names in os.walk(os.path.join(ROOT, top))
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

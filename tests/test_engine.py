@@ -15,6 +15,7 @@ from oracles import (
     delta_at_origin,
     euler_field,
     extend_with_inert_variable,
+    form_entries,
     modules_equal,
     monomial_weight,
     problem_from_strings,
@@ -153,9 +154,8 @@ def h_slice_reference(problem, i, c, cap):
     kernel = engine._df_kernel_vectors(problem, space)
     closed = kernel
     if i < problem.n:
-        img = engine.DynamicIndex()
-        columns = [img.vec(engine._form_entries(space.form(v).exterior_derivative())) for v in kernel]
-        combos = linalg.nullspace(linalg.transpose(columns), len(kernel))
+        columns = [form_entries(space.form(v).exterior_derivative()) for v in kernel]
+        combos = linalg.nullspace(columns)
         closed = [v for v in (engine._combine(kernel, combo) for combo in combos) if v]
     boundaries = []
     if i >= 1:
@@ -514,9 +514,8 @@ class TestStaircase:
 def kernel_solve_reference(problem, space, target):
     """d(eta) = target on the canonical Ker(df wedge) basis, combined back."""
     kernel = engine._df_kernel_vectors(problem, space)
-    img = engine.DynamicIndex()
-    columns = [img.vec(engine._form_entries(space.form(v).exterior_derivative())) for v in kernel]
-    solution = linalg.solve_columns(columns, img.vec(engine._form_entries(target)))
+    columns = [form_entries(space.form(v).exterior_derivative()) for v in kernel]
+    solution = linalg.solve_columns(columns, form_entries(target))
     if solution is None:
         return None
     return space.form(engine._combine(kernel, {j: x for j, x in enumerate(solution) if x}))
@@ -651,18 +650,11 @@ class TestSolveInKernel:
                 assert len(d_images) == len(df_images) == space.dim
                 for (wedge, exp), d_entries, df_entries in zip(space.items, d_images, df_images):
                     beta = DifferentialForm.monomial_form(problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp))
-                    assert d_entries == list(engine._form_entries(beta.exterior_derivative()))
-                    assert df_entries == list(engine._form_entries(df_wedge(problem.f, beta)))
+                    assert d_entries == form_entries(beta.exterior_derivative())
+                    assert df_entries == form_entries(df_wedge(problem.f, beta))
                     assert all(type(c) is F for _key, c in d_entries + df_entries)
                     checked += 1
         assert checked >= 10
-
-    def test_dynamic_index_sums_collisions_and_drops_zeros(self):
-        index = engine.DynamicIndex()
-        keyed = [("a", F(1, 2)), ("b", F(3)), ("a", F(1, 3)), ("c", F(2)), ("c", F(-2)), ("d", F(0))]
-        assert index.vec(keyed) == {0: F(5, 6), 1: F(3)}
-        assert index.index == {"a": 0, "b": 1, "c": 2, "d": 3}
-        assert index.vec([("d", F(-1)), ("e", F(7, 2))]) == {3: F(-1), 4: F(7, 2)}
 
     @pytest.mark.parametrize("monomial", ["1", "z", "z^2", "x*y", "x^2*y^3*z^2", "x + y", "x*y + y^2"])
     def test_barlet_t_search_matches_the_kernel_basis_solve(self, monomial):

@@ -1,4 +1,5 @@
-"""Exact linear algebra: the row-reduction kernel and the Vec layer on top."""
+"""Exact linear algebra: the row-reduction kernel, the Vec layer on top and
+the keyed columns of nullspace and solve_columns."""
 
 import math
 import random
@@ -59,9 +60,25 @@ def test_rref_matches_sympy():
         ]
 
 
-def test_transpose_orders_rows_and_drops_zeros():
-    columns = [{3: Fraction(1), 0: Fraction(2)}, {}, {0: Fraction(0), 3: Fraction(-1, 2)}]
-    assert linalg.transpose(columns) == [{0: Fraction(2)}, {0: Fraction(1), 2: Fraction(-1, 2)}]
+def rows_of(columns):
+    """Rows of the matrix with the given {row: coeff} columns, in ascending
+    row index, zeros dropped."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            if c:
+                rows.setdefault(i, {})[j] = c
+    return [rows[i] for i in sorted(rows)]
+
+
+def columns_of(equations, ncols):
+    """The ncols columns of the matrix with the given equation rows."""
+    return [{i: row[j] for i, row in enumerate(equations) if row.get(j)} for j in range(ncols)]
+
+
+def keyed(columns):
+    """{row: coeff} columns as columns of keyed entries, the row index the key."""
+    return [col.items() for col in columns]
 
 
 def combine(coeffs, columns):
@@ -81,7 +98,7 @@ def test_solve_columns_reproduces_target():
             target = rand_vecs(rng, 1, 8)[0]
         else:
             target = combine([Fraction(rng.randint(-3, 3)) for _ in columns], columns)
-        x = linalg.solve_columns(columns, target)
+        x = linalg.solve_columns(keyed(columns), target.items())
         span = linalg.Echelon()
         for col in columns:
             span.add(col)
@@ -173,7 +190,7 @@ def test_nullspace_matches_the_probing_construction():
     for k in range(80):
         ncols = rng.randint(1, 12)
         vecs = adversarial_vecs(rng, rng.randint(1, 8), ncols) if k % 2 else rand_vecs(rng, rng.randint(1, 8), ncols)
-        basis = linalg.nullspace(vecs, ncols)
+        basis = linalg.nullspace(keyed(columns_of(vecs, ncols)))
         expected = nullspace_by_probing(vecs, ncols)
         assert basis == expected
         assert [list(v) for v in basis] == [list(v) for v in expected]  # same key order
@@ -206,7 +223,7 @@ def test_echelon_pivots_and_row_space_match_rref():
 def solve_by_rref(columns, target):
     """Reference: the full RREF of [columns | target], target column read off."""
     m = len(columns)
-    rows, pivots = linalg.rref(linalg.transpose([*columns, target]))
+    rows, pivots = linalg.rref(rows_of([*columns, target]))
     if m in pivots:
         return None
     x = [Fraction(0)] * m
@@ -249,7 +266,7 @@ def test_solve_columns_matches_the_rref_reference():
     rng = random.Random(42)
     outcomes = set()
     for columns, target in solve_cases(rng):
-        x = linalg.solve_columns(columns, target)
+        x = linalg.solve_columns(keyed(columns), target.items())
         expected = solve_by_rref(columns, target)
         assert x == expected
         if x is not None:
@@ -275,7 +292,7 @@ def test_solve_columns_on_an_upper_triangular_system_eliminates_nothing(monkeypa
         for j in range(n)
     ]
     target = {i: Fraction(rng.randint(-9, 9) or 1) for i in range(n)}
-    x = linalg.solve_columns(columns, target)
+    x = linalg.solve_columns(keyed(columns), target.items())
     # each row leads in its own column, so forward elimination has nothing
     # to do, and the one-column back-solve eliminates no row
     assert calls[0] == 0

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from brieskorn import microdiff
 from brieskorn.microdiff import (
     SkewElement,
     TruncatedSeries,
@@ -49,6 +50,34 @@ class TestNormalOrder:
                 for i in range(k + 1):
                     expect[(j + i, k - i)] = F(math.comb(k, i) * rising(j, i))
             assert got == SkewElement(expect)
+
+    def test_closed_form_matches_the_literal_rewrite(self):
+        # reference: rewrite t s^a -> s^a t + a s^(a+1) one t at a time,
+        # refusing any s-power above the cap as soon as it appears
+        def rewrite(k, j, cap):
+            if k == 0 or j == 0:
+                return {(j, k): 1}
+            terms = {(j, 0): 1}
+            for _ in range(k):
+                nxt = {}
+                for (a, kk), c in terms.items():
+                    for key, cc in (((a, kk + 1), c), ((a + 1, kk), c * a)):
+                        if key[0] > cap:
+                            raise TruncationOverflow(f"s-power {key[0]} exceeds cap {cap}")
+                        nxt[key] = nxt.get(key, 0) + cc
+                terms = {key: v for key, v in nxt.items() if v}
+            return terms
+
+        for cap in (0, 1, 3, 8, 64):
+            for k in range(12):
+                for j in range(12):
+                    try:
+                        expect = rewrite(k, j, cap)
+                    except TruncationOverflow:
+                        with pytest.raises(TruncationOverflow, match=f"exceeds cap {cap}"):
+                            microdiff._t_pow_times_s_pow(k, j, cap)
+                    else:
+                        assert microdiff._t_pow_times_s_pow(k, j, cap) == expect
 
     def test_commutator_t_s_power(self):
         for j in range(1, 21):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import g_times_log_form, log_basis_rank, nc_report_ranks, problem_from_strings
 
-from brieskorn import nc_log
+from brieskorn import linalg, nc_log
 from brieskorn.engine import spectrum
 from brieskorn.forms import DifferentialForm, df_wedge
 from brieskorn.nc_log import MonomialGerm, residue_eigenvalues, verify_a_equals_g_atilde
@@ -104,18 +104,18 @@ class TestKernelIdentity:
         # c as a vector over its items (W, nu - 1_W): the form it stands for,
         # sum_W c_W x^(nu - 1_W) dx_W, must be g * (x^(nu-1) sum_W c_W eta_W)
         item_lists, kernels = [], []
-        images, image_kernel = nc_log._monomial_images, nc_log._image_kernel
+        images, nullspace = nc_log._monomial_images, linalg.nullspace
 
         def record_items(f, items, df=True):
             item_lists.append(list(items))
             return images(f, items, df)
 
-        def record_kernel(rows):
-            kernels.append(image_kernel(rows))
+        def record_kernel(columns):
+            kernels.append(nullspace(columns))
             return kernels[-1]
 
         monkeypatch.setattr(nc_log, "_monomial_images", record_items)
-        monkeypatch.setattr(nc_log, "_image_kernel", record_kernel)
+        monkeypatch.setattr(linalg, "nullspace", record_kernel)
         checked = 0
         for n in range(1, 4):
             for m in itertools.product(range(1, 4), repeat=n):
@@ -145,17 +145,17 @@ class TestKernelIdentity:
 
 def _check_22_with_log_kernel(monkeypatch, change):
     """The degree-1 check on x^2 y^2 up to degree 4, with the log-side Koszul
-    kernel (the first _image_kernel call, on the linear germ 2x + 2y)
+    kernel (the first linalg.nullspace call, on the linear germ 2x + 2y)
     replaced by change(kernel)."""
-    image_kernel = nc_log._image_kernel
+    nullspace = linalg.nullspace
     calls = []
 
-    def faulty(rows):
-        calls.append(rows)
-        kernel = image_kernel(rows)
+    def faulty(columns):
+        calls.append(columns)
+        kernel = nullspace(columns)
         return change(kernel) if len(calls) == 1 else kernel
 
-    monkeypatch.setattr(nc_log, "_image_kernel", faulty)
+    monkeypatch.setattr(linalg, "nullspace", faulty)
     return verify_a_equals_g_atilde(MonomialGerm((2, 2)), 1, 4)
 
 

@@ -1,6 +1,7 @@
 """Property tests: identities of the form calculus, the parser round trip,
-the Gauss-Manin data of an exponent multiset and the integer echelon
-accumulator against its Fraction reference.
+the Gauss-Manin data of an exponent multiset, the integer echelon
+accumulator against its Fraction reference and the keyed columns of
+linalg.nullspace and solve_columns against their RREF references.
 
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
@@ -22,6 +23,7 @@ from oracles import (  # noqa: E402
     tdt_action,
     weighted_degree,
 )
+from test_linalg import combine, keyed, nullspace_by_probing, rows_of, solve_by_rref  # noqa: E402
 
 from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
@@ -309,3 +311,48 @@ def test_echelon_agrees_with_the_fraction_reference(vectors, probes):
             snapshot, at = ech.copy(), (ref.pivots[:], [ref.reduce(p) for p in probes])
     # adding to the original leaves an earlier copy as it was
     assert (sorted(snapshot._rows), [snapshot.reduce(p) for p in probes]) == at
+
+
+@st.composite
+def keyed_systems(draw):
+    """Columns {row: coeff} of nonzero coefficients and a target, a
+    combination of the columns about half the time."""
+    columns = draw(st.lists(sparse_vectors, max_size=8))
+    if columns and draw(st.booleans()):
+        target = combine(draw(st.lists(rationals, min_size=len(columns), max_size=len(columns))), columns)
+    else:
+        target = draw(sparse_vectors)
+    return columns, target
+
+
+@bounded
+@given(keyed_systems(), st.lists(st.integers(-50, 50), min_size=8, max_size=8, unique=True), st.data())
+def test_keyed_solves_ignore_key_names_and_entry_order(system, names, data):
+    columns, target = system
+
+    def relabelled(col):  # row k becomes the key (names[k], "eq"), entries shuffled
+        return data.draw(st.permutations([((names[k], "eq"), c) for k, c in col.items()]))
+
+    basis = linalg.nullspace(keyed(columns))
+    assert [list(v.items()) for v in linalg.nullspace([relabelled(c) for c in columns])] == [
+        list(v.items()) for v in basis
+    ]
+    solution = linalg.solve_columns(keyed(columns), target.items())
+    assert linalg.solve_columns([relabelled(c) for c in columns], relabelled(target)) == solution
+
+
+@bounded
+@given(keyed_systems(), coefficients, st.booleans())
+def test_a_target_key_that_no_column_holds_is_inconsistent(system, c, first):
+    columns, target = system
+    entries = list(target.items())
+    entries.insert(0 if first else len(entries), ("absent", c))
+    assert linalg.solve_columns(keyed(columns), entries) is None
+
+
+@bounded
+@given(keyed_systems())
+def test_keyed_solves_agree_with_the_rref_references(system):
+    columns, target = system
+    assert linalg.nullspace(keyed(columns)) == nullspace_by_probing(rows_of(columns), len(columns))
+    assert linalg.solve_columns(keyed(columns), target.items()) == solve_by_rref(columns, target)
