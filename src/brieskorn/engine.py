@@ -21,7 +21,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
 from brieskorn import groebner, linalg
@@ -29,6 +28,7 @@ from brieskorn.forms import (
     DifferentialForm,
     df_wedge,
     differential,
+    monomial_images,
     partial_terms,
     volume_form,
 )
@@ -156,9 +156,7 @@ class GermProblem:
         """
         m = next(iter(self.f.terms))
         return frozenset(
-            self.key(wedge, [a + shift * b for a, b in zip(exp, m)])
-            for wedge, poly in form.coeffs.items()
-            for exp in poly.terms
+            self.key(wedge, [a + shift * b for a, b in zip(exp, m)]) for (wedge, exp), _c in form.entries()
         )
 
     def exponent_classes(self, keys: Iterable[tuple], wedge: Sequence[int]):
@@ -289,32 +287,10 @@ class FormSpace:
             for exp in iter_monomials_of_weight(grading, c - shift, cap, classes):
                 items.append((wedge, exp))
         self.items = items
-        self.index = {key: k for k, key in enumerate(items)}
 
     @property
     def dim(self) -> int:
         return len(self.items)
-
-    def vec(self, form: DifferentialForm) -> linalg.Vec:
-        out: linalg.Vec = {}
-        for wedge, poly in form.coeffs.items():
-            for exp, coeff in poly.terms.items():
-                k = self.index.get((wedge, exp))
-                if k is None:
-                    raise ValueError("form does not live in this slice space")
-                out[k] = coeff
-        return out
-
-    def form(self, vec: linalg.Vec) -> DifferentialForm:
-        polys: dict[tuple[int, ...], dict] = {}
-        for k, coeff in vec.items():
-            wedge, exp = self.items[k]
-            polys.setdefault(wedge, {})[exp] = coeff
-        return DifferentialForm(
-            self.problem.nvars,
-            self.i,
-            {w: Polynomial(self.problem.nvars, t) for w, t in polys.items()},
-        )
 
 
 def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Vec]:
@@ -327,71 +303,8 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
         coeff.nvars, coeff.terms, coeff._hash, coeff._partials = nv, {exp: ONE}, None, None
         form = DifferentialForm.__new__(DifferentialForm)
         form.nvars, form.degree, form.coeffs = nv, space.i, {wedge: coeff}
-        image = df_wedge(f, form)
-        images.append([((w, e), c) for w, poly in image.coeffs.items() for e, c in poly.terms.items()])
+        images.append(df_wedge(f, form).entries())
     return linalg.nullspace(images)
-
-
-def _combine(vectors: Sequence[linalg.Vec], coeffs: linalg.Vec) -> linalg.Vec:
-    """sum coeffs[j] * vectors[j], zero entries dropped."""
-    out: linalg.Vec = {}
-    for j, coeff in coeffs.items():
-        for k, val in vectors[j].items():
-            s = out.get(k)
-            s = coeff * val if s is None else s + coeff * val
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _monomial_images(f: Polynomial, items: Sequence[tuple], df: bool = True) -> tuple[list[list], list[list]]:
-    """Keyed entries of d(beta) and of df wedge beta for every basis form beta.
-
-    beta = x^e dx_w runs over items, a list of (w, e) pairs.  Both images
-    come from exponent arithmetic, with the partials of f taken once per f
-    (forms.partial_terms, shared with df_wedge) and one Fraction per
-    distinct d entry: d(beta) has the entry sign * e_j at (w + j, e - 1_j),
-    and df wedge beta holds the terms of sign * (df/dx_j) x^e at w + j, for
-    each j not in w, where sign is (-1)^(number of indices of w below j).
-    Entries and their order equal the sorted terms of
-    beta.exterior_derivative() and df_wedge(f, beta): the wedges w + j
-    ascend with j, and shifting the (sorted) terms of a partial by e keeps
-    their order.  Keys within one image are distinct, so each image is a
-    column of keyed entries for linalg.  With df false the df images are
-    left empty.
-    """
-    nvars = f.nvars
-    partials = partial_terms(f) if df else (((), ()),) * nvars
-    scalars: dict[int, Fraction] = {}
-    d_images, df_images = [], []
-    for wedge, exp in items:
-        d_entries, df_entries = [], []
-        below = 0  # indices of the wedge below j
-        for j in range(nvars):
-            if below < len(wedge) and wedge[below] == j:
-                below += 1
-                continue
-            new_wedge = (*wedge[:below], j, *wedge[below:])
-            odd = below % 2
-            if exp[j]:
-                lowered = (*exp[:j], exp[j] - 1, *exp[j + 1 :])
-                k = -exp[j] if odd else exp[j]
-                scalar = scalars.get(k)
-                if scalar is None:
-                    scalar = scalars[k] = Fraction(k)
-                d_entries.append(((new_wedge, lowered), scalar))
-            for e2, c in partials[j][odd]:
-                df_entries.append(((new_wedge, tuple(map(add, e2, exp))), c))
-        d_images.append(d_entries)
-        df_images.append(df_entries)
-    return d_images, df_images
-
-
-def _indexed(index: dict, images: Sequence[list]) -> list[linalg.Vec]:
-    """Each keyed image of _monomial_images as a vector over a basis index."""
-    return [{index[key]: coeff for key, coeff in entries} for entries in images]
 
 
 def _numbered(index: dict, entries) -> linalg.Vec:
@@ -404,7 +317,8 @@ def _numbered(index: dict, entries) -> linalg.Vec:
 
 @dataclass
 class HSlice:
-    """Basis of one weight slice of H^i with its exactness reducer."""
+    """Basis of one weight slice of H^i with its exactness reducer, an
+    Echelon keyed by monomial form (W, e)."""
 
     problem: GermProblem
     i: int
@@ -412,7 +326,6 @@ class HSlice:
     cap: int
     cap_relative: bool
     classes: list[CohomologyClass]
-    space: FormSpace | None
     _reducer: linalg.Echelon
 
     @property
@@ -423,10 +336,10 @@ class HSlice:
         """Classes of this slice independent modulo boundaries + seed forms."""
         ech = self._reducer.copy()
         for f in seed_forms:
-            ech.add(self.space.vec(f))
+            ech.add(dict(f.entries()))
         out = []
         for cls in self.classes:
-            if ech.add(self.space.vec(cls.representative)):
+            if ech.add(dict(cls.representative.entries())):
                 out.append(cls)
         return out
 
@@ -449,26 +362,26 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
     With positive weights the slice is finite and the cap is derived; with
     some weight <= 0 an explicit cap is required and completeness (not
     kernel membership) is cap-relative.  The d images come from exponent
-    arithmetic (_monomial_images), built only over a nonzero kernel.  Off
-    the lattice (1/L)Z no form has weight c: the slice is empty, with no
-    space.
+    arithmetic (forms.monomial_images), built only over a nonzero kernel.
+    Kernel vectors are positions in the slice space until they are closed;
+    after that every vector is keyed by monomial form (W, e), whose order
+    is the position order.  Off the lattice (1/L)Z no form has weight c.
     """
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
     c = problem.grading.scaled(c)
     if c is None:
-        return HSlice(problem, i, c, cap, not problem.positive_weights, [], None, linalg.Echelon())
+        return HSlice(problem, i, c, cap, not problem.positive_weights, [], linalg.Echelon())
     space = FormSpace(problem, i, c, _slice_cap(problem, c, cap))
 
     kernel = _df_kernel_vectors(problem, space)
 
-    # closed kernel vectors: restrict d to the kernel span
+    # closed kernel vectors: restrict d to the kernel span, then key them by (W, e)
     if i < problem.n and kernel:
-        d_images = [dict(entries) for entries in _monomial_images(problem.f, space.items, df=False)[0]]
-        combos = linalg.nullspace([_combine(d_images, v).items() for v in kernel])
-        closed = [v for v in (_combine(kernel, combo) for combo in combos) if v]
-    else:
-        closed = kernel
+        d_images = [dict(entries) for entries in monomial_images(problem.nvars, space.items)[0]]
+        combos = linalg.nullspace([linalg.combine(d_images, v).items() for v in kernel])
+        kernel = [v for v in (linalg.combine(kernel, combo) for combo in combos) if v]
+    closed = [{space.items[k]: val for k, val in v.items()} for v in kernel]
 
     # boundary space d(A^{i-1}) at the same weight
     reducer = linalg.Echelon()
@@ -476,9 +389,9 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
         prev = FormSpace(problem, i - 1, c, space.cap + 1)
         prev_kernel = _df_kernel_vectors(problem, prev)
         if prev_kernel:
-            d_prev = _indexed(space.index, _monomial_images(problem.f, prev.items, df=False)[0])
+            d_prev = [dict(entries) for entries in monomial_images(problem.nvars, prev.items)[0]]
             for v in prev_kernel:
-                d_img = _combine(d_prev, v)
+                d_img = linalg.combine(d_prev, v)
                 if d_img:
                     reducer.add(d_img)
 
@@ -489,10 +402,10 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
         if residue:
             pivot = min(residue)
             inv = 1 / residue[pivot]
-            rep = space.form({k: val * inv for k, val in residue.items()})
+            rep = DifferentialForm.from_entries(problem.nvars, i, ((k, val * inv) for k, val in residue.items()))
             classes.append(CohomologyClass(problem, i, rep))
             ech.add(v)
-    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes, space, reducer)
+    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes, reducer)
 
 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
@@ -638,7 +551,7 @@ def _block(problem: GermProblem, i: int, weight: int, cap: int | None, keys, lea
     """The degree-i slice block of integer weight and the given keys, capped
     by _slice_cap (a cap for the whole slice)."""
     space = FormSpace(problem, i, weight, _slice_cap(problem, weight, cap, least), keys)
-    return _SBlock(space, *_monomial_images(problem.f, space.items))
+    return _SBlock(space, *monomial_images(problem.nvars, space.items, partial_terms(problem.f)))
 
 
 def _block_degrees(cls: CohomologyClass) -> tuple[int, int]:
@@ -693,19 +606,11 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
             entries = [((j, *key), coeff) for key, coeff in d_entries]
             entries += [((j + 1, *key), -coeff) for key, coeff in df_entries]
             columns.append(entries)
-    target_entries = [((0, w, e), c) for w, poly in target.coeffs.items() for e, c in poly.terms.items()]
-    solution = linalg.solve_columns(columns, target_entries)
+    solution = linalg.solve_columns(columns, [((0, *key), c) for key, c in target.entries()])
     if solution is None:
         return None
-    chain = []
-    offset = 0
-    for block in blocks:
-        dim = block.space.dim
-        chain.append(
-            block.space.form({k: solution[offset + k] for k in range(dim) if solution[offset + k]})
-        )
-        offset += dim
-    return chain
+    coords = iter(solution)  # block-major: each block's forms take the next coordinates
+    return [DifferentialForm.from_entries(target.nvars, b.space.i, zip(b.space.items, coords)) for b in blocks]
 
 
 def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
@@ -734,10 +639,8 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     problem = cls.problem
-    rep = cls.representative
     index: dict = {}  # coordinates of equation group j
-    rep_entries = sorted(((w, e), c) for w, poly in rep.coeffs.items() for e, c in poly.terms.items())
-    state = [(_numbered(index, rep_entries), Fraction(1))]
+    state = [(_numbered(index, sorted(cls.representative.entries())), Fraction(1))]
     blocks: list[_SBlock] = []
     for j in range(r_max):
         block = _s_block(cls, j, cap)
@@ -842,38 +745,38 @@ class PPrimeResult:
 
 
 def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResult:
-    """Degreewise check of d(Ker df) cap Im(df) = Im(df d) in degree i."""
+    """Degreewise check of d(Ker df) cap Im(df) = Im(df d) in degree i, on
+    spans keyed by monomial form (W, e): no degree-i space is enumerated."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
     if i > problem.n:
         raise ValueError("form degree out of range")
     weights = sorted(_realized_form_weights(problem, i, degree_bound))
     cap_relative = not problem.positive_weights
-    ambient_cap = degree_bound + max(problem.f.total_degree(), 1) + 1
+    nvars, partials = problem.nvars, partial_terms(problem.f)
     for c in weights:
-        space = FormSpace(problem, i, c, ambient_cap)
         prev_here = FormSpace(problem, i - 1, c, degree_bound + 1)
         prev_below = FormSpace(problem, i - 1, c - problem.scaled_degree, degree_bound + 1)
         below_2 = FormSpace(problem, i - 2, c - problem.scaled_degree, degree_bound + 2)
 
-        d_here, df_here = _monomial_images(problem.f, prev_here.items)
-        d_cols = _indexed(space.index, d_here)
+        d_here, df_here = monomial_images(nvars, prev_here.items, partials)
+        d_cols = [dict(entries) for entries in d_here]
         kernel = linalg.nullspace(df_here)
-        d_kernel = [u for u in (_combine(d_cols, v) for v in kernel) if u]  # d(Ker df-wedge)
-        df_below = _indexed(space.index, _monomial_images(problem.f, prev_below.items)[1])
-        im_df = [v for v in df_below if v]  # df wedge Omega^(i-1)
+        d_kernel = [u for u in (linalg.combine(d_cols, v) for v in kernel) if u]  # d(Ker df-wedge)
+        df_below = dict(zip(prev_below.items, map(dict, monomial_images(nvars, prev_below.items, partials)[1])))
+        im_df = [v for v in df_below.values() if v]  # df wedge Omega^(i-1)
         im_dfd = linalg.Echelon()  # df wedge d(Omega^(i-2))
-        for d_gamma in _indexed(prev_below.index, _monomial_images(problem.f, below_2.items)[0]):
-            w2 = _combine(df_below, d_gamma)
+        for d_gamma in monomial_images(nvars, below_2.items)[0]:
+            w2 = linalg.combine(df_below, dict(d_gamma))
             if w2:
                 im_dfd.add(w2)
 
         # intersection of span(d_kernel) and span(im_df)
         columns = [u.items() for u in d_kernel] + [[(k, -val) for k, val in v.items()] for v in im_df]
         for combo in linalg.nullspace(columns):
-            u = _combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
+            u = linalg.combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
-                return PPrimeResult(False, space.form(u), cap_relative)
+                return PPrimeResult(False, DifferentialForm.from_entries(nvars, i, u.items()), cap_relative)
     return PPrimeResult(True, None, cap_relative)
 
 

@@ -1,12 +1,13 @@
 """Exact rational linear algebra on sparse vectors.
 
-Vectors are {column index: Fraction} dicts over some enumerated basis.  A
-slice system is given as columns of keyed entries: one column per unknown,
-each an iterable of (key, Fraction) pairs with distinct keys and nonzero
-coefficients, where a key names an equation.  nullspace and solve_columns
-take such columns and build the equation rows themselves, one row per key
-in order of first appearance; row order changes neither the null space nor
-the canonical solution.
+Vectors are {column: Fraction} dicts: integer columns for rref, any
+ordered keys, such as a slice's monomial forms (W, e), for Echelon and
+combine, the one sparse combination.  A slice system is columns of keyed
+entries: one column per unknown, each an iterable of (key, Fraction) pairs
+with distinct keys and nonzero coefficients, where a key names an
+equation.  nullspace and solve_columns build the equation rows
+themselves, one row per key in order of first appearance; row order
+changes neither the null space nor the canonical solution.
 
 All elimination is fraction-free, on integer rows: each vector is converted
 once on the way in and each entry once on the way out.  The batch row
@@ -113,6 +114,21 @@ def solve_columns(columns: Sequence[Column], target: Column) -> list[Fraction] |
                 s -= a * x[c]
         x[p] = s / lead
     return x
+
+
+def combine(vectors, coeffs: dict) -> dict:
+    """sum coeffs[j] * vectors[j], zero entries dropped; vectors is a
+    sequence or a mapping, and coeffs is keyed like it."""
+    out: dict = {}
+    for j, coeff in coeffs.items():
+        for k, val in vectors[j].items():
+            s = out.get(k)
+            s = coeff * val if s is None else s + coeff * val
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
 
 
 class Echelon:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import CapExceeded, _bounded_exponents, _monomial_images
-from brieskorn.forms import DifferentialForm
+from brieskorn.engine import CapExceeded, _bounded_exponents
+from brieskorn.forms import DifferentialForm, monomial_images, partial_terms
 from brieskorn.poly import Polynomial
 
 
@@ -87,7 +87,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     wedges_i = list(itertools.combinations(range(n), i))
     # on constant forms the Koszul map is df'-wedge for the linear f' = sum_j m_j x_j
     linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(germ.exponents)), Polynomial.zero(n))
-    log_kernel = linalg.nullspace(_monomial_images(linear, [(w, (0,) * n) for w in wedges_i])[1])
+    log_kernel = linalg.nullspace(monomial_images(n, [(w, (0,) * n) for w in wedges_i], partial_terms(linear))[1])
 
     for nu in _bounded_exponents(n, degree_bound):
         # forms of multidegree nu (dx_j counts one unit of x_j): item W is x^(nu - 1_W) dx_W
@@ -98,16 +98,14 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         ]
         if not items:
             continue
-        a_side = linalg.nullspace(_monomial_images(f, items)[1])
+        a_side = linalg.nullspace(monomial_images(n, items, partial_terms(f))[1])
         # g * x^(nu - 1) eta_W is item W, and every wedge is an item when all
         # nu_j >= 1, so g * A~ at nu is log_kernel read in item coordinates;
         # when some nu_j = 0 no log form x^(nu - 1) exists
         g_side = log_kernel if all(nu) else []
         vec = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
         if vec is not None:
-            # one item per wedge, so each coordinate is one coefficient polynomial
-            terms = {items[j][0]: Polynomial.monomial(n, items[j][1], c) for j, c in vec.items()}
-            return AEqualsGAtilde(False, DifferentialForm(n, i, terms))
+            return AEqualsGAtilde(False, DifferentialForm.from_entries(n, i, ((items[j], c) for j, c in vec.items())))
     return AEqualsGAtilde(True, None)
 
 

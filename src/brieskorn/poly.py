@@ -318,9 +318,9 @@ class _Tokenizer:
         if pos >= len(text):
             return ("end", "", pos)
         ch = text[pos]
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '٢'
             end = pos
-            while end < len(text) and text[end].isdigit():
+            while end < len(text) and "0" <= text[end] <= "9":
                 end += 1
             return ("int", text[pos:end], pos)
         if ch.isalpha() or ch == "_":
@@ -429,6 +429,12 @@ class _Parser:
             self.tok.expect(")")
             return p
         raise ParseError(f"expected a value, found {value!r}", pos)
+
+
+def is_variable_name(text: str) -> bool:
+    """Whether text reads as exactly one name token of the polynomial grammar."""
+    kind, value, _pos = _Tokenizer(text).peek()
+    return kind == "name" and value == text
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

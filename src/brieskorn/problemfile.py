@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from brieskorn.engine import GermProblem
-from brieskorn.poly import ParseError, parse_polynomial, parse_rational
+from brieskorn.poly import ParseError, is_variable_name, parse_polynomial, parse_rational
 
 
 class ProblemFileError(ValueError):
@@ -75,6 +75,9 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     polynomial = data["polynomial"]
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ProblemFileError(f"{source}: variables must be a list of strings")
+    for i, v in enumerate(variables):
+        if not is_variable_name(v):
+            raise ProblemFileError(f"{source}: variables[{i}] = {v!r} is not a variable name")
     if len(set(variables)) != len(variables):
         raise ProblemFileError(f"{source}: duplicate variable names")
     if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):

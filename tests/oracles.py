@@ -1,9 +1,10 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
-contraction and the Lie derivative, Theta_f and delta, Groebner normal
-forms and membership, the rational weights the integer grading is checked
-against, and g times a logarithmic form and the log basis rank of a
-normal-crossing germ.  One helper runs a command: nc_report_ranks reads the
-ranks of an `nc` report, for comparison with log_basis_rank.
+contraction and the Lie derivative, d by partial derivatives, Theta_f and
+delta, Groebner normal forms and membership, the rational weights the
+integer grading is checked against, slice-space coordinates by position,
+and g times a logarithmic form and the log basis rank of a normal-crossing
+germ.  One helper runs a command: nc_report_ranks reads the ranks of an
+`nc` report, for comparison with log_basis_rank.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -24,7 +25,7 @@ from fractions import Fraction
 from brieskorn import _backend, groebner, linalg
 from brieskorn.cli import main as cli_main
 from brieskorn.engine import CohomologyClass, GermProblem, InvariantViolation, h_slice, kernel_generator_forms
-from brieskorn.forms import DifferentialForm, df_wedge
+from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge
 from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
 from brieskorn.thom_sebastiani import combined_problem, lift_form
 
@@ -72,7 +73,19 @@ def weighted_degree(form, weights):
 def form_entries(form: DifferentialForm) -> list[tuple]:
     """The terms of a form as keyed entries ((wedge, exp), coeff), sorted by
     key: a column of keyed entries for linalg.nullspace and solve_columns."""
-    return sorted(((w, e), c) for w, poly in form.coeffs.items() for e, c in poly.terms.items())
+    return sorted(form.entries())
+
+
+def position_form(space, vec) -> DifferentialForm:
+    """The form with coordinates vec {position: coeff} over the items of a FormSpace."""
+    return DifferentialForm.from_entries(space.problem.nvars, space.i, ((space.items[k], c) for k, c in vec.items()))
+
+
+def position_vec(space, form: DifferentialForm) -> dict:
+    """The coordinates {position: coeff} of a form over the items of a
+    FormSpace; a KeyError for a term outside the space."""
+    index = {key: k for k, key in enumerate(space.items)}
+    return {index[key]: c for key, c in form.entries()}
 
 
 def monomials_of_weight(weights, target, cap, classes=None) -> list:
@@ -162,6 +175,19 @@ def lie_derivative(form: DifferentialForm, field) -> DifferentialForm:
     return contract(form, field).exterior_derivative() + b
 
 
+def d_reference(form: DifferentialForm) -> DifferentialForm:
+    """d by partial derivatives: d(p dx_W) = sum_j (dp/dx_j) dx_j ^ dx_W,
+    each wedge put in order by forms._sort_wedge with its permutation sign."""
+    out = DifferentialForm.zero(form.nvars, form.degree + 1)
+    for wedge, p in form.coeffs.items():
+        for j in range(form.nvars):
+            dp, sorted_ = p.partial_derivative(j), _sort_wedge((j, *wedge))
+            if dp and sorted_ is not None:
+                sign, new_wedge = sorted_
+                out = out + DifferentialForm(form.nvars, form.degree + 1, {new_wedge: dp * sign})
+    return out
+
+
 def theta_f(p: GermProblem, degree_bound: int) -> list[tuple]:
     """Generators of {v : v(f) = 0} with components of degree <= bound.
 
@@ -225,7 +251,7 @@ def tdt_action(cls: CohomologyClass) -> CohomologyClass:
 
 def slice_residual(sl, form: DifferentialForm):
     """Canonical coordinates of a form of the slice sl modulo its boundaries."""
-    return sl._reducer.reduce(sl.space.vec(form))
+    return sl._reducer.reduce(dict(form.entries()))
 
 
 def class_is_boundary(cls: CohomologyClass, cap=None) -> bool:

@@ -168,13 +168,22 @@ class TestInputContract:
             ({"options": {"max_t_powr": 1}}, "unknown option 'max_t_powr'"),
             ({"nmae": "x"}, "unknown key 'nmae'"),
             ({"name": ["x"]}, "name must be a string"),
+            ({"variables": ["x", "1"]}, "variables[1] = '1' is not a variable name"),
+            ({"variables": ["", "y"]}, "variables[0] = '' is not a variable name"),
+            ({"variables": ["x", "x y"]}, "variables[1] = 'x y' is not a variable name"),
+            ({"polynomial": "x^² + y^2"},
+             "polynomial does not parse: unexpected character '²' (at position 2)"),
+            ({"polynomial": "x^2 + y^٢"},
+             "polynomial does not parse: unexpected character '٢' (at position 8)"),
         ],
         ids=["weights-string", "weights-floats", "weights-ints", "polynomial-number",
              "option-float", "option-null", "weight-zero-denominator",
              "weight-zero-denominator-padded", "weight-decimal", "weight-exponent",
              "weight-whitespace", "weight-signed-denominator", "weight-empty",
              "option-negative-max-degree", "option-zero-max-t-power", "option-zero-max-s-power",
-             "variables-duplicate", "option-misspelt", "key-misspelt", "name-list"],
+             "variables-duplicate", "option-misspelt", "key-misspelt", "name-list",
+             "variable-digit", "variable-empty", "variable-two-names", "polynomial-superscript-digit",
+             "polynomial-arabic-indic-digit"],
     )
     def test_bad_problem_file(self, change, message, tmp_path, capsys):
         # each message names the file it is about
@@ -208,6 +217,8 @@ class TestInputContract:
             (["ts", prob("a1.json"), prob("ts_y3.json"), "--max-degree", "3"],
              "unrecognized arguments: --max-degree 3"),
             (["torsion", prob("barlet35.json"), "--monomial", "0"], "error: --monomial '0' is the zero class"),
+            (["torsion", prob("barlet35.json"), "--monomial", "x^²"],
+             "error: unexpected character '²' (at position 2)"),
             (["micro", "--max-t-power", "2"], "unrecognized arguments: --max-t-power 2"),
             (["torsion", prob("barlet35.json"), "--seed", "1"], "unrecognized arguments: --seed 1"),
             (["torsion", prob("barlet35.json"), "--bogus"], "unrecognized arguments: --bogus"),
@@ -228,7 +239,7 @@ class TestInputContract:
              "kernel-form-degree-above-n", "analyze-zero-max-t-power", "analyze-zero-max-s-power",
              "torsion-negative-max-t-power", "micro-negative-max-s-power", "kernel-max-t-power",
              "ts-max-powers", "spectrum-max-degree", "ts-max-degree", "torsion-zero-monomial",
-             "micro-max-t-power", "torsion-seed",
+             "torsion-monomial-superscript-digit", "micro-max-t-power", "torsion-seed",
              "unknown-flag", "missing-problem", "missing-command", "max-degree-not-an-integer",
              "unknown-command", "ts-non-isolated-first", "ts-non-isolated-second",
              "spectrum-non-isolated"],

@@ -12,12 +12,15 @@ from oracles import (
     apply,
     class_is_boundary,
     contract,
+    d_reference,
     delta_at_origin,
     euler_field,
     extend_with_inert_variable,
     form_entries,
     modules_equal,
     monomial_weight,
+    position_form,
+    position_vec,
     problem_from_strings,
     random_kernel_elements,
     s_action,
@@ -45,7 +48,7 @@ from brieskorn.engine import (
     torsion_order_s,
     torsion_order_t,
 )
-from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
+from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms, volume_form
 from brieskorn.groebner import SubmoduleOfFree
 from brieskorn.poly import Grading, Polynomial, parse_polynomial
 from brieskorn.problemfile import load_problem_file
@@ -146,24 +149,24 @@ class TestSlices:
 
 
 def h_slice_reference(problem, i, c, cap):
-    """(classes, reducer) of the weight-c slice of H^i with d taken through
-    the DifferentialForm operators: FormSpace.form, exterior_derivative and
-    FormSpace.vec of every kernel vector, and the boundaries reduced by the
-    Fraction reference echelon."""
+    """(classes, reducer) of the weight-c slice of H^i with d taken by
+    partial derivatives (d_reference) on the form of every kernel vector,
+    every vector a position in the slice space, and the boundaries reduced
+    by the Fraction reference echelon."""
     space = engine.FormSpace(problem, i, c, cap)
     kernel = engine._df_kernel_vectors(problem, space)
     closed = kernel
     if i < problem.n:
-        columns = [form_entries(space.form(v).exterior_derivative()) for v in kernel]
+        columns = [form_entries(d_reference(position_form(space, v))) for v in kernel]
         combos = linalg.nullspace(columns)
-        closed = [v for v in (engine._combine(kernel, combo) for combo in combos) if v]
+        closed = [v for v in (linalg.combine(kernel, combo) for combo in combos) if v]
     boundaries = []
     if i >= 1:
         prev = engine.FormSpace(problem, i - 1, c, cap + 1)
         for v in engine._df_kernel_vectors(problem, prev):
-            d_img = prev.form(v).exterior_derivative()
+            d_img = d_reference(position_form(prev, v))
             if d_img:
-                boundaries.append(space.vec(d_img))
+                boundaries.append(position_vec(space, d_img))
     reducer, ech = FractionEchelon(), FractionEchelon()
     for b in boundaries:
         reducer.add(b)
@@ -173,7 +176,7 @@ def h_slice_reference(problem, i, c, cap):
         residue = ech.reduce(v)
         if residue:
             inv = 1 / residue[min(residue)]
-            rep = space.form({k: val * inv for k, val in residue.items()})
+            rep = position_form(space, {k: val * inv for k, val in residue.items()})
             classes.append(CohomologyClass(problem, i, rep))
             ech.add(v)
     return classes, reducer
@@ -204,9 +207,11 @@ class TestSliceLayer:
                 classes, reducer = h_slice_reference(problem, i, F(c), sl.cap)
                 assert sl.dim == len(classes)
                 assert [cls.serialize() for cls in sl.classes] == [cls.serialize() for cls in classes]
-                for k in range(sl.space.dim):
-                    basis_form = sl.space.form({k: F(1)})
-                    assert slice_residual(sl, basis_form) == reducer.reduce({k: F(1)})
+                space = engine.FormSpace(problem, i, F(c), sl.cap)
+                for k in range(space.dim):
+                    basis_form = position_form(space, {k: F(1)})
+                    expected = {space.items[j]: val for j, val in reducer.reduce({k: F(1)}).items()}
+                    assert slice_residual(sl, basis_form) == expected
                 if i < problem.n:
                     classes_seen += sl.dim
                 boundaries_seen += reducer.rank
@@ -487,7 +492,7 @@ class TestStaircase:
         assert s_reference(cls, self.R_MAX, 14) is None
 
     def test_exhausted_search_builds_one_space_per_depth(self, spaces, monkeypatch):
-        calls = {"rref": 0, "nullspace": 0, "_combine": 0}
+        calls = {"rref": 0, "nullspace": 0, "combine": 0}
 
         def count(module, name):
             original = getattr(module, name)
@@ -500,25 +505,25 @@ class TestStaircase:
 
         count(linalg, "rref")
         count(linalg, "nullspace")
-        count(engine, "_combine")
+        count(linalg, "combine")
         cls = top_class(BP, "z")
         for depth in (1, 3, 5):
             spaces.clear()
-            calls.update(rref=0, nullspace=0, _combine=0)
+            calls.update(rref=0, nullspace=0, combine=0)
             assert isinstance(torsion_order_s(cls, depth, cap=14), NotFoundWithin)
             assert len(spaces) == depth  # one block per depth, each built once
             assert [a[2] for a in spaces] == [cls.c + j * BP.scaled_degree for j in range(depth)]
-            assert calls == {"rref": depth, "nullspace": 0, "_combine": 0}  # one elimination per step
+            assert calls == {"rref": depth, "nullspace": 0, "combine": 0}  # one elimination per step
 
 
 def kernel_solve_reference(problem, space, target):
     """d(eta) = target on the canonical Ker(df wedge) basis, combined back."""
     kernel = engine._df_kernel_vectors(problem, space)
-    columns = [form_entries(space.form(v).exterior_derivative()) for v in kernel]
+    columns = [form_entries(d_reference(position_form(space, v))) for v in kernel]
     solution = linalg.solve_columns(columns, form_entries(target))
     if solution is None:
         return None
-    return space.form(engine._combine(kernel, {j: x for j, x in enumerate(solution) if x}))
+    return position_form(space, linalg.combine(kernel, {j: x for j, x in enumerate(solution) if x}))
 
 
 def t_reference(cls, p_max, cap):
@@ -646,11 +651,11 @@ class TestSolveInKernel:
             for c in slice_weights:
                 space_cap = cap if cap is not None else problem.auto_cap(c)
                 space = engine.FormSpace(problem, i, c, space_cap)
-                d_images, df_images = engine._monomial_images(problem.f, space.items)
+                d_images, df_images = monomial_images(problem.nvars, space.items, partial_terms(problem.f))
                 assert len(d_images) == len(df_images) == space.dim
                 for (wedge, exp), d_entries, df_entries in zip(space.items, d_images, df_images):
                     beta = DifferentialForm.monomial_form(problem.nvars, wedge, Polynomial.monomial(problem.nvars, exp))
-                    assert d_entries == form_entries(beta.exterior_derivative())
+                    assert d_entries == form_entries(d_reference(beta))
                     assert df_entries == form_entries(df_wedge(problem.f, beta))
                     assert all(type(c) is F for _key, c in d_entries + df_entries)
                     checked += 1
@@ -824,7 +829,8 @@ class TestMonotoneSchedule:
         for p in solved:
             lifted = levels[p - 1] * cls.problem.f
             assert TorsionCertificate("t", p + 1, [lifted]).verify(cls)
-            engine._s_block(cls, p + 1, cap).space.vec(lifted)  # raises outside the block
+            items = set(engine._s_block(cls, p + 1, cap).space.items)
+            assert all(key in items for key, _c in lifted.entries())  # lifted lies in block p + 1
 
     def test_work_bound(self, t_blocks):
         assert isinstance(torsion_order_t(top_class(BP, "x^2*y^3*z^2"), 10, cap=14), NotFoundWithin)
@@ -953,6 +959,19 @@ class TestPPrime:
     def test_requires_degree_two(self):
         with pytest.raises(ValueError):
             check_p_prime(BP, 1, 4)
+
+    @pytest.mark.parametrize("problem, i", [(problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3"), 2), (BP, 2)])
+    def test_three_spaces_per_weight(self, problem, i, spaces):
+        # the spans are keyed by monomial form: no degree-i space is built,
+        # only A^(i-1) at c and Omega^(i-1), Omega^(i-2) one f-degree below
+        assert check_p_prime(problem, i, 4).holds
+        below = problem.scaled_degree
+        expected = [
+            (degree, weight)
+            for c in sorted(engine._realized_form_weights(problem, i, 4))
+            for degree, weight in ((i - 1, c), (i - 1, c - below), (i - 2, c - below))
+        ]
+        assert [(args[1], args[2]) for args in spaces] == expected
 
 
 class TestZeroWeight:

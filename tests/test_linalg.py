@@ -109,6 +109,24 @@ def test_solve_columns_reproduces_target():
     assert found >= 30
 
 
+def test_combine_matches_the_dense_sum_over_sequences_and_mappings():
+    rng = random.Random(39)
+    for _ in range(40):
+        vectors = rand_vecs(rng, rng.randint(1, 6), 8)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in vectors]
+        if len(vectors) > 1:  # a combination that cancels: zero entries are dropped
+            vectors.append(combine([-1, 1], vectors[:2]))
+            coeffs.append(Fraction(1))
+            coeffs[:2] = [Fraction(1), Fraction(-1)]
+        expected = combine(coeffs, vectors)
+        by_position = {j: x for j, x in enumerate(coeffs) if x}
+        assert linalg.combine(vectors, by_position) == expected
+        # keyed vectors: coeffs is keyed like the mapping
+        keys = [("form", j) for j in range(len(vectors))]
+        got = linalg.combine(dict(zip(keys, vectors)), {keys[j]: x for j, x in by_position.items()})
+        assert got == expected and all(got.values())
+
+
 def test_rref_of_a_permuted_identity_eliminates_nothing(monkeypatch):
     calls = [0]
     eliminate = _backend._int_eliminate

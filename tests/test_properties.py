@@ -1,7 +1,8 @@
-"""Property tests: identities of the form calculus, the parser round trip,
-the Gauss-Manin data of an exponent multiset, the integer echelon
-accumulator against its Fraction reference and the keyed columns of
-linalg.nullspace and solve_columns against their RREF references.
+"""Property tests: identities of the form calculus (d against its
+partial-derivative reference, the keyed entries round trip), the parser
+round trip, the Gauss-Manin data of an exponent multiset, the integer
+echelon accumulator against its Fraction reference and the keyed columns
+of linalg.nullspace and solve_columns against their RREF references.
 
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
@@ -17,6 +18,8 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from fraction_echelon import FractionEchelon  # noqa: E402
 from oracles import (  # noqa: E402
+    d_reference,
+    function_form,
     lie_derivative,
     monomial_weight,
     problem_from_strings,
@@ -29,11 +32,10 @@ from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     GermProblem,
     h_slice,
-    _monomial_images,
     sample_top_classes,
     wedge_tuples,
 )
-from brieskorn.forms import DifferentialForm, df_wedge, differential  # noqa: E402
+from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms  # noqa: E402
 from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
 from brieskorn.poly import (  # noqa: E402
     Grading,
@@ -71,6 +73,29 @@ def forms(draw, degree=None):
 @given(forms())
 def test_d_squared_is_zero(omega):
     assert omega.exterior_derivative().exterior_derivative().is_zero
+
+
+@bounded
+@given(forms(), polynomials)
+def test_d_matches_the_partial_derivative_reference(omega, f):
+    # exterior_derivative and differential sum monomial_images; the reference
+    # takes partial derivatives and sorts each wedge with its sign
+    assert omega.exterior_derivative() == d_reference(omega)
+    assert differential(f) == d_reference(function_form(f))
+
+
+@bounded
+@given(forms(), st.data())
+def test_from_entries_inverts_entries_and_sums_equal_keys(omega, data):
+    entries = omega.entries()
+    assert DifferentialForm.from_entries(NVARS, omega.degree, entries) == omega
+    # split every entry in two and add a cancelling pair: equal keys are summed, zeros dropped
+    split = [(key, part) for key, c in entries for part in (c / 3, c - c / 3)]
+    if entries:
+        key = data.draw(st.sampled_from([key for key, _c in entries]))
+        split += [(key, Fraction(5)), (key, Fraction(-5))]
+    shuffled = data.draw(st.permutations(split))
+    assert DifferentialForm.from_entries(NVARS, omega.degree, shuffled) == omega
 
 
 @bounded
@@ -226,7 +251,7 @@ def test_an_off_lattice_slice_is_empty(data):
 @given(quasi_homogeneous_germs(), st.data())
 def test_d_keeps_the_key_and_df_wedge_adds_the_key_of_f(problem, data):
     # key of x^e dx_W: the class of e + 1_W; [m] is the same for every
-    # monomial m of f, and d(beta), df wedge beta are built by _monomial_images
+    # monomial m of f, and d(beta), df wedge beta are built by monomial_images
     nvars = problem.nvars
     monomials = list(problem.f.terms)
     assert len({problem.key((), m) for m in monomials}) == 1
@@ -235,7 +260,7 @@ def test_d_keeps_the_key_and_df_wedge_adds_the_key_of_f(problem, data):
     items = data.draw(
         st.lists(st.tuples(st.sampled_from(wedge_tuples(nvars, degree)), st.tuples(*[st.integers(0, 4)] * nvars)), max_size=4)
     )
-    d_images, df_images = _monomial_images(problem.f, items)
+    d_images, df_images = monomial_images(nvars, items, partial_terms(problem.f))
     for (wedge, exp), d_entries, df_entries in zip(items, d_images, df_images):
         key = problem.key(wedge, exp)
         assert all(problem.key(*target) == key for target, _c in d_entries)
