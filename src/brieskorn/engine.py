@@ -18,7 +18,9 @@ the test suite's oracles check the reported exponents against them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,7 +29,6 @@ from brieskorn import groebner, linalg
 from brieskorn.forms import (
     DifferentialForm,
     df_wedge,
-    differential,
     monomial_images,
     partial_terms,
     volume_form,
@@ -679,44 +680,52 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
 
 def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     """Free C{t}-basis classes of the reduced H^n (in one variable, H^1 modulo
-    the C{t}-span of df).
+    the C{t}-span of df), in ascending weight.
 
-    Requires an isolated singularity.  Classes are collected weight slice by
-    weight slice; at weight c the new generators are the slice classes
-    independent modulo t(previous slice).  The scan stops at the maximal
-    Jacobian standard monomial weight plus the weight of the volume form,
-    beyond which multiplication by f is onto.
+    Requires an isolated singularity, hence positive weights.  Euler's
+    relation gives f*Omega^n in df^Omega^(n-1), and on the slice of weight c
+    the operator dt*t acts as c/D, which is never 0; so tH'' = sH'' and
+    (H''/tH'')_c = (Omega_f)_(c - sum W) (K. Saito, Invent. Math. 14, 1971;
+    Steenbrink, Compositio Math. 34, 1977).  By Nakayama the new generators
+    at c are the slice classes independent modulo t(slice c - D), and they
+    number the standard monomials of J(f) of weight c - sum W.  Only those
+    weights c are therefore visited, each after its t-predecessor c - D
+    when that is a slice weight: its classes times f are the seeds at c.
+    In one variable every visited slice lies below D, out of reach of df.
+
+    A slice whose new classes do not number its standard monomials, or a
+    total other than mu = prod (D - W_i)/W_i (Milnor-Orlik, Topology 9,
+    1970; counted from the weights, not from the Groebner basis), raises
+    InvariantViolation.
     """
-    mu = problem.milnor_number()
-    if mu is None:
+    if problem.milnor_number() is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
     if not problem.positive_weights:
         raise CapExceeded("isolated quasi-homogeneous germs have positive weights")
-    n = problem.n
     grading, d = problem.grading, problem.scaled_degree
     sum_w = sum(grading.weights)
-    std = groebner.standard_monomials(problem.jacobian)
-    max_c = max((grading.monomial(e) for e in std), default=0) + sum_w
+    new_at = Counter(grading.monomial(e) + sum_w for e in groebner.standard_monomials(problem.jacobian))
+    slice_weights = _monomial_weights(grading.weights, max(new_at, default=0) - d - sum_w)
+    predecessors = {c - d for c in new_at if c - d - sum_w in slice_weights}
 
-    # candidate slice weights: volume-form weights of monomials up to the
-    # bound, all integers in units of 1/L
-    candidates = sorted(s + sum_w for s in _monomial_weights(grading.weights, max_c - sum_w))
     slices: dict[int, HSlice] = {}
     out: list[CohomologyClass] = []
-    for c in candidates:
-        sl = h_slice(problem, n, Fraction(c, grading.scale))
-        slices[c] = sl
-        if not sl.classes:
+    for c in sorted(new_at.keys() | predecessors):
+        sl = slices[c] = h_slice(problem, problem.n, Fraction(c, grading.scale))
+        if c not in new_at:
             continue
-        seeds: list[DifferentialForm] = []
         prev = slices.get(c - d)
-        if prev is not None:
-            seeds.extend(cls.representative * problem.f for cls in prev.classes)
-        if n == 1:
-            k, r = divmod(c, d)  # c/d - 1 = k - 1 when r = 0
-            if not r and k >= 1:
-                seeds.append(differential(problem.f) * (problem.f ** (k - 1)))
-        out.extend(sl.quotient_complement(seeds))
+        seeds = [cls.representative * problem.f for cls in prev.classes] if prev is not None else []
+        new = sl.quotient_complement(seeds)
+        if len(new) != new_at[c]:
+            raise InvariantViolation(
+                f"slice {format_rational(Fraction(c, grading.scale))} holds {len(new)} new C{{t}}-generators, "
+                f"not its {new_at[c]} standard monomials"
+            )
+        out.extend(new)
+    mu = math.prod(Fraction(d - w, w) for w in grading.weights)
+    if len(out) != mu:
+        raise InvariantViolation(f"{len(out)} C{{t}}-basis classes, but mu = {format_rational(mu)} by Milnor-Orlik")
     return out
 
 

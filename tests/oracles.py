@@ -24,8 +24,15 @@ from fractions import Fraction
 
 from brieskorn import _backend, groebner, linalg
 from brieskorn.cli import main as cli_main
-from brieskorn.engine import CohomologyClass, GermProblem, InvariantViolation, h_slice, kernel_generator_forms
-from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge
+from brieskorn.engine import (
+    CohomologyClass,
+    GermProblem,
+    InvariantViolation,
+    _monomial_weights,
+    h_slice,
+    kernel_generator_forms,
+)
+from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge, differential
 from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
 from brieskorn.thom_sebastiani import combined_problem, lift_form
 
@@ -257,6 +264,26 @@ def slice_residual(sl, form: DifferentialForm):
 def class_is_boundary(cls: CohomologyClass, cap=None) -> bool:
     """Exactness of the representative in its own weight slice."""
     return not slice_residual(h_slice(cls.problem, cls.i, cls.weight, cap), cls.representative)
+
+
+def ct_basis_over_every_slice(p: GermProblem) -> list[CohomologyClass]:
+    """The C{t}-basis by the scan of every slice weight up to the top
+    standard monomial weight plus sum W: at each weight the new generators
+    are the slice classes independent modulo t(slice c - D) and, in one
+    variable, modulo f^(k-1) df at c = kD."""
+    grading, d = p.grading, p.scaled_degree
+    sum_w = sum(grading.weights)
+    std = groebner.standard_monomials(p.jacobian)
+    top = max((grading.monomial(e) for e in std), default=0)
+    slices, out = {}, []
+    for c in sorted(s + sum_w for s in _monomial_weights(grading.weights, top)):
+        sl = slices[c] = h_slice(p, p.n, Fraction(c, grading.scale))
+        seeds = [cls.representative * p.f for cls in slices[c - d].classes] if c - d in slices else []
+        k, r = divmod(c, d)
+        if p.n == 1 and not r and k >= 1:
+            seeds.append(differential(p.f) * (p.f ** (k - 1)))
+        out.extend(sl.quotient_complement(seeds))
+    return out
 
 
 def external_product(cls_f: CohomologyClass, cls_g: CohomologyClass) -> CohomologyClass:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn import engine, thom_sebastiani
+from brieskorn import engine, groebner, thom_sebastiani
 from brieskorn.cli import main
 from brieskorn.poly import Polynomial, format_rational, parse_polynomial
 
@@ -264,6 +264,18 @@ class TestInputContract:
         monkeypatch.setattr(engine, "torsion_order_t", broken)
         argv = ["torsion", prob("barlet35.json"), "--monomial", "1"]
         self.expect(argv, 3, "internal error: RuntimeError: boom on two lines", capsys)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda std: std[1:], lambda std: std[:-1], lambda std: [*std, (1, 0)]],
+        ids=["drop-first", "drop-last", "add-x"],
+    )
+    def test_a_wrong_standard_monomial_is_an_invariant_violation(self, mutate, monkeypatch, capsys):
+        # cusp's standard monomials are 1 and y; a C{t}-basis built on one too
+        # few or one too many is caught by its slice counts or by mu
+        original = groebner.standard_monomials
+        monkeypatch.setattr(groebner, "standard_monomials", lambda gens: mutate(original(gens)))
+        self.expect(["spectrum", prob("cusp.json")], 3, "invariant violation: ", capsys)
 
     @staticmethod
     def expect(argv, code, message, capsys):

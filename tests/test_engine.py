@@ -5,6 +5,7 @@ import os
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
 from fraction_echelon import FractionEchelon
 
@@ -12,6 +13,7 @@ from oracles import (
     apply,
     class_is_boundary,
     contract,
+    ct_basis_over_every_slice,
     d_reference,
     delta_at_origin,
     euler_field,
@@ -917,6 +919,52 @@ class TestRankAndSpectrum:
         p = problem_from_strings(["x"], ["1"], "x^5")
         assert len(ct_basis(p)) == 4
         assert spectrum(p) == [F(k, 5) - 1 for k in range(1, 5)]
+
+
+CT_GERMS = [
+    ("a1", ["x"], ["1"], "x^2"),
+    ("cusp", ["x", "y"], ["3", "2"], "x^2 + y^3"),
+    ("x3y3", ["x", "y"], ["1", "1"], "x^3 + y^3"),
+    ("smooth", ["x"], ["1"], "x"),
+    ("e7", ["x", "y"], ["3", "2"], "x^3 + x*y^3"),
+    ("d5", ["x", "y"], ["3", "2"], "x^2*y + y^4"),
+    ("chain", ["x", "y", "z"], ["3", "2", "2"], "x^2*y + y^3*z + z^4"),
+    ("loop", ["x", "y"], ["2", "1"], "x^2*y + x*y^3"),
+    ("x3+y3+z3+xyz", ["x", "y", "z"], ["1", "1", "1"], "x^3 + y^3 + z^3 + x*y*z"),
+    ("bp3456", ["x", "y", "z", "w"], ["20", "15", "12", "10"], "x^3 + y^4 + z^5 + w^6"),
+]
+
+
+class TestCtBasisSlices:
+    """ct_basis visits the slices that carry a new C{t}-generator and their
+    t-predecessors only; the scan of every slice weight is its reference."""
+
+    @pytest.mark.parametrize("variables, weights, polynomial", [g[1:] for g in CT_GERMS], ids=[g[0] for g in CT_GERMS])
+    def test_the_classes_of_the_scan_of_every_slice(self, variables, weights, polynomial):
+        p = problem_from_strings(variables, weights, polynomial)
+        got = [cls.serialize() for cls in ct_basis(p)]
+        assert got == [cls.serialize() for cls in ct_basis_over_every_slice(p)]
+        assert len(got) == p.milnor_number()
+
+    @pytest.mark.parametrize("name, visited, scanned", [("bp3456", 68, 100), ("cusp", 2, 2)])
+    def test_h_slice_calls(self, name, visited, scanned, monkeypatch):
+        germ = next(g for g in CT_GERMS if g[0] == name)
+        p = problem_from_strings(*germ[1:])
+        calls = []
+
+        def spy(module):
+            original = module.h_slice
+            monkeypatch.setattr(module, "h_slice", lambda *a, **k: calls.append(a[2]) or original(*a, **k))
+
+        spy(engine)
+        ct_basis(p)
+        assert len(calls) == visited
+        if name == "cusp":
+            assert calls == [5, 7]  # each weight of a standard monomial plus sum W, no predecessor
+        calls.clear()
+        spy(oracles)
+        ct_basis_over_every_slice(p)
+        assert len(calls) == scanned
 
 
 class TestThetaAndDelta:

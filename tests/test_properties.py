@@ -1,13 +1,16 @@
 """Property tests: identities of the form calculus (d against its
 partial-derivative reference, the keyed entries round trip), the parser
-round trip, the Gauss-Manin data of an exponent multiset, the integer
-echelon accumulator against its Fraction reference and the keyed columns
-of linalg.nullspace and solve_columns against their RREF references.
+round trip, the Gauss-Manin data of an exponent multiset, the C{t}-basis
+of Brieskorn-Pham germs against the scan of every slice and the closed-form
+spectrum, the integer echelon accumulator against its Fraction reference
+and the keyed columns of linalg.nullspace and solve_columns against their
+RREF references.
 
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +21,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from fraction_echelon import FractionEchelon  # noqa: E402
 from oracles import (  # noqa: E402
+    ct_basis_over_every_slice,
     d_reference,
     function_form,
     lie_derivative,
@@ -31,6 +35,7 @@ from test_linalg import combine, keyed, nullspace_by_probing, rows_of, solve_by_
 from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     GermProblem,
+    ct_basis,
     h_slice,
     sample_top_classes,
     wedge_tuples,
@@ -280,6 +285,28 @@ def test_the_key_is_constant_on_cosets_of_the_exponent_difference_lattice(proble
     ]
     moved = [a + b for a, b in zip(v, lattice_vector)]
     assert problem.key((), moved) == problem.key((), v)
+
+
+@st.composite
+def brieskorn_pham_germs(draw):
+    """x^a + y^b + z^c in one to three variables, exponents 1..5, integer
+    weights lcm/a_i; an exponent 1 makes the germ smooth."""
+    exps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=NVARS))
+    n, lcm = len(exps), math.lcm(*exps)
+    f = Polynomial(n, {tuple(a if j == i else 0 for j in range(n)): Fraction(1) for i, a in enumerate(exps)})
+    return GermProblem(VARIABLES[:n], [lcm // a for a in exps], f), exps
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(brieskorn_pham_germs())
+def test_brieskorn_pham_ct_basis_matches_the_scan_and_the_closed_form(germ):
+    problem, exps = germ
+    basis = ct_basis(problem)
+    assert [cls.serialize() for cls in basis] == [cls.serialize() for cls in ct_basis_over_every_slice(problem)]
+    # Steenbrink: the exponents are sum k_i/a_i - 1 over 1 <= k_i < a_i
+    ks = itertools.product(*(range(1, a) for a in exps))
+    closed = sorted(sum(Fraction(k, a) for k, a in zip(k_row, exps)) - 1 for k_row in ks)
+    assert sorted(cls.tdt_eigenvalue() for cls in basis) == closed
 
 
 @bounded
