@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -357,7 +357,7 @@ def _slice_cap(problem: GermProblem, c: int, cap: int | None, least: int = 0) ->
     return max(cap, least)
 
 
-def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
+def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None) -> HSlice:
     """Exact basis of the slice of H^i = H(Ker df-wedge, d) of rational weight c.
 
     With positive weights the slice is finite and the cap is derived; with
@@ -367,13 +367,18 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
     Kernel vectors are positions in the slice space until they are closed;
     after that every vector is keyed by monomial form (W, e), whose order
     is the position order.  Off the lattice (1/L)Z no form has weight c.
+
+    With keys, both slice spaces hold only the forms of those key classes.
+    d keeps keys and df wedge adds [m], so the kernel, the boundaries and
+    the residues split by key: the classes are the whole slice's classes
+    whose key is in keys, with the same representatives, in the same order.
     """
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
     c = problem.grading.scaled(c)
     if c is None:
         return HSlice(problem, i, c, cap, not problem.positive_weights, [], linalg.Echelon())
-    space = FormSpace(problem, i, c, _slice_cap(problem, c, cap))
+    space = FormSpace(problem, i, c, _slice_cap(problem, c, cap), keys)
 
     kernel = _df_kernel_vectors(problem, space)
 
@@ -387,7 +392,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None) -> HSlice:
     # boundary space d(A^{i-1}) at the same weight
     reducer = linalg.Echelon()
     if i >= 1:
-        prev = FormSpace(problem, i - 1, c, space.cap + 1)
+        prev = FormSpace(problem, i - 1, c, space.cap + 1, keys)
         prev_kernel = _df_kernel_vectors(problem, prev)
         if prev_kernel:
             d_prev = [dict(entries) for entries in monomial_images(problem.nvars, prev.items)[0]]
@@ -687,16 +692,21 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     the operator dt*t acts as c/D, which is never 0; so tH'' = sH'' and
     (H''/tH'')_c = (Omega_f)_(c - sum W) (K. Saito, Invent. Math. 14, 1971;
     Steenbrink, Compositio Math. 34, 1977).  By Nakayama the new generators
-    at c are the slice classes independent modulo t(slice c - D), and they
-    number the standard monomials of J(f) of weight c - sum W.  Only those
-    weights c are therefore visited, each after its t-predecessor c - D
-    when that is a slice weight: its classes times f are the seeds at c.
-    In one variable every visited slice lies below D, out of reach of df.
+    at c are the slice classes independent modulo t(slice c - D).  J(f) is
+    graded by key class as well as by weight, so they number the standard
+    monomials x^a of J(f) of weight c - sum W key by key, x^a standing for
+    x^a * vol.  Only those weights c are therefore visited, and only the keys
+    of their standard monomials; each after its t-predecessor c - D when
+    that is a slice weight, visited with the keys shifted by -[m] as well:
+    its classes of those keys times f are the seeds at c.  A key class that
+    is skipped holds no new generator and never meets a kept one, so the
+    classes, representatives and order are those of whole slices.  In one
+    variable every visited slice lies below D, out of reach of df.
 
-    A slice whose new classes do not number its standard monomials, or a
-    total other than mu = prod (D - W_i)/W_i (Milnor-Orlik, Topology 9,
-    1970; counted from the weights, not from the Groebner basis), raises
-    InvariantViolation.
+    A slice whose new classes of some key do not number its standard
+    monomials of that key, or a total other than mu = prod (D - W_i)/W_i
+    (Milnor-Orlik, Topology 9, 1970; counted from the weights, not from the
+    Groebner basis), raises InvariantViolation.
     """
     if problem.milnor_number() is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
@@ -704,23 +714,33 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
         raise CapExceeded("isolated quasi-homogeneous germs have positive weights")
     grading, d = problem.grading, problem.scaled_degree
     sum_w = sum(grading.weights)
-    new_at = Counter(grading.monomial(e) + sum_w for e in groebner.standard_monomials(problem.jacobian))
-    slice_weights = _monomial_weights(grading.weights, max(new_at, default=0) - d - sum_w)
-    predecessors = {c - d for c in new_at if c - d - sum_w in slice_weights}
+    vol, m = tuple(range(problem.n)), next(iter(problem.f.terms))
+    std = groebner.standard_monomials(problem.jacobian)
+    slice_weights = _monomial_weights(grading.weights, max(map(grading.monomial, std), default=0) - d)
+    new_at: dict[int, Counter] = defaultdict(Counter)  # weight c -> keys of its standard monomials
+    keys: dict[int, set] = defaultdict(set)  # weight c -> the keys visited there
+    for e in std:
+        c, key = grading.monomial(e) + sum_w, problem.key(vol, e)
+        new_at[c][key] += 1
+        keys[c].add(key)
+        if c - d - sum_w in slice_weights:
+            keys[c - d].add(problem.key(vol, [a - b for a, b in zip(e, m)]))
 
     slices: dict[int, HSlice] = {}
     out: list[CohomologyClass] = []
-    for c in sorted(new_at.keys() | predecessors):
-        sl = slices[c] = h_slice(problem, problem.n, Fraction(c, grading.scale))
+    for c in sorted(keys):
+        sl = slices[c] = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys[c])
         if c not in new_at:
             continue
         prev = slices.get(c - d)
         seeds = [cls.representative * problem.f for cls in prev.classes] if prev is not None else []
         new = sl.quotient_complement(seeds)
-        if len(new) != new_at[c]:
+        found = Counter(key for cls in new for key in problem.form_keys(cls.representative))
+        if found != new_at[c]:
+            key = min(k for k in found.keys() | new_at[c].keys() if found[k] != new_at[c][k])
             raise InvariantViolation(
-                f"slice {format_rational(Fraction(c, grading.scale))} holds {len(new)} new C{{t}}-generators, "
-                f"not its {new_at[c]} standard monomials"
+                f"slice {format_rational(Fraction(c, grading.scale))} holds {found[key]} new C{{t}}-generators "
+                f"of key {key}, not its {new_at[c][key]} standard monomials"
             )
         out.extend(new)
     mu = math.prod(Fraction(d - w, w) for w in grading.weights)

@@ -242,12 +242,13 @@ def integrate_series(u: TruncatedSeries) -> TruncatedSeries:
     """Integration without constant term: t^k -> t^(k+1)/(k+1).
 
     A nonzero coefficient at the cap would integrate past it, which raises
-    TruncationOverflow.
+    TruncationOverflow.  The integrated list is built once, of Fractions
+    already, so it is not converted again by the constructor.
     """
     if u.coeffs[u.cap]:
         raise TruncationOverflow(f"integrating t^{u.cap} exceeds cap {u.cap}")
-    out = [Fraction(0)] * (u.cap + 1)
-    for k in range(u.cap):
-        if u.coeffs[k]:
-            out[k + 1] = u.coeffs[k] / (k + 1)
-    return TruncatedSeries(out, u.cap)
+    zero = Fraction(0)  # immutable, so one object serves every zero
+    out = TruncatedSeries.__new__(TruncatedSeries)
+    out.coeffs = [zero] + [c / (k + 1) if c else zero for k, c in enumerate(u.coeffs[:-1])]
+    out.cap = u.cap
+    return out

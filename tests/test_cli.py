@@ -277,6 +277,14 @@ class TestInputContract:
         monkeypatch.setattr(groebner, "standard_monomials", lambda gens: mutate(original(gens)))
         self.expect(["spectrum", prob("cusp.json")], 3, "invariant violation: ", capsys)
 
+    def test_a_standard_monomial_of_the_wrong_key_is_an_invariant_violation(self, monkeypatch, capsys):
+        # x^3 + y^3 has standard monomials 1, x, y, xy; a second x in place
+        # of y keeps every weight's count but not the count of each key
+        original = groebner.standard_monomials
+        y_as_x = {(0, 1): (1, 0)}
+        monkeypatch.setattr(groebner, "standard_monomials", lambda gens: [y_as_x.get(e, e) for e in original(gens)])
+        self.expect(["spectrum", prob("x3y3.json")], 3, "new C{t}-generators of key", capsys)
+
     @staticmethod
     def expect(argv, code, message, capsys):
         assert main(argv) == code

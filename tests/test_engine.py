@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import oracles
@@ -33,7 +34,7 @@ from oracles import (
     xi,
 )
 
-from brieskorn import engine, linalg, thom_sebastiani
+from brieskorn import engine, groebner, linalg, thom_sebastiani
 from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
@@ -965,6 +966,85 @@ class TestCtBasisSlices:
         spy(oracles)
         ct_basis_over_every_slice(p)
         assert len(calls) == scanned
+
+
+BP33333 = ("bp33333", ["x", "y", "z", "w", "v"], ["1"] * 5, "x^3 + y^3 + z^3 + w^3 + v^3")
+# [m] is not 0 among its keys, and some of its slices are t-predecessors
+D4_Z7_W7 = ("d4+z7+w7", ["x", "y", "z", "w"], ["7", "7", "3", "3"], "x^3 + x*y^2 + z^7 + w^7")
+KEYED_GERMS = [*CT_GERMS, BP33333, D4_Z7_W7]
+
+
+class TestCtBasisKeys:
+    """ct_basis visits each slice on the key classes of its standard
+    monomials and of its t-successor's, shifted by -[m], only."""
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial", [g[1:] for g in KEYED_GERMS], ids=[g[0] for g in KEYED_GERMS]
+    )
+    def test_classes_per_weight_and_key_are_the_standard_monomials(self, variables, weights, polynomial):
+        p = problem_from_strings(variables, weights, polynomial)
+        vol, sum_w = tuple(range(p.n)), sum(p.grading.weights)
+        expected = Counter(
+            (p.grading.monomial(e) + sum_w, p.key(vol, e)) for e in groebner.standard_monomials(p.jacobian)
+        )
+        got = Counter((cls.c, key) for cls in ct_basis(p) for key in p.form_keys(cls.representative))
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "germ, dim_sum, h_slice_calls",
+        [(CT_GERMS[1], 6, 2), (CT_GERMS[2], 12, 3), (CT_GERMS[-1], 600, 68), (BP33333, 192, 6)],
+        ids=["cusp", "x3y3", "bp3456", "bp33333"],
+    )
+    def test_slice_space_dims_are_pinned(self, germ, dim_sum, h_slice_calls, monkeypatch):
+        # over whole slices the dims were 6, 24, 2132 and 2557: the cusp has a
+        # single key class (no congruences), so its slices stay whole
+        p = problem_from_strings(*germ[1:])
+        dims, calls = [], []
+        init, slice_ = engine.FormSpace.__init__, engine.h_slice
+
+        def spy_init(space, *args, **kwargs):
+            init(space, *args, **kwargs)
+            dims.append(space.dim)
+
+        monkeypatch.setattr(engine.FormSpace, "__init__", spy_init)
+        monkeypatch.setattr(engine, "h_slice", lambda *a, **k: calls.append(a[2]) or slice_(*a, **k))
+        ct_basis(p)
+        assert (sum(dims), len(calls)) == (dim_sum, h_slice_calls)
+        assert (p.congruences == []) == (germ[0] == "cusp")
+
+    def test_a_predecessor_is_visited_on_the_keys_that_seed_its_successor(self, monkeypatch):
+        # the key of x^a * vol and that of the seed class (x^a * vol)/f differ
+        p = problem_from_strings(*D4_Z7_W7[1:])
+        assert p.form_keys(volume_form(p.n), 1) != p.form_keys(volume_form(p.n))
+        visited, slice_ = {}, engine.h_slice
+
+        def spy(problem, i, c, cap=None, keys=None):
+            visited[c] = keys
+            return slice_(problem, i, c, cap, keys)
+
+        monkeypatch.setattr(engine, "h_slice", spy)
+        ct_basis(p)
+        sum_w, seeded = sum(p.grading.weights), 0
+        for e in groebner.standard_monomials(p.jacobian):
+            predecessor = F(p.grading.monomial(e) + sum_w - p.scaled_degree, p.grading.scale)
+            if predecessor in visited:
+                assert p.form_keys(volume_form(p.n, Polynomial.monomial(p.n, e)), -1) <= visited[predecessor]
+                seeded += 1
+        assert seeded
+
+    @pytest.mark.parametrize(
+        "problem, i, c, cap",
+        [(problem_from_strings(*BP33333[1:]), 5, 8, None), (BP, 3, 0, 6), (BP, 3, 2, 6), (BP, 1, 5, 6)],
+        ids=["bp33333-H5", "barlet35-H3-c0", "barlet35-H3-c2", "barlet35-H1"],
+    )
+    def test_a_keyed_slice_is_the_whole_slice_restricted(self, problem, i, c, cap):
+        whole = h_slice(problem, i, F(c), cap)
+        keys = {problem.key(*item) for item in engine.FormSpace(problem, i, c, whole.cap).items}
+        assert len(keys) > 1
+        for key in sorted(keys):
+            keyed = h_slice(problem, i, F(c), cap, keys={key})
+            kept = [cls for cls in whole.classes if problem.form_keys(cls.representative) == {key}]
+            assert [cls.serialize() for cls in keyed.classes] == [cls.serialize() for cls in kept]
 
 
 class TestThetaAndDelta:
