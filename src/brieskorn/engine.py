@@ -17,6 +17,7 @@ the test suite's oracles check the reported exponents against them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -93,7 +94,6 @@ class GermProblem:
         self.name = name
         self.nvars = len(self.variables)
         self._milnor: object = _UNSET
-        self._kernel_cache: dict[int, groebner.SubmoduleOfFree] = {}
         self._congruences: list | None = None
 
     # -- derived data ----------------------------------------------------
@@ -421,8 +421,6 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
     """Module generators of A^i = Ker(df-wedge: degree i -> i+1), by syzygies."""
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
-    if i in problem._kernel_cache:
-        return problem._kernel_cache[i]
     cols = wedge_tuples(problem.nvars, i)
     rows = wedge_tuples(problem.nvars, i + 1)
     row_index = {w: k for k, w in enumerate(rows)}
@@ -430,16 +428,13 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
     if not rows:
         # top degree: the target is zero, the kernel is everything
         gens = [tuple(one if k == j else zero for k in range(len(cols))) for j in range(len(cols))]
-        module = groebner.SubmoduleOfFree(len(cols), gens)
-    else:
-        matrix = [[zero] * len(cols) for _ in rows]
-        for j, wedge in enumerate(cols):
-            img = df_wedge(problem.f, DifferentialForm.monomial_form(problem.nvars, wedge, one))
-            for w, poly in img.coeffs.items():
-                matrix[row_index[w]][j] = poly
-        module = groebner.module_kernel(matrix)
-    problem._kernel_cache[i] = module
-    return module
+        return groebner.SubmoduleOfFree(len(cols), gens)
+    matrix = [[zero] * len(cols) for _ in rows]
+    for j, wedge in enumerate(cols):
+        img = df_wedge(problem.f, DifferentialForm.monomial_form(problem.nvars, wedge, one))
+        for w, poly in img.coeffs.items():
+            matrix[row_index[w]][j] = poly
+    return groebner.module_kernel(matrix)
 
 
 def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
@@ -695,18 +690,21 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     at c are the slice classes independent modulo t(slice c - D).  J(f) is
     graded by key class as well as by weight, so they number the standard
     monomials x^a of J(f) of weight c - sum W key by key, x^a standing for
-    x^a * vol.  Only those weights c are therefore visited, and only the keys
-    of their standard monomials; each after its t-predecessor c - D when
-    that is a slice weight, visited with the keys shifted by -[m] as well:
-    its classes of those keys times f are the seeds at c.  A key class that
-    is skipped holds no new generator and never meets a kept one, so the
-    classes, representatives and order are those of whole slices.  In one
-    variable every visited slice lies below D, out of reach of df.
+    x^a * vol.  Only those weights c are therefore visited, in ascending
+    order, and only on the keys K_c of their standard monomials.  A key
+    class that is skipped holds no new generator and never meets a kept one,
+    so the classes, representatives and order are those of whole slices.  In
+    one variable every visited slice lies below D, out of reach of df.
 
-    A slice whose new classes of some key do not number its standard
-    monomials of that key, or a total other than mu = prod (D - W_i)/W_i
-    (Milnor-Orlik, Topology 9, 1970; counted from the weights, not from the
-    Groebner basis), raises InvariantViolation.
+    H'' is free over C{t} on these generators (Sebastiani, Manuscripta Math.
+    2, 1970), so t(slice c - D) is spanned by f^k * g for the generators g of
+    weight c - kD, k >= 1: those whose key moved by k[m] lies in K_c are the
+    seeds at c.  Seeds always lie in t(slice c - D); were their span short,
+    the slice would show more new classes of some key than standard
+    monomials.  A slice whose new classes of some key do not number its
+    standard monomials of that key, or a total other than
+    mu = prod (D - W_i)/W_i (Milnor-Orlik, Topology 9, 1970; counted from the
+    weights, not from the Groebner basis), raises InvariantViolation.
     """
     if problem.milnor_number() is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
@@ -714,27 +712,23 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
         raise CapExceeded("isolated quasi-homogeneous germs have positive weights")
     grading, d = problem.grading, problem.scaled_degree
     sum_w = sum(grading.weights)
-    vol, m = tuple(range(problem.n)), next(iter(problem.f.terms))
-    std = groebner.standard_monomials(problem.jacobian)
-    slice_weights = _monomial_weights(grading.weights, max(map(grading.monomial, std), default=0) - d)
+    vol = tuple(range(problem.n))
     new_at: dict[int, Counter] = defaultdict(Counter)  # weight c -> keys of its standard monomials
-    keys: dict[int, set] = defaultdict(set)  # weight c -> the keys visited there
-    for e in std:
-        c, key = grading.monomial(e) + sum_w, problem.key(vol, e)
-        new_at[c][key] += 1
-        keys[c].add(key)
-        if c - d - sum_w in slice_weights:
-            keys[c - d].add(problem.key(vol, [a - b for a, b in zip(e, m)]))
+    for e in groebner.standard_monomials(problem.jacobian):
+        new_at[grading.monomial(e) + sum_w][problem.key(vol, e)] += 1
 
-    slices: dict[int, HSlice] = {}
+    power = functools.cache(problem.f.__pow__)  # f**k, each computed once
+    reps: dict[int, list[DifferentialForm]] = {}  # weight c -> representatives of its generators
     out: list[CohomologyClass] = []
-    for c in sorted(keys):
-        sl = slices[c] = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys[c])
-        if c not in new_at:
-            continue
-        prev = slices.get(c - d)
-        seeds = [cls.representative * problem.f for cls in prev.classes] if prev is not None else []
-        new = sl.quotient_complement(seeds)
+    for c in sorted(new_at):
+        keys = set(new_at[c])
+        seeds = [
+            rep * power(k)
+            for k in range(1, (c - sum_w) // d + 1)
+            for rep in reps.get(c - k * d, ())
+            if problem.form_keys(rep, k) <= keys
+        ]
+        new = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys).quotient_complement(seeds)
         found = Counter(key for cls in new for key in problem.form_keys(cls.representative))
         if found != new_at[c]:
             key = min(k for k in found.keys() | new_at[c].keys() if found[k] != new_at[c][k])
@@ -742,20 +736,12 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
                 f"slice {format_rational(Fraction(c, grading.scale))} holds {found[key]} new C{{t}}-generators "
                 f"of key {key}, not its {new_at[c][key]} standard monomials"
             )
+        reps[c] = [cls.representative for cls in new]
         out.extend(new)
     mu = math.prod(Fraction(d - w, w) for w in grading.weights)
     if len(out) != mu:
         raise InvariantViolation(f"{len(out)} C{{t}}-basis classes, but mu = {format_rational(mu)} by Milnor-Orlik")
     return out
-
-
-def _monomial_weights(weights: Sequence[int], bound: int) -> set[int]:
-    """Integer weights <= bound of all monomials, for positive integer
-    weights: the sums s + k * w_i <= bound, built one variable at a time."""
-    sums = {0} if bound >= 0 else set()
-    for w in weights:
-        sums = {s + k * w for s in sums for k in range((bound - s) // w + 1)}
-    return sums
 
 
 def spectrum(problem: GermProblem) -> list[Fraction]:

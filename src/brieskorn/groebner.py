@@ -20,6 +20,7 @@ generate the kernel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -207,23 +208,8 @@ def standard_monomials(gens: Sequence[Polynomial]):
             bounds[support[0]] = e[support[0]]
     if any(b is None for b in bounds):
         return INFINITE
-    out = []
-    exp = [0] * nvars
-
-    def rec(i: int):
-        if i == nvars:
-            t = tuple(exp)
-            if not any(_divides(le, t) for le in leads):
-                out.append(t)
-            return
-        for k in range(bounds[i]):
-            exp[i] = k
-            rec(i + 1)
-        exp[i] = 0
-
-    rec(0)
-    out.sort()
-    return out
+    # product yields the exponents of the box in ascending order
+    return [e for e in itertools.product(*map(range, bounds)) if not any(_divides(le, e) for le in leads)]
 
 
 # -- submodules of free modules -----------------------------------------------

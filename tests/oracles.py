@@ -1,7 +1,8 @@
 """Test oracles: the actions of t, s and t*dt on classes, the Euler fields,
 contraction and the Lie derivative, d by partial derivatives, Theta_f and
 delta, Groebner normal forms and membership, the rational weights the
-integer grading is checked against, slice-space coordinates by position,
+integer grading is checked against, the C{t}-basis by the scan of every
+monomial weight, slice-space coordinates by position,
 and g times a logarithmic form and the log basis rank of a normal-crossing
 germ.  One helper runs a command: nc_report_ranks reads the ranks of an
 `nc` report, for comparison with log_basis_rank.
@@ -28,7 +29,6 @@ from brieskorn.engine import (
     CohomologyClass,
     GermProblem,
     InvariantViolation,
-    _monomial_weights,
     h_slice,
     kernel_generator_forms,
 )
@@ -266,6 +266,15 @@ def class_is_boundary(cls: CohomologyClass, cap=None) -> bool:
     return not slice_residual(h_slice(cls.problem, cls.i, cls.weight, cap), cls.representative)
 
 
+def monomial_weights(weights, bound: int) -> set[int]:
+    """Integer weights <= bound of all monomials, for positive integer
+    weights: the sums s + k * w_i <= bound, built one variable at a time."""
+    sums = {0} if bound >= 0 else set()
+    for w in weights:
+        sums = {s + k * w for s in sums for k in range((bound - s) // w + 1)}
+    return sums
+
+
 def ct_basis_over_every_slice(p: GermProblem) -> list[CohomologyClass]:
     """The C{t}-basis by the scan of every slice weight up to the top
     standard monomial weight plus sum W: at each weight the new generators
@@ -276,7 +285,7 @@ def ct_basis_over_every_slice(p: GermProblem) -> list[CohomologyClass]:
     std = groebner.standard_monomials(p.jacobian)
     top = max((grading.monomial(e) for e in std), default=0)
     slices, out = {}, []
-    for c in sorted(s + sum_w for s in _monomial_weights(grading.weights, top)):
+    for c in sorted(s + sum_w for s in monomial_weights(grading.weights, top)):
         sl = slices[c] = h_slice(p, p.n, Fraction(c, grading.scale))
         seeds = [cls.representative * p.f for cls in slices[c - d].classes] if c - d in slices else []
         k, r = divmod(c, d)

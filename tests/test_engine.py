@@ -1,9 +1,10 @@
 """Engine: germ problems, weight slices, module actions, torsion, (P')."""
 
 import itertools
+import json
 import os
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import oracles
@@ -22,6 +23,7 @@ from oracles import (
     form_entries,
     modules_equal,
     monomial_weight,
+    monomial_weights,
     position_form,
     position_vec,
     problem_from_strings,
@@ -35,6 +37,7 @@ from oracles import (
 )
 
 from brieskorn import engine, groebner, linalg, thom_sebastiani
+from brieskorn.cli import main as cli_main
 from brieskorn.engine import (
     CapExceeded,
     CohomologyClass,
@@ -221,25 +224,6 @@ class TestSliceLayer:
         # both new paths ran: d restricted to a nonzero kernel below the top
         # degree, and d(A^(i-1)) from a nonzero kernel
         assert classes_seen and boundaries_seen
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_ct_basis_weights_match_brute_force(self, seed):
-        rng = random.Random(seed)
-        nvars = rng.randint(1, 4)
-        weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(nvars)]
-        # the candidates are integer weights W = L*w, below the integer bound floor(L*bound)
-        grading = Grading(weights)
-        scale = grading.scale
-        for bound in (F(rng.randint(0, 30), rng.randint(1, 3)), F(0), min(weights) / 2, F(-1, 3)):
-            ranges = [range(int(bound / w) + 1 if bound >= 0 else 0) for w in weights]
-            expected = set()
-            for exp in itertools.product(*ranges):
-                weight = sum((a * w for a, w in zip(exp, weights)), F(0))
-                if weight <= bound:
-                    expected.add(weight)
-            got = engine._monomial_weights(grading.weights, bound * scale // 1)
-            assert {F(s, scale) for s in got} == expected
-        assert engine._monomial_weights(grading.weights, F(-1, 3) * scale // 1) == set()
 
 
 class TestActions:
@@ -897,6 +881,25 @@ class TestSliceOracle:
                 )
                 assert h_slice(p, p.n, c).dim == expected, (text, c)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_monomial_weights_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 4)
+        weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(nvars)]
+        # the candidates are integer weights W = L*w, below the integer bound floor(L*bound)
+        grading = Grading(weights)
+        scale = grading.scale
+        for bound in (F(rng.randint(0, 30), rng.randint(1, 3)), F(0), min(weights) / 2, F(-1, 3)):
+            ranges = [range(int(bound / w) + 1 if bound >= 0 else 0) for w in weights]
+            expected = set()
+            for exp in itertools.product(*ranges):
+                weight = sum((a * w for a, w in zip(exp, weights)), F(0))
+                if weight <= bound:
+                    expected.add(weight)
+            got = monomial_weights(grading.weights, bound * scale // 1)
+            assert {F(s, scale) for s in got} == expected
+        assert monomial_weights(grading.weights, F(-1, 3) * scale // 1) == set()
+
 
 class TestRankAndSpectrum:
     def test_ranks_equal_milnor(self):
@@ -936,11 +939,25 @@ CT_GERMS = [
 ]
 
 
-class TestCtBasisSlices:
-    """ct_basis visits the slices that carry a new C{t}-generator and their
-    t-predecessors only; the scan of every slice weight is its reference."""
+BP33333 = ("bp33333", ["x", "y", "z", "w", "v"], ["1"] * 5, "x^3 + y^3 + z^3 + w^3 + v^3")
+# [m] is not 0 among its keys, and some of its generator weights lie D apart,
+# yet no generator seeds another: their keys, moved by [m], differ
+D4_Z7_W7 = ("d4+z7+w7", ["x", "y", "z", "w"], ["7", "7", "3", "3"], "x^3 + x*y^2 + z^7 + w^7")
+# its slices at 8 and 12 hold the seeds f*vol and f^2*vol besides new classes
+QUARTIC = ("x4+y4+z4+w4+xyzw", ["x", "y", "z", "w"], ["1"] * 4, "x^4 + y^4 + z^4 + w^4 + x*y*z*w")
+KEYED_GERMS = [*CT_GERMS, BP33333, D4_Z7_W7, QUARTIC]
+SEEDED_GERMS = [CT_GERMS[8], QUARTIC]
 
-    @pytest.mark.parametrize("variables, weights, polynomial", [g[1:] for g in CT_GERMS], ids=[g[0] for g in CT_GERMS])
+
+class TestCtBasisSlices:
+    """ct_basis visits only the slices that carry a new C{t}-generator and
+    seeds each from the generators found below it; the scan of every slice
+    weight, which seeds each slice from the whole slice c - D, is its
+    reference."""
+
+    @pytest.mark.parametrize(
+        "variables, weights, polynomial", [g[1:] for g in KEYED_GERMS], ids=[g[0] for g in KEYED_GERMS]
+    )
     def test_the_classes_of_the_scan_of_every_slice(self, variables, weights, polynomial):
         p = problem_from_strings(variables, weights, polynomial)
         got = [cls.serialize() for cls in ct_basis(p)]
@@ -968,15 +985,10 @@ class TestCtBasisSlices:
         assert len(calls) == scanned
 
 
-BP33333 = ("bp33333", ["x", "y", "z", "w", "v"], ["1"] * 5, "x^3 + y^3 + z^3 + w^3 + v^3")
-# [m] is not 0 among its keys, and some of its slices are t-predecessors
-D4_Z7_W7 = ("d4+z7+w7", ["x", "y", "z", "w"], ["7", "7", "3", "3"], "x^3 + x*y^2 + z^7 + w^7")
-KEYED_GERMS = [*CT_GERMS, BP33333, D4_Z7_W7]
-
-
 class TestCtBasisKeys:
-    """ct_basis visits each slice on the key classes of its standard
-    monomials and of its t-successor's, shifted by -[m], only."""
+    """ct_basis visits each weight of its standard monomials x^a * vol once,
+    on their key classes only, and seeds it with f^k times the generators of
+    weight c - kD whose keys, moved by k[m], are among those."""
 
     @pytest.mark.parametrize(
         "variables, weights, polynomial", [g[1:] for g in KEYED_GERMS], ids=[g[0] for g in KEYED_GERMS]
@@ -991,13 +1003,84 @@ class TestCtBasisKeys:
         assert got == expected
 
     @pytest.mark.parametrize(
+        "variables, weights, polynomial", [g[1:] for g in KEYED_GERMS], ids=[g[0] for g in KEYED_GERMS]
+    )
+    def test_h_slice_visits_are_the_weights_and_keys_of_the_standard_monomials(
+        self, variables, weights, polynomial, monkeypatch
+    ):
+        p = problem_from_strings(variables, weights, polynomial)
+        visits, slice_ = [], engine.h_slice
+
+        def spy(problem, i, c, cap=None, keys=None):
+            visits.append((c, keys))
+            return slice_(problem, i, c, cap, keys)
+
+        monkeypatch.setattr(engine, "h_slice", spy)
+        ct_basis(p)
+        vol, sum_w = tuple(range(p.n)), sum(p.grading.weights)
+        expected = defaultdict(set)
+        for e in groebner.standard_monomials(p.jacobian):
+            expected[F(p.grading.monomial(e) + sum_w, p.grading.scale)].add(p.key(vol, e))
+        assert visits == sorted(expected.items())
+
+    @pytest.mark.parametrize("germ, seeds", [(SEEDED_GERMS[0], 1), (QUARTIC, 21)], ids=[g[0] for g in SEEDED_GERMS])
+    def test_the_seeds_are_a_basis_of_t_times_the_slice_below(self, germ, seeds, monkeypatch):
+        # #seeds + #new = dim: the seeds are independent modulo boundaries,
+        # and as the new classes number the standard monomials, they span
+        # t(slice c - D) on the visited keys
+        p = problem_from_strings(*germ[1:])
+        visits, complement = {}, engine.HSlice.quotient_complement
+
+        def spy(sl, seed_forms):
+            seed_forms = list(seed_forms)
+            new = complement(sl, seed_forms)
+            visits[sl.c] = seed_forms
+            assert len(seed_forms) + len(new) == sl.dim
+            return new
+
+        monkeypatch.setattr(engine.HSlice, "quotient_complement", spy)
+        ct_basis(p)
+        assert sum(map(len, visits.values())) == seeds
+        vol = volume_form(p.n)
+        assert vol * p.f in visits[2 * p.scaled_degree]
+        if germ is QUARTIC:
+            assert vol * p.f**2 in visits[3 * p.scaled_degree]
+
+    def test_a_dropped_seed_is_an_invariant_violation(self, tmp_path, monkeypatch, capsys):
+        # without its one seed f * vol, the slice 2D of x^3 + y^3 + z^3 + xyz
+        # shows a new class more than its standard monomials of that key
+        name, variables, weights, polynomial = SEEDED_GERMS[0]
+        complement = engine.HSlice.quotient_complement
+        monkeypatch.setattr(engine.HSlice, "quotient_complement", lambda sl, seeds: complement(sl, list(seeds)[1:]))
+        with pytest.raises(InvariantViolation, match="new C.t.-generators of key"):
+            ct_basis(problem_from_strings(variables, weights, polynomial))
+        problem = tmp_path / "cubic.json"
+        germ = {"name": name, "variables": variables, "weights": weights, "polynomial": polynomial}
+        problem.write_text(json.dumps(germ))
+        report = tmp_path / "report.json"
+        assert cli_main(["spectrum", str(problem), "--out", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "invariant violation: " in captured.err and "Traceback" not in captured.err
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "germ, dim_sum, h_slice_calls",
-        [(CT_GERMS[1], 6, 2), (CT_GERMS[2], 12, 3), (CT_GERMS[-1], 600, 68), (BP33333, 192, 6)],
-        ids=["cusp", "x3y3", "bp3456", "bp33333"],
+        [
+            (CT_GERMS[1], 6, 2),
+            (CT_GERMS[2], 12, 3),
+            (CT_GERMS[6], 103, 9),
+            (CT_GERMS[-1], 600, 68),
+            (BP33333, 192, 6),
+            (D4_Z7_W7, 1044, 33),
+        ],
+        ids=["cusp", "x3y3", "chain", "bp3456", "bp33333", "d4+z7+w7"],
     )
     def test_slice_space_dims_are_pinned(self, germ, dim_sum, h_slice_calls, monkeypatch):
-        # over whole slices the dims were 6, 24, 2132 and 2557: the cusp has a
-        # single key class (no congruences), so its slices stay whole
+        # over whole slices the dims were 6, 24, 2132 and 2557 for cusp, x3y3,
+        # bp3456 and bp33333, and with their t-predecessors' keys chain's were
+        # 107 and d4+z7+w7's 1054: the cusp has a single key class (no
+        # congruences), so its slices stay whole
         p = problem_from_strings(*germ[1:])
         dims, calls = [], []
         init, slice_ = engine.FormSpace.__init__, engine.h_slice
@@ -1011,26 +1094,6 @@ class TestCtBasisKeys:
         ct_basis(p)
         assert (sum(dims), len(calls)) == (dim_sum, h_slice_calls)
         assert (p.congruences == []) == (germ[0] == "cusp")
-
-    def test_a_predecessor_is_visited_on_the_keys_that_seed_its_successor(self, monkeypatch):
-        # the key of x^a * vol and that of the seed class (x^a * vol)/f differ
-        p = problem_from_strings(*D4_Z7_W7[1:])
-        assert p.form_keys(volume_form(p.n), 1) != p.form_keys(volume_form(p.n))
-        visited, slice_ = {}, engine.h_slice
-
-        def spy(problem, i, c, cap=None, keys=None):
-            visited[c] = keys
-            return slice_(problem, i, c, cap, keys)
-
-        monkeypatch.setattr(engine, "h_slice", spy)
-        ct_basis(p)
-        sum_w, seeded = sum(p.grading.weights), 0
-        for e in groebner.standard_monomials(p.jacobian):
-            predecessor = F(p.grading.monomial(e) + sum_w - p.scaled_degree, p.grading.scale)
-            if predecessor in visited:
-                assert p.form_keys(volume_form(p.n, Polynomial.monomial(p.n, e)), -1) <= visited[predecessor]
-                seeded += 1
-        assert seeded
 
     @pytest.mark.parametrize(
         "problem, i, c, cap",
