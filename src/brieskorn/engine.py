@@ -318,8 +318,7 @@ def _numbered(index: dict, entries) -> linalg.Vec:
 
 @dataclass
 class HSlice:
-    """Basis of one weight slice of H^i with its exactness reducer, an
-    Echelon keyed by monomial form (W, e)."""
+    """Basis of one weight slice of H^i."""
 
     problem: GermProblem
     i: int
@@ -327,22 +326,10 @@ class HSlice:
     cap: int
     cap_relative: bool
     classes: list[CohomologyClass]
-    _reducer: linalg.Echelon
 
     @property
     def dim(self) -> int:
         return len(self.classes)
-
-    def quotient_complement(self, seed_forms: Iterable[DifferentialForm]):
-        """Classes of this slice independent modulo boundaries + seed forms."""
-        ech = self._reducer.copy()
-        for f in seed_forms:
-            ech.add(dict(f.entries()))
-        out = []
-        for cls in self.classes:
-            if ech.add(dict(cls.representative.entries())):
-                out.append(cls)
-        return out
 
 
 def _slice_cap(problem: GermProblem, c: int, cap: int | None, least: int = 0) -> int:
@@ -357,8 +344,9 @@ def _slice_cap(problem: GermProblem, c: int, cap: int | None, least: int = 0) ->
     return max(cap, least)
 
 
-def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None) -> HSlice:
-    """Exact basis of the slice of H^i = H(Ker df-wedge, d) of rational weight c.
+def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, seeds=()) -> HSlice:
+    """Exact basis of the slice of H^i = H(Ker df-wedge, d) of rational weight c,
+    modulo the span of the seed forms.
 
     With positive weights the slice is finite and the cap is derived; with
     some weight <= 0 an explicit cap is required and completeness (not
@@ -372,12 +360,16 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None) 
     d keeps keys and df wedge adds [m], so the kernel, the boundaries and
     the residues split by key: the classes are the whole slice's classes
     whose key is in keys, with the same representatives, in the same order.
+
+    One Echelon keyed by (W, e) takes the boundaries, the seeds, then each
+    closed vector that enlarges it; a representative is its residual modulo
+    those and the earlier classes, scaled to lead 1.
     """
     if not 0 <= i <= problem.n:
         raise ValueError("form degree out of range")
     c = problem.grading.scaled(c)
     if c is None:
-        return HSlice(problem, i, c, cap, not problem.positive_weights, [], linalg.Echelon())
+        return HSlice(problem, i, c, cap, not problem.positive_weights, [])
     space = FormSpace(problem, i, c, _slice_cap(problem, c, cap), keys)
 
     kernel = _df_kernel_vectors(problem, space)
@@ -389,7 +381,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None) 
         kernel = [v for v in (linalg.combine(kernel, combo) for combo in combos) if v]
     closed = [{space.items[k]: val for k, val in v.items()} for v in kernel]
 
-    # boundary space d(A^{i-1}) at the same weight
+    # boundary space d(A^{i-1}) at the same weight, then the seeds
     reducer = linalg.Echelon()
     if i >= 1:
         prev = FormSpace(problem, i - 1, c, space.cap + 1, keys)
@@ -400,18 +392,19 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None) 
                 d_img = linalg.combine(d_prev, v)
                 if d_img:
                     reducer.add(d_img)
+    for form in seeds:
+        reducer.add(dict(form.entries()))
 
     classes = []
-    ech = reducer.copy()
     for v in closed:
-        residue = ech.reduce(v)
+        residue = reducer.reduce(v)
         if residue:
             pivot = min(residue)
             inv = 1 / residue[pivot]
             rep = DifferentialForm.from_entries(problem.nvars, i, ((k, val * inv) for k, val in residue.items()))
             classes.append(CohomologyClass(problem, i, rep))
-            ech.add(v)
-    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes, reducer)
+            reducer.add(v)
+    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes)
 
 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
@@ -682,7 +675,8 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     """Free C{t}-basis classes of the reduced H^n (in one variable, H^1 modulo
     the C{t}-span of df), in ascending weight.
 
-    Requires an isolated singularity, hence positive weights.  Euler's
+    Requires an isolated singularity and positive weights; deg f < 0 is
+    refused with a ValueError asking for the weights negated.  Euler's
     relation gives f*Omega^n in df^Omega^(n-1), and on the slice of weight c
     the operator dt*t acts as c/D, which is never 0; so tH'' = sH'' and
     (H''/tH'')_c = (Omega_f)_(c - sum W) (K. Saito, Invent. Math. 14, 1971;
@@ -699,17 +693,20 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     H'' is free over C{t} on these generators (Sebastiani, Manuscripta Math.
     2, 1970), so t(slice c - D) is spanned by f^k * g for the generators g of
     weight c - kD, k >= 1: those whose key moved by k[m] lies in K_c are the
-    seeds at c.  Seeds always lie in t(slice c - D); were their span short,
-    the slice would show more new classes of some key than standard
-    monomials.  A slice whose new classes of some key do not number its
-    standard monomials of that key, or a total other than
-    mu = prod (D - W_i)/W_i (Milnor-Orlik, Topology 9, 1970; counted from the
-    weights, not from the Groebner basis), raises InvariantViolation.
+    seeds at c, which h_slice reduces modulo together with the boundaries.
+    Seeds always lie in t(slice c - D); were their span short, the slice
+    would show more new classes of some key than standard monomials.  A
+    slice whose new classes of some key do not number its standard monomials
+    of that key, or a total other than mu = prod (D - W_i)/W_i (Milnor-Orlik,
+    Topology 9, 1970; counted from the weights, not from the Groebner basis),
+    raises InvariantViolation.
     """
     if problem.milnor_number() is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
+    if problem.degree < 0:
+        raise ValueError(f"deg f = {format_rational(problem.degree)} < 0; negate the weights")
     if not problem.positive_weights:
-        raise CapExceeded("isolated quasi-homogeneous germs have positive weights")
+        raise ValueError("C{t}-basis needs positive weights")
     grading, d = problem.grading, problem.scaled_degree
     sum_w = sum(grading.weights)
     vol = tuple(range(problem.n))
@@ -728,7 +725,7 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
             for rep in reps.get(c - k * d, ())
             if problem.form_keys(rep, k) <= keys
         ]
-        new = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys).quotient_complement(seeds)
+        new = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys, seeds=seeds).classes
         found = Counter(key for cls in new for key in problem.form_keys(cls.representative))
         if found != new_at[c]:
             key = min(k for k in found.keys() | new_at[c].keys() if found[k] != new_at[c][k])

@@ -136,8 +136,7 @@ class Echelon:
 
     The rows are a scaled RREF, kept by pivot column: each is a primitive
     integer row {col: int} with a positive entry at its own pivot and no
-    entry in any other pivot column.  Rows are replaced, never changed in
-    place, so copy() shares them.  add() returns True when the vector
+    entry in any other pivot column.  add() returns True when the vector
     enlarges the span; reduce() returns the canonical residual of a vector
     modulo the current span, the one congruent vector with no entry in a
     pivot column.
@@ -145,11 +144,6 @@ class Echelon:
 
     def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
-
-    def copy(self) -> "Echelon":
-        c = Echelon()
-        c._rows = dict(self._rows)
-        return c
 
     def _residual(self, vec: Vec) -> tuple[int, dict[int, int]]:
         """(scale, ints) with ints / scale the residual of vec.
@@ -182,7 +176,7 @@ class Echelon:
         # Jordan step: clear the new pivot column from existing rows
         for p, existing in list(self._rows.items()):
             if pivot in existing:
-                self._rows[p] = _primitive(_clear(dict(existing), row, pivot)[1], 1)
+                self._rows[p] = _primitive(_clear(existing, row, pivot)[1], 1)
         self._rows[pivot] = row
         return True
 

@@ -23,7 +23,7 @@ import os
 import random
 from fractions import Fraction
 
-from brieskorn import _backend, groebner, linalg
+from brieskorn import _backend, engine, groebner, linalg
 from brieskorn.cli import main as cli_main
 from brieskorn.engine import (
     CohomologyClass,
@@ -256,14 +256,13 @@ def tdt_action(cls: CohomologyClass) -> CohomologyClass:
     return CohomologyClass(cls.problem, cls.i, rep, weight=cls.weight)
 
 
-def slice_residual(sl, form: DifferentialForm):
-    """Canonical coordinates of a form of the slice sl modulo its boundaries."""
-    return sl._reducer.reduce(dict(form.entries()))
-
-
 def class_is_boundary(cls: CohomologyClass, cap=None) -> bool:
-    """Exactness of the representative in its own weight slice."""
-    return not slice_residual(h_slice(cls.problem, cls.i, cls.weight, cap), cls.representative)
+    """Exactness of the representative in its own weight slice: a solve of
+    d(eta) = rep with df wedge eta = 0, eta in the slice of degree i - 1
+    one total degree above the slice's cap."""
+    p = cls.problem
+    block = engine._block(p, cls.i - 1, cls.c, cap, None, engine._slice_cap(p, cls.c, cap) + 1)
+    return engine._s_chain([block], cls.representative) is not None
 
 
 def monomial_weights(weights, bound: int) -> set[int]:
@@ -279,19 +278,21 @@ def ct_basis_over_every_slice(p: GermProblem) -> list[CohomologyClass]:
     """The C{t}-basis by the scan of every slice weight up to the top
     standard monomial weight plus sum W: at each weight the new generators
     are the slice classes independent modulo t(slice c - D) and, in one
-    variable, modulo f^(k-1) df at c = kD."""
+    variable, modulo f^(k-1) df at c = kD.  The slice c - D is spanned by
+    its seeds and its new generators, so f times these seed slice c."""
     grading, d = p.grading, p.scaled_degree
     sum_w = sum(grading.weights)
     std = groebner.standard_monomials(p.jacobian)
     top = max((grading.monomial(e) for e in std), default=0)
-    slices, out = {}, []
+    spans, out = {}, []  # weight c -> seeds and new representatives of slice c
     for c in sorted(s + sum_w for s in monomial_weights(grading.weights, top)):
-        sl = slices[c] = h_slice(p, p.n, Fraction(c, grading.scale))
-        seeds = [cls.representative * p.f for cls in slices[c - d].classes] if c - d in slices else []
+        seeds = [form * p.f for form in spans.get(c - d, ())]
         k, r = divmod(c, d)
         if p.n == 1 and not r and k >= 1:
             seeds.append(differential(p.f) * (p.f ** (k - 1)))
-        out.extend(sl.quotient_complement(seeds))
+        new = h_slice(p, p.n, Fraction(c, grading.scale), seeds=seeds).classes
+        spans[c] = seeds + [cls.representative for cls in new]
+        out.extend(new)
     return out
 
 

@@ -16,6 +16,8 @@ def test_tier1_workflow():
     with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
         workflow = yaml.safe_load(fh)
     assert set(workflow["on"]) == {"push", "pull_request"}
+    # a runaway search must not hold a runner for the 6-hour default
+    assert workflow["jobs"]["tests"]["timeout-minutes"] == 15
     steps = workflow["jobs"]["tests"]["steps"]
     assert {"python-version": "3.11"} in [s.get("with") for s in steps]
     assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', TIER1]

@@ -247,6 +247,28 @@ class TestInputContract:
     def test_bad_argument(self, argv, message, capsys):
         self.expect(argv, 1, message, capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "{neg}"], ["analyze", "{neg}"], ["ts", "{neg}", prob("a1.json")], ["ts", prob("a1.json"), "{neg}"]],
+        ids=["spectrum", "analyze", "ts-first", "ts-second"],
+    )
+    def test_negative_degree_germ_is_refused(self, argv, tmp_path, capsys):
+        # u^2 + v^2 with weights (-1, -1) is isolated, of degree -2: no bound
+        # is hit, the weights are to be negated
+        path, report = tmp_path / "neg.json", tmp_path / "report.json"
+        germ = {"variables": ["u", "v"], "weights": ["-1", "-1"], "polynomial": "u^2 + v^2"}
+        path.write_text(json.dumps(germ))
+        argv = [str(path) if a == "{neg}" else a for a in argv] + ["--out", str(report)]
+        self.expect(argv, 1, "error: deg f = -2 < 0; negate the weights", capsys)
+        assert not report.exists()
+
+    def test_non_positive_weight_of_positive_degree_is_refused(self, tmp_path, capsys):
+        # x on (x, y) with weights (1, -1) is smooth, so isolated, of degree 1;
+        # the C{t}-basis needs every weight positive
+        path = tmp_path / "smooth.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "weights": ["1", "-1"], "polynomial": "x"}))
+        self.expect(["spectrum", str(path)], 1, "error: C{t}-basis needs positive weights", capsys)
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
     def test_help_and_version_exit_zero(self, argv, capsys):
         assert main(argv) == 0

@@ -29,7 +29,6 @@ from oracles import (
     problem_from_strings,
     random_kernel_elements,
     s_action,
-    slice_residual,
     t_action,
     tdt_action,
     theta_f,
@@ -155,10 +154,10 @@ class TestSlices:
 
 
 def h_slice_reference(problem, i, c, cap):
-    """(classes, reducer) of the weight-c slice of H^i with d taken by
-    partial derivatives (d_reference) on the form of every kernel vector,
-    every vector a position in the slice space, and the boundaries reduced
-    by the Fraction reference echelon."""
+    """(classes, reducer, closed + boundaries) of the weight-c slice of H^i
+    with d taken by partial derivatives (d_reference) on the form of every
+    kernel vector, every vector a position in the slice space, and the
+    boundaries reduced by the Fraction reference echelon."""
     space = engine.FormSpace(problem, i, c, cap)
     kernel = engine._df_kernel_vectors(problem, space)
     closed = kernel
@@ -185,7 +184,7 @@ def h_slice_reference(problem, i, c, cap):
             rep = position_form(space, {k: val * inv for k, val in residue.items()})
             classes.append(CohomologyClass(problem, i, rep))
             ech.add(v)
-    return classes, reducer
+    return classes, reducer, closed + boundaries
 
 
 class TestSliceLayer:
@@ -207,23 +206,27 @@ class TestSliceLayer:
     def test_h_slice_matches_the_form_operator_reference(self, variables, weights, polynomial, cap, slice_weights):
         problem = problem_from_strings(variables, weights, polynomial)
         classes_seen = boundaries_seen = 0
+        exact = Counter()
         for i in range(problem.n + 1):
             for c in slice_weights:
                 sl = h_slice(problem, i, F(c), cap)
-                classes, reducer = h_slice_reference(problem, i, F(c), sl.cap)
+                classes, reducer, closed = h_slice_reference(problem, i, F(c), sl.cap)
                 assert sl.dim == len(classes)
                 assert [cls.serialize() for cls in sl.classes] == [cls.serialize() for cls in classes]
                 space = engine.FormSpace(problem, i, F(c), sl.cap)
-                for k in range(space.dim):
-                    basis_form = position_form(space, {k: F(1)})
-                    expected = {space.items[j]: val for j, val in reducer.reduce({k: F(1)}).items()}
-                    assert slice_residual(sl, basis_form) == expected
+                # exactness by a solve agrees with the reference reducer on
+                # the closed basis and the boundaries of the slice
+                for v in closed:
+                    is_boundary = class_is_boundary(CohomologyClass(problem, i, position_form(space, v)), cap)
+                    assert is_boundary == (not reducer.reduce(v))
+                    exact[is_boundary] += 1
                 if i < problem.n:
                     classes_seen += sl.dim
                 boundaries_seen += reducer.rank
         # both new paths ran: d restricted to a nonzero kernel below the top
         # degree, and d(A^(i-1)) from a nonzero kernel
         assert classes_seen and boundaries_seen
+        assert exact[True] and exact[False]
 
 
 class TestActions:
@@ -1011,9 +1014,9 @@ class TestCtBasisKeys:
         p = problem_from_strings(variables, weights, polynomial)
         visits, slice_ = [], engine.h_slice
 
-        def spy(problem, i, c, cap=None, keys=None):
+        def spy(problem, i, c, cap=None, keys=None, seeds=()):
             visits.append((c, keys))
-            return slice_(problem, i, c, cap, keys)
+            return slice_(problem, i, c, cap, keys, seeds)
 
         monkeypatch.setattr(engine, "h_slice", spy)
         ct_basis(p)
@@ -1029,16 +1032,16 @@ class TestCtBasisKeys:
         # and as the new classes number the standard monomials, they span
         # t(slice c - D) on the visited keys
         p = problem_from_strings(*germ[1:])
-        visits, complement = {}, engine.HSlice.quotient_complement
+        visits, slice_ = {}, engine.h_slice
 
-        def spy(sl, seed_forms):
-            seed_forms = list(seed_forms)
-            new = complement(sl, seed_forms)
-            visits[sl.c] = seed_forms
-            assert len(seed_forms) + len(new) == sl.dim
-            return new
+        def spy(problem, i, c, cap=None, keys=None, seeds=()):
+            seeds = list(seeds)
+            sl = slice_(problem, i, c, cap, keys, seeds)
+            visits[sl.c] = seeds
+            assert len(seeds) + sl.dim == slice_(problem, i, c, cap, keys).dim
+            return sl
 
-        monkeypatch.setattr(engine.HSlice, "quotient_complement", spy)
+        monkeypatch.setattr(engine, "h_slice", spy)
         ct_basis(p)
         assert sum(map(len, visits.values())) == seeds
         vol = volume_form(p.n)
@@ -1046,12 +1049,21 @@ class TestCtBasisKeys:
         if germ is QUARTIC:
             assert vol * p.f**2 in visits[3 * p.scaled_degree]
 
+    def test_seeds_are_reduced_with_the_boundaries(self):
+        # the slice 2D of x^3 + y^3 + z^3 + xyz: no seed changes nothing, and
+        # its one seed f * vol takes away one class
+        p = problem_from_strings(*SEEDED_GERMS[0][1:])
+        c = 2 * p.degree
+        unseeded = [cls.serialize() for cls in h_slice(p, p.n, c).classes]
+        assert [cls.serialize() for cls in h_slice(p, p.n, c, seeds=[]).classes] == unseeded
+        assert h_slice(p, p.n, c, seeds=[volume_form(p.n) * p.f]).dim == len(unseeded) - 1
+
     def test_a_dropped_seed_is_an_invariant_violation(self, tmp_path, monkeypatch, capsys):
         # without its one seed f * vol, the slice 2D of x^3 + y^3 + z^3 + xyz
         # shows a new class more than its standard monomials of that key
         name, variables, weights, polynomial = SEEDED_GERMS[0]
-        complement = engine.HSlice.quotient_complement
-        monkeypatch.setattr(engine.HSlice, "quotient_complement", lambda sl, seeds: complement(sl, list(seeds)[1:]))
+        slice_ = engine.h_slice
+        monkeypatch.setattr(engine, "h_slice", lambda *a, seeds=(), **k: slice_(*a, seeds=list(seeds)[1:], **k))
         with pytest.raises(InvariantViolation, match="new C.t.-generators of key"):
             ct_basis(problem_from_strings(variables, weights, polynomial))
         problem = tmp_path / "cubic.json"
