@@ -399,11 +399,9 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
     for v in closed:
         residue = reducer.reduce(v)
         if residue:
-            pivot = min(residue)
-            inv = 1 / residue[pivot]
-            rep = DifferentialForm.from_entries(problem.nvars, i, ((k, val * inv) for k, val in residue.items()))
+            rep = DifferentialForm.from_entries(problem.nvars, i, residue.items())
             classes.append(CohomologyClass(problem, i, rep))
-            reducer.add(v)
+            reducer.add(residue)
     return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes)
 
 

@@ -10,11 +10,12 @@ themselves, one row per key in order of first appearance; row order
 changes neither the null space nor the canonical solution.
 
 All elimination is fraction-free, on integer rows: each vector is converted
-once on the way in and each entry once on the way out.  The batch row
-reduction runs in the kernel (see _backend) on primitive rows [(col, int)];
-the incremental accumulator Echelon, used for span and quotient
-bookkeeping, keeps a scaled RREF of {col: int} rows here.  Everything is
-deterministic: pivot choice, iteration order, output order.
+once on the way in and each entry once on the way out.  It all runs in the
+kernel (see _backend), on primitive rows [(col, int)]: rref and
+solve_columns through its batch reductions, and the incremental
+accumulator Echelon, used for span and quotient bookkeeping, through its
+one elimination step _int_eliminate.  Everything is deterministic: pivot
+choice, iteration order, output order.
 """
 
 from __future__ import annotations
@@ -132,78 +133,46 @@ def combine(vectors, coeffs: dict) -> dict:
 
 
 class Echelon:
-    """Incremental reduced echelon accumulator over Q, on integer rows.
+    """Incremental echelon accumulator over Q, on the kernel's integer rows.
 
-    The rows are a scaled RREF, kept by pivot column: each is a primitive
-    integer row {col: int} with a positive entry at its own pivot and no
-    entry in any other pivot column.  add() returns True when the vector
-    enlarges the span; reduce() returns the canonical residual of a vector
-    modulo the current span, the one congruent vector with no entry in a
-    pivot column.
+    Each row is a primitive integer row [(col, int)] (see _backend) with a
+    positive lead, stored by its lead column; the rows are in echelon form,
+    not reduced form.  add() returns True when the vector enlarges the span;
+    reduce() returns the canonical residual of a vector modulo the current
+    span, the one congruent vector with no entry in a pivot column, scaled
+    to lead 1.
     """
 
     def __init__(self):
-        self._rows: dict[int, dict[int, int]] = {}
+        self._rows: dict = {}
 
-    def _residual(self, vec: Vec) -> tuple[int, dict[int, int]]:
-        """(scale, ints) with ints / scale the residual of vec.
+    def _residual(self, vec: Vec):
+        """A positive multiple of vec's canonical residual, as a primitive row.
 
-        Clearing a pivot brings in no other pivot column, so only the pivots
-        in vec's support are looked up, in any order.
+        Columns are walked in ascending order: clearing a pivot brings in
+        only columns past it, so one pass clears every pivot column.
         """
-        scale = 1
-        for v in vec.values():
-            d = v.denominator
-            if d != 1:
-                scale = scale * d // gcd(scale, d)
-        out = {c: v.numerator * (scale // v.denominator) for c, v in vec.items() if v}
+        row = _int_row(vec)
         rows = self._rows
-        for p in [c for c in out if c in rows]:
-            m, out = _clear(out, rows[p], p)
-            scale *= m
-        return scale, out
+        k = 0
+        while k < len(row):
+            c = row[k][0]
+            if c in rows:
+                row = _backend._int_eliminate(row, rows[c], c)
+            else:
+                k += 1
+        return row
 
     def reduce(self, vec: Vec) -> Vec:
-        scale, out = self._residual(vec)
-        return {c: Fraction(n, scale) for c, n in out.items()}
+        row = self._residual(vec)
+        lead = row[0][1] if row else 1
+        return {c: Fraction(n, lead) for c, n in row}
 
     def add(self, vec: Vec) -> bool:
-        _scale, r = self._residual(vec)
-        if not r:
+        row = self._residual(vec)
+        if not row:
             return False
-        pivot = min(r)
-        row = _primitive(r, r[pivot])
-        # Jordan step: clear the new pivot column from existing rows
-        for p, existing in list(self._rows.items()):
-            if pivot in existing:
-                self._rows[p] = _primitive(_clear(existing, row, pivot)[1], 1)
-        self._rows[pivot] = row
+        if row[0][1] < 0:
+            row = [(c, -n) for c, n in row]
+        self._rows[row[0][0]] = row
         return True
-
-
-def _clear(ints: dict[int, int], row: dict[int, int], p: int) -> tuple[int, dict[int, int]]:
-    """(m, m * ints - q * row) for the least m > 0 that clears column p of
-    ints (row[p] > 0); ints itself is changed when m is 1."""
-    g = gcd(ints[p], row[p])
-    m, q = row[p] // g, ints[p] // g
-    if m != 1:
-        ints = {c: n * m for c, n in ints.items()}
-    for c, n in row.items():
-        s = ints.get(c, 0) - q * n
-        if s:
-            ints[c] = s
-        else:
-            del ints[c]
-    return m, ints
-
-
-def _primitive(ints: dict[int, int], sign: int) -> dict[int, int]:
-    """ints divided by their content, negated when sign is negative."""
-    g = 0
-    for n in ints.values():
-        g = gcd(g, n)
-        if g == 1:
-            break
-    if sign < 0:
-        g = -g
-    return ints if g == 1 else {c: n // g for c, n in ints.items()}

@@ -55,10 +55,6 @@ class SkewElement:
             return cls({(power, 0): Fraction(1)}, cap)
         raise ValueError(f"unknown generator {name!r}")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewElement) and self.coeffs == other.coeffs
 

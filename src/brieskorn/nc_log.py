@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import CapExceeded, _bounded_exponents
+from brieskorn.engine import _bounded_exponents
 from brieskorn.forms import DifferentialForm, monomial_images, partial_terms
 from brieskorn.poly import Polynomial
 
@@ -80,8 +80,6 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     """
     if not 0 <= i <= germ.nvars:
         raise ValueError("form degree out of range")
-    if degree_bound < 1:
-        raise CapExceeded("degree bound must be >= 1")
     n = germ.nvars
     f = germ.polynomial()
     wedges_i = list(itertools.combinations(range(n), i))

@@ -2,7 +2,8 @@
 
 It holds the unique RREF of the span as {col: Fraction} rows with a 1 at
 each pivot; linalg.Echelon must agree with it on every observable: add's
-result, rank, pivots and the residual of reduce.
+result, rank, pivots and the residual of reduce, which linalg.Echelon
+returns scaled to lead 1, so it is compared with this residual at lead 1.
 """
 
 from bisect import bisect_left

@@ -111,6 +111,7 @@ class TestExplicitBounds:
              {"max_degree": 0, "max_t_power": 1, "max_s_power": 1}),
             (["check-p", "nc22.json", "--form-degree", "2", "--max-degree", "0"],
              {"max_degree": 0}),
+            (["nc", "nc22.json", "--max-degree", "0"], {"max_degree": 0}),
         ],
     )
     def test_zero_is_reported(self, argv, bounds, capsys):
@@ -127,7 +128,6 @@ class TestExplicitBounds:
              1, "--max-t-power"),
             (["torsion", "barlet35.json", "--monomial", "1", "--max-s-power", "0"],
              1, "--max-s-power"),
-            (["nc", "nc22.json", "--max-degree", "0"], 2, "degree bound must be >= 1"),
             (["micro", "--max-s-power", "0"], 2, "exceeds cap 0"),
         ],
     )

@@ -146,6 +146,31 @@ def test_rref_of_a_permuted_identity_eliminates_nothing(monkeypatch):
     assert calls[0] == 0
 
 
+def test_echelon_of_shuffled_unit_rows_eliminates_once_per_pivot_met(monkeypatch):
+    calls = [0]
+    eliminate = _backend._int_eliminate
+
+    def counted(row, piv, col):
+        calls[0] += 1
+        return eliminate(row, piv, col)
+
+    monkeypatch.setattr(_backend, "_int_eliminate", counted)
+    rng = random.Random(40)
+    n = 500
+    pivots = rng.sample(range(2 * n), n)
+    span = linalg.Echelon()
+    assert all(span.add({c: Fraction(rng.choice([-3, -1, 2, 5]), 7)}) for c in pivots)
+    # each unit row meets no earlier pivot, and is stored primitive, lead positive
+    assert calls[0] == 0
+    assert span._rows == {c: [(c, 1)] for c in pivots}
+    vec = {c: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for c in range(2 * n)}
+    residual = span.reduce(vec)
+    # a unit row brings in no other column, so each pivot is cleared once
+    assert calls[0] == n
+    free = sorted(set(range(2 * n)) - set(pivots))
+    assert residual == {c: vec[c] / vec[free[0]] for c in free}
+
+
 def adversarial_vecs(rng, nrows, ncols):
     """Rows crowding a few leading columns, with duplicates, scaled copies
     and combinations that cancel to zero."""

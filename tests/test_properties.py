@@ -329,13 +329,18 @@ def test_gm_data_are_functions_of_the_exponent_multiset(alphas):
 
 
 # non-unit denominators and both signs, so leads are negative as often as not
-sparse_vectors = st.dictionaries(
-    st.integers(0, 7), st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)), max_size=5
+nonzero_rationals = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+sparse_vectors = st.dictionaries(st.integers(0, 7), nonzero_rationals, max_size=5)
+# keyed like h_slice's vectors: monomial forms (W, e), a wedge and an exponent vector
+form_vectors = st.dictionaries(
+    st.tuples(st.sampled_from([(0,), (1,)]), st.tuples(st.integers(0, 1), st.integers(0, 2))),
+    nonzero_rationals,
+    max_size=5,
 )
 
 
 @st.composite
-def vector_sequences(draw):
+def vector_sequences(draw, vectors_of=sparse_vectors):
     """Sparse rational vectors, about half of them combinations of earlier ones."""
     vectors = []
     for _ in range(draw(st.integers(1, 10))):
@@ -345,19 +350,33 @@ def vector_sequences(draw):
             combo = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()}
             vectors.append({c: v for c, v in combo.items() if v})
         else:
-            vectors.append(draw(sparse_vectors))
+            vectors.append(draw(vectors_of))
     return vectors
 
 
+@st.composite
+def echelon_cases(draw):
+    """A vector sequence and probes, all keyed by integers or all by forms."""
+    vectors_of = draw(st.sampled_from([sparse_vectors, form_vectors]))
+    return draw(vector_sequences(vectors_of)), draw(st.lists(vectors_of, max_size=4))
+
+
 @bounded
-@given(vector_sequences(), st.lists(sparse_vectors, max_size=4))
-def test_echelon_agrees_with_the_fraction_reference(vectors, probes):
+@given(echelon_cases())
+def test_echelon_agrees_with_the_fraction_reference(case):
+    vectors, probes = case
     ech, ref = linalg.Echelon(), FractionEchelon()
     for v in vectors:
         assert ech.add(v) == ref.add(v)
         assert sorted(ech._rows) == ref.pivots  # one row per pivot, so the ranks agree too
+        for lead, row in ech._rows.items():
+            cols = [c for c, _n in row]
+            assert cols[0] == lead and cols == sorted(set(cols))
+            assert row[0][1] > 0 and math.gcd(*(n for _c, n in row)) == 1
         for probe in probes + vectors:
-            assert ech.reduce(probe) == ref.reduce(probe)
+            residual = ref.reduce(probe)
+            lead = residual[min(residual)] if residual else 1
+            assert ech.reduce(probe) == {c: val / lead for c, val in residual.items()}
 
 
 @st.composite
