@@ -300,10 +300,7 @@ def _df_kernel_vectors(problem: GermProblem, space: FormSpace) -> list[linalg.Ve
     images = []
     for wedge, exp in space.items:
         # x^exp dx_wedge, unvalidated: the space's items are valid by construction
-        coeff = Polynomial.__new__(Polynomial)
-        coeff.nvars, coeff.terms, coeff._hash, coeff._partials = nv, {exp: ONE}, None, None
-        form = DifferentialForm.__new__(DifferentialForm)
-        form.nvars, form.degree, form.coeffs = nv, space.i, {wedge: coeff}
+        form = DifferentialForm._of(nv, space.i, {wedge: Polynomial._of(nv, {exp: ONE})})
         images.append(df_wedge(f, form).entries())
     return linalg.nullspace(images)
 

@@ -65,6 +65,14 @@ class DifferentialForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, degree: int, coeffs: dict) -> "DifferentialForm":
+        """The form of coeffs, unchecked: strictly increasing wedge tuples of
+        length degree and nonzero polynomials, owned by the result."""
+        f = cls.__new__(cls)
+        f.nvars, f.degree, f.coeffs = nvars, degree, coeffs
+        return f
+
+    @classmethod
     def zero(cls, nvars: int, degree: int) -> "DifferentialForm":
         return cls(nvars, degree)
 
@@ -126,15 +134,10 @@ class DifferentialForm:
                 out[w] = s
             else:
                 out.pop(w, None)
-        f = DifferentialForm.__new__(DifferentialForm)
-        f.nvars, f.degree, f.coeffs = self.nvars, self.degree, out
-        return f
+        return DifferentialForm._of(self.nvars, self.degree, out)
 
     def __neg__(self) -> "DifferentialForm":
-        f = DifferentialForm.__new__(DifferentialForm)
-        f.nvars, f.degree = self.nvars, self.degree
-        f.coeffs = {w: -p for w, p in self.coeffs.items()}
-        return f
+        return DifferentialForm._of(self.nvars, self.degree, {w: -p for w, p in self.coeffs.items()})
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self + (-other)
@@ -146,9 +149,7 @@ class DifferentialForm:
                 q = p * scalar
                 if q:
                     out[w] = q
-            f = DifferentialForm.__new__(DifferentialForm)
-            f.nvars, f.degree, f.coeffs = self.nvars, self.degree, out
-            return f
+            return DifferentialForm._of(self.nvars, self.degree, out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -173,9 +174,7 @@ class DifferentialForm:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        f = DifferentialForm.__new__(DifferentialForm)
-        f.nvars, f.degree, f.coeffs = self.nvars, deg, out
-        return f
+        return DifferentialForm._of(self.nvars, deg, out)
 
     def exterior_derivative(self) -> "DifferentialForm":
         """d: degree i -> i+1, by monomial_images; d(d(anything)) = 0."""
@@ -327,12 +326,8 @@ def df_wedge(f: Polynomial, omega: DifferentialForm) -> DifferentialForm:
     for wedge, out in acc.items():
         out = {exp: c for exp, c in out.items() if c}
         if out:
-            q = Polynomial.__new__(Polynomial)
-            q.nvars, q.terms, q._hash, q._partials = nvars, out, None, None
-            coeffs[wedge] = q
-    form = DifferentialForm.__new__(DifferentialForm)
-    form.nvars, form.degree, form.coeffs = nvars, omega.degree + 1, coeffs
-    return form
+            coeffs[wedge] = Polynomial._of(nvars, out)
+    return DifferentialForm._of(nvars, omega.degree + 1, coeffs)
 
 
 def volume_form(nvars: int, coefficient: Polynomial | None = None) -> DifferentialForm:

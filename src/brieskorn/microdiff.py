@@ -1,10 +1,14 @@
-"""Truncated arithmetic in the skew algebra generated by t and s with
-[t, s] = s*s (s plays the role of the inverse connection dt^{-1}).
+"""Exact arithmetic in the skew algebra generated by t and s with
+[t, s] = s*s (s plays the role of the inverse connection dt^{-1}), and
+integration of t-series.
 
 Normal form puts all s-powers left of all t-powers; normal ordering sums
 the literal rewrite t*s^j -> s^j*t + j*s^(j+1), applied until no t sits left
 of an s, in closed form.  A hard cap on the s-degree replaces the analytic
-convergence condition; overflowing it raises instead of silently truncating.
+convergence condition: normal_order refuses a letter or a product whose
+s-power would pass it, before multiplying, and nothing is truncated.  A
+t-series is the tuple of its coefficients up to the degree it is known to.
+Coefficients are ints or Fractions; a float raises TypeError.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from brieskorn import linalg
-from brieskorn.poly import format_rational
+from brieskorn.engine import InvariantViolation
+from brieskorn.poly import ZERO, _as_fraction, format_rational
 
 DEFAULT_S_CAP = 64
 
@@ -27,33 +32,18 @@ class TruncationOverflow(Exception):
 class SkewElement:
     """Finite sum of s^j t^k monomials with rational coefficients."""
 
-    __slots__ = ("coeffs", "cap")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, cap: int = DEFAULT_S_CAP):
-        self.cap = cap
+    def __init__(self, coeffs=None):
         clean: dict[tuple[int, int], Fraction] = {}
         if coeffs:
             for (j, k), c in coeffs.items():
                 if j < 0 or k < 0:
                     raise ValueError("powers must be non-negative")
-                if j > cap:
-                    raise TruncationOverflow(f"s-power {j} exceeds cap {cap}")
-                c = Fraction(c)
+                c = _as_fraction(c)
                 if c:
                     clean[(j, k)] = c
         self.coeffs = clean
-
-    @classmethod
-    def one(cls, cap: int = DEFAULT_S_CAP) -> "SkewElement":
-        return cls({(0, 0): Fraction(1)}, cap)
-
-    @classmethod
-    def generator(cls, name: str, power: int = 1, cap: int = DEFAULT_S_CAP) -> "SkewElement":
-        if name == "t":
-            return cls({(0, power): Fraction(1)}, cap)
-        if name == "s":
-            return cls({(power, 0): Fraction(1)}, cap)
-        raise ValueError(f"unknown generator {name!r}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SkewElement) and self.coeffs == other.coeffs
@@ -61,45 +51,27 @@ class SkewElement:
     def __add__(self, other: "SkewElement") -> "SkewElement":
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SkewElement(out, min(self.cap, other.cap))
+            out[key] = out.get(key, ZERO) + c
+        return SkewElement(out)
 
     def __sub__(self, other: "SkewElement") -> "SkewElement":
         return self + (other * Fraction(-1))
 
     def __mul__(self, other) -> "SkewElement":
         if isinstance(other, (int, Fraction)):
-            return SkewElement(
-                {k: c * other for k, c in self.coeffs.items()}, self.cap
-            )
+            return SkewElement({k: c * other for k, c in self.coeffs.items()})
         if not isinstance(other, SkewElement):
             return NotImplemented
-        cap = min(self.cap, other.cap)
         out: dict[tuple[int, int], Fraction] = {}
         for (j1, k1), c1 in self.coeffs.items():
             for (j2, k2), c2 in other.coeffs.items():
                 # (s^j1 t^k1)(s^j2 t^k2): rewrite t^k1 s^j2 into normal order
-                for (ja, ka), cc in _t_pow_times_s_pow(k1, j2, cap).items():
+                for (ja, ka), cc in _t_pow_times_s_pow(k1, j2).items():
                     key = (j1 + ja, ka + k2)
-                    if key[0] > cap:
-                        raise TruncationOverflow(
-                            f"s-power {key[0]} exceeds cap {cap}"
-                        )
-                    s = out.get(key, Fraction(0)) + c1 * c2 * cc
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return SkewElement(out, cap)
+                    out[key] = out.get(key, ZERO) + c1 * c2 * cc
+        return SkewElement(out)
 
     __rmul__ = __mul__
-
-    def coefficient(self, s_power: int, t_power: int) -> Fraction:
-        return self.coeffs.get((s_power, t_power), Fraction(0))
 
     def serialize(self) -> str:
         if not self.coeffs:
@@ -120,7 +92,7 @@ class SkewElement:
         return f"SkewElement({self.serialize()})"
 
 
-def _t_pow_times_s_pow(k: int, j: int, cap: int) -> dict[tuple[int, int], int]:
+def _t_pow_times_s_pow(k: int, j: int) -> dict[tuple[int, int], int]:
     """Normal order of t^k s^j: the sum over i <= k of
     C(k, i) * j(j+1)...(j+i-1) * s^(j+i) t^(k-i), from ad_t(s^j) = j s^(j+1).
 
@@ -128,8 +100,6 @@ def _t_pow_times_s_pow(k: int, j: int, cap: int) -> dict[tuple[int, int], int]:
     """
     if k == 0 or j == 0:
         return {(j, k): 1}
-    if j + k > cap:
-        raise TruncationOverflow(f"s-power {j + k} exceeds cap {cap}")
     terms, rising = {}, 1
     for i in range(k + 1):
         terms[(j + i, k - i)] = math.comb(k, i) * rising
@@ -138,13 +108,27 @@ def _t_pow_times_s_pow(k: int, j: int, cap: int) -> dict[tuple[int, int], int]:
 
 
 def normal_order(word: Sequence[tuple[str, int]], cap: int = DEFAULT_S_CAP) -> SkewElement:
-    """Normal form of an alternating word of t- and s-powers."""
-    result = SkewElement.one(cap)
+    """Normal form of a word of t- and s-powers.  A letter s^p with p > cap,
+    or a product with it whose top s-power (j + k + p over the terms
+    s^j t^k so far) passes cap, raises TruncationOverflow before it is
+    multiplied out."""
+    result = SkewElement({(0, 0): 1})
     for name, power in word:
         if power < 0:
             raise ValueError("powers must be non-negative")
-        if power:
-            result = result * SkewElement.generator(name, power, cap)
+        if not power:
+            continue
+        if name == "t":
+            letter = (0, power)
+        elif name == "s":
+            top = power + max(j + k for j, k in result.coeffs)
+            for s_power in (power, top):
+                if s_power > cap:
+                    raise TruncationOverflow(f"s-power {s_power} exceeds cap {cap}")
+            letter = (power, 0)
+        else:
+            raise ValueError(f"unknown generator {name!r}")
+        result = result * SkewElement({letter: 1})
     return result
 
 
@@ -173,7 +157,7 @@ def lemma_a_certificate(p: int, q: int, cap: int = DEFAULT_S_CAP) -> FactorialRe
     if p + q > cap:
         raise TruncationOverflow("factorial certificate needs cap >= p+q")
     expansion = normal_order([("t", m), ("s", 1)], cap)
-    coeff = expansion.coefficient(p + q, 0)
+    coeff = expansion.coeffs.get((p + q, 0), ZERO)
     tail_ok = all(k >= 1 for (j, k) in expansion.coeffs if j != p + q)
     return FactorialReport(p, q, coeff, math.factorial(m), tail_ok)
 
@@ -182,7 +166,7 @@ def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:
     """Coefficients lambda_j with s^(2p) = sum_j lambda_j s^j t^p s^(p-j).
 
     Solvability is guaranteed; failure would be an internal invariant
-    violation and raises.
+    violation and raises InvariantViolation.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -194,57 +178,25 @@ def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:
     columns = [term.coeffs.items() for term in summands]
     solution = linalg.solve_columns(columns, [((2 * p, 0), Fraction(1))])
     if solution is None:
-        raise AssertionError(
+        raise InvariantViolation(
             "s^(2p) is not a combination of s^j t^p s^(p-j); this contradicts "
             "the algebra relation and indicates a bug"
         )
-    check = SkewElement({}, cap)
+    check = SkewElement({})
     for lam, term in zip(solution, summands):
         check = check + term * lam
-    if check != SkewElement({(2 * p, 0): Fraction(1)}, cap):
-        raise AssertionError("remark26 solution failed re-verification")
+    if check != SkewElement({(2 * p, 0): 1}):
+        raise InvariantViolation("remark26 solution failed re-verification")
     return solution
 
 
-class TruncatedSeries:
-    """Power series in t known exactly up to degree cap."""
-
-    __slots__ = ("coeffs", "cap")
-
-    def __init__(self, coeffs: Iterable = (), cap: int = DEFAULT_S_CAP):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > cap + 1:
-            raise ValueError("more coefficients than the cap allows")
-        cs.extend([Fraction(0)] * (cap + 1 - len(cs)))
-        self.coeffs = cs
-        self.cap = cap
-
-    @classmethod
-    def one(cls, cap: int = DEFAULT_S_CAP) -> "TruncatedSeries":
-        return cls([1], cap)
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-
-def integrate_series(u: TruncatedSeries) -> TruncatedSeries:
-    """Integration without constant term: t^k -> t^(k+1)/(k+1).
-
-    A nonzero coefficient at the cap would integrate past it, which raises
-    TruncationOverflow.  The integrated list is built once, of Fractions
-    already, so it is not converted again by the constructor.
-    """
-    if u.coeffs[u.cap]:
-        raise TruncationOverflow(f"integrating t^{u.cap} exceeds cap {u.cap}")
-    zero = Fraction(0)  # immutable, so one object serves every zero
-    out = TruncatedSeries.__new__(TruncatedSeries)
-    out.coeffs = [zero] + [c / (k + 1) if c else zero for k, c in enumerate(u.coeffs[:-1])]
-    out.cap = u.cap
-    return out
+def integrate_series(coeffs: Sequence) -> tuple[Fraction, ...]:
+    """Integration without constant term, t^k -> t^(k+1)/(k+1), of the series
+    sum coeffs[k] t^k known up to degree cap = len(coeffs) - 1, which the
+    result keeps.  A nonzero coefficient at the cap would integrate past
+    it, which raises TruncationOverflow."""
+    cs = [_as_fraction(c) for c in coeffs]
+    cap = len(cs) - 1
+    if cs[cap]:
+        raise TruncationOverflow(f"integrating t^{cap} exceeds cap {cap}")
+    return (ZERO, *(c / (k + 1) if c else ZERO for k, c in enumerate(cs[:-1])))

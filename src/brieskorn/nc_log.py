@@ -9,13 +9,12 @@ monomial form x^(b + 1 - 1_W) dx_W, so no log form or pole is materialized.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import _bounded_exponents
+from brieskorn.engine import _bounded_exponents, wedge_tuples
 from brieskorn.forms import DifferentialForm, monomial_images, partial_terms
 from brieskorn.poly import Polynomial
 
@@ -82,7 +81,7 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         raise ValueError("form degree out of range")
     n = germ.nvars
     f = germ.polynomial()
-    wedges_i = list(itertools.combinations(range(n), i))
+    wedges_i = wedge_tuples(n, i)
     # on constant forms the Koszul map is df'-wedge for the linear f' = sum_j m_j x_j
     linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(germ.exponents)), Polynomial.zero(n))
     log_kernel = linalg.nullspace(monomial_images(n, [(w, (0,) * n) for w in wedges_i], partial_terms(linear))[1])

@@ -47,8 +47,8 @@ def _as_fraction(value) -> Fraction:
 class Polynomial:
     """Immutable sparse polynomial over Q in a fixed number of variables."""
 
-    # _hash and _partials (forms.partial_terms) are filled on first use
-    __slots__ = ("nvars", "terms", "_hash", "_partials")
+    # _partials (forms.partial_terms) is filled on first use
+    __slots__ = ("nvars", "terms", "_partials")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
         self.nvars = nvars
@@ -61,9 +61,17 @@ class Polynomial:
                 if c:
                     clean[exp] = c
         self.terms = clean
-        self._hash = self._partials = None
+        self._partials = None
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Polynomial":
+        """The polynomial of terms, unchecked: exponents of length nvars and
+        nonzero Fraction coefficients, owned by the result."""
+        p = cls.__new__(cls)
+        p.nvars, p.terms, p._partials = nvars, terms, None
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -120,9 +128,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
-        return self._hash
+        return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -143,18 +149,12 @@ class Polynomial:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        p = Polynomial.__new__(Polynomial)
-        p.nvars, p.terms, p._hash, p._partials = self.nvars, out, None, None
-        return p
+        return Polynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        p._hash = p._partials = None
-        return p
+        return Polynomial._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -171,11 +171,7 @@ class Polynomial:
             c = _as_fraction(other)
             if not c:
                 return Polynomial.zero(self.nvars)
-            p = Polynomial.__new__(Polynomial)
-            p.nvars = self.nvars
-            p.terms = {e: k * c for e, k in self.terms.items()}
-            p._hash = p._partials = None
-            return p
+            return Polynomial._of(self.nvars, {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
@@ -188,9 +184,7 @@ class Polynomial:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        p = Polynomial.__new__(Polynomial)
-        p.nvars, p.terms, p._hash, p._partials = self.nvars, out, None, None
-        return p
+        return Polynomial._of(self.nvars, out)
 
     __rmul__ = __mul__
 

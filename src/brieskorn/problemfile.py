@@ -43,7 +43,6 @@ class ProblemOptions:
 
 @dataclass
 class ProblemFile:
-    name: str
     problem: GermProblem
     options: ProblemOptions
     digest: str
@@ -110,7 +109,7 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
     options = ProblemOptions(
         **{key: _int_option(opts, key, getattr(default, key), source, least) for key, least in _OPTIONS.items()}
     )
-    return ProblemFile(name=name, problem=problem, options=options, digest=digest)
+    return ProblemFile(problem=problem, options=options, digest=digest)
 
 
 def _refuse_unknown(found: dict, known, what: str, source: str) -> None:

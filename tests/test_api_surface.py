@@ -117,3 +117,22 @@ def unused_imports():
 
 def test_every_module_level_import_is_used():
     assert unused_imports() == []
+
+
+def new_calls():
+    """module.definition of each `__new__` in the package, by the innermost
+    module-level function, class or method around it."""
+    out = []
+    for module, tree in _modules():
+        spans = [(node.lineno, node.end_lineno, qualified) for qualified, node, _c in _definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                around = max((lo, q) for lo, hi, q in spans if lo <= node.lineno <= hi)
+                out.append(f"{module}.{around[1]}")
+    return out
+
+
+def test_each_value_type_is_built_only_by_its_own_constructor():
+    # Polynomial and DifferentialForm are written slot by slot only in their
+    # unchecked constructor _of; everything else calls _of or __init__
+    assert new_calls() == ["forms.DifferentialForm._of", "poly.Polynomial._of"]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn import engine, groebner, thom_sebastiani
+from brieskorn import engine, groebner, microdiff, thom_sebastiani
 from brieskorn.cli import main
 from brieskorn.poly import Polynomial, format_rational, parse_polynomial
 
@@ -306,6 +306,25 @@ class TestInputContract:
         y_as_x = {(0, 1): (1, 0)}
         monkeypatch.setattr(groebner, "standard_monomials", lambda gens: [y_as_x.get(e, e) for e in original(gens)])
         self.expect(["spectrum", prob("x3y3.json")], 3, "new C{t}-generators of key", capsys)
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda columns, target: None, "s^(2p) is not a combination"),
+            (lambda columns, target: [Fraction(0)] * len(columns), "remark26 solution failed re-verification"),
+        ],
+        ids=["no-solution", "wrong-solution"],
+    )
+    def test_a_broken_remark_solve_is_an_invariant_violation(self, solve, message, monkeypatch, capsys):
+        monkeypatch.setattr(microdiff.linalg, "solve_columns", solve)
+        self.expect(["micro"], 3, f"invariant violation: {message}", capsys)
+
+    def test_a_stray_assertion_error_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(*args):
+            raise AssertionError("boom")
+
+        monkeypatch.setattr(microdiff, "remark26_solve", broken)
+        self.expect(["micro"], 3, "internal error: AssertionError: boom", capsys)
 
     @staticmethod
     def expect(argv, code, message, capsys):

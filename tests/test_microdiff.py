@@ -9,7 +9,6 @@ import pytest
 from brieskorn import microdiff
 from brieskorn.microdiff import (
     SkewElement,
-    TruncatedSeries,
     TruncationOverflow,
     integrate_series,
     lemma_a_certificate,
@@ -53,8 +52,11 @@ class TestNormalOrder:
 
     def test_closed_form_matches_the_literal_rewrite(self):
         # reference: rewrite t s^a -> s^a t + a s^(a+1) one t at a time,
-        # refusing any s-power above the cap as soon as it appears
+        # refusing any s-power above the cap (the letter s^j's own, too) as
+        # soon as it appears
         def rewrite(k, j, cap):
+            if j > cap:
+                raise TruncationOverflow(f"s-power {j} exceeds cap {cap}")
             if k == 0 or j == 0:
                 return {(j, k): 1}
             terms = {(j, 0): 1}
@@ -68,16 +70,22 @@ class TestNormalOrder:
                 terms = {key: v for key, v in nxt.items() if v}
             return terms
 
+        for k in range(12):
+            for j in range(12):
+                assert microdiff._t_pow_times_s_pow(k, j) == rewrite(k, j, k + j)
+        # normal_order refuses t^k s^j exactly when the rewrite passes the cap,
+        # naming the top s-power of the product, and is the rewrite otherwise
         for cap in (0, 1, 3, 8, 64):
             for k in range(12):
                 for j in range(12):
                     try:
                         expect = rewrite(k, j, cap)
                     except TruncationOverflow:
-                        with pytest.raises(TruncationOverflow, match=f"exceeds cap {cap}"):
-                            microdiff._t_pow_times_s_pow(k, j, cap)
+                        top = j if j > cap else j + k
+                        with pytest.raises(TruncationOverflow, match=f"^s-power {top} exceeds cap {cap}$"):
+                            normal_order([("t", k), ("s", j)], cap)
                     else:
-                        assert microdiff._t_pow_times_s_pow(k, j, cap) == expect
+                        assert normal_order([("t", k), ("s", j)], cap) == SkewElement(expect)
 
     def test_commutator_t_s_power(self):
         for j in range(1, 21):
@@ -100,6 +108,42 @@ class TestNormalOrder:
     def test_truncation_overflow(self):
         with pytest.raises(TruncationOverflow):
             normal_order([("s", 5)], cap=4)
+
+    @pytest.mark.parametrize(
+        "word, cap, top",
+        [
+            ([("t", 1), ("s", 1)], 0, 1),  # the letter s passes cap 0 on its own
+            ([("t", 1), ("s", 3)], 3, 4),
+            ([("s", 2), ("s", 3)], 4, 5),
+            ([("s", 1), ("t", 2), ("s", 2)], 4, 5),
+        ],
+    )
+    def test_overflow_names_the_s_power(self, word, cap, top):
+        with pytest.raises(TruncationOverflow, match=f"^s-power {top} exceeds cap {cap}$"):
+            normal_order(word, cap)
+
+    def test_the_cap_is_inclusive(self):
+        assert max(normal_order([("s", 1), ("t", 2), ("s", 2)], cap=5).coeffs) == (5, 0)
+
+    def test_products_are_never_truncated(self):
+        # the cap belongs to normal_order, not to the elements it returns
+        s40 = normal_order([("s", 40)])
+        assert s40 * s40 == SkewElement({(80, 0): 1})
+        assert normal_order([("t", 1)]) * normal_order([("s", 64)]) == SkewElement({(64, 1): 1, (65, 0): 64})
+
+    def test_unknown_letters_and_negative_powers(self):
+        with pytest.raises(ValueError, match="unknown generator 'u'"):
+            normal_order([("u", 1)])
+        with pytest.raises(ValueError, match="non-negative"):
+            normal_order([("t", -1)])
+        assert normal_order([("u", 0)]) == SkewElement({(0, 0): 1})
+
+    def test_float_coefficients_are_refused(self):
+        for c in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                SkewElement({(0, 0): c})
+        with pytest.raises(TypeError):
+            normal_order([("s", 1)]) * 0.5
 
 
 class TestFactorialCertificate:
@@ -143,20 +187,27 @@ class TestRemark26:
 
 class TestIntegration:
     def test_basic(self):
-        one = TruncatedSeries.one(cap=10)
+        one = (1,) + (0,) * 10  # known up to t^10
         t = integrate_series(one)
-        assert t.coefficient(1) == 1 and t.coefficient(0) == 0
+        assert t == (0, 1) + (0,) * 9
+        assert all(type(c) is F for c in t)
         t2 = integrate_series(t)
-        assert t2.coefficient(2) == F(1, 2)
+        assert t2[2] == F(1, 2) and len(t2) == 11
 
     def test_factorial_chain(self):
-        u = TruncatedSeries.one(cap=60)
+        u = (1,) + (0,) * 60
         for k in range(1, 51):
             u = integrate_series(u)
-            assert u.coefficient(k) == F(1, math.factorial(k))
+            assert u[k] == F(1, math.factorial(k))
 
     def test_overflow_raises(self):
         # the t^4 term would integrate to t^5, past the cap
-        with pytest.raises(TruncationOverflow, match="exceeds cap 4"):
-            integrate_series(TruncatedSeries([1] * 5, cap=4))
-        assert integrate_series(TruncatedSeries([1] * 4, cap=4)).coefficient(4) == F(1, 4)
+        with pytest.raises(TruncationOverflow, match="integrating t\\^4 exceeds cap 4"):
+            integrate_series([1] * 5)
+        assert integrate_series([1] * 4 + [0])[4] == F(1, 4)
+
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            integrate_series((0.1, 0, 0))
+        with pytest.raises(TypeError):
+            integrate_series((1, 0, 0.0))

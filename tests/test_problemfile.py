@@ -24,7 +24,7 @@ GOOD = {
 
 def test_good_file(tmp_path):
     pf = load_problem_file(write(tmp_path, GOOD))
-    assert pf.name == "demo"
+    assert pf.problem.name == "demo"
     assert pf.problem.degree == 6
     assert pf.options.max_degree == 8
     assert len(pf.digest) == 64
