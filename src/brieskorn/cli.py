@@ -17,22 +17,11 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from brieskorn import __version__, engine, gm_model, microdiff, nc_log, thom_sebastiani
-from brieskorn.engine import (
-    CapExceeded,
-    CohomologyClass,
-    InvariantViolation,
-    NonIsolatedError,
-    TorsionCertificate,
-)
-from brieskorn.forms import df_wedge, form_from_payload, volume_form
-from brieskorn.poly import ParseError, format_rational, parse_polynomial
-from brieskorn.problemfile import _OPTIONS, ProblemFileError, load_problem_file
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_BOUND = 2
-EXIT_INVARIANT = 3
+from brieskorn import __version__, engine, germ, gm_model, microdiff, nc_log, thom_sebastiani
+from brieskorn.germ import CapExceeded, InvariantViolation, NonIsolatedError, TorsionCertificate
+from brieskorn.poly import ParseError, format_rational
+from brieskorn.problemfile import _OPTIONS, ProblemFileError, _bound, _input_digest, _search_bounds, load_problem_file
+from brieskorn.replay import EXIT_BOUND, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, verify_report
 
 
 # every argument a subcommand may take: add_argument keywords, and for a
@@ -64,13 +53,11 @@ _SEARCH = ("--max-degree", "--max-t-power", "--max-s-power")
 
 class _Command(NamedTuple):
     """A subcommand: its help, the arguments its handler reads besides
-    _REPORT_FLAGS, its handler, and the certificate types its reports carry
-    (replay fails any other type)."""
+    _REPORT_FLAGS, and its handler."""
 
     help: str
     arguments: tuple
     handler: Callable
-    certificates: tuple = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command implementations ---------------------------------------------------
 
 
-def _bound(*candidates):
-    """The first bound given, in order of precedence; an explicit 0 counts."""
-    return next((b for b in candidates if b is not None), None)
-
-
 def _check_bounds(args) -> None:
     """Refuse a bound below its least value rather than search at some other one."""
     for flag in _COMMANDS[args.command].arguments:
@@ -115,13 +97,6 @@ def _check_bounds(args) -> None:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if minimum is not None and value is not None and value < minimum:
             raise ValueError(f"{flag} must be >= {minimum}, got {value}")
-
-
-def _class_from_monomial(problem, text: str) -> CohomologyClass:
-    poly = parse_polynomial(text, problem.variables)
-    if poly.is_zero:
-        raise ValueError(f"--monomial {text!r} is the zero class")
-    return CohomologyClass(problem, problem.n, volume_form(problem.nvars, poly))
 
 
 def _torsion_payload(variables, cert_or_not, kind: str):
@@ -138,12 +113,6 @@ def _torsion_payload(variables, cert_or_not, kind: str):
         "bound": cert_or_not.bound,
         "cap_limited": cert_or_not.cap_limited,
     }
-
-
-def _search_bounds(args, pf) -> dict:
-    """The three torsion search bounds, each taken from its flag, else (and
-    for a command without the flag) from the problem file."""
-    return {key: _bound(getattr(args, key, None), getattr(pf.options, key)) for key in _OPTIONS}
 
 
 def _torsion_searches(args, pf, classes):
@@ -167,12 +136,12 @@ def _torsion_searches(args, pf, classes):
 
 def cmd_analyze(args, pf):
     problem = pf.problem
-    mu = problem.milnor_number()
-    gens = engine.kernel_generator_forms(problem, problem.n - 1)
+    mu = engine.milnor_number(problem)
+    gens = engine.kernel_generator_forms(problem, problem.nvars - 1)
     result = {
         "problem": problem.serialize(),
         "milnor_number": mu if mu is not None else "NonIsolated",
-        "kernel_degree": problem.n - 1,
+        "kernel_degree": problem.nvars - 1,
         "kernel_generators": [g.payload(problem.variables) for g in gens],
     }
     if mu is not None:
@@ -191,7 +160,7 @@ def cmd_analyze(args, pf):
 
 def cmd_kernel(args, pf):
     problem = pf.problem
-    i = args.form_degree if args.form_degree is not None else problem.n - 1
+    i = args.form_degree if args.form_degree is not None else problem.nvars - 1
     gens = engine.kernel_generator_forms(problem, i)
     result = {
         "problem": problem.serialize(),
@@ -206,7 +175,7 @@ def cmd_kernel(args, pf):
 def cmd_torsion(args, pf):
     problem = pf.problem
     monomials = args.monomial or ["1"]
-    bounds, rows = _torsion_searches(args, pf, (_class_from_monomial(problem, m) for m in monomials))
+    bounds, rows = _torsion_searches(args, pf, (germ.class_from_monomial(problem, m) for m in monomials))
     classes = [
         # the searches agree on existence when both or neither found a certificate
         {"monomial": m, "class": c.serialize(), "t": t, "s": s, "existence_agrees": len(found) != 1}
@@ -229,7 +198,7 @@ def cmd_spectrum(args, pf):
     psi, phi = gm_model.psi_phi(pieces)
     result = {
         "problem": problem.serialize(),
-        "milnor_number": problem.milnor_number(),
+        "milnor_number": engine.milnor_number(problem),
         "rank": len(basis),
         "spectrum": [format_rational(c.tdt_eigenvalue()) for c in basis],
         "gm_pieces": gm_model.serialize(pieces),
@@ -250,16 +219,16 @@ def cmd_nc(args, pf):
         raise ProblemFileError(
             f"{args.problem}: nc needs f = product of all variables with exponents >= 1"
         )
-    germ = nc_log.MonomialGerm(exp)
+    mono = nc_log.MonomialGerm(exp)
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
     i = _bound(args.form_degree, 1)
-    check = nc_log.verify_a_equals_g_atilde(germ, i, bound)
+    check = nc_log.verify_a_equals_g_atilde(mono, i, bound)
     # one eigenvalue per element of the free log basis, so each rank is a count
-    eigenvalues = {str(p): nc_log.residue_eigenvalues(germ, p) for p in range(germ.nvars)}
+    eigenvalues = {str(p): nc_log.residue_eigenvalues(mono, p) for p in range(mono.nvars)}
     result = {
         "problem": problem.serialize(),
-        "e": germ.e,
-        "mu_vector": list(germ.mu),
+        "e": mono.e,
+        "mu_vector": list(mono.mu),
         "ranks": {p: len(eigs) for p, eigs in eigenvalues.items()},
         "residue_eigenvalues": {p: [format_rational(a) for a in eigs] for p, eigs in eigenvalues.items()},
         "kernel_identity": {
@@ -327,11 +296,11 @@ def cmd_micro(args):
 
 def cmd_ts(args, pf, pg):
     f, g = pf.problem, pg.problem
-    if f.milnor_number() is None:
+    if engine.milnor_number(f) is None:
         raise NonIsolatedError("the first operand must be isolated")
-    if g.milnor_number() is None:
+    if engine.milnor_number(g) is None:
         raise NonIsolatedError("rank/exponent comparison implemented for isolated second operands")
-    h = thom_sebastiani.combined_problem(f, g)
+    h = germ.combined_problem(f, g)
     basis_f = engine.ct_basis(f)
     report = thom_sebastiani.ts_compare(basis_f, g, h)
     vanish_rows = []
@@ -370,7 +339,7 @@ def cmd_ts(args, pf, pg):
 
 def cmd_check_p(args, pf):
     problem = pf.problem
-    i = args.form_degree if args.form_degree is not None else problem.n
+    i = args.form_degree if args.form_degree is not None else problem.nvars
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
     res = engine.check_p_prime(problem, i, bound)
     result = {
@@ -384,14 +353,14 @@ def cmd_check_p(args, pf):
     return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
 
 
-# every subcommand: the parser, the dispatch in main and replay read this table
+# every subcommand: the parser and the dispatch in main read this table
 _COMMANDS = {
     "analyze": _Command("kernel generators, torsion probes, spectrum",
-                        ("problem", *_SEARCH, "--seed"), cmd_analyze, ("torsion",)),
+                        ("problem", *_SEARCH, "--seed"), cmd_analyze),
     "kernel": _Command("module generators of Ker(df-wedge)",
-                       ("problem", "--form-degree"), cmd_kernel, ("kernel-generator",)),
+                       ("problem", "--form-degree"), cmd_kernel),
     "torsion": _Command("bounded t- and s-torsion searches on top classes",
-                        ("problem", *_SEARCH, "--monomial"), cmd_torsion, ("torsion",)),
+                        ("problem", *_SEARCH, "--monomial"), cmd_torsion),
     "spectrum": _Command("exponent multiset of an isolated germ", ("problem",), cmd_spectrum),
     "nc": _Command("normal-crossing log basis, residues, kernel identity",
                    ("problem", "--max-degree", "--form-degree"), cmd_nc),
@@ -399,8 +368,8 @@ _COMMANDS = {
                       ("--max-s-power", "--commutator-bound", "--factorial-bound", "--remark-bound",
                        "--integrate-bound"), cmd_micro),
     "ts": _Command("external-product comparison for a sum of two germs",
-                   ("problem", "problem_g", "--k-max"), cmd_ts, ("vanishing",)),
-    "check-p": _Command("degreewise torsion-freeness criterion",
+                   ("problem", "problem_g", "--k-max"), cmd_ts),
+    "check-p": _Command("condition (P') by degree; at the top degree, whether s kills the torsion",
                         ("problem", "--max-degree", "--form-degree"), cmd_check_p),
 }
 
@@ -412,10 +381,6 @@ def _sources(args) -> tuple:
     """The problem files a command reads: none for micro, two for ts, one otherwise."""
     names = [name for name in ("problem", "problem_g") if hasattr(args, name)]
     return tuple(load_problem_file(getattr(args, name)) for name in names)
-
-
-def _input_digest(sources) -> str:
-    return "+".join(pf.digest for pf in sources)
 
 
 def render_text(report: dict) -> str:
@@ -454,118 +419,6 @@ def emit(report: dict, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def verify_report(args, sources: tuple) -> int:
-    """Replay mode: re-check every certificate of the report args.verify,
-    within the search bounds args and sources give the command."""
-    path, command = args.verify, args.command
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print(f"verify: {path}: malformed JSON: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    if not isinstance(report, dict):
-        print(f"verify: {path}: report top level must be an object", file=sys.stderr)
-        return EXIT_INPUT
-    certificates = report.get("certificates", [])
-    if not isinstance(certificates, list):
-        print(f"verify: {path}: certificates must be a list", file=sys.stderr)
-        return EXIT_INPUT
-    if report.get("command") != command:
-        print(f"verify: report was produced by {report.get('command')!r}, not {command!r}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if report.get("input_digest") != _input_digest(sources):
-        print("verify: input digest mismatch", file=sys.stderr)
-        return EXIT_INPUT
-    # h = f + g of a ts report, built once at the first vanishing certificate
-    # that needs it; a failed build is not kept and fails each such certificate
-    sum_germ = functools.cache(lambda: thom_sebastiani.combined_problem(*(pf.problem for pf in sources)))
-    failures = 0
-    total = 0
-    for cert in certificates:
-        total += 1
-        if not _verify_certificate(cert, args, sources, sum_germ):
-            failures += 1
-    print(f"verified {total - failures}/{total} certificates")
-    return EXIT_OK if failures == 0 else EXIT_INVARIANT
-
-
-def _count(value, what: str) -> int:
-    """value, if it is a non-negative int (a bool is not)."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _check_claim(what: str, claimed, actual) -> None:
-    """A report's description of a class must be that of the rebuilt class."""
-    if claimed != actual:
-        raise ValueError(f"{what} is {claimed!r}, but the class has {actual!r}")
-
-
-def _class_from_payload(problem, payload: dict) -> CohomologyClass:
-    """The class a report serialized; CohomologyClass checks that it is one of f,
-    and its weight and exponent must be written as serialize() writes them."""
-    degree = _count(payload["degree"], "class degree")
-    form = form_from_payload(payload["form"], problem.variables, degree)
-    cls = CohomologyClass(problem, degree, form)
-    described = cls.serialize()
-    for key in ("weight", "exponent"):
-        _check_claim(f"class {key}", payload[key], described[key])
-    return cls
-
-
-def _verify_certificate(cert: dict, args, sources: tuple, sum_germ: Callable) -> bool:
-    if not isinstance(cert, dict):
-        print(f"verify: certificate is not an object ({type(cert).__name__})", file=sys.stderr)
-        return False
-    kind = cert.get("type")
-    if kind not in _COMMANDS[args.command].certificates:
-        print(f"verify: {args.command} reports carry no {kind!r} certificates", file=sys.stderr)
-        return False
-    try:
-        if kind == "torsion":
-            problem = sources[0].problem
-            text = cert.get("monomial")
-            if text is not None:
-                cls = _class_from_monomial(problem, text)
-                _check_claim("degree", _count(cert["degree"], "degree"), cls.i)
-            else:
-                cls = _class_from_payload(problem, cert["class"])
-            witness = [
-                form_from_payload(w, problem.variables, cls.i - 1) for w in cert["witness"]
-            ]
-            search = {"t-torsion": "t", "s-torsion": "s"}[cert["kind"]]
-            tc = TorsionCertificate(search, _count(cert["order"], "order"), witness)
-            return tc.verify(cls, max_order=_search_bounds(args, sources[0])["max_t_power"])
-        if kind == "kernel-generator":
-            problem = sources[0].problem
-            degree = _count(cert["form_degree"], "form_degree")
-            return not df_wedge(problem.f, form_from_payload(cert["form"], problem.variables, degree))
-        # the one type left: vanishing
-        f, g = (pf.problem for pf in sources)
-        k = _count(cert["k"], "k")
-        cls_f = _class_from_payload(f, cert["f_class"])
-        target = form_from_payload(cert["target"], f.variables + g.variables, cls_f.i + 1)
-        # f and g share no variable, so the top degrees add; comparing them
-        # refuses a forged k before g^k is expanded
-        top = cls_f.representative.total_degree_cap() + (k + 1) * g.f.total_degree() - 1
-        h = None
-        if target.total_degree_cap() == top:
-            if k > args.k_max:  # the degree matches, so g^k would be expanded
-                raise ValueError(f"k {k} is above --k-max {args.k_max}")
-            h = sum_germ()
-        if h is None or target != thom_sebastiani.vanishing_target(cls_f, g, h, k):
-            print("verify: vanishing target is not f_class wedge g^k dg", file=sys.stderr)
-            return False
-        eta = form_from_payload(cert["eta"], h.variables, target.degree - 1)
-        return engine.exact_chain(h.f, target, [eta])
-    except Exception as exc:  # a malformed certificate is a failed certificate
-        print(f"verify: certificate error: {exc}", file=sys.stderr)
-        return False
 
 
 def main(argv=None) -> int:

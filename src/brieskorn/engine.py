@@ -1,11 +1,13 @@
 """Core engine: kernel-of-df complexes for quasi-homogeneous germs.
 
-For a quasi-homogeneous polynomial f this module computes the subcomplex
-A^i = Ker(df-wedge) of polynomial forms and its module generators,
-finite weight slices of its d-cohomology H^i, the C{t}-basis and spectrum
-of an isolated germ, bounded t- and s-torsion searches with re-verifiable
-certificates, Milnor numbers and the degreewise torsion-freeness
-criterion d(Ker df) cap Im(df) = Im(df d).
+For a quasi-homogeneous polynomial f (a germ.GermProblem) this module
+computes the subcomplex A^i = Ker(df-wedge) of polynomial forms and its
+module generators, finite weight slices of its d-cohomology H^i, the
+C{t}-basis and spectrum of an isolated germ, bounded t- and s-torsion
+searches whose certificates germ.TorsionCertificate re-checks, Milnor
+numbers, and condition (P') degree by degree, d(Ker df) cap Im(df) =
+Im(df d), which at the top degree says ker s cap sH'' = 0: the torsion of
+H'' is killed by s.
 
 Grading conventions: a form's weight counts dx_i with weight w_i; t
 (multiplication by f) raises weight by deg(f), d preserves it, and on a
@@ -21,246 +23,16 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from brieskorn import groebner, linalg
-from brieskorn.forms import (
-    DifferentialForm,
-    df_wedge,
-    monomial_images,
-    partial_terms,
-    volume_form,
-)
-from brieskorn.poly import (
-    ONE,
-    Grading,
-    Polynomial,
-    exponent_key,
-    format_rational,
-    iter_monomials_of_weight,
-    lattice_congruences,
-    weight_vector,
-)
-
-
-class EngineError(Exception):
-    pass
-
-
-class CapExceeded(EngineError):
-    """A computation needs a total-degree cap it was not given."""
-
-
-class NonIsolatedError(EngineError):
-    pass
-
-
-class InvariantViolation(EngineError):
-    """An internally guaranteed identity failed; indicates a bug."""
-
-
-# -- problems -----------------------------------------------------------------
-
-
-class GermProblem:
-    """A quasi-homogeneous polynomial germ with its weight data.
-
-    Construction validates quasi-homogeneity: the weight slices, and every
-    computation built on them, need f to be weighted homogeneous.  The
-    grading W = L*w is built once, with scaled_degree D = L*deg(f).
-    """
-
-    def __init__(self, variables: Sequence[str], weights, f: Polynomial, name: str | None = None):
-        self.variables = tuple(variables)
-        self.weights = weight_vector(weights)
-        if len(self.weights) != len(self.variables):
-            raise ValueError("weights length must equal variable count")
-        if f.nvars != len(self.variables):
-            raise ValueError("polynomial ring does not match variable list")
-        if f.is_zero:
-            raise ValueError("the zero polynomial is not a germ")
-        self.grading = Grading(self.weights)
-        degrees = {self.grading.monomial(exp) for exp in f.terms}
-        if len(degrees) > 1:
-            raise ValueError("f is not quasi-homogeneous for the given weights")
-        (self.scaled_degree,) = degrees
-        if self.scaled_degree == 0:
-            raise ValueError("quasi-homogeneity degree must be nonzero")
-        self.f = f
-        self.degree = Fraction(self.scaled_degree, self.grading.scale)
-        self.name = name
-        self.nvars = len(self.variables)
-        self._milnor: object = _UNSET
-        self._congruences: list | None = None
-
-    # -- derived data ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.nvars
-
-    @property
-    def positive_weights(self) -> bool:
-        return all(w > 0 for w in self.grading.weights)
-
-    @property
-    def partials(self) -> tuple[Polynomial, ...]:
-        return tuple(self.f.partial_derivative(i) for i in range(self.nvars))
-
-    @property
-    def jacobian(self) -> list[Polynomial]:
-        return [p for p in self.partials if p]
-
-    def milnor_number(self):
-        """Dimension of the Jacobian quotient, or None when non-isolated."""
-        if self._milnor is _UNSET:
-            dim = groebner.quotient_dimension(self.jacobian)
-            self._milnor = None if dim is groebner.INFINITE else dim
-        return self._milnor
-
-    # -- key classes: the characters of f's diagonal symmetry group ----------
-
-    @property
-    def congruences(self) -> list[tuple[tuple[int, ...], int]]:
-        """Congruences that tell the key classes of one weight apart.
-
-        The key of x^e dx_W is the class of e + 1_W in Z^n / L0, where L0 is
-        spanned by the differences of f's exponent vectors; its congruences
-        come from poly.lattice_congruences.  The weight vanishes on L0, so
-        when Z^n / L0 has a single free factor, that factor is the weight,
-        which a slice fixes, and its congruence is left out.  Computed on
-        first use.
-        """
-        if self._congruences is None:
-            exps = list(self.f.terms)
-            pairs = lattice_congruences(([a - b for a, b in zip(e, exps[0])] for e in exps[1:]), self.nvars)
-            free = sum(1 for _c, m in pairs if not m)
-            self._congruences = [(c, m) for c, m in pairs if m or free > 1]
-        return self._congruences
-
-    def key(self, wedge: Sequence[int], exp: Sequence[int]) -> tuple[int, ...]:
-        """Key of the monomial form x^exp dx_wedge: the class of exp + 1_wedge."""
-        v = list(exp)
-        for k in wedge:
-            v[k] += 1
-        return exponent_key(self.congruences, v)
-
-    def form_keys(self, form: DifferentialForm, shift: int = 0) -> frozenset:
-        """Keys of the terms of a form, each moved by shift * [m] for a monomial m of f.
-
-        d keeps keys and both df wedge and multiplication by f add [m], so
-        the unknown eta_j of an s-chain (and of t-level j) for this form
-        has keys form_keys(form, j).
-        """
-        m = next(iter(self.f.terms))
-        return frozenset(
-            self.key(wedge, [a + shift * b for a, b in zip(exp, m)]) for (wedge, exp), _c in form.entries()
-        )
-
-    def exponent_classes(self, keys: Iterable[tuple], wedge: Sequence[int]):
-        """The classes argument of iter_monomials_of_weight that keeps the
-        exponents e of the forms x^e dx_wedge with a key in keys."""
-        unit = self.key(wedge, (0,) * self.nvars)
-        moduli = [m for _c, m in self.congruences]
-        return self.congruences, {
-            tuple((a - b) % m if m else a - b for a, b, m in zip(key, unit, moduli)) for key in keys
-        }
-
-    def auto_cap(self, c: int) -> int:
-        """Total-degree bound of monomials of integer weight <= c (positive weights only)."""
-        if not self.positive_weights:
-            raise CapExceeded(
-                "slice spaces can be infinite-dimensional with non-positive weights; "
-                "pass an explicit total-degree cap"
-            )
-        if c < 0:
-            return 0
-        return c // min(self.grading.weights) + 1
-
-    def serialize(self) -> dict:
-        return {
-            "name": self.name,
-            "variables": list(self.variables),
-            "weights": [format_rational(w) for w in self.weights],
-            "polynomial": self.f.serialize(self.variables),
-            "degree": format_rational(self.degree),
-        }
-
-    def __repr__(self):
-        return f"GermProblem({self.f.serialize(self.variables)}, weights={self.weights})"
-
-
-_UNSET = object()
-
-
-# -- cohomology classes -------------------------------------------------------
-
-
-class CohomologyClass:
-    """A class of H^i given by an explicit representative form.
-
-    Invariants checked at construction: the representative is killed by
-    df-wedge, is w-homogeneous, and is closed when i < n (top degree forms
-    are closed automatically).  c is the integer slice weight (in units of
-    1/L); weight is the rational one.
-    """
-
-    __slots__ = ("problem", "i", "representative", "c")
-
-    def __init__(
-        self,
-        problem: GermProblem,
-        i: int,
-        representative: DifferentialForm,
-        weight=None,
-    ):
-        if representative.degree != i:
-            raise ValueError("representative degree mismatch")
-        if representative.is_zero:
-            # the zero class; its slice weight must be told explicitly
-            if weight is None:
-                raise ValueError("zero representative needs an explicit weight")
-            c = problem.grading.scaled(weight)
-            if c is None:
-                raise ValueError(f"weight {weight} is off the lattice of slice weights")
-        else:
-            if df_wedge(problem.f, representative):
-                raise InvariantViolation("representative not in Ker(df-wedge)")
-            if i < problem.n and representative.exterior_derivative():
-                raise InvariantViolation("representative of degree < n must be closed")
-            c = problem.grading.form(representative)
-            if c is None:
-                raise ValueError("representative must be w-homogeneous")
-        self.problem = problem
-        self.i = i
-        self.representative = representative
-        self.c = c
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(self.c, self.problem.grading.scale)
-
-    def tdt_eigenvalue(self) -> Fraction:
-        """c/deg(f) - 1, which is c/D - 1 in integer units."""
-        d = self.problem.scaled_degree
-        return Fraction(self.c - d, d)
-
-    def serialize(self) -> dict:
-        return {
-            "degree": self.i,
-            "weight": format_rational(self.weight),
-            "exponent": format_rational(self.tdt_eigenvalue()),
-            "form": self.representative.payload(self.problem.variables),
-        }
-
-    def __repr__(self):
-        return (
-            f"CohomologyClass(i={self.i}, c={self.weight}, "
-            f"{self.representative.serialize(self.problem.variables)})"
-        )
+from brieskorn.forms import DifferentialForm, df_wedge, monomial_images, partial_terms, volume_form
+from brieskorn.germ import CohomologyClass, GermProblem, InvariantViolation, NonIsolatedError, TorsionCertificate
+from brieskorn.poly import ONE, Polynomial, format_rational, iter_monomials_of_weight
 
 
 # -- ambient slice spaces ------------------------------------------------------
@@ -362,7 +134,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
     closed vector that enlarges it; a representative is its residual modulo
     those and the earlier classes, scaled to lead 1.
     """
-    if not 0 <= i <= problem.n:
+    if not 0 <= i <= problem.nvars:
         raise ValueError("form degree out of range")
     c = problem.grading.scaled(c)
     if c is None:
@@ -372,7 +144,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
     kernel = _df_kernel_vectors(problem, space)
 
     # closed kernel vectors: restrict d to the kernel span, then key them by (W, e)
-    if i < problem.n and kernel:
+    if i < problem.nvars and kernel:
         d_images = [dict(entries) for entries in monomial_images(problem.nvars, space.items)[0]]
         combos = linalg.nullspace([linalg.combine(d_images, v).items() for v in kernel])
         kernel = [v for v in (linalg.combine(kernel, combo) for combo in combos) if v]
@@ -407,7 +179,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
 
 def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
     """Module generators of A^i = Ker(df-wedge: degree i -> i+1), by syzygies."""
-    if not 0 <= i <= problem.n:
+    if not 0 <= i <= problem.nvars:
         raise ValueError("form degree out of range")
     cols = wedge_tuples(problem.nvars, i)
     rows = wedge_tuples(problem.nvars, i + 1)
@@ -434,52 +206,6 @@ def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialFor
 # -- torsion searches ----------------------------------------------------------
 
 
-def exact_chain(f: Polynomial, target: DifferentialForm, chain: Sequence[DifferentialForm]) -> bool:
-    """The exactness identity every certificate rests on: a nonempty chain
-    with d(chain[0]) = target, d(chain[j]) = df wedge chain[j-1] and
-    df wedge chain[-1] = 0."""
-    if not chain:
-        return False
-    for eta in chain:
-        if eta.exterior_derivative() != target:
-            return False
-        target = df_wedge(f, eta)
-    return not target
-
-
-@dataclass
-class TorsionCertificate:
-    """Exact, independently re-checkable witness of torsion annihilation.
-
-    kind "t": order p; the witness is an exact_chain of length 1 for f^p * rep.
-    kind "s": order rho >= 1; the witness is an exact_chain of length rho for rep.
-    """
-
-    kind: str
-    order: int
-    witness: list[DifferentialForm]
-
-    def verify(self, cls: CohomologyClass, max_order: int | None = None) -> bool:
-        """The certificate's identity on cls.  A t-certificate whose witness
-        passes the degree check but whose order is above max_order is refused
-        with a ValueError, before f^order is expanded."""
-        f, rep = cls.problem.f, cls.representative
-        if self.kind == "t":
-            # d lowers coefficient degree by at least one and f^p * rep has degree
-            # p * deg f + deg rep exactly, so a witness no higher than that cannot
-            # reach a nonzero target: refuse it before f^p is expanded
-            top = max((w.total_degree_cap() for w in self.witness), default=-1)
-            if not rep.is_zero and top <= rep.total_degree_cap() + self.order * f.total_degree():
-                return False
-            if max_order is not None and self.order > max_order:
-                raise ValueError(f"t-order {self.order} is above the search bound {max_order}")
-            target, length = (rep if rep.is_zero else rep * f**self.order), 1
-        elif self.kind == "s":
-            target, length = rep, self.order
-        else:
-            return False
-        return len(self.witness) == length and exact_chain(f, target, self.witness)
-
 
 @dataclass
 class NotFoundWithin:
@@ -491,6 +217,9 @@ class NotFoundWithin:
 
 def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
     """Smallest p <= p_max with f^p * rep exact in the kernel complex.
+
+    Order p means t^p kills the class in H^n(A) = Omega^n / d(Ker df wedge),
+    that is s t^p kills it in H'' (TorsionCertificate).
 
     Level p solves d(eta) = f^p * rep with df wedge eta = 0 over the slice
     space of block p of the s-chain (_s_block).  If eta solves level p,
@@ -605,8 +334,8 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
 def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     """Smallest chain depth solving d(sum eta_j dt^-j) = rep, as a certificate.
 
-    The returned order rho means s^rho kills the class; the witness chain has
-    length rho.
+    The returned order rho means s^rho kills the class in H'' itself; the
+    witness chain has length rho.
 
     The chain system is block-bidiagonal, so it is swept forward one block
     (one weight slice) at a time.  The carried state is homogenised: a
@@ -666,6 +395,19 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
 # -- Milnor data and the C{t} basis --------------------------------------------
 
 
+# weak keys: an entry lives as long as its problem, so no value outlives a command
+_milnor: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def milnor_number(problem: GermProblem):
+    """Dimension of the Jacobian quotient, or None when non-isolated;
+    computed once per problem object."""
+    if problem not in _milnor:
+        dim = groebner.quotient_dimension(problem.jacobian)
+        _milnor[problem] = None if dim is groebner.INFINITE else dim
+    return _milnor[problem]
+
+
 def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     """Free C{t}-basis classes of the reduced H^n (in one variable, H^1 modulo
     the C{t}-span of df), in ascending weight.
@@ -696,7 +438,7 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     Topology 9, 1970; counted from the weights, not from the Groebner basis),
     raises InvariantViolation.
     """
-    if problem.milnor_number() is None:
+    if milnor_number(problem) is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
     if problem.degree < 0:
         raise ValueError(f"deg f = {format_rational(problem.degree)} < 0; negate the weights")
@@ -704,7 +446,7 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
         raise ValueError("C{t}-basis needs positive weights")
     grading, d = problem.grading, problem.scaled_degree
     sum_w = sum(grading.weights)
-    vol = tuple(range(problem.n))
+    vol = tuple(range(problem.nvars))
     new_at: dict[int, Counter] = defaultdict(Counter)  # weight c -> keys of its standard monomials
     for e in groebner.standard_monomials(problem.jacobian):
         new_at[grading.monomial(e) + sum_w][problem.key(vol, e)] += 1
@@ -720,7 +462,7 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
             for rep in reps.get(c - k * d, ())
             if problem.form_keys(rep, k) <= keys
         ]
-        new = h_slice(problem, problem.n, Fraction(c, grading.scale), keys=keys, seeds=seeds).classes
+        new = h_slice(problem, problem.nvars, Fraction(c, grading.scale), keys=keys, seeds=seeds).classes
         found = Counter(key for cls in new for key in problem.form_keys(cls.representative))
         if found != new_at[c]:
             key = min(k for k in found.keys() | new_at[c].keys() if found[k] != new_at[c][k])
@@ -741,7 +483,7 @@ def spectrum(problem: GermProblem) -> list[Fraction]:
     return sorted(cls.tdt_eigenvalue() for cls in ct_basis(problem))
 
 
-# -- condition (P'): degreewise torsion-freeness criterion -----------------------
+# -- condition (P'): at the top degree, whether s kills the torsion --------------
 
 
 @dataclass
@@ -756,7 +498,7 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     spans keyed by monomial form (W, e): no degree-i space is enumerated."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
-    if i > problem.n:
+    if i > problem.nvars:
         raise ValueError("form degree out of range")
     weights = sorted(_realized_form_weights(problem, i, degree_bound))
     cap_relative = not problem.positive_weights
@@ -814,6 +556,6 @@ def sample_top_classes(
     for _ in range(count):
         exp = tuple(rng.randint(0, degree_bound // problem.nvars + 1) for _ in range(problem.nvars))
         rep = volume_form(problem.nvars, Polynomial.monomial(problem.nvars, exp))
-        out.append(CohomologyClass(problem, problem.n, rep))
+        out.append(CohomologyClass(problem, problem.nvars, rep))
     return out
 

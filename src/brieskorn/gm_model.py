@@ -15,7 +15,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from brieskorn.engine import GermProblem, NonIsolatedError, ct_basis
+from brieskorn.engine import ct_basis, milnor_number
+from brieskorn.germ import GermProblem, NonIsolatedError
 from brieskorn.poly import format_rational
 
 Pieces = list[tuple[Fraction, int]]
@@ -24,7 +25,7 @@ Pieces = list[tuple[Fraction, int]]
 def from_brieskorn(problem: GermProblem) -> Pieces:
     """Pieces of the top Gauss-Manin lattice of an isolated germ, read off
     the t*dt eigenvalues c/d - 1 on the C{t}-basis of the reduced top module."""
-    if problem.milnor_number() is None:
+    if milnor_number(problem) is None:
         raise NonIsolatedError("finite models need an isolated singularity")
     return sorted(Counter(cls.tdt_eigenvalue() for cls in ct_basis(problem)).items())
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from brieskorn import linalg
-from brieskorn.engine import InvariantViolation
+from brieskorn.germ import InvariantViolation
 from brieskorn.poly import ZERO, _as_fraction, format_rational
 
 DEFAULT_S_CAP = 64

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from brieskorn.engine import GermProblem
+from brieskorn.germ import GermProblem
 from brieskorn.poly import ParseError, is_variable_name, parse_polynomial, parse_rational
 
 
@@ -127,3 +127,22 @@ def _int_option(opts: dict, key: str, default, source: str, minimum: int):
     if value < minimum:
         raise ProblemFileError(f"{source}: options.{key} must be >= {minimum}, got {value}")
     return value
+
+
+# -- what a command takes from its problem files, for a run and for its replay -----
+
+
+def _bound(*candidates):
+    """The first bound given, in order of precedence; an explicit 0 counts."""
+    return next((b for b in candidates if b is not None), None)
+
+
+def _search_bounds(args, pf: ProblemFile) -> dict:
+    """The three torsion search bounds, each taken from its flag, else (and
+    for a command without the flag) from the problem file."""
+    return {key: _bound(getattr(args, key, None), getattr(pf.options, key)) for key in _OPTIONS}
+
+
+def _input_digest(sources) -> str:
+    """A report's input_digest: the digests of the problem files it read, joined by +."""
+    return "+".join(pf.digest for pf in sources)

@@ -3,7 +3,7 @@
 For isolated operands the exponent multiset of the sum germ h = f + g is
 compared against mu(f) copies of the reduced spectrum of g shifted by each
 f-exponent + 1.  The form rep_f wedge g^k dg on h is shown exact in its
-kernel complex by a certificate.  combined_problem builds h once; the
+kernel complex by a certificate.  germ.combined_problem builds h once; the
 functions that work on h take it as an argument.
 """
 
@@ -12,58 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from brieskorn.engine import (
-    CohomologyClass,
-    GermProblem,
-    InvariantViolation,
-    NotFoundWithin,
-    TorsionCertificate,
-    _block,
-    _s_chain,
-    exact_chain,
-    spectrum,
+from brieskorn.engine import NotFoundWithin, _block, _s_chain, spectrum
+from brieskorn.germ import (
+    CohomologyClass, GermProblem, InvariantViolation, TorsionCertificate, exact_chain, vanishing_target,
 )
-from brieskorn.forms import DifferentialForm, differential
 from brieskorn.poly import format_rational
-
-
-def combined_problem(pf: GermProblem, pg: GermProblem) -> GermProblem:
-    """The germ f + g on the disjoint union of the two variable sets.
-
-    Both weight vectors are rescaled so each summand has degree 1, making
-    the sum quasi-homogeneous of degree 1.
-    """
-    clash = set(pf.variables) & set(pg.variables)
-    if clash:
-        raise ValueError(f"variable sets must be disjoint (shared: {sorted(clash)})")
-    variables = tuple(pf.variables) + tuple(pg.variables)
-    weights = tuple(w / pf.degree for w in pf.weights) + tuple(
-        w / pg.degree for w in pg.weights
-    )
-    nv = len(variables)
-    f_lift = pf.f.remap_variables(nv, list(range(pf.nvars)))
-    g_lift = pg.f.remap_variables(nv, list(range(pf.nvars, nv)))
-    return GermProblem(variables, weights, f_lift + g_lift)
-
-
-def lift_form(form: DifferentialForm, offset: int, nv: int) -> DifferentialForm:
-    coeffs = {}
-    for wedge, poly in form.coeffs.items():
-        new_wedge = tuple(k + offset for k in wedge)
-        coeffs[new_wedge] = poly.remap_variables(
-            nv, list(range(offset, offset + poly.nvars))
-        )
-    return DifferentialForm(nv, form.degree, coeffs)
-
-
-def vanishing_target(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int) -> DifferentialForm:
-    """The form rep_f wedge g^k dg on the sum germ h = combined_problem(f, g)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    nv = h.nvars
-    wf = lift_form(cls_f.representative, 0, nv)
-    g_lift = pg.f.remap_variables(nv, list(range(cls_f.problem.nvars, nv)))
-    return wf.wedge(differential(g_lift) * (g_lift ** k))
 
 
 def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int):

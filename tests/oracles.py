@@ -34,7 +34,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge, differential
 from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
-from brieskorn.thom_sebastiani import combined_problem, lift_form
+from brieskorn.germ import combined_problem, lift_form
 
 # -- germs ----------------------------------------------------------------------
 
@@ -288,9 +288,9 @@ def ct_basis_over_every_slice(p: GermProblem) -> list[CohomologyClass]:
     for c in sorted(s + sum_w for s in monomial_weights(grading.weights, top)):
         seeds = [form * p.f for form in spans.get(c - d, ())]
         k, r = divmod(c, d)
-        if p.n == 1 and not r and k >= 1:
+        if p.nvars == 1 and not r and k >= 1:
             seeds.append(differential(p.f) * (p.f ** (k - 1)))
-        new = h_slice(p, p.n, Fraction(c, grading.scale), seeds=seeds).classes
+        new = h_slice(p, p.nvars, Fraction(c, grading.scale), seeds=seeds).classes
         spans[c] = seeds + [cls.representative for cls in new]
         out.extend(new)
     return out

@@ -18,8 +18,10 @@ def test_tier1_workflow():
     assert set(workflow["on"]) == {"push", "pull_request"}
     # a runaway search must not hold a runner for the 6-hour default
     assert workflow["jobs"]["tests"]["timeout-minutes"] == 15
+    # the oldest Python that pyproject.toml admits, and 3.11
+    assert workflow["jobs"]["tests"]["strategy"]["matrix"] == {"python-version": ["3.10", "3.11"]}
     steps = workflow["jobs"]["tests"]["steps"]
-    assert {"python-version": "3.11"} in [s.get("with") for s in steps]
+    assert {"python-version": "${{ matrix.python-version }}"} in [s.get("with") for s in steps]
     assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', TIER1]
 
 
@@ -40,8 +42,8 @@ def test_tier1_collects_tests_and_perfbench():
 
 
 def test_sources_parse_as_the_oldest_supported_python():
-    # CI runs one newer Python, so syntax that needs more than requires-python
-    # would pass there and fail on install
+    # a check that needs no 3.10 interpreter: syntax that needs more than
+    # requires-python would fail on install
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
         assert tomllib.load(fh)["project"]["requires-python"] == ">=3.10"

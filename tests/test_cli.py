@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from brieskorn import engine, groebner, microdiff, thom_sebastiani
+from brieskorn import engine, germ, groebner, microdiff
 from brieskorn.cli import main
 from brieskorn.poly import Polynomial, format_rational, parse_polynomial
 
@@ -376,7 +376,7 @@ class TestCommands:
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or original(*a, **k))
 
         spy(engine, "ct_basis")
-        spy(thom_sebastiani, "combined_problem")
+        spy(germ, "combined_problem")
         code, out = run_main(["ts", prob("a1.json"), prob("ts_y3.json")], capsys)
         assert code == 0 and len(json.loads(out)["result"]["vanishing"]) == 4
         assert sorted(calls) == ["combined_problem"] + ["ct_basis"] * 3
@@ -476,8 +476,8 @@ class TestVerifyReplay:
         assert main([*argv, "--out", str(out_path)]) == 0
         assert [c["type"] for c in json.loads(out_path.read_text())["certificates"]] == ["vanishing"] * 4
         calls = []
-        original = thom_sebastiani.combined_problem
-        monkeypatch.setattr(thom_sebastiani, "combined_problem", lambda *a: calls.append(a) or original(*a))
+        original = germ.combined_problem
+        monkeypatch.setattr(germ, "combined_problem", lambda *a: calls.append(a) or original(*a))
         assert main([*argv, "--verify", str(out_path)]) == 0
         assert capsys.readouterr().out == "verified 4/4 certificates\n"
         assert len(calls) == 1
@@ -490,7 +490,7 @@ class TestVerifyReplay:
         def broken(*args):
             raise ValueError("no sum germ")
 
-        monkeypatch.setattr(thom_sebastiani, "combined_problem", broken)
+        monkeypatch.setattr(germ, "combined_problem", broken)
         assert main([*argv, "--verify", str(out_path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == "verified 0/4 certificates\n"

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import problem_from_strings
 
-from brieskorn.engine import NonIsolatedError
+from brieskorn.engine import NonIsolatedError, milnor_number
 from brieskorn.gm_model import can_surjective, from_brieskorn, psi_phi, serialize
 
 
@@ -36,7 +36,7 @@ class TestFromBrieskorn:
         ]:
             p = problem_from_strings(vs, ws, text)
             for alpha, _dim in from_brieskorn(p):
-                assert F(-1) < alpha < p.n - 1
+                assert F(-1) < alpha < p.nvars - 1
 
     def test_dims_sum_to_milnor_number(self):
         for text, vs, ws in [
@@ -46,7 +46,7 @@ class TestFromBrieskorn:
             p = problem_from_strings(vs, ws, text)
             pieces = from_brieskorn(p)
             assert len({a for a, _d in pieces}) == len(pieces)
-            assert sum(d for _a, d in pieces) == p.milnor_number()
+            assert sum(d for _a, d in pieces) == milnor_number(p)
 
 
 class TestPsiPhi:

@@ -247,7 +247,7 @@ def test_an_off_lattice_slice_is_empty(data):
     m = data.draw(st.integers(2, 5))
     c = Fraction(data.draw(st.integers(-6, 6)) * m + 1, m * scale)
     assert problem.grading.scaled(c) is None
-    i = data.draw(st.integers(0, problem.n))
+    i = data.draw(st.integers(0, problem.nvars))
     sl = h_slice(problem, i, c, cap=4)
     assert sl.classes == [] and sl.dim == 0
 
