@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from brieskorn import __version__, engine, germ, gm_model, microdiff, nc_log, thom_sebastiani
 from brieskorn.germ import CapExceeded, InvariantViolation, NonIsolatedError, TorsionCertificate
-from brieskorn.poly import ParseError, format_rational
+from brieskorn.poly import format_rational
 from brieskorn.problemfile import _OPTIONS, ProblemFileError, _bound, _input_digest, _search_bounds, load_problem_file
 from brieskorn.replay import EXIT_BOUND, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, verify_report
 
@@ -137,7 +137,7 @@ def _torsion_searches(args, pf, classes):
 def cmd_analyze(args, pf):
     problem = pf.problem
     mu = engine.milnor_number(problem)
-    gens = engine.kernel_generator_forms(problem, problem.nvars - 1)
+    gens = engine.kernel_forms(problem, problem.nvars - 1)
     result = {
         "problem": problem.serialize(),
         "milnor_number": mu if mu is not None else "NonIsolated",
@@ -161,7 +161,7 @@ def cmd_analyze(args, pf):
 def cmd_kernel(args, pf):
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.nvars - 1
-    gens = engine.kernel_generator_forms(problem, i)
+    gens = engine.kernel_forms(problem, i)
     result = {
         "problem": problem.serialize(),
         "form_degree": i,
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         }
         emit(report, args)
         return exit_code
-    except (ProblemFileError, ParseError, ValueError, NonIsolatedError) as exc:
+    except (ValueError, NonIsolatedError, OSError) as exc:  # ProblemFileError and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CapExceeded, microdiff.TruncationOverflow) as exc:
@@ -449,9 +449,6 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # anything else is a fault of the program, not of the input
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"internal error: {message}", file=sys.stderr)

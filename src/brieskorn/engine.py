@@ -96,10 +96,6 @@ class HSlice:
     cap_relative: bool
     classes: list[CohomologyClass]
 
-    @property
-    def dim(self) -> int:
-        return len(self.classes)
-
 
 def _slice_cap(problem: GermProblem, c: int, cap: int | None, least: int = 0) -> int:
     """Total-degree cap of a slice space of integer weight c.
@@ -177,7 +173,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
 
 
-def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
+def kernel_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
     """Module generators of A^i = Ker(df-wedge: degree i -> i+1), by syzygies."""
     if not 0 <= i <= problem.nvars:
         raise ValueError("form degree out of range")
@@ -187,20 +183,14 @@ def kernel_forms(problem: GermProblem, i: int) -> groebner.SubmoduleOfFree:
     zero, one = Polynomial.zero(problem.nvars), Polynomial.constant(problem.nvars, 1)
     if not rows:
         # top degree: the target is zero, the kernel is everything
-        gens = [tuple(one if k == j else zero for k in range(len(cols))) for j in range(len(cols))]
-        return groebner.SubmoduleOfFree(len(cols), gens)
+        return [DifferentialForm.monomial_form(problem.nvars, w, one) for w in cols]
     matrix = [[zero] * len(cols) for _ in rows]
     for j, wedge in enumerate(cols):
         img = df_wedge(problem.f, DifferentialForm.monomial_form(problem.nvars, wedge, one))
         for w, poly in img.coeffs.items():
             matrix[row_index[w]][j] = poly
-    return groebner.module_kernel(matrix)
-
-
-def kernel_generator_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
-    module = kernel_forms(problem, i)  # checks the form degree
-    cols = wedge_tuples(problem.nvars, i)
-    return [DifferentialForm(problem.nvars, i, {w: p for w, p in zip(cols, vec) if p}) for vec in module.generators]
+    gens = groebner.module_kernel(matrix)
+    return [DifferentialForm(problem.nvars, i, {w: p for w, p in zip(cols, vec) if p}) for vec in gens]
 
 
 # -- torsion searches ----------------------------------------------------------
@@ -403,8 +393,8 @@ def milnor_number(problem: GermProblem):
     """Dimension of the Jacobian quotient, or None when non-isolated;
     computed once per problem object."""
     if problem not in _milnor:
-        dim = groebner.quotient_dimension(problem.jacobian)
-        _milnor[problem] = None if dim is groebner.INFINITE else dim
+        std = groebner.standard_monomials(problem.jacobian)
+        _milnor[problem] = None if std is None else len(std)
     return _milnor[problem]
 
 
@@ -495,7 +485,12 @@ class PPrimeResult:
 
 def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResult:
     """Degreewise check of d(Ker df) cap Im(df) = Im(df d) in degree i, on
-    spans keyed by monomial form (W, e): no degree-i space is enumerated."""
+    spans keyed by monomial form (W, e): no degree-i space is enumerated.
+
+    The weights checked are those of the degree-i monomial forms of
+    coefficient degree <= degree_bound.  With positive weights each slice
+    space is whole (_slice_cap); otherwise it is capped at degree_bound + 1,
+    or + 2 for degree i - 2."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
     if i > problem.nvars:
@@ -504,9 +499,10 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     cap_relative = not problem.positive_weights
     nvars, partials = problem.nvars, partial_terms(problem.f)
     for c in weights:
-        prev_here = FormSpace(problem, i - 1, c, degree_bound + 1)
-        prev_below = FormSpace(problem, i - 1, c - problem.scaled_degree, degree_bound + 1)
-        below_2 = FormSpace(problem, i - 2, c - problem.scaled_degree, degree_bound + 2)
+        below = c - problem.scaled_degree
+        prev_here = FormSpace(problem, i - 1, c, _slice_cap(problem, c, degree_bound + 1))
+        prev_below = FormSpace(problem, i - 1, below, _slice_cap(problem, below, degree_bound + 1))
+        below_2 = FormSpace(problem, i - 2, below, _slice_cap(problem, below, degree_bound + 2))
 
         d_here, df_here = monomial_images(nvars, prev_here.items, partials)
         d_cols = [dict(entries) for entries in d_here]

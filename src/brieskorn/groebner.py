@@ -6,7 +6,8 @@ Keys add under multiplication, so the kernels compute one key per input
 monomial and then only ever add/subtract/compare small integer tuples.
 
 Buchberger's algorithm with the coprime-lcm and chain pair criteria (the
-coprime criterion only for ideals; it is not sound for module S-vectors).
+coprime criterion only for ideals, input whose terms all lie in component 0;
+it is not sound for module S-vectors).
 Everything is deterministic for fixed input: pairs are popped from a heap
 keyed by lcm order key, bases are interreduced, made monic and sorted.
 
@@ -21,15 +22,12 @@ generate the kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Sequence
 
 from brieskorn import _backend
 from brieskorn.poly import Polynomial
-
-INFINITE = object()  # quotient_dimension sentinel
 
 
 # -- flat conversion ----------------------------------------------------------
@@ -47,14 +45,6 @@ def _vector_to_flat(vec: Sequence[Polynomial]):
             terms.append(((-comp,) + _key(exp), exp, c.numerator, c.denominator))
     terms.sort(key=lambda t: t[0], reverse=True)
     return terms
-
-
-def _to_flat(p: Polynomial):
-    return _vector_to_flat((p,))
-
-
-def _from_flat(terms, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {exp: Fraction(num, den) for _, exp, num, den in terms})
 
 
 def _flat_to_vector(terms, nvars: int, rank: int) -> tuple[Polynomial, ...]:
@@ -82,8 +72,9 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _buchberger(flats, use_product_criterion: bool):
+def _buchberger(flats):
     basis = [_monic(f) for f in flats if f]
+    ideal = all(t[0][0] == 0 for f in basis for t in f)  # all in component 0: coprime criterion is sound
     basis.sort(key=lambda f: f[0][0])
     heap = []
 
@@ -106,7 +97,7 @@ def _buchberger(flats, use_product_criterion: bool):
         (ki, ei, *_rest) = fi[0]
         kj, ej = fj[0][0], fj[0][1]
         treated.add((i, j))
-        if use_product_criterion and all(a + b == c for a, b, c in zip(ei, ej, lcm)):
+        if ideal and all(a + b == c for a, b, c in zip(ei, ej, lcm)):
             continue
         if _chain_criterion(basis, i, j, lcm, ki[0], treated):
             continue
@@ -178,24 +169,17 @@ def groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     hit = _cache.get(key)
     if hit is not None:
         return list(hit)
-    flats = [_to_flat(g) for g in gens]
-    gb = _interreduce(_buchberger(flats, use_product_criterion=True))
-    result = [_from_flat(f, gens[0].nvars) for f in gb]
+    gb = _interreduce(_buchberger([_vector_to_flat((g,)) for g in gens]))
+    result = [_flat_to_vector(f, gens[0].nvars, 1)[0] for f in gb]
     _cache[key] = list(result)
     return result
 
 
-def quotient_dimension(gens: Sequence[Polynomial]):
-    """Q-dimension of the polynomial ring modulo (gens): an int or INFINITE."""
-    std = standard_monomials(gens)
-    return INFINITE if std is INFINITE else len(std)
-
-
-def standard_monomials(gens: Sequence[Polynomial]):
-    """Monomial basis of the (finite-dimensional) quotient ring, or INFINITE."""
+def standard_monomials(gens: Sequence[Polynomial]) -> list[tuple[int, ...]] | None:
+    """Monomial basis of the quotient ring, ascending; None when it is infinite."""
     gens = [g for g in gens if g]
     if not gens:
-        return INFINITE
+        return None
     nvars = gens[0].nvars
     gb = groebner_basis(gens)
     leads = [max(p.terms, key=_key) for p in gb]
@@ -207,7 +191,7 @@ def standard_monomials(gens: Sequence[Polynomial]):
         if len(support) == 1 and (bounds[support[0]] is None or e[support[0]] < bounds[support[0]]):
             bounds[support[0]] = e[support[0]]
     if any(b is None for b in bounds):
-        return INFINITE
+        return None
     # product yields the exponents of the box in ascending order
     return [e for e in itertools.product(*map(range, bounds)) if not any(_divides(le, e) for le in leads)]
 
@@ -215,26 +199,13 @@ def standard_monomials(gens: Sequence[Polynomial]):
 # -- submodules of free modules -----------------------------------------------
 
 
-@dataclass
-class SubmoduleOfFree:
-    """A submodule of R^rank given by generating vectors."""
-
-    ambient_rank: int
-    generators: list[tuple[Polynomial, ...]]
-
-    def __post_init__(self):
-        for v in self.generators:
-            if len(v) != self.ambient_rank:
-                raise ValueError("generator length does not match ambient rank")
-
-
 def module_groebner_flat(vectors: Sequence[Sequence[Polynomial]]):
     flats = [f for f in (_vector_to_flat(v) for v in vectors) if f]
-    return _interreduce(_buchberger(flats, use_product_criterion=False))
+    return _interreduce(_buchberger(flats))
 
 
-def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
-    """Generators of Ker(R^n -> R^m) for the m x n matrix (syzygies for m=1)."""
+def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> list[tuple[Polynomial, ...]]:
+    """Sorted generators of Ker(R^n -> R^m) for the m x n matrix (syzygies for m=1)."""
     m = len(matrix)
     if m == 0:
         raise ValueError("matrix needs at least one row")
@@ -259,5 +230,5 @@ def module_kernel(matrix: Sequence[Sequence[Polynomial]]) -> SubmoduleOfFree:
         if all(p.is_zero for p in vec[:m]):
             gens.append(vec[m:])
     gens.sort(key=lambda v: tuple(sorted(p.terms) for p in v))
-    return SubmoduleOfFree(n, gens)
+    return gens
 

@@ -57,7 +57,7 @@ def load_problem_file(path: str) -> ProblemFile:
     digest = hashlib.sha256(blob).hexdigest()
     try:
         data = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"{path}: malformed JSON: {exc}") from exc
     return parse_problem_payload(data, digest=digest, source=path)
 

@@ -30,7 +30,7 @@ def verify_report(args, sources: tuple) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"verify: {path}: malformed JSON: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if not isinstance(report, dict):

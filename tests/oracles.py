@@ -30,7 +30,7 @@ from brieskorn.engine import (
     GermProblem,
     InvariantViolation,
     h_slice,
-    kernel_generator_forms,
+    kernel_forms,
 )
 from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge, differential
 from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
@@ -204,14 +204,14 @@ def theta_f(p: GermProblem, degree_bound: int) -> list[tuple]:
     if degree_bound < 1:
         raise ValueError("degree_bound must be >= 1")
     syz = groebner.module_kernel([list(p.partials)])
-    return [vec for vec in syz.generators if max((c.total_degree() for c in vec), default=-1) <= degree_bound]
+    return [vec for vec in syz if max((c.total_degree() for c in vec), default=-1) <= degree_bound]
 
 
 def delta_at_origin(p: GermProblem) -> int:
     """Rank of the constant parts of Theta_f at the origin."""
     ech = linalg.Echelon()
     rank = 0
-    for vec in groebner.module_kernel([list(p.partials)]).generators:
+    for vec in groebner.module_kernel([list(p.partials)]):
         v = {i: c.constant_term() for i, c in enumerate(vec) if c.constant_term()}
         if v and ech.add(v):
             rank += 1
@@ -309,7 +309,7 @@ def external_product(cls_f: CohomologyClass, cls_g: CohomologyClass) -> Cohomolo
 
 def random_kernel_elements(p: GermProblem, i: int, count: int, seed: int, degree_bound: int = 4):
     """Random polynomial combinations of the A^i module generators."""
-    gens = kernel_generator_forms(p, i)
+    gens = kernel_forms(p, i)
     rng = random.Random(seed)
     out = []
     while len(out) < count and gens:
@@ -331,8 +331,8 @@ def random_kernel_elements(p: GermProblem, i: int, count: int, seed: int, degree
 
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p modulo `basis`; unique when basis is a Groebner basis."""
-    flats = [groebner._to_flat(g) for g in basis if g]
-    return groebner._from_flat(_backend.normal_form(groebner._to_flat(p), flats), p.nvars)
+    flats = [groebner._vector_to_flat((g,)) for g in basis if g]
+    return groebner._flat_to_vector(_backend.normal_form(groebner._vector_to_flat((p,)), flats), p.nvars, 1)[0]
 
 
 def ideal_member(poly: Polynomial, gens) -> bool:
@@ -351,15 +351,20 @@ def is_in_radical(poly: Polynomial, gens) -> bool:
     return groebner.groebner_basis(work) == [Polynomial.constant(big, 1)]
 
 
-def module_member(vec, module: groebner.SubmoduleOfFree) -> bool:
+def coefficient_vectors(p: GermProblem, i: int, forms) -> list[tuple[Polynomial, ...]]:
+    """Degree-i forms as coefficient vectors over the ascending wedges."""
+    zero = Polynomial.zero(p.nvars)
+    return [tuple(g.coeffs.get(w, zero) for w in engine.wedge_tuples(p.nvars, i)) for g in forms]
+
+
+def module_member(vec, generators) -> bool:
+    """Whether vec lies in the submodule the generator vectors span."""
     if all(p.is_zero for p in vec):
         return True
-    gb = groebner.module_groebner_flat(module.generators)
+    gb = groebner.module_groebner_flat(generators)
     return not _backend.normal_form(groebner._vector_to_flat(vec), gb)
 
 
-def modules_equal(a: groebner.SubmoduleOfFree, b: groebner.SubmoduleOfFree) -> bool:
-    """Mutual membership of generators (span equality)."""
-    if a.ambient_rank != b.ambient_rank:
-        return False
-    return all(module_member(v, b) for v in a.generators) and all(module_member(v, a) for v in b.generators)
+def modules_equal(a, b) -> bool:
+    """Mutual membership of two lists of generator vectors (span equality)."""
+    return all(module_member(v, b) for v in a) and all(module_member(v, a) for v in b)

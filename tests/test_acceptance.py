@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import (
     class_is_boundary,
+    coefficient_vectors,
     contract,
     extend_with_inert_variable,
     ideal_member,
@@ -34,7 +35,6 @@ from brieskorn.engine import (
     ct_basis,
     h_slice,
     kernel_forms,
-    kernel_generator_forms,
     milnor_number,
     sample_top_classes,
     torsion_order_s,
@@ -42,7 +42,6 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import df_wedge, volume_form
 from brieskorn.germ import combined_problem, exact_chain
-from brieskorn.groebner import SubmoduleOfFree
 from brieskorn.nc_log import MonomialGerm, residue_eigenvalues
 from brieskorn.poly import Polynomial, parse_polynomial
 from brieskorn.thom_sebastiani import ts_compare, vanish_g_k_dg
@@ -68,19 +67,16 @@ def test_acceptance_01_kernel_generators(barlet):
     """A^2 equals the span of the four displayed generators, exactly."""
     vs = barlet.variables
     P = lambda s: parse_polynomial(s, vs)
-    displayed = SubmoduleOfFree(
-        3,
-        [
-            (P("-3*(x^2+y^3*z)"), P("0"), P("x*y^3")),
-            (P("3*(y^2+x^3*z)"), P("x^3*y"), P("0")),
-            (P("3*(y - x*y^2*z^2)"), P("x^3"), P("x^2*y^2*z")),
-            (P("-3*(x - x^2*y*z^2)"), P("x^2*y^2*z"), P("y^3")),
-        ],
-    )
+    displayed = [
+        (P("-3*(x^2+y^3*z)"), P("0"), P("x*y^3")),
+        (P("3*(y^2+x^3*z)"), P("x^3*y"), P("0")),
+        (P("3*(y - x*y^2*z^2)"), P("x^3"), P("x^2*y^2*z")),
+        (P("-3*(x - x^2*y*z^2)"), P("x^2*y^2*z"), P("y^3")),
+    ]
     computed = kernel_forms(barlet, 2)
-    assert modules_equal(computed, displayed)
+    assert modules_equal(coefficient_vectors(barlet, 2, computed), displayed)
     print("ACCEPTANCE 1 PASS: A^2 kernel equals the four displayed generators "
-          f"(mutual membership, {len(computed.generators)} computed generators)")
+          f"(mutual membership, {len(computed)} computed generators)")
 
 
 def test_acceptance_02_torsion_witnesses(barlet):
@@ -89,7 +85,7 @@ def test_acceptance_02_torsion_witnesses(barlet):
     vs = barlet.variables
     x = parse_polynomial("x", vs)
     y = parse_polynomial("y", vs)
-    gens = kernel_generator_forms(barlet, 2)
+    gens = kernel_forms(barlet, 2)
     for g in gens:
         dg = g.exterior_derivative()
         for _wedge, poly in dg.coeffs.items():
@@ -261,7 +257,7 @@ def test_acceptance_09_pullback_invariance():
     )
     checked = 0
     for c in weights:
-        assert h_slice(base, 2, c).dim == h_slice(lifted, 2, c).dim
+        assert len(h_slice(base, 2, c).classes) == len(h_slice(lifted, 2, c).classes)
         checked += 1
     print(f"ACCEPTANCE 9 PASS: top slice dimensions match at {checked} weights "
           "after adjoining an inert variable")

@@ -18,8 +18,8 @@ def test_tier1_workflow():
     assert set(workflow["on"]) == {"push", "pull_request"}
     # a runaway search must not hold a runner for the 6-hour default
     assert workflow["jobs"]["tests"]["timeout-minutes"] == 15
-    # the oldest Python that pyproject.toml admits, and 3.11
-    assert workflow["jobs"]["tests"]["strategy"]["matrix"] == {"python-version": ["3.10", "3.11"]}
+    # the oldest Python that pyproject.toml admits, and each later one
+    assert workflow["jobs"]["tests"]["strategy"]["matrix"] == {"python-version": ["3.10", "3.11", "3.12", "3.13"]}
     steps = workflow["jobs"]["tests"]["steps"]
     assert {"python-version": "${{ matrix.python-version }}"} in [s.get("with") for s in steps]
     assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', TIER1]

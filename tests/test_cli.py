@@ -192,6 +192,20 @@ class TestInputContract:
         self.expect(["torsion", str(path)], 1, f"{path}: {message}", capsys)
 
     @pytest.mark.parametrize(
+        "blob, verify",
+        [(b"\xff\xfe{", False), (b'{"command": "kernel\xff"}', True)],
+        ids=["problem-utf-16-bom", "report-byte-ff"],
+    )
+    def test_input_that_is_not_utf8_json_names_its_file(self, blob, verify, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        if verify:
+            self.expect(["kernel", prob("cusp.json"), "--verify", str(path)], 1,
+                        f"verify: {path}: malformed JSON: ", capsys)
+        else:
+            self.expect(["kernel", str(path)], 1, f"error: {path}: malformed JSON: ", capsys)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["torsion", prob("barlet35.json"), "--monomial", "1", "--max-degree", "-1"],

@@ -14,6 +14,7 @@ from fraction_echelon import FractionEchelon
 from oracles import (
     apply,
     class_is_boundary,
+    coefficient_vectors,
     contract,
     ct_basis_over_every_slice,
     d_reference,
@@ -46,7 +47,6 @@ from brieskorn.engine import (
     ct_basis,
     h_slice,
     kernel_forms,
-    kernel_generator_forms,
     milnor_number,
     sample_top_classes,
     spectrum,
@@ -55,7 +55,6 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms, volume_form
 from brieskorn.germ import CapExceeded
-from brieskorn.groebner import SubmoduleOfFree
 from brieskorn.poly import Grading, Polynomial, parse_polynomial
 from brieskorn.problemfile import load_problem_file
 
@@ -98,45 +97,39 @@ class TestKernelForms:
     def test_barlet_kernel_matches_displayed_generators(self):
         vs = BP.variables
         P = lambda s: parse_polynomial(s, vs)
-        displayed = SubmoduleOfFree(
-            3,
-            [
-                (P("-3*(x^2+y^3*z)"), P("0"), P("x*y^3")),
-                (P("3*(y^2+x^3*z)"), P("x^3*y"), P("0")),
-                (P("3*(y - x*y^2*z^2)"), P("x^3"), P("x^2*y^2*z")),
-                (P("-3*(x - x^2*y*z^2)"), P("x^2*y^2*z"), P("y^3")),
-            ],
-        )
-        assert modules_equal(kernel_forms(BP, 2), displayed)
+        displayed = [
+            (P("-3*(x^2+y^3*z)"), P("0"), P("x*y^3")),
+            (P("3*(y^2+x^3*z)"), P("x^3*y"), P("0")),
+            (P("3*(y - x*y^2*z^2)"), P("x^3"), P("x^2*y^2*z")),
+            (P("-3*(x - x^2*y*z^2)"), P("x^2*y^2*z"), P("y^3")),
+        ]
+        assert modules_equal(coefficient_vectors(BP, 2, kernel_forms(BP, 2)), displayed)
 
     def test_xy_kernel_is_df(self):
         p = problem_from_strings(["x", "y"], ["1", "1"], "x*y")
-        gens = kernel_generator_forms(p, 1)
-        df = differential(p.f)
-        module = kernel_forms(p, 1)
-        expected = SubmoduleOfFree(2, [(df.coeffs[(0,)], df.coeffs[(1,)])])
-        assert modules_equal(module, expected)
+        gens = kernel_forms(p, 1)
+        assert modules_equal(coefficient_vectors(p, 1, gens), coefficient_vectors(p, 1, [differential(p.f)]))
         assert all(df_wedge(p.f, g).is_zero for g in gens)
 
     def test_one_variable_top(self):
         p = problem_from_strings(["x"], ["1"], "x")
-        gens = kernel_generator_forms(p, 1)
+        gens = kernel_forms(p, 1)
         assert len(gens) == 1 and gens[0] == DifferentialForm(1, 1, {(0,): Polynomial.constant(1, 1)})
 
 
 class TestSlices:
     def test_a1_slices(self):
         sl = h_slice(A1, 1, F(1))
-        assert sl.dim == 1
+        assert len(sl.classes) == 1
         assert sl.classes[0].representative == DifferentialForm(1, 1, {(0,): Polynomial.constant(1, 1)})
-        assert h_slice(A1, 1, F(2)).dim == 1  # x dx
-        assert h_slice(A1, 1, F(3)).dim == 1  # x^2 dx (nonzero, but t-divisible)
+        assert len(h_slice(A1, 1, F(2)).classes) == 1  # x dx
+        assert len(h_slice(A1, 1, F(3)).classes) == 1  # x^2 dx (nonzero, but t-divisible)
 
     def test_smooth_rank_one(self):
         # H^1 = Omega^1 in one variable: dx is a nonzero class, and it is df,
         # so the reduced module has rank 0
         p = problem_from_strings(["x"], ["1"], "x")
-        assert h_slice(p, 1, F(1)).dim == 1
+        assert len(h_slice(p, 1, F(1)).classes) == 1
         assert len(ct_basis(p)) == 0
 
     def test_barlet_z_classes_nonzero_any_cap(self):
@@ -212,7 +205,7 @@ class TestSliceLayer:
             for c in slice_weights:
                 sl = h_slice(problem, i, F(c), cap)
                 classes, reducer, closed = h_slice_reference(problem, i, F(c), sl.cap)
-                assert sl.dim == len(classes)
+                assert len(sl.classes) == len(classes)
                 assert [cls.serialize() for cls in sl.classes] == [cls.serialize() for cls in classes]
                 space = engine.FormSpace(problem, i, F(c), sl.cap)
                 # exactness by a solve agrees with the reference reducer on
@@ -222,7 +215,7 @@ class TestSliceLayer:
                     assert is_boundary == (not reducer.reduce(v))
                     exact[is_boundary] += 1
                 if i < problem.nvars:
-                    classes_seen += sl.dim
+                    classes_seen += len(sl.classes)
                 boundaries_seen += reducer.rank
         # both new paths ran: d restricted to a nonzero kernel below the top
         # degree, and d(A^(i-1)) from a nonzero kernel
@@ -290,7 +283,7 @@ class TestEigenvalueLaws:
         for k in (0, 1):
             c = F(6) * (k + 1)
             sl = h_slice(p, 1, c)
-            assert sl.dim == 1
+            assert len(sl.classes) == 1
             cls = sl.classes[0]
             assert s_action(cls).representative == t_action(cls).representative * (
                 p.degree / c
@@ -883,7 +876,7 @@ class TestSliceOracle:
                     for k in range(int((top - b) / p.degree) + 2)
                     if b + k * p.degree == c
                 )
-                assert h_slice(p, p.nvars, c).dim == expected, (text, c)
+                assert len(h_slice(p, p.nvars, c).classes) == expected, (text, c)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_monomial_weights_match_brute_force(self, seed):
@@ -1039,7 +1032,7 @@ class TestCtBasisKeys:
             seeds = list(seeds)
             sl = slice_(problem, i, c, cap, keys, seeds)
             visits[sl.c] = seeds
-            assert len(seeds) + sl.dim == slice_(problem, i, c, cap, keys).dim
+            assert len(seeds) + len(sl.classes) == len(slice_(problem, i, c, cap, keys).classes)
             return sl
 
         monkeypatch.setattr(engine, "h_slice", spy)
@@ -1057,7 +1050,7 @@ class TestCtBasisKeys:
         c = 2 * p.degree
         unseeded = [cls.serialize() for cls in h_slice(p, p.nvars, c).classes]
         assert [cls.serialize() for cls in h_slice(p, p.nvars, c, seeds=[]).classes] == unseeded
-        assert h_slice(p, p.nvars, c, seeds=[volume_form(p.nvars) * p.f]).dim == len(unseeded) - 1
+        assert len(h_slice(p, p.nvars, c, seeds=[volume_form(p.nvars) * p.f]).classes) == len(unseeded) - 1
 
     def test_a_dropped_seed_is_an_invariant_violation(self, tmp_path, monkeypatch, capsys):
         # without its one seed f * vol, the slice 2D of x^3 + y^3 + z^3 + xyz
@@ -1177,6 +1170,16 @@ class TestPPrime:
         ]
         assert [(args[1], args[2]) for args in spaces] == expected
 
+    def test_positive_weights_give_whole_slices(self, spaces):
+        # with the degree bound as the cap, cusp's degree-1 spaces at c = 18..23
+        # held 5, 4, 4, 3, 2, 2 forms of the whole slices' 6, 6, 7, 7, 7, 8
+        assert check_p_prime(CUSP, 2, 6).holds
+        built = list(spaces)
+        assert len(built) == 3 * len(engine._realized_form_weights(CUSP, 2, 6))
+        for problem, i, c, cap in built:
+            # every weight is >= 1, so a form of weight c has coefficient degree <= c
+            assert engine.FormSpace(problem, i, c, cap).dim == engine.FormSpace(problem, i, c, max(c, 0)).dim
+
 
 class TestZeroWeight:
     def test_zero_weight_variable(self):
@@ -1188,7 +1191,7 @@ class TestZeroWeight:
         sl = h_slice(p, 1, F(1), cap=6)
         assert sl.cap_relative
         # the kernel is spanned by y^j dx, but only dx is closed
-        assert sl.dim == 1
+        assert len(sl.classes) == 1
 
 
 class TestPullbackInvariance:
@@ -1197,10 +1200,10 @@ class TestPullbackInvariance:
         lifted = extend_with_inert_variable(base, "z", 1)
         weights = [F(5, 6), F(7, 6), F(3, 2), F(11, 6), F(13, 6)]
         for c in weights:
-            assert h_slice(base, 2, c).dim == h_slice(lifted, 2, c).dim
+            assert len(h_slice(base, 2, c).classes) == len(h_slice(lifted, 2, c).classes)
 
     def test_inert_variable_preserves_h1(self):
         base = problem_from_strings(["x", "y"], ["1", "1"], "x*y")
         lifted = extend_with_inert_variable(base, "z", 1)
         for c in [F(2), F(3), F(4)]:
-            assert h_slice(base, 1, c).dim == h_slice(lifted, 1, c).dim
+            assert len(h_slice(base, 1, c).classes) == len(h_slice(lifted, 1, c).classes)
