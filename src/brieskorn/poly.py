@@ -291,144 +291,116 @@ def parse_rational(text) -> Fraction:
 # -- parser -------------------------------------------------------------------
 #
 # expr   := ['-'] term (('+'|'-') term)*
-# term   := factor (('*'|'/') factor)*     ('/' only by a constant factor)
+# term   := factor (('*'|'/') factor)*     ('/' only by a nonzero constant)
 # factor := base ('^' uint)?
-# base   := rational | variable | '(' expr ')'
-# rational := int ('/' uint)?
+# base   := uint | name | '(' expr ')'
 #
-# Whitespace is insignificant.
+# So '/' and '^' bind as in Python: x/2/3 is x/6, 2/3^2 is 2/9 and -2/3^2
+# is -(2/3^2); x^2^3 is refused.  A uint is ASCII 0-9 digits; a name starts
+# with a letter or '_' and goes on with letters, digits and '_'.  Whitespace
+# is insignificant.
+
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>\w+)|(?P<op>[-+*/^()])|\S")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The tokens (kind, value, position) of text, ending in ("end", "", len(text)).
 
-    def peek(self) -> tuple[str, str, int]:
-        pos = self.pos
-        text = self.text
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            return ("end", "", pos)
-        ch = text[pos]
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes '²' and '٢'
-            end = pos
-            while end < len(text) and "0" <= text[end] <= "9":
-                end += 1
-            return ("int", text[pos:end], pos)
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            return ("name", text[pos:end], pos)
-        if ch in "+-*/^()":
-            return (ch, ch, pos)
-        raise ParseError(f"unexpected character {ch!r}", pos)
-
-    def take(self) -> tuple[str, str, int]:
-        kind, value, pos = self.peek()
-        self.pos = pos + (len(value) if value else 0)
-        return kind, value, pos
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        got = self.take()
-        if got[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {got[1]!r}", got[2])
-        return got
+    kind is "int", "name", the operator character itself, or "?" for a
+    character that starts no token; the parser reports that character only
+    when it reaches it."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m[0]
+        if kind == "op":
+            kind = value
+        elif kind != "int" and not (value[0].isalpha() or value[0] == "_"):
+            kind, value = "?", value[0]  # a non-word character, or a digit such as '²'
+        tokens.append((kind, value, m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, variables: Sequence[str]):
-        self.tok = _Tokenizer(text)
-        self.variables = list(variables)
+        self.tokens = _tokens(text)
+        self.at = 0
         self.index = {name: i for i, name in enumerate(variables)}
-        self.nvars = len(self.variables)
+        self.nvars = len(self.index)
 
     def parse(self) -> Polynomial:
         p = self._expr()
-        kind, value, pos = self.tok.peek()
+        kind, value, pos = self._peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", pos)
         return p
 
+    def _peek(self) -> tuple[str, str, int]:
+        token = self.tokens[self.at]
+        if token[0] == "?":
+            raise ParseError(f"unexpected character {token[1]!r}", token[2])
+        return token
+
+    def _take(self) -> tuple[str, str, int]:
+        token = self._peek()
+        self.at += 1
+        return token
+
+    def _accept(self, *kinds: str) -> tuple[str, str, int] | None:
+        """The next token, taken, if its kind is one of kinds; else None."""
+        return self._take() if self._peek()[0] in kinds else None
+
+    def _expect(self, kind: str) -> str:
+        got, value, pos = self._take()
+        if got != kind:
+            raise ParseError(f"expected {kind!r}, found {value!r}", pos)
+        return value
+
     def _expr(self) -> Polynomial:
-        negate = False
-        if self.tok.peek()[0] == "-":
-            self.tok.take()
-            negate = True
-        p = self._term()
-        if negate:
-            p = -p
-        while True:
-            kind = self.tok.peek()[0]
-            if kind == "+":
-                self.tok.take()
-                p = p + self._term()
-            elif kind == "-":
-                self.tok.take()
-                p = p - self._term()
-            else:
-                return p
+        p = -self._term() if self._accept("-") else self._term()
+        while op := self._accept("+", "-"):
+            q = self._term()
+            p = p + q if op[0] == "+" else p - q
+        return p
 
     def _term(self) -> Polynomial:
         p = self._factor()
-        while True:
-            kind, _, pos = self.tok.peek()
-            if kind == "*":
-                self.tok.take()
-                p = p * self._factor()
-            elif kind == "/":
-                self.tok.take()
-                q = self._factor()
-                if not q.is_monomial() or q.total_degree() != 0:
-                    raise ParseError("division only by a nonzero constant", pos)
-                c = q.constant_term()
-                if not c:
-                    raise ParseError("division by zero", pos)
-                p = p * (1 / c)
+        while op := self._accept("*", "/"):
+            q = self._factor()
+            if op[0] == "*":
+                p = p * q
+            elif q.total_degree() > 0:
+                raise ParseError("division only by a nonzero constant", op[2])
+            elif not q:
+                raise ParseError("division by zero", op[2])
             else:
-                return p
+                p = p * (1 / q.constant_term())
+        return p
 
     def _factor(self) -> Polynomial:
         p = self._base()
-        if self.tok.peek()[0] == "^":
-            self.tok.take()
-            _, digits, _ = self.tok.expect("int")
-            p = p ** int(digits)
+        if self._accept("^"):
+            p = p ** int(self._expect("int"))
         return p
 
     def _base(self) -> Polynomial:
-        kind, value, pos = self.tok.take()
+        kind, value, pos = self._take()
         if kind == "int":
-            numer = int(value)
-            # rational literal: int '/' uint binds tighter than term division
-            if self.tok.peek()[0] == "/":
-                save = self.tok.pos
-                self.tok.take()
-                kind2, value2, pos2 = self.tok.peek()
-                if kind2 == "int":
-                    self.tok.take()
-                    if not int(value2):
-                        raise ParseError("division by zero", pos2)
-                    return Polynomial.constant(self.nvars, Fraction(numer, int(value2)))
-                self.tok.pos = save
-            return Polynomial.constant(self.nvars, numer)
+            return Polynomial.constant(self.nvars, int(value))
         if kind == "name":
             if value not in self.index:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return Polynomial.variable(self.nvars, self.index[value])
         if kind == "(":
             p = self._expr()
-            self.tok.expect(")")
+            self._expect(")")
             return p
         raise ParseError(f"expected a value, found {value!r}", pos)
 
 
 def is_variable_name(text: str) -> bool:
     """Whether text reads as exactly one name token of the polynomial grammar."""
-    kind, value, _pos = _Tokenizer(text).peek()
-    return kind == "name" and value == text
+    return _tokens(text)[0][:2] == ("name", text)
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

@@ -92,7 +92,7 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
             raise ProblemFileError(f"{source}: weights[{i}] = {exc}") from None
     if not isinstance(data.get("name", ""), str):
         raise ProblemFileError(f"{source}: name must be a string")
-    name = data.get("name") or "problem"
+    name = data.get("name", "problem")
     try:
         f = parse_polynomial(polynomial, variables)
     except ParseError as exc:

@@ -1,11 +1,15 @@
 """The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify"),
 after installing the test dependencies from their one list in pyproject.toml,
-and every source file parses as the oldest Python that pyproject.toml admits."""
+every source file parses as the oldest Python that pyproject.toml admits, and
+the installed console script runs the tested `cli.main`."""
 
 import ast
+import importlib
 import os
 
 import pytest
+
+from brieskorn import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
@@ -31,6 +35,14 @@ def test_test_extra_holds_every_test_dependency():
         project = tomllib.load(fh)["project"]
     # pyyaml: this module's own workflow check
     assert sorted(project["optional-dependencies"]["test"]) == ["hypothesis", "pytest", "pyyaml", "sympy"]
+
+
+def test_console_script_is_the_tested_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["brieskorn"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_tier1_collects_tests_and_perfbench():

@@ -64,3 +64,10 @@ def test_not_quasihomogeneous(tmp_path):
 def test_missing_file():
     with pytest.raises(ProblemFileError):
         load_problem_file("/nonexistent/path.json")
+
+
+def test_name_is_kept_even_when_empty(tmp_path):
+    # an explicit name is the file's, "" included; only a missing one defaults
+    assert load_problem_file(write(tmp_path, dict(GOOD, name=""))).problem.name == ""
+    unnamed = {k: v for k, v in GOOD.items() if k != "name"}
+    assert load_problem_file(write(tmp_path, unnamed)).problem.name == "problem"
