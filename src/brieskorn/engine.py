@@ -52,11 +52,14 @@ class FormSpace:
         self.i = i
         self.c = c
         self.cap = cap
-        grading = problem.grading
+        grading, classes = problem.grading, None
+        if keys is not None:  # x^e dx_W has key k when e + 1_W lies in the coset of point(c, k)
+            points = [p for k in keys if (p := problem.cosets.point(c, k)) is not None]
         items: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for wedge in wedge_tuples(problem.nvars, i):
             shift = sum(grading.weights[k] for k in wedge)
-            classes = None if keys is None else problem.exponent_classes(keys, wedge)
+            if keys is not None:
+                classes = problem.cosets, [tuple(e - (k in wedge) for k, e in enumerate(p)) for p in points]
             for exp in iter_monomials_of_weight(grading, c - shift, cap, classes):
                 items.append((wedge, exp))
         self.items = items

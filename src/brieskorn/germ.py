@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
 from brieskorn.poly import (
-    Grading, Polynomial, exponent_key, format_rational, lattice_congruences, parse_polynomial, weight_vector,
+    Cosets, Grading, Polynomial, exponent_key, format_rational, lattice_congruences, parse_polynomial, weight_vector,
 )
 
 
@@ -104,6 +105,11 @@ class GermProblem:
             self._congruences = [(c, m) for c, m in pairs if m or free > 1]
         return self._congruences
 
+    @cached_property
+    def cosets(self) -> Cosets:
+        """The cosets of L0, whose points FormSpace walks; built on first use."""
+        return Cosets(self.grading.weights, self.congruences)
+
     def key(self, wedge: Sequence[int], exp: Sequence[int]) -> tuple[int, ...]:
         """Key of the monomial form x^exp dx_wedge: the class of exp + 1_wedge."""
         v = list(exp)
@@ -122,15 +128,6 @@ class GermProblem:
         return frozenset(
             self.key(wedge, [a + shift * b for a, b in zip(exp, m)]) for (wedge, exp), _c in form.entries()
         )
-
-    def exponent_classes(self, keys: Iterable[tuple], wedge: Sequence[int]):
-        """The classes argument of iter_monomials_of_weight that keeps the
-        exponents e of the forms x^e dx_wedge with a key in keys."""
-        unit = self.key(wedge, (0,) * self.nvars)
-        moduli = [m for _c, m in self.congruences]
-        return self.congruences, {
-            tuple((a - b) % m if m else a - b for a, b, m in zip(key, unit, moduli)) for key in keys
-        }
 
     def auto_cap(self, c: int) -> int:
         """Total-degree bound of monomials of integer weight <= c (positive weights only)."""

@@ -17,15 +17,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm
-from operator import mul
+from functools import cached_property
+from math import comb, lcm
+from operator import add, mul, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_POWER_TERMS = 10_000  # base^k of a base of t terms has at most C(t + k - 1, k) terms
+
+
+class PowerLimitExceeded(Exception):
+    """A power in polynomial text may expand past MAX_POWER_TERMS terms: a bound, not bad input."""
 
 
 class ParseError(ValueError):
@@ -379,8 +384,11 @@ class _Parser:
 
     def _factor(self) -> Polynomial:
         p = self._base()
-        if self._accept("^"):
-            p = p ** int(self._expect("int"))
+        if op := self._accept("^"):
+            k = int(self._expect("int"))
+            if len(p) > 1 and (n := comb(len(p) + k - 1, k)) > MAX_POWER_TERMS:
+                raise PowerLimitExceeded(f"a power may have {n} terms, over {MAX_POWER_TERMS} (at position {op[2]})")
+            p = p**k
         return p
 
     def _base(self) -> Polynomial:
@@ -420,25 +428,16 @@ class Grading:
 
     With L (scale) the lcm of the denominators of w, W = L*w (weights) is
     an integer vector, so every monomial and form weight is an integer in
-    units of 1/L.  Also holds the tables iter_monomials_of_weight searches
-    with: over x_i.., `budget` exponent units reach weights in
-    [budget*neg_tail[i], budget*pos_tail[i]], all multiples of gcd_tail[i];
-    and for a multiple `remaining` of gcd_tail[i], remaining - W_i*k is a
-    multiple of gcd_tail[i+1] exactly when k is congruent to
-    (remaining / gcd_tail[i]) * inverse[i] modulo step[i].
+    units of 1/L.  cosets, the Cosets of ker W, is built on first use.
     """
-
-    __slots__ = ("weights", "scale", "pos_tail", "neg_tail", "gcd_tail", "step", "inverse")
 
     def __init__(self, weights: Sequence[Fraction]):
         self.scale = lcm(*(w.denominator for w in weights))
-        ws = self.weights = tuple(w.numerator * (self.scale // w.denominator) for w in weights)
-        # tails over x_i.., accumulated from the last variable back, 0 past it
-        tails = [list(accumulate(reversed(ws), op, initial=0))[::-1] for op in (max, min, gcd)]
-        self.pos_tail, self.neg_tail, self.gcd_tail = tails
-        g = self.gcd_tail
-        self.step = [g[i + 1] // g[i] if g[i + 1] else 1 for i in range(len(ws))]
-        self.inverse = [pow(ws[i] // g[i], -1, s) if s > 1 else 0 for i, s in enumerate(self.step)]
+        self.weights = tuple(w.numerator * (self.scale // w.denominator) for w in weights)
+
+    @cached_property
+    def cosets(self) -> "Cosets":
+        return Cosets(self.weights)
 
     def monomial(self, exp: Sequence[int]) -> int:
         """Integer weight of x^exp."""
@@ -449,12 +448,7 @@ class Grading:
         None when its terms differ in weight."""
         if form.is_zero:
             raise ValueError("the zero form has no weighted degree")
-        ws = self.weights
-        found = {
-            sum(ws[k] for k in wedge) + sum(map(mul, ws, exp))
-            for wedge, poly in form.coeffs.items()
-            for exp in poly.terms
-        }
+        found = {sum(self.weights[k] for k in wedge) + self.monomial(exp) for (wedge, exp), _c in form.entries()}
         return found.pop() if len(found) == 1 else None
 
     def scaled(self, c) -> int | None:
@@ -464,125 +458,132 @@ class Grading:
         return None if r else q
 
 
+def _echelon(rows: Iterable[list[int]]) -> dict[int, list[int]]:
+    """An echelon basis of the row lattice of integer rows, by pivot column:
+    each row is merged in by Euclid at each nonzero entry in turn (Cohen,
+    GTM 138, 2.4).  Pivots are positive."""
+    basis: dict[int, list[int]] = {}
+    for row in rows:
+        for j in range(len(row)):
+            if row[j]:
+                b = basis.get(j, [0] * len(row))
+                while row[j]:
+                    q = b[j] // row[j]
+                    b, row = row, [x - q * y for x, y in zip(b, row)]
+                basis[j] = b if b[j] > 0 else list(map(neg, b))
+    return basis
+
+
+class Cosets:
+    """The cosets of M = {u in Z^n : W.u = 0, and c.u = 0 mod m for each
+    congruence (c, m)}: the exponents of weight t and key k are point(t, k) + M.
+
+    The echelon basis of the rows (W_i, c_i.. | -unit_i) and (0.., m, ..0 | 0)
+    solves for points with its rows that pivot left of the bar; the others
+    are an echelon basis of M.  levels[i] holds W_i; two bounds (a, p, q),
+    a*x_i <= p*budget + q*remaining, that leave a weight the later variables
+    reach; and the pivot h of a basis row at i with its entries past i, or
+    h = 0 if no row pivots there.
+    """
+
+    __slots__ = ("levels", "_solver", "_points")
+
+    def __init__(self, weights: Sequence[int], congruences: Sequence[tuple[Exponent, int]] = ()):
+        n, left = len(weights), len(congruences) + 1
+        images = zip(weights, *(c for c, _m in congruences))
+        rows = [[*a, *(-int(j == i) for j in range(n))] for i, a in enumerate(images)]
+        rows += [[m * (j == t) for j in range(left + n)] for t, (_c, m) in enumerate(congruences, 1)]
+        self._solver, self._points, self.levels = [], {}, []
+        pivots, top, bottom = {}, 0, 0
+        for j, row in sorted(_echelon(rows).items()):
+            if j < left:
+                self._solver.append((j, row))
+            else:
+                pivots[j - left] = row[j], row[j + 1 :]
+        for i in reversed(range(n)):  # top and bottom: the largest and the least weight past x_i, 0 past the last
+            w, pivot = weights[i], pivots.get(i, (0, [0] * (n - 1 - i)))
+            self.levels.insert(0, (w, ((top - w, top, -1), (w - bottom, -bottom, 1)), *pivot))
+            top, bottom = max(top, w), min(bottom, w)
+
+    def point(self, target: int, key: tuple[int, ...] = ()) -> Exponent | None:
+        """A point of Z^n of weight target and key, or None; memoized."""
+        if (target, key) not in self._points:
+            v, left = [target, *key] + [0] * len(self.levels), len(key) + 1
+            for j, row in self._solver:
+                q = v[j] // row[j]  # a remainder stays in v[j]
+                v = [a - q * b for a, b in zip(v, row)]
+            self._points[target, key] = None if any(v[:left]) else tuple(v[left:])
+        return self._points[target, key]
+
+
 def iter_monomials_of_weight(
-    grading: Grading,
-    target: int,
-    degree_cap: int,
-    classes: tuple[Sequence[tuple[Exponent, int]], Iterable[tuple[int, ...]]] | None = None,
+    grading: Grading, target: int, degree_cap: int, classes: tuple[Cosets, Sequence[Exponent]] | None = None
 ) -> Iterator[Exponent]:
-    """Yield exponents of integer weight `target` (Grading.monomial) and
-    total degree <= cap.
+    """The exponents of integer weight `target` (Grading.monomial) and total
+    degree <= cap, in lexicographic order: the points in that simplex of
+    grading.cosets.point(target) + ker W, or with classes, a pair (cosets,
+    points of weight target), of the cosets p + M.
 
-    Enumeration order is deterministic (lexicographic in the exponent).
-    With mixed-sign weights the cap is what keeps this finite.  The search
-    does integer arithmetic only, on the grading's tables: each exponent
-    runs only over the values that leave a remainder the later variables
-    can still reach, both by size and by divisibility.
-
-    classes, a pair (congruences, keys), keeps only the exponents whose
-    exponent_key under those congruences lies in keys.  The search carries
-    one integer, sum(g_k * e_k) over the exponents set so far (_key_test),
-    and tests it before an exponent's tuple is built.
+    A coset is walked column by column with integer adds: column i steps by
+    its pivot from the residue of its running offset (p_i moved by the rows
+    of the pivots set so far), or is fixed at the offset.  Each exponent
+    runs only over values that leave a weight the later variables can reach
+    within the budget; with mixed-sign weights the cap keeps this finite.
     """
     if degree_cap < 0:
-        return
-    ws = grading.weights
-    nvars = len(ws)
-    gs, test = [0] * nvars, None
-    if classes is not None:
-        congruences, keys = classes
-        if congruences:
-            gs, test = _key_test(congruences, set(keys), degree_cap)
-        elif () not in keys:  # a single class, whose key is ()
-            return
-    if nvars == 0:
-        if target == 0 and (test is None or test(0)):
-            yield ()
-        return
-    pos_tail, neg_tail, gcd_tail = grading.pos_tail, grading.neg_tail, grading.gcd_tail
-    step, inverse = grading.step, grading.inverse
-    exp = [0] * nvars
-    last = nvars - 1
-    w_last, g_last = ws[last], gs[last]
+        return iter(())
+    cosets, points = classes or (grading.cosets, [grading.cosets.point(target)])
+    levels, last = cosets.levels, len(grading.weights) - 1
+    w_last = grading.weights[last] if levels else 0
+    exp, found = [0] * (last + 1), []
 
-    def rec(i: int, remaining: int, budget: int, key: int) -> Iterator[Exponent]:
-        # i < last, and remaining is reachable by x_i.. within budget.  The k
-        # that keep remaining - w*k reachable by x_(i+1).. within budget - k
-        # satisfy a*k <= r for both (a, r) below and lie in the residue class.
-        # key is sum(gs[j] * exp[j]) over j < i.
-        w, g = ws[i], gs[i]
-        pos, neg = pos_tail[i + 1], neg_tail[i + 1]
+    def rec(i: int, remaining: int, budget: int, off: Sequence[int]) -> None:
+        # off[j] is the offset of column i + j; x_i = k leaves remaining - w*k
+        # to x_(i+1).. within budget - k
+        w, bounds, h, row = levels[i]
         lo, hi = 0, budget
-        for a, r in ((pos - w, budget * pos - remaining), (w - neg, remaining - budget * neg)):
+        for a, p, q in bounds:
+            r = p * budget + q * remaining
             if a > 0:
-                hi = min(hi, r // a)
-            elif a < 0:
-                lo = max(lo, -(r // -a))
+                if r < a * hi:
+                    hi = r // a
+            elif a:
+                if r < a * lo:
+                    lo = -(r // -a)
             elif r < 0:
                 return
-        if step[i] > 1:
-            lo += (remaining // gcd_tail[i] * inverse[i] - lo) % step[i]
-        for k in range(lo, hi + 1, step[i]):
-            exp[i] = k
-            if i + 1 < last:
-                yield from rec(i + 1, remaining - w * k, budget - k, key + g * k)
-            elif w_last:
-                e = (remaining - w * k) // w_last
-                if test is None or test(key + g * k + g_last * e):
-                    exp[last] = e
-                    yield tuple(exp)
-            else:  # remaining == w * k, and the last exponent is free
-                for e in range(budget - k + 1):
-                    if test is None or test(key + g * k + g_last * e):
-                        exp[last] = e
-                        yield tuple(exp)
-        exp[i] = exp[last] = 0
+        o = off[0]
+        if not h:  # the earlier columns fix this one
+            lo, hi, h = max(lo, o), min(hi, o), 1
+        lo += (o - lo) % h
+        if i == last:
+            for exp[i] in range(lo, hi + 1, h):
+                found.append(tuple(exp))
+        elif i + 1 == last and w_last:
+            for k in range(lo, hi + 1, h):
+                exp[i], exp[last] = k, (remaining - w * k) // w_last
+                found.append(tuple(exp))
+        else:
+            x = (lo - o) // h
+            nxt = [u + x * v for u, v in zip(off[1:], row)]
+            for k in range(lo, hi + 1, h):
+                exp[i] = k
+                rec(i + 1, remaining - w * k, budget - k, nxt)
+                nxt = list(map(add, nxt, row))
 
-    if not degree_cap * neg_tail[0] <= target <= degree_cap * pos_tail[0]:
-        return
-    if gcd_tail[0] and target % gcd_tail[0]:
-        return
-    if nvars > 1:
-        yield from rec(0, target, degree_cap, 0)
-    else:
-        single = [target // w_last] if w_last else range(degree_cap + 1)
-        yield from ((e,) for e in single if test is None or test(g_last * e))
+    for p in points:
+        if p:
+            rec(0, target, degree_cap, p)
+        elif p is not None:  # the point of Z^0
+            found.append(p)
+    if len(points) > 1:
+        found.sort()
+    return iter(found)
 
 
 def exponent_key(congruences: Sequence[tuple[Exponent, int]], exp: Sequence[int]) -> tuple[int, ...]:
     """One entry per congruence (c, m): sum(c_k * e_k) mod m, unreduced for m = 0."""
     return tuple(sum(map(mul, c, exp)) % m if m else sum(map(mul, c, exp)) for c, m in congruences)
-
-
-def _key_test(congruences, keys: set, cap: int):
-    """(g, test): for an exponent e of total degree <= cap, test(sum(g_k * e_k))
-    tells whether exponent_key(congruences, e) lies in keys.
-
-    One congruence with a modulus: g = c, and test reduces mod m.  Otherwise
-    each value v = sum(c_k * e_k), at most b = cap * max|c_k| in size, is
-    packed as the digit v + b in radix 2b + 1, and test unpacks the digits.
-    """
-    if len(congruences) == 1 and congruences[0][1]:
-        ((c, m),) = congruences
-        residues = {key[0] for key in keys}
-        return list(c), lambda v: v % m in residues
-    radices = [2 * cap * max(map(abs, c)) + 1 for c, _m in congruences]
-    g, offset, place = [0] * len(congruences[0][0]), 0, 1
-    for (c, _m), radix in zip(congruences, radices):
-        g = [a + place * b for a, b in zip(g, c)]
-        offset += place * (radix // 2)
-        place *= radix
-
-    def test(v: int) -> bool:
-        v += offset
-        key = []
-        for (_c, m), radix in zip(congruences, radices):
-            v, digit = divmod(v, radix)
-            digit -= radix // 2
-            key.append(digit % m if m else digit)
-        return tuple(key) in keys
-
-    return g, test
 
 
 def lattice_congruences(generators: Iterable[Sequence[int]], nvars: int) -> list[tuple[Exponent, int]]:

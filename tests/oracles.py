@@ -33,7 +33,7 @@ from brieskorn.engine import (
     kernel_forms,
 )
 from brieskorn.forms import DifferentialForm, _sort_wedge, df_wedge, differential
-from brieskorn.poly import Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
+from brieskorn.poly import Cosets, Grading, Polynomial, iter_monomials_of_weight, parse_polynomial, weight_vector
 from brieskorn.germ import combined_problem, lift_form
 
 # -- germs ----------------------------------------------------------------------
@@ -97,10 +97,17 @@ def position_vec(space, form: DifferentialForm) -> dict:
 
 def monomials_of_weight(weights, target, cap, classes=None) -> list:
     """The exponents iter_monomials_of_weight gives at a rational target:
-    those of the scaled target of Grading(weights), none off its lattice."""
+    those of the scaled target of Grading(weights), none off its lattice.
+    classes, a pair (congruences, keys), keeps those whose exponent_key
+    lies in keys: the cosets of Cosets(W, congruences) at their points."""
     grading = Grading(weight_vector(weights))
     c = grading.scaled(target)
-    return [] if c is None else list(iter_monomials_of_weight(grading, c, cap, classes))
+    if c is None:
+        return []
+    if classes is not None:
+        cosets = Cosets(grading.weights, classes[0])
+        classes = cosets, [p for key in classes[1] if (p := cosets.point(c, tuple(key))) is not None]
+    return list(iter_monomials_of_weight(grading, c, cap, classes))
 
 
 # -- normal-crossing germs --------------------------------------------------------

@@ -1,10 +1,12 @@
 """The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify"),
 after installing the test dependencies from their one list in pyproject.toml,
+and in a second job the benchmark's checks on each of its workloads;
 every source file parses as the oldest Python that pyproject.toml admits, and
 the installed console script runs the tested `cli.main`."""
 
 import ast
 import importlib
+import json
 import os
 
 import pytest
@@ -27,6 +29,31 @@ def test_tier1_workflow():
     steps = workflow["jobs"]["tests"]["steps"]
     assert {"python-version": "${{ matrix.python-version }}"} in [s.get("with") for s in steps]
     assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', TIER1]
+
+
+BENCH_SMOKE = """\
+for workload in torsion-barlet35 spectrum-bp corpus-cli; do
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  echo "$workload: $last"
+  python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(r["correct"] is not True or r["failed"] != 0)' "$last"
+done
+"""
+
+
+def test_bench_smoke_workflow():
+    # the benchmark's own checks (golden report digests, closed-form oracles,
+    # replays), which tier-1 does not run, on each workload for two seconds
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
+        job = yaml.safe_load(fh)["jobs"]["bench-smoke"]
+    assert job["timeout-minutes"] == 15
+    steps = job["steps"]
+    assert {"python-version": "3.11"} in [s.get("with") for s in steps]
+    # bash on the runner is -e with pipefail, so a failing run.py fails the step too
+    assert [(s["shell"], s["run"]) for s in steps if "run" in s] == [("bash", BENCH_SMOKE)]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = [w["name"] for w in json.load(fh)["workloads"]]
+    assert BENCH_SMOKE.splitlines()[0] == f"for workload in {' '.join(declared)}; do"
 
 
 def test_test_extra_holds_every_test_dependency():

@@ -12,7 +12,7 @@ import pytest
 
 from brieskorn import engine, germ, groebner, microdiff
 from brieskorn.cli import main
-from brieskorn.poly import Polynomial, format_rational, parse_polynomial
+from brieskorn.poly import Polynomial, PowerLimitExceeded, format_rational, parse_polynomial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -284,6 +284,25 @@ class TestInputContract:
         path = tmp_path / "smooth.json"
         path.write_text(json.dumps({"variables": ["x", "y"], "weights": ["1", "-1"], "polynomial": "x"}))
         self.expect(["spectrum", str(path)], 1, "error: C{t}-basis needs positive weights", capsys)
+
+    @pytest.mark.parametrize(
+        "polynomial, monomial, message",
+        [("(x + y)^10000", "1", "{path}: polynomial: a power may have 10001 terms, over 10000 (at position 7)"),
+         ("x^2 + y^2", "(x+y+y^2)^150", "error: a power may have 11476 terms, over 10000 (at position 9)")],
+        ids=["problem-file", "monomial"],
+    )
+    def test_a_power_past_the_term_limit_is_a_bound(self, polynomial, monomial, message, tmp_path, capsys):
+        # base^k may have C(t + k - 1, k) terms for a base of t terms; past
+        # 10,000 the text is refused before the power is expanded (exit 2),
+        # while a monomial's power is one term
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**self.GERM, "polynomial": polynomial}))
+        self.expect(["torsion", str(path), "--monomial", monomial], 2, message.format(path=path), capsys)
+        assert len(parse_polynomial("(x*y)^100000 + (x + y)^99", ["x", "y"])) == 101
+        square = "(" + " + ".join(f"x^{i}" for i in range(140)) + ")^2"  # C(141, 2) = 9870 terms at most
+        assert len(parse_polynomial(square, ["x"])) == 279
+        with pytest.raises(PowerLimitExceeded, match="10011 terms"):
+            parse_polynomial(square.replace("x^0 +", "x^0 + x^140 +"), ["x"])
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

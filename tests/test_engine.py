@@ -612,6 +612,33 @@ class TestKeyClasses:
         keys = {problem.key((0, 1, 2), exp) for exp in itertools.product(range(5), repeat=3)}
         assert len(keys) == 5
 
+    @pytest.mark.parametrize(
+        "germ, weights",
+        [(("bp3456", ["x", "y", "z", "w"], ["20", "15", "12", "10"], "x^3 + y^4 + z^5 + w^6"), range(57, 200, 11)),
+         ("barlet35w.json", range(-3, 9))],
+        ids=["bp3456", "barlet35w"],
+    )
+    def test_a_keyed_form_space_is_the_whole_space_filtered(self, germ, weights):
+        # each key's FormSpace, walked on its cosets, holds the items of the
+        # unkeyed space of that key, in their order; a key of no item, none
+        if isinstance(germ, str):
+            problem = load_problem_file(os.path.join(PROBLEMS, germ)).problem
+        else:
+            problem = problem_from_strings(*germ[1:])
+        n, spaces, misses = problem.nvars, 0, 0
+        for i, c in itertools.product((n, n - 1), weights):
+            cap = engine._slice_cap(problem, c, 8)
+            whole = engine.FormSpace(problem, i, c, cap).items
+            keys = {problem.key(*item) for item in whole}
+            spaces += len(keys) > 1
+            for key in keys:
+                assert engine.FormSpace(problem, i, c, cap, {key}).items == [e for e in whole if problem.key(*e) == key]
+            assert engine.FormSpace(problem, i, c, cap, keys).items == whole
+            absent = set(itertools.product(*(range(m) for _c, m in problem.congruences))) - keys
+            assert engine.FormSpace(problem, i, c, cap, absent).items == []
+            misses += bool(absent)
+        assert spaces > 5 and misses > 5
+
 
 class TestSolveInKernel:
     """Exponent-arithmetic images and the stacked solve against the

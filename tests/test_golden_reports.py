@@ -53,3 +53,20 @@ def test_reports_match_the_recorded_golden(tmp_path, monkeypatch, capsys):
     # spectrum on a1, cusp, x3y3, smooth and on both generated germs
     assert oracles == 6
     capsys.readouterr()
+
+
+# The four-variable germ barlet35 + w^5, key group (Z/5)^2, which no workload
+# runs: both searches for x^2*y^3*z^2*w exhaust their bounds (exit 2).  The
+# digest was recorded when the slice enumeration still tested the key at
+# its leaves.
+BARLET35W_EXHAUSTED = "afe7982ba74e9a80df26987872e6cc77f6312ff9d4f9c1c249275e6e3cf16db3"
+
+
+def test_barlet35w_exhausted_search_report_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(groebner, "_cache", type(groebner._cache)())
+    report = tmp_path / "barlet35w.json"
+    argv = ["torsion", os.path.join(ROOT, "problems", "barlet35w.json"), "--monomial", "x^2*y^3*z^2*w",
+            "--max-degree", "12", "--max-t-power", "12", "--max-s-power", "12", "--out", str(report)]
+    assert cli.main(argv) == 2
+    assert run.file_sha256(str(report)) == BARLET35W_EXHAUSTED
+    capsys.readouterr()

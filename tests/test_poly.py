@@ -1,6 +1,7 @@
 """Polynomial arithmetic, grading, parser."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -396,25 +397,45 @@ class TestKeyClasses:
         assert all(sum(a * b for a, b in zip((1, 0, 2), g)) % 5 == 0 for g in ((-5, 5, 0), (-2, 3, 1)))
 
     def test_classes_filter_matches_brute_force(self):
-        # keys drawn from the box, several at a time, with moduli and free
-        # (m = 0) congruences; the filtered enumeration keeps its order
+        # the coset walk against the filter of a box, in its (lexicographic)
+        # order: zero and mixed-sign weights, zero to four variables, caps
+        # down to -2, congruences of random lattices (with several free
+        # factors, m = 0) and of the differences of random exponent sets, and
+        # keys from the box together with keys that no exponent of it has
         import itertools
 
         rng = random.Random(19)
-        for _ in range(300):
+        seen = Counter()
+        for trial in range(600):
             nvars = rng.randint(0, 4)
-            w = weight_vector([Fraction(rng.randint(-3, 4), rng.randint(1, 3)) for _ in range(nvars)])
-            congruences = lattice_congruences(random_lattice(rng, nvars), nvars)
-            cap = rng.randint(-1, 5)
+            w = weight_vector([Fraction(rng.choice([0, rng.randint(-3, 4)]), rng.randint(1, 3)) for _ in range(nvars)])
+            if trial % 2:
+                exps = [[rng.randint(0, 5) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
+                gens = [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]]
+            else:
+                gens = random_lattice(rng, nvars)
+            congruences = lattice_congruences(gens, nvars)
+            cap = rng.randint(-2, 5)
             box = [e for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars) if sum(e) <= cap]
             present = sorted({exponent_key(congruences, e) for e in box})
             keys = set(rng.sample(present, min(len(present), rng.randint(0, 3))))
-            for target in sorted({monomial_weight(e, w) for e in box})[:4]:
-                got = list(monomials_of_weight(w, target, cap, (congruences, keys)))
-                expected = [
-                    e for e in box if monomial_weight(e, w) == target and exponent_key(congruences, e) in keys
-                ]
+            keys |= {tuple(rng.randrange(m) if m else rng.randint(-9, 9) for _c, m in congruences) for _ in range(2)}
+            weights = sorted({monomial_weight(e, w) for e in box})
+            for target in [*weights[:4], *weights[-1:], Fraction(17, 1)]:
+                got = monomials_of_weight(w, target, cap, (congruences, keys))
+                kept = [e for e in box if monomial_weight(e, w) == target]
+                expected = [e for e in kept if exponent_key(congruences, e) in keys]
                 assert got == expected, (w, congruences, keys, target, cap)
+                seen.update(
+                    absent_key=bool(keys - {exponent_key(congruences, e) for e in kept}),
+                    zero_weight=0 in w,
+                    mixed_signs=min(w, default=0) < 0 < max(w, default=0),
+                    free_factors=sum(not m for _c, m in congruences) > 1,
+                    one_variable=nvars == 1,
+                    negative_cap=cap < 0,
+                    hit=bool(got),
+                )
+        assert min(seen.values()) > 20, seen
 
 
 def _det(rows):

@@ -26,6 +26,7 @@ from oracles import (  # noqa: E402
     function_form,
     lie_derivative,
     monomial_weight,
+    monomials_of_weight,
     problem_from_strings,
     tdt_action,
     weighted_degree,
@@ -45,8 +46,10 @@ from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
 from brieskorn.poly import (  # noqa: E402
     Grading,
     Polynomial,
+    exponent_key,
     format_rational,
     iter_monomials_of_weight,
+    lattice_congruences,
     parse_polynomial,
 )
 
@@ -200,6 +203,31 @@ def test_grading_agrees_with_the_fraction_reference(weights, omega, c, cap):
         else:
             assert scaled == target * scale
             assert list(iter_monomials_of_weight(grading, scaled, cap)) == brute
+
+
+@bounded
+@given(st.data())
+def test_the_coset_walk_is_the_key_filter(data):
+    # one to three variables with weights of either sign or zero; the
+    # congruences of a drawn lattice or of the differences of a drawn
+    # exponent set (free factors, m = 0, included); keys of the box and
+    # keys that no exponent of it has; caps from -1: the walk of each
+    # weight's cosets is the filter of the box, in lexicographic order
+    nvars = data.draw(st.integers(1, NVARS))
+    weights = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
+    vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars), max_size=nvars + 1))
+    if data.draw(st.booleans()):
+        vectors = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
+    congruences = lattice_congruences(vectors, nvars)
+    cap = data.draw(st.integers(-1, 5))
+    box = [e for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars) if sum(e) <= cap]
+    drawn_key = st.tuples(*[st.integers(0, m - 1) if m else st.integers(-6, 6) for _c, m in congruences])
+    present = [exponent_key(congruences, e) for e in box]
+    keys = set(data.draw(st.lists(st.sampled_from(present) if present else drawn_key)))
+    keys |= set(data.draw(st.lists(drawn_key, max_size=2)))
+    for target in {monomial_weight(e, weights) for e in box} | {Fraction(1, 7)}:
+        expected = [e for e in box if monomial_weight(e, weights) == target and exponent_key(congruences, e) in keys]
+        assert monomials_of_weight(weights, target, cap, (congruences, keys)) == expected
 
 
 GERMS = [
