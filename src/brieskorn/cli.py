@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from brieskorn import __version__, engine, germ, gm_model, microdiff, nc_log, thom_sebastiani
 from brieskorn.germ import CapExceeded, InvariantViolation, NonIsolatedError, TorsionCertificate
-from brieskorn.poly import PowerLimitExceeded, format_rational
+from brieskorn.poly import LimitExceeded, format_rational
 from brieskorn.problemfile import _OPTIONS, ProblemFileError, _bound, _input_digest, _search_bounds, load_problem_file
 from brieskorn.replay import EXIT_BOUND, EXIT_INPUT, EXIT_INVARIANT, EXIT_OK, verify_report
 
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
     except (ValueError, NonIsolatedError, OSError) as exc:  # ProblemFileError and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceeded, microdiff.TruncationOverflow, PowerLimitExceeded) as exc:
+    except (CapExceeded, microdiff.TruncationOverflow, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except InvariantViolation as exc:

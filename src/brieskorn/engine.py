@@ -53,8 +53,8 @@ class FormSpace:
         self.c = c
         self.cap = cap
         grading, classes = problem.grading, None
-        if keys is not None:  # x^e dx_W has key k when e + 1_W lies in the coset of point(c, k)
-            points = [p for k in keys if (p := problem.cosets.point(c, k)) is not None]
+        if keys is not None:  # x^e dx_W has key k when e + 1_W lies in the coset of k, of weight c
+            points = [k for k in keys if grading.monomial(k) == c]
         items: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for wedge in wedge_tuples(problem.nvars, i):
             shift = sum(grading.weights[k] for k in wedge)

@@ -17,9 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_form
-from brieskorn.poly import (
-    Cosets, Grading, Polynomial, exponent_key, format_rational, lattice_congruences, parse_polynomial, weight_vector,
-)
+from brieskorn.poly import Cosets, Grading, Polynomial, format_rational, parse_polynomial, weight_vector
 
 
 class EngineError(Exception):
@@ -69,7 +67,6 @@ class GermProblem:
         self.degree = Fraction(self.scaled_degree, self.grading.scale)
         self.name = name
         self.nvars = len(self.variables)
-        self._congruences: list | None = None
 
     # -- derived data ----------------------------------------------------
 
@@ -87,35 +84,20 @@ class GermProblem:
 
     # -- key classes: the characters of f's diagonal symmetry group ----------
 
-    @property
-    def congruences(self) -> list[tuple[tuple[int, ...], int]]:
-        """Congruences that tell the key classes of one weight apart.
-
-        The key of x^e dx_W is the class of e + 1_W in Z^n / L0, where L0 is
-        spanned by the differences of f's exponent vectors; its congruences
-        come from poly.lattice_congruences.  The weight vanishes on L0, so
-        when Z^n / L0 has a single free factor, that factor is the weight,
-        which a slice fixes, and its congruence is left out.  Computed on
-        first use.
-        """
-        if self._congruences is None:
-            exps = list(self.f.terms)
-            pairs = lattice_congruences(([a - b for a, b in zip(e, exps[0])] for e in exps[1:]), self.nvars)
-            free = sum(1 for _c, m in pairs if not m)
-            self._congruences = [(c, m) for c, m in pairs if m or free > 1]
-        return self._congruences
-
     @cached_property
     def cosets(self) -> Cosets:
-        """The cosets of L0, whose points FormSpace walks; built on first use."""
-        return Cosets(self.grading.weights, self.congruences)
+        """The cosets of L0, spanned by the differences of f's exponents,
+        which FormSpace walks; built on first use."""
+        exps = list(self.f.terms)
+        return Cosets(self.grading.weights, [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]])
 
     def key(self, wedge: Sequence[int], exp: Sequence[int]) -> tuple[int, ...]:
-        """Key of the monomial form x^exp dx_wedge: the class of exp + 1_wedge."""
+        """Key of the monomial form x^exp dx_wedge: the canonical point of the
+        class of exp + 1_wedge in Z^n / L0 (Cosets.key), of its weight."""
         v = list(exp)
         for k in wedge:
             v[k] += 1
-        return exponent_key(self.congruences, v)
+        return self.cosets.key(v)
 
     def form_keys(self, form: DifferentialForm, shift: int = 0) -> frozenset:
         """Keys of the terms of a form, each moved by shift * [m] for a monomial m of f.

@@ -22,12 +22,15 @@ generate the kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Sequence
 
 from brieskorn import _backend
-from brieskorn.poly import Polynomial
+from brieskorn.poly import LimitExceeded, Polynomial
+
+MAX_QUOTIENT_BOX = 10_000  # exponents in the box of a finite quotient's pure-power leads
 
 
 # -- flat conversion ----------------------------------------------------------
@@ -176,7 +179,8 @@ def groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
 
 
 def standard_monomials(gens: Sequence[Polynomial]) -> list[tuple[int, ...]] | None:
-    """Monomial basis of the quotient ring, ascending; None when it is infinite."""
+    """Monomial basis of the quotient ring, ascending; None when it is infinite.
+    A box of its pure-power leads past MAX_QUOTIENT_BOX raises LimitExceeded."""
     gens = [g for g in gens if g]
     if not gens:
         return None
@@ -192,6 +196,8 @@ def standard_monomials(gens: Sequence[Polynomial]) -> list[tuple[int, ...]] | No
             bounds[support[0]] = e[support[0]]
     if any(b is None for b in bounds):
         return None
+    if (box := math.prod(bounds)) > MAX_QUOTIENT_BOX:
+        raise LimitExceeded(f"the Jacobian quotient lies in a box of {box} exponents, over {MAX_QUOTIENT_BOX}")
     # product yields the exponents of the box in ascending order
     return [e for e in itertools.product(*map(range, bounds)) if not any(_divides(le, e) for le in leads)]
 

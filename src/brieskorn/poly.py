@@ -26,11 +26,11 @@ Exponent = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-MAX_POWER_TERMS = 10_000  # base^k of a base of t terms has at most C(t + k - 1, k) terms
+MAX_POWER_WORK = 100_000  # weighted term products of a power in polynomial text (power_work)
 
 
-class PowerLimitExceeded(Exception):
-    """A power in polynomial text may expand past MAX_POWER_TERMS terms: a bound, not bad input."""
+class LimitExceeded(Exception):
+    """Input past a documented size limit (MAX_POWER_WORK, groebner.MAX_QUOTIENT_BOX): a bound, not bad input."""
 
 
 class ParseError(ValueError):
@@ -386,8 +386,8 @@ class _Parser:
         p = self._base()
         if op := self._accept("^"):
             k = int(self._expect("int"))
-            if len(p) > 1 and (n := comb(len(p) + k - 1, k)) > MAX_POWER_TERMS:
-                raise PowerLimitExceeded(f"a power may have {n} terms, over {MAX_POWER_TERMS} (at position {op[2]})")
+            if power_work(p, k) > MAX_POWER_WORK:
+                raise LimitExceeded(f"a power may take over {MAX_POWER_WORK} term products (at position {op[2]})")
             p = p**k
         return p
 
@@ -404,6 +404,29 @@ class _Parser:
             self._expect(")")
             return p
         raise ParseError(f"expected a value, found {value!r}", pos)
+
+
+def power_work(base: Polynomial, k: int) -> int:
+    """The predicted work of base**k, or a sum past MAX_POWER_WORK: the term
+    pairs of each product b^a * b^j of Polynomial.__pow__, b^j having at most
+    C(t + j - 1, j) terms for t terms of b, weighted by 1 + (a + j) s / 1024.
+    With L the lcm of b's denominators, (L b)^j has integer coefficients of
+    at most j s bits, s = ceil(log2 sum |L c|), which is 0 for x^e."""
+    t, coeffs = len(base), base.terms.values()
+    scale = lcm(*(c.denominator for c in coeffs))
+    s = (sum(abs(c.numerator) * scale // c.denominator for c in coeffs) - 1).bit_length()
+
+    def cost(a: int, j: int) -> int:
+        return comb(t + a - 1, a) * comb(t + j - 1, j) * (1024 + (a + j) * s) // 1024
+
+    work, i, j = 0, 0, 1  # result = b^i and base = b^j, as in __pow__
+    while base and k and work <= MAX_POWER_WORK:
+        if k & 1:
+            work, i = work + cost(i, j), i + j
+        if k > 1:
+            work, j = work + cost(j, j), 2 * j
+        k >>= 1
+    return work
 
 
 def is_variable_name(text: str) -> bool:
@@ -475,45 +498,53 @@ def _echelon(rows: Iterable[list[int]]) -> dict[int, list[int]]:
 
 
 class Cosets:
-    """The cosets of M = {u in Z^n : W.u = 0, and c.u = 0 mod m for each
-    congruence (c, m)}: the exponents of weight t and key k are point(t, k) + M.
+    """The cosets of a lattice M in ker W: the lattice of generators, or
+    without them ker W itself.
 
-    The echelon basis of the rows (W_i, c_i.. | -unit_i) and (0.., m, ..0 | 0)
-    solves for points with its rows that pivot left of the bar; the others
-    are an echelon basis of M.  levels[i] holds W_i; two bounds (a, p, q),
-    a*x_i <= p*budget + q*remaining, that leave a weight the later variables
-    reach; and the pivot h of a basis row at i with its entries past i, or
-    h = 0 if no row pivots there.
+    An echelon basis of M has one row per pivot column j, with pivot h_j.
+    The key of a coset is its canonical point (key).  Without generators M
+    comes from the echelon basis of the rows (W_i | -unit_i): its one row
+    (g | -u) that pivots left of the bar, W.u = g = gcd W, gives the point
+    of each weight (point), and the others are an echelon basis of ker W.
+    levels[i] holds W_i; two bounds (a, p, q), a*x_i <= p*budget +
+    q*remaining, that leave a weight the later variables reach; and h_i with
+    the entries past i of its basis row, or h = 0 if no row pivots at i.
     """
 
-    __slots__ = ("levels", "_solver", "_points")
+    __slots__ = ("levels", "_solver")
 
-    def __init__(self, weights: Sequence[int], congruences: Sequence[tuple[Exponent, int]] = ()):
-        n, left = len(weights), len(congruences) + 1
-        images = zip(weights, *(c for c, _m in congruences))
-        rows = [[*a, *(-int(j == i) for j in range(n))] for i, a in enumerate(images)]
-        rows += [[m * (j == t) for j in range(left + n)] for t, (_c, m) in enumerate(congruences, 1)]
-        self._solver, self._points, self.levels = [], {}, []
-        pivots, top, bottom = {}, 0, 0
-        for j, row in sorted(_echelon(rows).items()):
-            if j < left:
-                self._solver.append((j, row))
-            else:
-                pivots[j - left] = row[j], row[j + 1 :]
+    def __init__(self, weights: Sequence[int], generators: Iterable[Sequence[int]] | None = None):
+        n = len(weights)
+        if generators is None:
+            rows = [[w, *(-int(j == i) for j in range(n))] for i, w in enumerate(weights)]
+        else:
+            rows = [[0, *g] for g in generators]
+        basis = _echelon(rows)
+        self._solver, self.levels, top, bottom = basis.pop(0, None), [], 0, 0
         for i in reversed(range(n)):  # top and bottom: the largest and the least weight past x_i, 0 past the last
-            w, pivot = weights[i], pivots.get(i, (0, [0] * (n - 1 - i)))
+            w, row = weights[i], basis.get(i + 1)
+            pivot = (row[i + 1], row[i + 2 :]) if row else (0, [0] * (n - 1 - i))
             self.levels.insert(0, (w, ((top - w, top, -1), (w - bottom, -bottom, 1)), *pivot))
             top, bottom = max(top, w), min(bottom, w)
 
-    def point(self, target: int, key: tuple[int, ...] = ()) -> Exponent | None:
-        """A point of Z^n of weight target and key, or None; memoized."""
-        if (target, key) not in self._points:
-            v, left = [target, *key] + [0] * len(self.levels), len(key) + 1
-            for j, row in self._solver:
-                q = v[j] // row[j]  # a remainder stays in v[j]
-                v = [a - q * b for a, b in zip(v, row)]
-            self._points[target, key] = None if any(v[:left]) else tuple(v[left:])
-        return self._points[target, key]
+    def point(self, target: int) -> Exponent | None:
+        """A point of Z^n of weight target, or None; for M = ker W."""
+        if self._solver is None:  # W = 0
+            return None if target else (0,) * len(self.levels)
+        g, *u = self._solver
+        q, r = divmod(target, g)
+        return None if r else tuple(-q * a for a in u)
+
+    def key(self, u: Sequence[int]) -> Exponent:
+        """The canonical point of u + M: u reduced at each pivot column j, in
+        ascending order, into [0, h_j).  Two reduced points of one coset are
+        equal: at the pivot of the first basis row their difference uses, it
+        is a multiple of h_j within (-h_j, h_j)."""
+        v = list(u)
+        for j, (_w, _bounds, h, row) in enumerate(self.levels):
+            if h and (q := v[j] // h):
+                v[j:] = [v[j] - q * h, *(a - q * b for a, b in zip(v[j + 1 :], row))]
+        return tuple(v)
 
 
 def iter_monomials_of_weight(
@@ -579,52 +610,3 @@ def iter_monomials_of_weight(
     if len(points) > 1:
         found.sort()
     return iter(found)
-
-
-def exponent_key(congruences: Sequence[tuple[Exponent, int]], exp: Sequence[int]) -> tuple[int, ...]:
-    """One entry per congruence (c, m): sum(c_k * e_k) mod m, unreduced for m = 0."""
-    return tuple(sum(map(mul, c, exp)) % m if m else sum(map(mul, c, exp)) for c, m in congruences)
-
-
-def lattice_congruences(generators: Iterable[Sequence[int]], nvars: int) -> list[tuple[Exponent, int]]:
-    """Congruences that tell the cosets of the lattice L spanned by generators apart.
-
-    Pairs (c, m): u lies in L iff sum(c_k u_k) is divisible by m for every
-    pair (equal to 0 for m = 0), so exponent_key(pairs, v) names the coset
-    v + L.  Integer row and column operations bring the generator rows A to
-    a diagonal D = U A V (U, V unimodular; only V is kept).  u = x A for an
-    integer x iff u V lies in the row lattice of D, so the columns of V are
-    the c and the diagonal of D the m, with m = 0 past the rank.  Pairs with
-    m = 1 hold everywhere and are left out; the c of a pair with m > 1 are
-    reduced mod m.
-    """
-    rows = [list(g) for g in generators if any(g)]
-    cols = [[int(r == c) for r in range(nvars)] for c in range(nvars)]  # V, by column
-    t = 0
-    while t < min(len(rows), nvars):
-        # move the smallest nonzero entry of the block past (t, t) to (t, t)
-        entries = [(abs(v), i, j) for i in range(t, len(rows)) for j in range(t, nvars) if (v := rows[i][j])]
-        if not entries:
-            break
-        _, i, j = min(entries)
-        rows[t], rows[i] = rows[i], rows[t]
-        for row in rows:
-            row[t], row[j] = row[j], row[t]
-        cols[t], cols[j] = cols[j], cols[t]
-        pivot, done = rows[t][t], True
-        for row in rows[t + 1 :]:  # clear column t by row operations
-            q = row[t] // pivot
-            if q:
-                row[:] = [a - q * b for a, b in zip(row, rows[t])]
-            done = done and not row[t]
-        for j in range(t + 1, nvars):  # clear row t by column operations
-            q = rows[t][j] // pivot
-            if q:
-                for row in rows:
-                    row[j] -= q * row[t]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[t])]
-            done = done and not rows[t][j]
-        if done:  # else a remainder smaller than the pivot is left
-            t += 1
-    moduli = [abs(rows[k][k]) for k in range(t)] + [0] * (nvars - t)
-    return [(tuple(a % m for a in c) if m else tuple(c), m) for c, m in zip(cols, moduli) if m != 1]

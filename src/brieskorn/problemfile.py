@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from brieskorn.germ import GermProblem
-from brieskorn.poly import ParseError, PowerLimitExceeded, is_variable_name, parse_polynomial, parse_rational
+from brieskorn.poly import LimitExceeded, ParseError, is_variable_name, parse_polynomial, parse_rational
 
 
 class ProblemFileError(ValueError):
@@ -97,8 +97,8 @@ def parse_problem_payload(data: dict, digest: str = "", source: str = "<payload>
         f = parse_polynomial(polynomial, variables)
     except ParseError as exc:
         raise ProblemFileError(f"{source}: polynomial does not parse: {exc}") from exc
-    except PowerLimitExceeded as exc:
-        raise PowerLimitExceeded(f"{source}: polynomial: {exc}") from None
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"{source}: polynomial: {exc}") from None
     try:
         problem = GermProblem(variables, weights, f, name=name)
     except (ValueError, ZeroDivisionError) as exc:

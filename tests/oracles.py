@@ -2,10 +2,11 @@
 contraction and the Lie derivative, d by partial derivatives, Theta_f and
 delta, Groebner normal forms and membership, the rational weights the
 integer grading is checked against, the C{t}-basis by the scan of every
-monomial weight, slice-space coordinates by position,
-and g times a logarithmic form and the log basis rank of a normal-crossing
-germ.  One helper runs a command: nc_report_ranks reads the ranks of an
-`nc` report, for comparison with log_basis_rank.
+monomial weight, slice-space coordinates by position, the congruences of a
+lattice that the keys of poly.Cosets are checked against, and g times a
+logarithmic form and the log basis rank of a normal-crossing germ.  One
+helper runs a command: nc_report_ranks reads the ranks of an `nc` report,
+for comparison with log_basis_rank.
 
 No command calls these: the CLI reports consequences of the module
 structure (torsion certificates, the spectrum), not the actions themselves.
@@ -19,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import random
 from fractions import Fraction
@@ -98,16 +100,89 @@ def position_vec(space, form: DifferentialForm) -> dict:
 def monomials_of_weight(weights, target, cap, classes=None) -> list:
     """The exponents iter_monomials_of_weight gives at a rational target:
     those of the scaled target of Grading(weights), none off its lattice.
-    classes, a pair (congruences, keys), keeps those whose exponent_key
-    lies in keys: the cosets of Cosets(W, congruences) at their points."""
+    classes, a pair (generators, points), keeps those of the cosets p + M
+    of its points p of that weight, M the lattice of generators, which
+    must have weight 0 (weightless); like FormSpace, the walk is given the
+    key of each coset once."""
     grading = Grading(weight_vector(weights))
     c = grading.scaled(target)
     if c is None:
         return []
     if classes is not None:
         cosets = Cosets(grading.weights, classes[0])
-        classes = cosets, [p for key in classes[1] if (p := cosets.point(c, tuple(key))) is not None]
+        classes = cosets, {cosets.key(p) for p in classes[1] if grading.monomial(p) == c}
     return list(iter_monomials_of_weight(grading, c, cap, classes))
+
+
+# -- lattices: the reference for key classes ------------------------------------
+
+
+def exponent_key(congruences, exp) -> tuple:
+    """One entry per congruence (c, m): sum(c_k * e_k) mod m, unreduced for m = 0."""
+    return tuple(sum(map(operator.mul, c, exp)) % m if m else sum(map(operator.mul, c, exp)) for c, m in congruences)
+
+
+def lattice_congruences(generators, nvars: int) -> list:
+    """Congruences that tell the cosets of the lattice L spanned by generators apart.
+
+    Pairs (c, m): u lies in L iff sum(c_k u_k) is divisible by m for every
+    pair (equal to 0 for m = 0), so exponent_key(pairs, v) names the coset
+    v + L.  Integer row and column operations bring the generator rows A to
+    a diagonal D = U A V (U, V unimodular; only V is kept).  u = x A for an
+    integer x iff u V lies in the row lattice of D, so the columns of V are
+    the c and the diagonal of D the m, with m = 0 past the rank.  Pairs with
+    m = 1 hold everywhere and are left out; the c of a pair with m > 1 are
+    reduced mod m.  A Smith-style reduction, independent of the echelon of
+    poly.Cosets, whose keys it checks.
+    """
+    rows = [list(g) for g in generators if any(g)]
+    cols = [[int(r == c) for r in range(nvars)] for c in range(nvars)]  # V, by column
+    t = 0
+    while t < min(len(rows), nvars):
+        # move the smallest nonzero entry of the block past (t, t) to (t, t)
+        entries = [(abs(v), i, j) for i in range(t, len(rows)) for j in range(t, nvars) if (v := rows[i][j])]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        rows[t], rows[i] = rows[i], rows[t]
+        for row in rows:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        pivot, done = rows[t][t], True
+        for row in rows[t + 1 :]:  # clear column t by row operations
+            q = row[t] // pivot
+            if q:
+                row[:] = [a - q * b for a, b in zip(row, rows[t])]
+            done = done and not row[t]
+        for j in range(t + 1, nvars):  # clear row t by column operations
+            q = rows[t][j] // pivot
+            if q:
+                for row in rows:
+                    row[j] -= q * row[t]
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[t])]
+            done = done and not rows[t][j]
+        if done:  # else a remainder smaller than the pivot is left
+            t += 1
+    moduli = [abs(rows[k][k]) for k in range(t)] + [0] * (nvars - t)
+    return [(tuple(a % m for a in c) if m else tuple(c), m) for c, m in zip(cols, moduli) if m != 1]
+
+
+def weightless(weights, generators) -> list:
+    """Generators of the vectors of weight 0 in the lattice of generators,
+    by Euclid on their weights: the lattice walked at one weight."""
+    integer = Grading(weight_vector(weights)).weights
+
+    def weight(g):
+        return sum(map(operator.mul, integer, g))
+
+    rows, out = [list(g) for g in generators], []
+    while True:
+        out += [g for g in rows if not weight(g)]
+        rows = sorted((g for g in rows if weight(g)), key=lambda g: abs(weight(g)))
+        if len(rows) < 2:
+            return out
+        a = rows[0]
+        rows = [a] + [[x - weight(g) // weight(a) * y for x, y in zip(g, a)] for g in rows[1:]]
 
 
 # -- normal-crossing germs --------------------------------------------------------

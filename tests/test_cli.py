@@ -12,7 +12,7 @@ import pytest
 
 from brieskorn import engine, germ, groebner, microdiff
 from brieskorn.cli import main
-from brieskorn.poly import Polynomial, PowerLimitExceeded, format_rational, parse_polynomial
+from brieskorn.poly import MAX_POWER_WORK, LimitExceeded, Polynomial, format_rational, parse_polynomial, power_work
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -286,23 +286,55 @@ class TestInputContract:
         self.expect(["spectrum", str(path)], 1, "error: C{t}-basis needs positive weights", capsys)
 
     @pytest.mark.parametrize(
-        "polynomial, monomial, message",
-        [("(x + y)^10000", "1", "{path}: polynomial: a power may have 10001 terms, over 10000 (at position 7)"),
-         ("x^2 + y^2", "(x+y+y^2)^150", "error: a power may have 11476 terms, over 10000 (at position 9)")],
-        ids=["problem-file", "monomial"],
+        "polynomial, monomial, at",
+        [("(x + y)^1000", "1", "{path}: polynomial: "),
+         ("x^2 + y^2 + z^2 + w^2", "(x+y+z)^80", "error: "),
+         ("x^2 + y^2 + z^2 + w^2", "(x+y+z+w)^30", "error: "),
+         ("x^2 + y^2 + z^2 + w^2", "(x+y+z+w)^25", "error: "),
+         ("x^2 + y^2 + z^2 + w^2", "(x+y+y^2)^150", "error: "),
+         ("x^2 + y^2 + z^2 + w^2", "(x/3+y/7)^400", "error: ")],
+        ids=["problem-file", "three-terms", "four-terms", "four-terms-25", "dependent-terms", "coefficient-bits"],
     )
-    def test_a_power_past_the_term_limit_is_a_bound(self, polynomial, monomial, message, tmp_path, capsys):
-        # base^k may have C(t + k - 1, k) terms for a base of t terms; past
-        # 10,000 the text is refused before the power is expanded (exit 2),
-        # while a monomial's power is one term
+    def test_a_power_past_the_work_limit_is_a_bound(self, polynomial, monomial, at, tmp_path, capsys):
+        # the predicted work of b^k (poly.power_work: the term pairs of the
+        # binary-power products, weighted by coefficient size) over 100,000
+        # is refused before b^k is expanded (exit 2); each of these takes
+        # 0.5 s ((x/3+y/7)^400, refused for its coefficients) or more
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({**self.GERM, "polynomial": polynomial}))
-        self.expect(["torsion", str(path), "--monomial", monomial], 2, message.format(path=path), capsys)
-        assert len(parse_polynomial("(x*y)^100000 + (x + y)^99", ["x", "y"])) == 101
-        square = "(" + " + ".join(f"x^{i}" for i in range(140)) + ")^2"  # C(141, 2) = 9870 terms at most
-        assert len(parse_polynomial(square, ["x"])) == 279
-        with pytest.raises(PowerLimitExceeded, match="10011 terms"):
-            parse_polynomial(square.replace("x^0 +", "x^0 + x^140 +"), ["x"])
+        germ = {"variables": ["x", "y", "z", "w"], "weights": ["1"] * 4, "polynomial": polynomial}
+        path.write_text(json.dumps(germ))
+        position = (polynomial if monomial == "1" else monomial).rindex("^")
+        message = f"{at.format(path=path)}a power may take over 100000 term products (at position {position})"
+        self.expect(["torsion", str(path), "--monomial", monomial], 2, message, capsys)
+
+    def test_powers_under_the_work_limit_are_read(self):
+        # (x+y)^200 and (x+y+z)^40 expand in about 0.1 and 0.2 s, and
+        # (x+y)^400, of smaller coefficients than (x/3+y/7)^400, in 0.3 s; a
+        # monomial of coefficient 1 costs one product per step, and a square
+        # of 141 terms 141^2 term pairs
+        xyzw = ["x", "y", "z", "w"]
+        assert len(parse_polynomial("(x + y)^200 + (x + y + z)^40", xyzw)) == 201 + 861
+        assert len(parse_polynomial("(x*y)^100000 + (x + y)^99 + x^100000000", ["x", "y"])) == 102
+        square = "(" + " + ".join(f"x^{i}" for i in range(141)) + ")^2"
+        assert len(parse_polynomial(square, ["x"])) == 281
+        assert power_work(parse_polynomial("x + y", xyzw), 400) < MAX_POWER_WORK
+        with pytest.raises(LimitExceeded, match="over 100000 term products"):
+            parse_polynomial("(x/3 + y/7)^400", xyzw)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "{big}"], ["analyze", "{big}"],
+         ["ts", prob("a1.json"), "{big}"], ["ts", "{big}", prob("a1.json")]],
+        ids=["spectrum", "analyze", "ts-second", "ts-first"],
+    )
+    def test_a_jacobian_quotient_past_the_box_limit_is_a_bound(self, argv, tmp_path, capsys):
+        # x^100000000 is read (one term), but its quotient basis 1, x, ...,
+        # x^99999998 lies in a box over 10,000 exponents
+        # (groebner.MAX_QUOTIENT_BOX): refused before any is listed (exit 2)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"variables": ["u"], "weights": ["1"], "polynomial": "u^100000000"}))
+        argv = [str(path) if a == "{big}" else a for a in argv]
+        self.expect(argv, 2, "error: the Jacobian quotient lies in a box of 99999999 exponents, over 10000", capsys)
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
     def test_help_and_version_exit_zero(self, argv, capsys):

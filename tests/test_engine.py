@@ -603,29 +603,39 @@ class TestKeyClasses:
             TestStaircase().check(cls, None)
 
     def test_key_classes_of_barlet35_have_order_five(self):
-        # Z^3 / L0 = Z + Z/5: past the weight, one congruence mod 5 splits
-        # the 3-forms x^e dx^dy^dz into five classes; loading the problem
-        # does not compute it
+        # Z^3 / L0 = Z + Z/5: the weight fixes the Z part, so each weight
+        # splits the 3-forms x^e dx^dy^dz into five key classes, each keyed
+        # by its canonical point of that weight; loading the problem does
+        # not build the cosets
         problem = load_problem_file(os.path.join(PROBLEMS, "barlet35.json")).problem
-        assert problem._congruences is None
-        assert [m for _c, m in problem.congruences] == [5]
-        keys = {problem.key((0, 1, 2), exp) for exp in itertools.product(range(5), repeat=3)}
-        assert len(keys) == 5
+        assert "cosets" not in vars(problem)
+        keys = defaultdict(set)
+        for exp in itertools.product(range(6), repeat=3):
+            key = problem.key((0, 1, 2), exp)
+            keys[problem.grading.monomial(key)].add(key)
+        assert "cosets" in vars(problem)
+        assert {len(keys[c]) for c in range(-1, 7)} == {5}
+        assert max(map(len, keys.values())) == 5
 
     @pytest.mark.parametrize(
         "germ, weights",
         [(("bp3456", ["x", "y", "z", "w"], ["20", "15", "12", "10"], "x^3 + y^4 + z^5 + w^6"), range(57, 200, 11)),
-         ("barlet35w.json", range(-3, 9))],
-        ids=["bp3456", "barlet35w"],
+         ("barlet35w.json", range(-3, 9)),
+         ("nc22.json", range(0, 9)),
+         (("x2y2+z4", ["x", "y", "z"], ["1", "1", "1"], "x^2*y^2 + z^4"), range(0, 9))],
+        ids=["bp3456", "barlet35w", "nc22", "x2y2+z4"],
     )
     def test_a_keyed_form_space_is_the_whole_space_filtered(self, germ, weights):
         # each key's FormSpace, walked on its cosets, holds the items of the
-        # unkeyed space of that key, in their order; a key of no item, none
+        # unkeyed space of that key, in their order; a key of that weight
+        # and of no item (some canonical point near 0), none.  L0 is 0 for
+        # nc22 (one term), and Z^3 / L0 is Z^2 + Z/2 for x^2 y^2 + z^4
         if isinstance(germ, str):
             problem = load_problem_file(os.path.join(PROBLEMS, germ)).problem
         else:
             problem = problem_from_strings(*germ[1:])
         n, spaces, misses = problem.nvars, 0, 0
+        near = {problem.cosets.key(u) for u in itertools.product(range(-2, 4), repeat=n)}
         for i, c in itertools.product((n, n - 1), weights):
             cap = engine._slice_cap(problem, c, 8)
             whole = engine.FormSpace(problem, i, c, cap).items
@@ -634,7 +644,7 @@ class TestKeyClasses:
             for key in keys:
                 assert engine.FormSpace(problem, i, c, cap, {key}).items == [e for e in whole if problem.key(*e) == key]
             assert engine.FormSpace(problem, i, c, cap, keys).items == whole
-            absent = set(itertools.product(*(range(m) for _c, m in problem.congruences))) - keys
+            absent = {k for k in near if problem.grading.monomial(k) == c} - keys
             assert engine.FormSpace(problem, i, c, cap, absent).items == []
             misses += bool(absent)
         assert spaces > 5 and misses > 5
@@ -1112,8 +1122,8 @@ class TestCtBasisKeys:
     def test_slice_space_dims_are_pinned(self, germ, dim_sum, h_slice_calls, monkeypatch):
         # over whole slices the dims were 6, 24, 2132 and 2557 for cusp, x3y3,
         # bp3456 and bp33333, and with their t-predecessors' keys chain's were
-        # 107 and d4+z7+w7's 1054: the cusp has a single key class (no
-        # congruences), so its slices stay whole
+        # 107 and d4+z7+w7's 1054: the cusp has one key class per weight
+        # (Z^2 / L0 is the weight alone), so its slices stay whole
         p = problem_from_strings(*germ[1:])
         dims, calls = [], []
         init, slice_ = engine.FormSpace.__init__, engine.h_slice
@@ -1126,7 +1136,10 @@ class TestCtBasisKeys:
         monkeypatch.setattr(engine, "h_slice", lambda *a, **k: calls.append(a[2]) or slice_(*a, **k))
         ct_basis(p)
         assert (sum(dims), len(calls)) == (dim_sum, h_slice_calls)
-        assert (p.congruences == []) == (germ[0] == "cusp")
+        keys = defaultdict(set)
+        for e in itertools.product(range(4), repeat=p.nvars):
+            keys[p.grading.monomial(e)].add(p.key((), e))
+        assert (max(map(len, keys.values())) == 1) == (germ[0] == "cusp")
 
     @pytest.mark.parametrize(
         "problem, i, c, cap",

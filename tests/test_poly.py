@@ -5,16 +5,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracles import function_form, monomial_weight, monomials_of_weight
+from oracles import (
+    exponent_key,
+    function_form,
+    lattice_congruences,
+    monomial_weight,
+    monomials_of_weight,
+    weightless,
+)
 
 from brieskorn.poly import (
+    Cosets,
     Grading,
     ParseError,
     Polynomial,
-    exponent_key,
     format_rational,
     is_variable_name,
-    lattice_congruences,
     parse_polynomial,
     parse_rational,
     weight_vector,
@@ -364,11 +370,34 @@ def random_lattice(rng, nvars):
     return [[rng.randint(-5, 5) for _ in range(nvars)] for _ in range(rng.randint(0, nvars + 1))]
 
 
+def lattice_vectors(rng, gens, nvars, count=3):
+    """count random integer combinations of gens, multiples in -3..3."""
+    multiples = [[rng.randint(-3, 3) for _ in gens] for _ in range(count)]
+    return [[sum(x * g[k] for x, g in zip(xs, gens)) for k in range(nvars)] for xs in multiples]
+
+
+def check_keys(cosets, congruences, points, moves):
+    """Cosets.key against the congruences of its lattice M (oracles): the
+    key of a point u lies in u + M, is reduced into [0, h) at each pivot
+    and is its own key, and u moved by any vector of moves (in M) has the
+    same key; two points have one key iff their congruences agree."""
+    keys = [cosets.key(u) for u in points]
+    for u, k in zip(points, keys):
+        assert cosets.key(k) == k, (u, k)
+        assert exponent_key(congruences, k) == exponent_key(congruences, u), (u, k)
+        assert all(0 <= k[j] < h for j, (_w, _bounds, h, _row) in enumerate(cosets.levels) if h), (u, k)
+        assert all(cosets.key([a + b for a, b in zip(u, m)]) == k for m in moves), (u, k)
+    classes = [exponent_key(congruences, u) for u in points]
+    for a in range(len(points)):
+        for b in range(a):
+            assert (keys[a] == keys[b]) == (classes[a] == classes[b]), (points[a], points[b])
+
+
 class TestKeyClasses:
     def test_congruences_vanish_exactly_on_the_lattice(self):
-        # the generators have key 0, so the key is constant on cosets; for a
-        # full-rank lattice the keys of a box of side |det| are |det| many,
-        # so distinct cosets have distinct keys
+        # the reference for the keys: the generators have key 0, so the key
+        # is constant on cosets; for a full-rank lattice the keys of a box
+        # of side |det| are |det| many, so distinct cosets have distinct keys
         import itertools
 
         rng = random.Random(7)
@@ -389,19 +418,52 @@ class TestKeyClasses:
                     assert len({exponent_key(congruences, v) for v in box}) == abs(det)
         assert full_rank > 20
 
+    def test_keys_are_the_canonical_points_of_the_cosets(self):
+        # random lattices in one to four variables, among them the zero
+        # lattice, full ranks and several free factors with torsion; W = 0,
+        # so every lattice lies in ker W
+        rng = random.Random(23)
+        seen = Counter()
+        for trial in range(400):
+            nvars = rng.randint(1, 4) if trial % 4 else rng.randint(3, 4)
+            gens = random_lattice(rng, nvars)
+            if not trial % 4:  # rank 2 at most, a common factor 2..4
+                scale = rng.randint(2, 4)
+                gens = [[scale * a for a in g] for g in gens[:2]]
+            congruences = lattice_congruences(gens, nvars)
+            points = [[rng.randint(-9, 9) for _ in range(nvars)] for _ in range(10)]
+            points += [[a + b for a, b in zip(u, m)] for u, m in zip(points, lattice_vectors(rng, gens, nvars, 5))]
+            check_keys(Cosets((0,) * nvars, gens), congruences, points, lattice_vectors(rng, gens, nvars))
+            free = sum(not m for _c, m in congruences)
+            seen.update(
+                zero_lattice=not any(map(any, gens)),
+                full_rank=not free,
+                free_factors_and_torsion=free > 1 and any(m for _c, m in congruences),
+                shared_keys=len({exponent_key(congruences, u) for u in points[:10]}) < 10,
+            )
+        assert min(seen.values()) > 10, seen
+
     def test_barlet35_lattice_has_one_factor_of_order_five(self):
         # L0 of x^5 + y^5 + x^3 y^3 z: Z^3 / L0 = Z + Z/5, with x + 2z mod 5
-        # one character of the Z/5 part
-        congruences = lattice_congruences([(-5, 5, 0), (-2, 3, 1)], 3)
-        assert sorted(m for _c, m in congruences) == [0, 5]
-        assert all(sum(a * b for a, b in zip((1, 0, 2), g)) % 5 == 0 for g in ((-5, 5, 0), (-2, 3, 1)))
+        # one character of the Z/5 part; the weight (1, 1, -1) is the Z part,
+        # and the keys of weight c are the five canonical points (0, a, a - c)
+        import itertools
+
+        gens = [(-5, 5, 0), (-2, 3, 1)]
+        assert sorted(m for _c, m in lattice_congruences(gens, 3)) == [0, 5]
+        assert all(sum(a * b for a, b in zip((1, 0, 2), g)) % 5 == 0 for g in gens)
+        cosets = Cosets((1, 1, -1), gens)
+        for c in range(-3, 4):
+            keys = {cosets.key(u) for u in itertools.product(range(6), repeat=3) if u[0] + u[1] - u[2] == c}
+            assert keys == {(0, a, a - c) for a in range(5)}
 
     def test_classes_filter_matches_brute_force(self):
         # the coset walk against the filter of a box, in its (lexicographic)
         # order: zero and mixed-sign weights, zero to four variables, caps
-        # down to -2, congruences of random lattices (with several free
-        # factors, m = 0) and of the differences of random exponent sets, and
-        # keys from the box together with keys that no exponent of it has
+        # down to -2, the vectors of weight 0 (M) of random lattices (with
+        # several free factors, m = 0) and of the differences of random
+        # exponent sets, and points of the box together with points whose
+        # cosets miss it; the keys of M are checked on the same points
         import itertools
 
         rng = random.Random(19)
@@ -414,18 +476,22 @@ class TestKeyClasses:
                 gens = [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]]
             else:
                 gens = random_lattice(rng, nvars)
+            gens = weightless(w, gens)
             congruences = lattice_congruences(gens, nvars)
             cap = rng.randint(-2, 5)
             box = [e for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars) if sum(e) <= cap]
-            present = sorted({exponent_key(congruences, e) for e in box})
-            keys = set(rng.sample(present, min(len(present), rng.randint(0, 3))))
-            keys |= {tuple(rng.randrange(m) if m else rng.randint(-9, 9) for _c, m in congruences) for _ in range(2)}
+            points = rng.sample(box, min(len(box), rng.randint(0, 3)))
+            points += [tuple(rng.randint(-9, 9) for _ in range(nvars)) for _ in range(2)]
+            keys = {exponent_key(congruences, p) for p in points}
+            cosets = Cosets(Grading(w).weights, gens)
+            sample = points + rng.sample(box, min(len(box), 8))
+            check_keys(cosets, congruences, sample, lattice_vectors(rng, gens, nvars))
             weights = sorted({monomial_weight(e, w) for e in box})
             for target in [*weights[:4], *weights[-1:], Fraction(17, 1)]:
-                got = monomials_of_weight(w, target, cap, (congruences, keys))
+                got = monomials_of_weight(w, target, cap, (gens, points))
                 kept = [e for e in box if monomial_weight(e, w) == target]
                 expected = [e for e in kept if exponent_key(congruences, e) in keys]
-                assert got == expected, (w, congruences, keys, target, cap)
+                assert got == expected, (w, gens, points, target, cap)
                 seen.update(
                     absent_key=bool(keys - {exponent_key(congruences, e) for e in kept}),
                     zero_weight=0 in w,

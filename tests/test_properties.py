@@ -23,15 +23,19 @@ from fraction_echelon import FractionEchelon  # noqa: E402
 from oracles import (  # noqa: E402
     ct_basis_over_every_slice,
     d_reference,
+    exponent_key,
     function_form,
+    lattice_congruences,
     lie_derivative,
     monomial_weight,
     monomials_of_weight,
     problem_from_strings,
     tdt_action,
     weighted_degree,
+    weightless,
 )
 from test_linalg import combine, keyed, nullspace_by_probing, rows_of, solve_by_rref  # noqa: E402
+from test_poly import check_keys  # noqa: E402
 
 from brieskorn import linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
@@ -44,12 +48,11 @@ from brieskorn.engine import (  # noqa: E402
 from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms  # noqa: E402
 from brieskorn.gm_model import can_surjective, psi_phi, serialize  # noqa: E402
 from brieskorn.poly import (  # noqa: E402
+    Cosets,
     Grading,
     Polynomial,
-    exponent_key,
     format_rational,
     iter_monomials_of_weight,
-    lattice_congruences,
     parse_polynomial,
 )
 
@@ -209,25 +212,30 @@ def test_grading_agrees_with_the_fraction_reference(weights, omega, c, cap):
 @given(st.data())
 def test_the_coset_walk_is_the_key_filter(data):
     # one to three variables with weights of either sign or zero; the
-    # congruences of a drawn lattice or of the differences of a drawn
-    # exponent set (free factors, m = 0, included); keys of the box and
-    # keys that no exponent of it has; caps from -1: the walk of each
-    # weight's cosets is the filter of the box, in lexicographic order
+    # vectors of weight 0 (M) of a drawn lattice or of the differences of a
+    # drawn exponent set (free factors, m = 0, included); points of the box
+    # and points whose cosets miss it; caps from -1: the walk of each
+    # weight's cosets is the filter of the box by the congruences of M, in
+    # lexicographic order, and the keys of M are its canonical points
     nvars = data.draw(st.integers(1, NVARS))
     weights = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
     vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars), max_size=nvars + 1))
     if data.draw(st.booleans()):
         vectors = [[a - b for a, b in zip(v, vectors[0])] for v in vectors[1:]]
-    congruences = lattice_congruences(vectors, nvars)
+    gens = weightless(weights, vectors)
+    congruences = lattice_congruences(gens, nvars)
     cap = data.draw(st.integers(-1, 5))
     box = [e for e in itertools.product(range(max(cap, 0) + 1), repeat=nvars) if sum(e) <= cap]
-    drawn_key = st.tuples(*[st.integers(0, m - 1) if m else st.integers(-6, 6) for _c, m in congruences])
-    present = [exponent_key(congruences, e) for e in box]
-    keys = set(data.draw(st.lists(st.sampled_from(present) if present else drawn_key)))
-    keys |= set(data.draw(st.lists(drawn_key, max_size=2)))
+    drawn_point = st.tuples(*[st.integers(-6, 6)] * nvars)
+    points = data.draw(st.lists(st.sampled_from(box) if box else drawn_point))
+    points += data.draw(st.lists(drawn_point, max_size=2))
+    multiples = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)), max_size=3))
+    moves = [[sum(x * g[k] for x, g in zip(xs, gens)) for k in range(nvars)] for xs in multiples]
+    check_keys(Cosets(Grading(weights).weights, gens), congruences, points, moves)
+    keys = {exponent_key(congruences, p) for p in points}
     for target in {monomial_weight(e, weights) for e in box} | {Fraction(1, 7)}:
         expected = [e for e in box if monomial_weight(e, weights) == target and exponent_key(congruences, e) in keys]
-        assert monomials_of_weight(weights, target, cap, (congruences, keys)) == expected
+        assert monomials_of_weight(weights, target, cap, (gens, points)) == expected
 
 
 GERMS = [
