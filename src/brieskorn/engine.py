@@ -199,6 +199,11 @@ def kernel_forms(problem: GermProblem, i: int) -> list[DifferentialForm]:
 # -- torsion searches ----------------------------------------------------------
 
 
+def h_free(problem: GermProblem) -> bool:
+    """Positive weights and a zero-dimensional J(f): H'' is free and df wedge
+    is Koszul-exact below degree n (README, "Caps and honesty")."""
+    return problem.positive_weights and groebner.quotient_is_finite(problem.jacobian)
+
 
 @dataclass
 class NotFoundWithin:
@@ -223,7 +228,8 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
     p0 on.  So levels are solved in turn, but past p0 level p_max is solved
     first: if it is unsolvable, so is every level in (p0, p_max], and the
     search stops.  The witness is the canonical solution at the smallest
-    solvable level, as a scan of every level gives.
+    solvable level, as a scan of every level gives.  On a top class with
+    h_free the search stops after level 1 (README, "How the t-search runs").
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -245,6 +251,8 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
             if not cert.verify(cls):
                 raise InvariantViolation("t-torsion certificate failed re-verification")
             return cert
+        if p == 1 and cls.i == problem.nvars and h_free(problem):
+            break  # [rep] != 0 in the free H'', so no t^p kills it
     return NotFoundWithin(p_max, not problem.positive_weights)
 
 
@@ -345,7 +353,8 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
     W_(j+1) has mu != 0, step j is inconsistent, and so is every deeper
     system (it contains groups 0..j): the search stops at once.  The witness
     of the first solvable depth comes from one solve of the full block
-    system (_s_chain), so it is the canonical solution of that system.
+    system (_s_chain), so it is the canonical solution of that system.  With
+    h_free the search stops after depth 1 (README, "How the s-search runs").
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -375,6 +384,8 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
             if not cert.verify(cls):
                 raise InvariantViolation("s-torsion certificate failed re-verification")
             return cert
+        if j == 0 and h_free(problem):
+            break  # Koszul exactness shortens any chain to depth 1
         state = [
             ({k - n: c for k, c in row.items() if k != lam}, row.get(lam))
             for p, row in zip(pivots, rows)
@@ -493,11 +504,14 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
     The weights checked are those of the degree-i monomial forms of
     coefficient degree <= degree_bound.  With positive weights each slice
     space is whole (_slice_cap); otherwise it is capped at degree_bound + 1,
-    or + 2 for degree i - 2."""
+    or + 2 for degree i - 2.  With h_free it holds by theorem (README, "How
+    exact solves run")."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
     if i > problem.nvars:
         raise ValueError("form degree out of range")
+    if h_free(problem):
+        return PPrimeResult(True, None, False)
     weights = sorted(_realized_form_weights(problem, i, degree_bound))
     cap_relative = not problem.positive_weights
     nvars, partials = problem.nvars, partial_terms(problem.f)

@@ -178,26 +178,39 @@ def groebner_basis(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return result
 
 
-def standard_monomials(gens: Sequence[Polynomial]) -> list[tuple[int, ...]] | None:
-    """Monomial basis of the quotient ring, ascending; None when it is infinite.
-    A box of its pure-power leads past MAX_QUOTIENT_BOX raises LimitExceeded."""
+def _quotient_box(gens: Sequence[Polynomial]):
+    """(leads, bounds) of the reduced Groebner basis of gens, bounds[i] the
+    least b with x_i^b among the leads (every b 0 for the unit ideal); None
+    when some variable has no pure-power lead, so the quotient is infinite."""
     gens = [g for g in gens if g]
     if not gens:
         return None
-    nvars = gens[0].nvars
-    gb = groebner_basis(gens)
-    leads = [max(p.terms, key=_key) for p in gb]
+    leads = [max(p.terms, key=_key) for p in groebner_basis(gens)]
     if any(sum(e) == 0 for e in leads):
-        return []
-    bounds = [None] * nvars
+        return leads, [0] * gens[0].nvars
+    bounds = [None] * gens[0].nvars
     for e in leads:
         support = [i for i, k in enumerate(e) if k]
         if len(support) == 1 and (bounds[support[0]] is None or e[support[0]] < bounds[support[0]]):
             bounds[support[0]] = e[support[0]]
-    if any(b is None for b in bounds):
+    return None if None in bounds else (leads, bounds)
+
+
+def quotient_is_finite(gens: Sequence[Polynomial]) -> bool:
+    """Whether the quotient ring is finite-dimensional, read from the
+    pure-power leads alone: nothing is listed and no box limit applies."""
+    return _quotient_box(gens) is not None
+
+
+def standard_monomials(gens: Sequence[Polynomial]) -> list[tuple[int, ...]] | None:
+    """Monomial basis of the quotient ring, ascending; None when it is infinite.
+    A box of its pure-power leads past MAX_QUOTIENT_BOX raises LimitExceeded."""
+    box = _quotient_box(gens)
+    if box is None:
         return None
-    if (box := math.prod(bounds)) > MAX_QUOTIENT_BOX:
-        raise LimitExceeded(f"the Jacobian quotient lies in a box of {box} exponents, over {MAX_QUOTIENT_BOX}")
+    leads, bounds = box
+    if (size := math.prod(bounds)) > MAX_QUOTIENT_BOX:
+        raise LimitExceeded(f"the Jacobian quotient lies in a box of {size} exponents, over {MAX_QUOTIENT_BOX}")
     # product yields the exponents of the box in ascending order
     return [e for e in itertools.product(*map(range, bounds)) if not any(_divides(le, e) for le in leads)]
 

@@ -336,6 +336,25 @@ class TestInputContract:
         argv = [str(path) if a == "{big}" else a for a in argv]
         self.expect(argv, 2, "error: the Jacobian quotient lies in a box of 99999999 exponents, over 10000", capsys)
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["torsion", "--monomial", "1", "--max-t-power", "2", "--max-s-power", "2"], 2,
+             "78a7fdbd01e4fd66b968fecec5354a85582c420a14f1e5b11ba93a5b84d2622a"),
+            (["check-p", "--max-degree", "4"], 0, "a5d9834507a0e490f7ccf719d6b89b8875c12c1ad80a60ea39b2a9a12f9180f8"),
+        ],
+        ids=["torsion", "check-p"],
+    )
+    def test_commands_that_list_no_quotient_answer_past_the_box_limit(self, argv, code, digest, tmp_path, capsys):
+        # J(f) = (x^19999, y) lies in a box of 19,999 exponents, over the limit;
+        # isolation is read from its pure-power leads, so these answer by
+        # theorem with the reports the slice route wrote (digests recorded there)
+        path, report = tmp_path / "long.json", tmp_path / "report.json"
+        path.write_text(json.dumps({"variables": ["x", "y"], "weights": ["1", "10000"], "polynomial": "x^20000 + y^2"}))
+        assert main([argv[0], str(path), *argv[1:], "--out", str(report)]) == code
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+        capsys.readouterr()
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["torsion", "--help"], ["micro", "-h"]])
     def test_help_and_version_exit_zero(self, argv, capsys):
         assert main(argv) == 0

@@ -1,5 +1,6 @@
 """Engine: germ problems, weight slices, module actions, torsion, (P')."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -55,7 +56,7 @@ from brieskorn.engine import (
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms, volume_form
 from brieskorn.germ import CapExceeded
-from brieskorn.poly import Grading, Polynomial, parse_polynomial
+from brieskorn.poly import Grading, LimitExceeded, Polynomial, parse_polynomial
 from brieskorn.problemfile import load_problem_file
 
 PROBLEMS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "problems")
@@ -409,6 +410,13 @@ def spaces(monkeypatch):
 
     monkeypatch.setattr(engine.FormSpace, "__init__", counting)
     return built
+
+
+@pytest.fixture
+def slice_route(monkeypatch):
+    """engine.h_free reads False: check_p_prime and the torsion searches take
+    their slice and search route on every germ, as before the theorem exits."""
+    monkeypatch.setattr(engine, "h_free", lambda problem: False)
 
 
 def top_class(problem, monomial):
@@ -1198,9 +1206,10 @@ class TestPPrime:
             check_p_prime(BP, 1, 4)
 
     @pytest.mark.parametrize("problem, i", [(problem_from_strings(["x", "y"], ["1", "1"], "x^3+y^3"), 2), (BP, 2)])
-    def test_three_spaces_per_weight(self, problem, i, spaces):
+    def test_three_spaces_per_weight(self, problem, i, spaces, slice_route):
         # the spans are keyed by monomial form: no degree-i space is built,
         # only A^(i-1) at c and Omega^(i-1), Omega^(i-2) one f-degree below
+        # (on the slice route: x^3 + y^3 holds by theorem without a space)
         assert check_p_prime(problem, i, 4).holds
         below = problem.scaled_degree
         expected = [
@@ -1210,7 +1219,7 @@ class TestPPrime:
         ]
         assert [(args[1], args[2]) for args in spaces] == expected
 
-    def test_positive_weights_give_whole_slices(self, spaces):
+    def test_positive_weights_give_whole_slices(self, spaces, slice_route):
         # with the degree bound as the cap, cusp's degree-1 spaces at c = 18..23
         # held 5, 4, 4, 3, 2, 2 forms of the whole slices' 6, 6, 7, 7, 7, 8
         assert check_p_prime(CUSP, 2, 6).holds
@@ -1219,6 +1228,130 @@ class TestPPrime:
         for problem, i, c, cap in built:
             # every weight is >= 1, so a form of weight c has coefficient degree <= c
             assert engine.FormSpace(problem, i, c, cap).dim == engine.FormSpace(problem, i, c, max(c, 0)).dim
+
+
+X3Y3 = problem_from_strings(["x", "y"], ["1", "1"], "x^3 + y^3", name="x3y3")
+Q4 = problem_from_strings(["x", "y", "z", "w"], ["1", "1", "1", "1"], "x^2 + y^2 + z^2 + w^2", name="q4")
+BP345567 = problem_from_strings(
+    ["x", "y", "z", "w", "v", "u"], ["140", "105", "84", "84", "70", "60"], "x^3 + y^4 + z^5 + w^5 + v^6 + u^7",
+    name="bp345567",
+)
+# check-p report digests of write_problem(BP345567) by --max-degree, recorded
+# on the slice route at 6 and 10; at 14 that route did not finish in 60 s
+BP345567_CHECK_P = {
+    6: "667865450aa151f57b01abaca071a627430b71367a06283a57a9f3c915e92fc3",
+    10: "92b006b6526920d11d20512e4e63a15f41e52b73f39795edf9d364bfde7609a9",
+    14: None,
+}
+
+
+def zero_top_class(problem, wedge, monomial):
+    """The class of df wedge d(m dx_W), which is zero in H''."""
+    eta = DifferentialForm.monomial_form(problem.nvars, wedge, parse_polynomial(monomial, problem.variables))
+    return CohomologyClass(problem, problem.nvars, df_wedge(problem.f, eta.exterior_derivative()))
+
+
+def both_routes(monkeypatch, run, *args):
+    """run(*args) as it stands, then on the slice route (engine.h_free False)."""
+    theorem = run(*args)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "h_free", lambda problem: False)
+        return theorem, run(*args)
+
+
+def run_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_problem(tmp_path, problem):
+    path = tmp_path / f"{problem.name}.json"
+    data = {k: problem.serialize()[k] for k in ("name", "variables", "weights", "polynomial")}
+    path.write_text(json.dumps(data) + "\n")
+    return str(path)
+
+
+class TestTheoremExits:
+    """On an isolated germ with positive weights (engine.h_free) check_p_prime
+    and the torsion searches stop where the theorem answers; the slice route
+    they skip stays the reference, field for field."""
+
+    def test_h_free(self):
+        smooth = problem_from_strings(["x", "y"], ["2", "1"], "x + y^2")  # J(f) is the unit ideal
+        for problem in (A1, CUSP, X3Y3, Q4, smooth):
+            assert engine.h_free(problem)
+        # a non-positive weight is decided before any Groebner basis; x^2*y^2 is not isolated
+        for problem in (BP, NC22, problem_from_strings(["x", "y"], ["1", "0"], "x^2")):
+            assert not engine.h_free(problem)
+
+    def test_isolation_is_read_from_the_leads_alone(self):
+        # J(f) = (x^19999, y): standard_monomials refuses its box of 19,999
+        # exponents, but its pure-power leads decide isolation
+        problem = problem_from_strings(["x", "y"], ["1", "10000"], "x^20000 + y^2")
+        with pytest.raises(LimitExceeded):
+            milnor_number(problem)
+        assert engine.h_free(problem)
+
+    @pytest.mark.parametrize(
+        "problem, monomials, zero_wedges",
+        [
+            (CUSP, ["1", "y", "x", "x*y", "y^4"], [((), "y"), ((), "x*y")]),
+            (X3Y3, ["1", "x", "x*y", "x^2", "x^2*y"], [((), "x")]),
+            (Q4, ["1", "x", "x^2", "x*y*z*w"], [((0, 1), "z"), ((1, 3), "x^2")]),
+        ],
+        ids=["cusp", "x3y3", "q4"],
+    )
+    def test_agrees_with_the_slice_route(self, problem, monomials, zero_wedges, monkeypatch):
+        assert engine.h_free(problem)
+        classes = [top_class(problem, m) for m in monomials]
+        classes += [zero_top_class(problem, wedge, m) for wedge, m in zero_wedges]
+        outcomes = Counter()
+        for cls in classes:
+            for p_max in (1, 2, 4):
+                theorem, reference = both_routes(monkeypatch, torsion_order_t, cls, p_max)
+                assert theorem == reference
+            for r_max in (1, 3):
+                theorem, reference = both_routes(monkeypatch, torsion_order_s, cls, r_max)
+                assert theorem == reference
+                outcomes[type(theorem).__name__] += 1
+        for i in range(2, problem.nvars + 1):
+            theorem, reference = both_routes(monkeypatch, check_p_prime, problem, i, 4)
+            assert theorem == reference == engine.PPrimeResult(True, None, False)
+        assert outcomes["TorsionCertificate"] and outcomes["NotFoundWithin"]
+
+    def test_a_zero_class_is_found_at_order_one(self):
+        # x vol = 1/2 df^dy on the cusp: zero in H'', so both searches find it at once
+        cls = top_class(CUSP, "x")
+        assert cls.representative == zero_top_class(CUSP, (), "y").representative * F(1, 2)
+        for search in (torsion_order_t, torsion_order_s):
+            cert = search(cls, 4)
+            assert isinstance(cert, TorsionCertificate) and cert.order == 1 and cert.verify(cls)
+
+    def test_check_p_builds_no_space(self, tmp_path, spaces, capsys):
+        for problem in (CUSP, X3Y3, Q4):
+            assert check_p_prime(problem, problem.nvars, 6).holds
+        # mu = 2,880; the slice route took 0.8 s at degree 6, 10 s at 10 and over 60 s at 14
+        path = write_problem(tmp_path, BP345567)
+        for bound, digest in BP345567_CHECK_P.items():
+            report = tmp_path / f"check-p-{bound}.json"
+            assert cli_main(["check-p", path, "--max-degree", str(bound), "--out", str(report)]) == 0
+            assert json.loads(report.read_text())["result"]["holds"]
+            if digest is not None:
+                assert run_sha256(report) == digest
+        assert spaces == []
+        capsys.readouterr()
+
+    def test_torsion_on_a_nonzero_class_builds_blocks_zero_and_one(self, tmp_path, spaces, capsys):
+        cls = top_class(Q4, "x^10")
+        assert torsion_order_t(cls, 10) == NotFoundWithin(10, False)
+        assert [(a[1], a[2]) for a in spaces] == [(3, cls.c + Q4.scaled_degree)]  # level 1, no probe at 10
+        spaces.clear()
+        assert torsion_order_s(cls, 10) == NotFoundWithin(10, False)
+        assert [(a[1], a[2]) for a in spaces] == [(3, cls.c)]  # step 0 only
+        spaces.clear()
+        argv = ["torsion", write_problem(tmp_path, Q4), "--monomial", "x^10", "--max-t-power", "3", "--max-s-power", "3"]
+        assert cli_main(argv) == 2
+        assert [a[2] for a in spaces] == [cls.c + Q4.scaled_degree, cls.c]
+        capsys.readouterr()
 
 
 class TestZeroWeight:

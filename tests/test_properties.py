@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from fraction_echelon import FractionEchelon  # noqa: E402
 from oracles import (  # noqa: E402
@@ -37,12 +37,16 @@ from oracles import (  # noqa: E402
 from test_linalg import combine, keyed, nullspace_by_probing, rows_of, solve_by_rref  # noqa: E402
 from test_poly import check_keys  # noqa: E402
 
-from brieskorn import linalg  # noqa: E402
+from brieskorn import engine, linalg  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
+    CohomologyClass,
     GermProblem,
+    check_p_prime,
     ct_basis,
     h_slice,
     sample_top_classes,
+    torsion_order_s,
+    torsion_order_t,
     wedge_tuples,
 )
 from brieskorn.forms import DifferentialForm, df_wedge, differential, monomial_images, partial_terms  # noqa: E402
@@ -321,6 +325,32 @@ def test_the_key_is_constant_on_cosets_of_the_exponent_difference_lattice(proble
     ]
     moved = [a + b for a, b in zip(v, lattice_vector)]
     assert problem.key((), moved) == problem.key((), v)
+
+
+@settings(
+    derandomize=True, deadline=None, max_examples=25, database=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(quasi_homogeneous_germs().filter(lambda p: p.nvars > 1), st.data())
+def test_theorem_exits_agree_with_the_slice_route(problem, data):
+    # on an isolated germ with positive weights, check_p_prime and both
+    # torsion searches return what their slice route (engine.h_free False)
+    # returns, for sampled top classes and a zero class df^d(x^e dx_W)
+    assume(engine.h_free(problem))
+    n = problem.nvars
+    classes = sample_top_classes(problem, 2, data.draw(st.integers(0, 10**6)), degree_bound=3)
+    wedge = data.draw(st.sampled_from(wedge_tuples(n, n - 2)))
+    exp = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+    zero = df_wedge(problem.f, DifferentialForm.monomial_form(n, wedge, Polynomial.monomial(n, exp)).exterior_derivative())
+    if zero:
+        classes.append(CohomologyClass(problem, n, zero))
+    runs = [(torsion_order_t, cls, 3) for cls in classes] + [(torsion_order_s, cls, 2) for cls in classes]
+    runs += [(check_p_prime, problem, i, 3) for i in range(2, n + 1)]
+    theorem = [run(*args) for run, *args in runs]
+    engine_h_free, engine.h_free = engine.h_free, lambda problem: False
+    try:
+        assert theorem == [run(*args) for run, *args in runs]
+    finally:
+        engine.h_free = engine_h_free
 
 
 @st.composite
