@@ -219,23 +219,23 @@ def cmd_nc(args, pf):
         raise ProblemFileError(
             f"{args.problem}: nc needs f = product of all variables with exponents >= 1"
         )
-    mono = nc_log.MonomialGerm(exp)
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
     i = _bound(args.form_degree, 1)
-    check = nc_log.verify_a_equals_g_atilde(mono, i, bound)
+    witness = nc_log.verify_a_equals_g_atilde(exp, i, bound)
     # one eigenvalue per element of the free log basis, so each rank is a count
-    eigenvalues = {str(p): nc_log.residue_eigenvalues(mono, p) for p in range(mono.nvars)}
+    eigenvalues = {str(p): nc_log.residue_eigenvalues(exp, p) for p in range(len(exp))}
+    e = math.gcd(*exp)
     result = {
         "problem": problem.serialize(),
-        "e": mono.e,
-        "mu_vector": list(mono.mu),
+        "e": e,
+        "mu_vector": [m // e for m in exp],
         "ranks": {p: len(eigs) for p, eigs in eigenvalues.items()},
         "residue_eigenvalues": {p: [format_rational(a) for a in eigs] for p, eigs in eigenvalues.items()},
         "kernel_identity": {
             "form_degree": i,
             "degree_bound": bound,
-            "holds": check.holds,
-            "witness": check.witness.payload(problem.variables) if check.witness else None,
+            "holds": witness is None,
+            "witness": None if witness is None else witness.payload(problem.variables),
         },
     }
     return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
@@ -252,16 +252,16 @@ def cmd_micro(args):
         commutators.append({"j": j, "holds": ok})
     factorials = []
     for total in range(2, args.factorial_bound + 1):
+        factorial = math.factorial(total - 1)
         for p in range(1, total):
-            q = total - p
-            rep = microdiff.lemma_a_certificate(p, q, cap)
+            coefficient, tail_ok = microdiff.lemma_a_certificate(p, total - p, cap)
             factorials.append(
                 {
                     "p": p,
-                    "q": q,
-                    "coefficient": format_rational(rep.pure_s_coefficient),
-                    "factorial": rep.factorial,
-                    "holds": rep.matches,
+                    "q": total - p,
+                    "coefficient": format_rational(coefficient),
+                    "factorial": factorial,
+                    "holds": coefficient == factorial and tail_ok,
                 }
             )
     remarks = []
@@ -302,15 +302,15 @@ def cmd_ts(args, pf, pg):
         raise NonIsolatedError("rank/exponent comparison implemented for isolated second operands")
     h = germ.combined_problem(f, g)
     basis_f = engine.ct_basis(f)
-    report = thom_sebastiani.ts_compare(basis_f, g, h)
+    left, right = thom_sebastiani.ts_compare(basis_f, g, h)
     vanish_rows = []
     certificates = []
     exit_code = EXIT_OK
     if basis_f:
         cls_f = basis_f[0]
         for k in range(args.k_max + 1):
-            target, cert = thom_sebastiani.vanish_g_k_dg(cls_f, g, h, k)
-            if isinstance(cert, TorsionCertificate):
+            target, eta = thom_sebastiani.vanish_g_k_dg(cls_f, g, h, k)
+            if eta is not None:
                 vanish_rows.append({"k": k, "status": "found"})
                 certificates.append(
                     {
@@ -318,7 +318,7 @@ def cmd_ts(args, pf, pg):
                         "k": k,
                         "f_class": cls_f.serialize(),
                         "target": target.payload(h.variables),
-                        "eta": cert.witness[0].payload(h.variables),
+                        "eta": eta.payload(h.variables),
                     }
                 )
             else:
@@ -327,10 +327,17 @@ def cmd_ts(args, pf, pg):
     result = {
         "f": f.serialize(),
         "g": g.serialize(),
-        "comparison": report.serialize(),
+        "comparison": {
+            "left_rank": len(left),
+            "right_rank": len(right),
+            "left_exponents": [format_rational(a) for a in left],
+            "right_exponents": [format_rational(a) for a in right],
+            "ranks_equal": len(left) == len(right),
+            "exponents_equal": left == right,
+        },
         "vanishing": vanish_rows,
     }
-    if not report.passed:
+    if left != right:
         exit_code = EXIT_INVARIANT
     # h's slices are finite and never capped
     bounds = {"k_max": args.k_max, "max_degree": None}
@@ -341,14 +348,15 @@ def cmd_check_p(args, pf):
     problem = pf.problem
     i = args.form_degree if args.form_degree is not None else problem.nvars
     bound = _bound(args.max_degree, pf.options.max_degree, 6)
-    res = engine.check_p_prime(problem, i, bound)
+    witness = engine.check_p_prime(problem, i, bound)
     result = {
         "problem": problem.serialize(),
         "form_degree": i,
         "degree_bound": bound,
-        "holds": res.holds,
-        "cap_relative": res.cap_relative,
-        "witness": res.witness.payload(problem.variables) if res.witness else None,
+        "holds": witness is None,
+        # slice spaces are capped only with some weight <= 0; h_free implies positive weights
+        "cap_relative": not problem.positive_weights,
+        "witness": None if witness is None else witness.payload(problem.variables),
     }
     return {"result": result, "certificates": [], "bounds": {"max_degree": bound}}, EXIT_OK
 

@@ -490,32 +490,25 @@ def spectrum(problem: GermProblem) -> list[Fraction]:
 # -- condition (P'): at the top degree, whether s kills the torsion --------------
 
 
-@dataclass
-class PPrimeResult:
-    holds: bool
-    witness: DifferentialForm | None
-    cap_relative: bool
-
-
-def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResult:
+def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> DifferentialForm | None:
     """Degreewise check of d(Ker df) cap Im(df) = Im(df d) in degree i, on
     spans keyed by monomial form (W, e): no degree-i space is enumerated.
+    Returns the first degree-i form of d(Ker df) cap Im(df) outside
+    Im(df d), or None when the identity holds.
 
     The weights checked are those of the degree-i monomial forms of
     coefficient degree <= degree_bound.  With positive weights each slice
     space is whole (_slice_cap); otherwise it is capped at degree_bound + 1,
-    or + 2 for degree i - 2.  With h_free it holds by theorem (README, "How
-    exact solves run")."""
+    or + 2 for degree i - 2, and the answer is cap-relative.  With h_free it
+    holds by theorem (README, "How exact solves run")."""
     if i < 2:
         raise ValueError("the criterion concerns form degree >= 2")
     if i > problem.nvars:
         raise ValueError("form degree out of range")
     if h_free(problem):
-        return PPrimeResult(True, None, False)
-    weights = sorted(_realized_form_weights(problem, i, degree_bound))
-    cap_relative = not problem.positive_weights
+        return None
     nvars, partials = problem.nvars, partial_terms(problem.f)
-    for c in weights:
+    for c in sorted(_realized_form_weights(problem, i, degree_bound)):
         below = c - problem.scaled_degree
         prev_here = FormSpace(problem, i - 1, c, _slice_cap(problem, c, degree_bound + 1))
         prev_below = FormSpace(problem, i - 1, below, _slice_cap(problem, below, degree_bound + 1))
@@ -538,23 +531,20 @@ def check_p_prime(problem: GermProblem, i: int, degree_bound: int) -> PPrimeResu
         for combo in linalg.nullspace(columns):
             u = linalg.combine(d_kernel, {j: c for j, c in combo.items() if j < len(d_kernel)})
             if u and im_dfd.reduce(u):
-                return PPrimeResult(False, DifferentialForm.from_entries(nvars, i, u.items()), cap_relative)
-    return PPrimeResult(True, None, cap_relative)
+                return DifferentialForm.from_entries(nvars, i, u.items())
+    return None
 
 
 def _realized_form_weights(problem: GermProblem, i: int, degree_bound: int) -> set[int]:
-    """Integer weights of the degree-i monomial forms of coefficient degree <= degree_bound."""
-    grading = problem.grading
-    monomials = {grading.monomial(exp) for exp in _bounded_exponents(problem.nvars, degree_bound)}
-    shifts = {sum(grading.weights[k] for k in wedge) for wedge in wedge_tuples(problem.nvars, i)}
+    """Integer weights of the degree-i monomial forms of coefficient degree
+    <= degree_bound: the weights of the monomials of total degree <= k are
+    those of degree <= k - 1 and their sums with each variable's weight."""
+    weights = problem.grading.weights
+    monomials = {0}
+    for _ in range(degree_bound):
+        monomials |= {m + w for m in monomials for w in weights}
+    shifts = {sum(weights[k] for k in wedge) for wedge in wedge_tuples(problem.nvars, i)}
     return {shift + m for shift in shifts for m in monomials}
-
-
-def _bounded_exponents(nvars: int, bound: int):
-    rng = range(bound + 1)
-    for exp in itertools.product(rng, repeat=nvars):
-        if sum(exp) <= bound:
-            yield exp
 
 
 # -- deterministic sampling -----------------------------------------------------

@@ -14,7 +14,6 @@ Coefficients are ints or Fractions; a float raises TypeError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -132,34 +131,16 @@ def normal_order(word: Sequence[tuple[str, int]], cap: int = DEFAULT_S_CAP) -> S
     return result
 
 
-@dataclass
-class FactorialReport:
-    """The pure-s coefficient of t^(p+q-1) * s, and whether every other term
-    carries a positive t-power."""
-
-    p: int
-    q: int
-    pure_s_coefficient: Fraction
-    factorial: int
-    tail_has_positive_t: bool
-
-    @property
-    def matches(self) -> bool:
-        return self.pure_s_coefficient == self.factorial and self.tail_has_positive_t
-
-
-def lemma_a_certificate(p: int, q: int, cap: int = DEFAULT_S_CAP) -> FactorialReport:
-    """Expand t^(p+q-1)*s: the s^(p+q) coefficient is (p+q-1)! and every
-    other term carries a positive t-power."""
+def lemma_a_certificate(p: int, q: int, cap: int = DEFAULT_S_CAP) -> tuple[Fraction, bool]:
+    """Expand t^(p+q-1)*s: its s^(p+q) coefficient, which Lemma A says is
+    (p+q-1)!, and whether every other term carries a positive t-power."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
-    m = p + q - 1
     if p + q > cap:
         raise TruncationOverflow("factorial certificate needs cap >= p+q")
-    expansion = normal_order([("t", m), ("s", 1)], cap)
-    coeff = expansion.coeffs.get((p + q, 0), ZERO)
+    expansion = normal_order([("t", p + q - 1), ("s", 1)], cap)
     tail_ok = all(k >= 1 for (j, k) in expansion.coeffs if j != p + q)
-    return FactorialReport(p, q, coeff, math.factorial(m), tail_ok)
+    return expansion.coeffs.get((p + q, 0), ZERO), tail_ok
 
 
 def remark26_solve(p: int, cap: int = DEFAULT_S_CAP) -> list[Fraction]:

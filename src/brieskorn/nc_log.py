@@ -5,70 +5,38 @@ x^(k*mu) eta_I (0 <= k < e, I subset of {2..n}), with e = gcd(m_i) and
 mu_i = m_i/e, eta_i = dx_i/x_i; the residue eigenvalues are k/e.  The
 kernel identity is checked on polynomial forms only: g * x^b eta_W is the
 monomial form x^(b + 1 - 1_W) dx_W, so no log form or pole is materialized.
+The functions take the exponent tuple m, every m_i >= 1, which the nc
+command checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from brieskorn import linalg
-from brieskorn.engine import _bounded_exponents, wedge_tuples
+from brieskorn.engine import wedge_tuples
 from brieskorn.forms import DifferentialForm, monomial_images, partial_terms
 from brieskorn.poly import Polynomial
 
 
-@dataclass(frozen=True)
-class MonomialGerm:
-    """f = prod x_i^(m_i) with every variable occurring."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.exponents or any(m < 1 for m in self.exponents):
-            raise ValueError("monomial germ needs every exponent >= 1")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def e(self) -> int:
-        return math.gcd(*self.exponents) if len(self.exponents) > 1 else self.exponents[0]
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        e = self.e
-        return tuple(m // e for m in self.exponents)
-
-    def polynomial(self) -> Polynomial:
-        return Polynomial.monomial(self.nvars, self.exponents)
-
-
-def residue_eigenvalues(germ: MonomialGerm, p: int) -> list[Fraction]:
-    """Eigenvalue multiset {k/e} of the Euler Lie derivative on the basis.
+def residue_eigenvalues(exponents: tuple[int, ...], p: int) -> list[Fraction]:
+    """Eigenvalue multiset {k/e} of the Euler Lie derivative on the basis of
+    f = prod x_i^(m_i), m = exponents.
 
     Each value k/e appears with multiplicity binomial(n-1, p); the monodromy
     exponent is k/e mod 1 (here always already in [0,1)).
     """
-    if not 0 <= p <= germ.nvars - 1:
+    n, e = len(exponents), math.gcd(*exponents)
+    if not 0 <= p <= n - 1:
         raise ValueError("relative degree p must satisfy 0 <= p <= n-1")
-    mult = math.comb(germ.nvars - 1, p)
-    out = []
-    for k in range(germ.e):
-        out.extend([Fraction(k, germ.e)] * mult)
-    return sorted(out)
+    return [Fraction(k, e) for k in range(e) for _ in range(math.comb(n - 1, p))]
 
 
-@dataclass
-class AEqualsGAtilde:
-    holds: bool
-    witness: DifferentialForm | None
-
-
-def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> AEqualsGAtilde:
-    """Degreewise check that Ker(df-wedge) = g * Ker(df/f-wedge on log forms).
+def verify_a_equals_g_atilde(exponents: tuple[int, ...], i: int, degree_bound: int) -> DifferentialForm | None:
+    """Degreewise check that Ker(df-wedge) = g * Ker(df/f-wedge on log forms)
+    for f = prod x_i^(m_i), m = exponents; None when it holds.
 
     Both sides are multigraded (each monomial slice is finite-dimensional),
     so the comparison runs exponent vector by exponent vector up to the
@@ -77,13 +45,13 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
     placed at each log-multidegree.  A failure's witness is the first A-form
     outside span(g * A~), else the first g * A~-form outside span(A).
     """
-    if not 0 <= i <= germ.nvars:
+    n = len(exponents)
+    if not 0 <= i <= n:
         raise ValueError("form degree out of range")
-    n = germ.nvars
-    f = germ.polynomial()
+    f = Polynomial.monomial(n, exponents)
     wedges_i = wedge_tuples(n, i)
     # on constant forms the Koszul map is df'-wedge for the linear f' = sum_j m_j x_j
-    linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(germ.exponents)), Polynomial.zero(n))
+    linear = sum((Polynomial.variable(n, j) * m for j, m in enumerate(exponents)), Polynomial.zero(n))
     log_kernel = linalg.nullspace(monomial_images(n, [(w, (0,) * n) for w in wedges_i], partial_terms(linear))[1])
 
     for nu in _bounded_exponents(n, degree_bound):
@@ -102,8 +70,15 @@ def verify_a_equals_g_atilde(germ: MonomialGerm, i: int, degree_bound: int) -> A
         g_side = log_kernel if all(nu) else []
         vec = _first_outside(a_side, g_side) or _first_outside(g_side, a_side)
         if vec is not None:
-            return AEqualsGAtilde(False, DifferentialForm.from_entries(n, i, ((items[j], c) for j, c in vec.items())))
-    return AEqualsGAtilde(True, None)
+            return DifferentialForm.from_entries(n, i, ((items[j], c) for j, c in vec.items()))
+    return None
+
+
+def _bounded_exponents(nvars: int, bound: int):
+    """The exponent vectors of total degree <= bound, in lexicographic order."""
+    for exp in itertools.product(range(bound + 1), repeat=nvars):
+        if sum(exp) <= bound:
+            yield exp
 
 
 def _first_outside(candidates, spanning):

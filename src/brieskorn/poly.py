@@ -27,10 +27,12 @@ Exponent = tuple[int, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_POWER_WORK = 100_000  # weighted term products of a power in polynomial text (power_work)
+MAX_SLICE_WALK = 50_000  # exponents one iter_monomials_of_weight call may list
 
 
 class LimitExceeded(Exception):
-    """Input past a documented size limit (MAX_POWER_WORK, groebner.MAX_QUOTIENT_BOX): a bound, not bad input."""
+    """Input past a documented size limit (MAX_POWER_WORK, MAX_SLICE_WALK,
+    groebner.MAX_QUOTIENT_BOX): a bound, not bad input."""
 
 
 class ParseError(ValueError):
@@ -560,6 +562,8 @@ def iter_monomials_of_weight(
     of the pivots set so far), or is fixed at the offset.  Each exponent
     runs only over values that leave a weight the later variables can reach
     within the budget; with mixed-sign weights the cap keeps this finite.
+    A walk that would list over MAX_SLICE_WALK exponents raises
+    LimitExceeded before the range that passes it is listed.
     """
     if degree_cap < 0:
         return iter(())
@@ -588,10 +592,10 @@ def iter_monomials_of_weight(
             lo, hi, h = max(lo, o), min(hi, o), 1
         lo += (o - lo) % h
         if i == last:
-            for exp[i] in range(lo, hi + 1, h):
+            for exp[i] in _leaves(found, lo, hi, h):
                 found.append(tuple(exp))
         elif i + 1 == last and w_last:
-            for k in range(lo, hi + 1, h):
+            for k in _leaves(found, lo, hi, h):
                 exp[i], exp[last] = k, (remaining - w * k) // w_last
                 found.append(tuple(exp))
         else:
@@ -610,3 +614,11 @@ def iter_monomials_of_weight(
     if len(points) > 1:
         found.sort()
     return iter(found)
+
+
+def _leaves(found: list, lo: int, hi: int, h: int) -> range:
+    """range(lo, hi + 1, h), unless listing it after found passes MAX_SLICE_WALK."""
+    leaves = range(lo, hi + 1, h)
+    if len(found) + len(leaves) > MAX_SLICE_WALK:
+        raise LimitExceeded(f"a weight slice holds over {MAX_SLICE_WALK} monomials")
+    return leaves

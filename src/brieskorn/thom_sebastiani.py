@@ -3,27 +3,21 @@
 For isolated operands the exponent multiset of the sum germ h = f + g is
 compared against mu(f) copies of the reduced spectrum of g shifted by each
 f-exponent + 1.  The form rep_f wedge g^k dg on h is shown exact in its
-kernel complex by a certificate.  germ.combined_problem builds h once; the
+kernel complex by a witness eta.  germ.combined_problem builds h once; the
 functions that work on h take it as an argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from brieskorn.engine import NotFoundWithin, _block, _s_chain, spectrum
-from brieskorn.germ import (
-    CohomologyClass, GermProblem, InvariantViolation, TorsionCertificate, exact_chain, vanishing_target,
-)
-from brieskorn.poly import format_rational
+from brieskorn.engine import _block, _s_chain, spectrum
+from brieskorn.germ import CohomologyClass, GermProblem, InvariantViolation, exact_chain, vanishing_target
 
 
 def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int):
-    """(target, result) for target = rep_f wedge g^k dg on the sum germ h =
-    combined_problem(f, g).  result is a t-certificate of order 0 that the
-    target is exact in h's kernel complex, an eta with dh-wedge eta = 0 and
-    d(eta) = target, or NotFoundWithin.  h's slices need no cap: they are
+    """(target, eta) for target = rep_f wedge g^k dg on the sum germ h =
+    combined_problem(f, g).  eta has dh-wedge eta = 0 and d(eta) = target,
+    so the target is exact in h's kernel complex; it is None when the
+    target's slice holds no such eta.  h's slices need no cap: they are
     finite, since isolated operands have positive weights (with some weight
     <= 0, _slice_cap raises CapExceeded).  A zero class has no weighted
     degree and is refused (ValueError)."""
@@ -34,40 +28,17 @@ def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: in
     block = _block(h, target.degree - 1, weight, None, h.form_keys(target))
     chain = _s_chain([block], target)
     if chain is None:
-        return target, NotFoundWithin(block.space.cap, False)
+        return target, None
     if not exact_chain(h.f, target, chain):
         raise InvariantViolation("vanishing certificate failed re-verification")
-    return target, TorsionCertificate("t", 0, chain)
+    return target, chain[0]
 
 
-@dataclass
-class TSReport:
-    """Exponent multisets for the sum of two isolated germs; the comparison
-    passes when they agree, ranks included."""
-
-    left_exponents: list[Fraction]
-    right_exponents: list[Fraction]
-
-    @property
-    def passed(self) -> bool:
-        return self.left_exponents == self.right_exponents
-
-    def serialize(self) -> dict:
-        left, right = self.left_exponents, self.right_exponents
-        return {
-            "left_rank": len(left),
-            "right_rank": len(right),
-            "left_exponents": [format_rational(a) for a in left],
-            "right_exponents": [format_rational(a) for a in right],
-            "ranks_equal": len(left) == len(right),
-            "exponents_equal": self.passed,
-        }
-
-
-def ts_compare(basis_f: list[CohomologyClass], pg: GermProblem, h: GermProblem) -> TSReport:
-    """Left: spectrum of g shifted by each exponent of f's reduced C{t}-basis
-    + 1 (mu(f) copies).  Right: the spectrum of the sum germ h computed
-    directly."""
+def ts_compare(basis_f: list[CohomologyClass], pg: GermProblem, h: GermProblem) -> tuple[list, list]:
+    """(left, right) exponent multisets, sorted; they agree, ranks included,
+    when Thom-Sebastiani holds.  Left: spectrum of g shifted by each
+    exponent of f's reduced C{t}-basis + 1 (mu(f) copies).  Right: the
+    spectrum of the sum germ h computed directly."""
     spec_g = spectrum(pg)
     left = sorted(cls.tdt_eigenvalue() + ag + 1 for cls in basis_f for ag in spec_g)
-    return TSReport(left, spectrum(h))
+    return left, spectrum(h)

@@ -207,9 +207,9 @@ def log_basis_rank(exponents, p: int) -> int:
     return sum(1 for _pair in itertools.product(range(e), itertools.combinations(range(1, len(exponents)), p)))
 
 
-def nc_report_ranks(directory, exponents) -> dict[int, int]:
-    """The ranks {p: rank} that an `nc` report (degree bound 1) gives for
-    prod x_i^(m_i), run through the CLI in directory."""
+def nc_report(directory, exponents) -> dict:
+    """The result of an `nc` report (degree bound 1) on prod x_i^(m_i), run
+    through the CLI in directory."""
     names = "xyzw"[: len(exponents)]
     problem, out = os.path.join(directory, "nc.json"), os.path.join(directory, "nc-report.json")
     with open(problem, "w", encoding="utf-8") as fh:
@@ -219,7 +219,13 @@ def nc_report_ranks(directory, exponents) -> dict[int, int]:
         }, fh)
     assert cli_main(["nc", problem, "--max-degree", "1", "--out", out]) == 0
     with open(out, encoding="utf-8") as fh:
-        return {int(p): rank for p, rank in json.load(fh)["result"]["ranks"].items()}
+        return json.load(fh)["result"]
+
+
+def nc_report_ranks(directory, exponents) -> dict[int, int]:
+    """The ranks {p: rank} that an `nc` report (degree bound 1) gives for
+    prod x_i^(m_i), run through the CLI in directory."""
+    return {int(p): rank for p, rank in nc_report(directory, exponents)["ranks"].items()}
 
 
 # -- vector fields and the exterior calculus ------------------------------------

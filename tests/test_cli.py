@@ -336,6 +336,34 @@ class TestInputContract:
         argv = [str(path) if a == "{big}" else a for a in argv]
         self.expect(argv, 2, "error: the Jacobian quotient lies in a box of 99999999 exponents, over 10000", capsys)
 
+    @pytest.mark.parametrize("monomial", ["x^150", "(2*x)^1000", "(2*x)^1000000"])
+    def test_a_slice_walk_past_the_limit_is_a_bound(self, monomial, tmp_path, capsys):
+        # the first s-block of x^150 vol on x^2 + y^2 + z^2 + w^2 lists the
+        # monomials of weight 150 in four variables, over 50,000
+        # (poly.MAX_SLICE_WALK): refused as the walk passes it (exit 2); without
+        # the limit x^150 took about 50 s and 660 MB to exhaust its bounds
+        path = tmp_path / "q4.json"
+        path.write_text(json.dumps({"variables": ["x", "y", "z", "w"], "weights": ["1"] * 4,
+                                    "polynomial": "x^2 + y^2 + z^2 + w^2"}))
+        argv = ["torsion", str(path), "--monomial", monomial, "--max-t-power", "3", "--max-s-power", "3"]
+        self.expect(argv, 2, "error: a weight slice holds over 50000 monomials", capsys)
+
+    @pytest.mark.parametrize(
+        "germ, message",
+        [
+            ({"variables": ["x", "y"], "weights": ["3", "2"], "polynomial": "x^2 + y^3"}, "nc needs a monomial germ"),
+            ({"variables": ["x", "y"], "weights": ["1", "1"], "polynomial": "2*x*y"},
+             "nc needs f = product of all variables with exponents >= 1"),
+            ({"variables": ["x", "y"], "weights": ["1", "1"], "polynomial": "x^2"},
+             "nc needs f = product of all variables with exponents >= 1"),
+        ],
+        ids=["cusp", "coefficient-two", "missing-variable"],
+    )
+    def test_nc_refuses_a_germ_that_is_not_a_product_of_all_variables(self, germ, message, tmp_path, capsys):
+        path = tmp_path / "nc.json"
+        path.write_text(json.dumps(germ))
+        self.expect(["nc", str(path)], 1, f"error: {path}: {message}", capsys)
+
     @pytest.mark.parametrize(
         "argv, code, digest",
         [

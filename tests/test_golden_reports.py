@@ -12,6 +12,8 @@ import json
 import os
 import sys
 
+import pytest
+
 from brieskorn import cli, groebner
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,4 +71,29 @@ def test_barlet35w_exhausted_search_report_is_pinned(tmp_path, monkeypatch, caps
             "--max-degree", "12", "--max-t-power", "12", "--max-s-power", "12", "--out", str(report)]
     assert cli.main(argv) == 2
     assert run.file_sha256(str(report)) == BARLET35W_EXHAUSTED
+    capsys.readouterr()
+
+
+# Reports no workload runs whose fields cli derives from what the checkers
+# return: (argv, exit code, report sha256).  barlet35 fails (P') at degree 3
+# with a witness and cap_relative: true; barlet35w fails it at degree 4.
+PINNED_REPORTS = [
+    (["check-p", "barlet35.json", "--form-degree", "3", "--max-degree", "6"], 0,
+     "953fca9e4afac1d850b38b86cb1b04e7932bfd9e58773b812746ab7e61bbf4d6"),
+    (["check-p", "barlet35w.json", "--max-degree", "14"], 0,
+     "d8d65c8266f5931486952d07e861e799468ef2dab99e5d72b38e8d56bde2d4b8"),
+    (["micro", "--factorial-bound", "10", "--remark-bound", "7", "--commutator-bound", "25"], 0,
+     "1d1f8086ab0c70613ae8500f142cbee9ed317b3eb2aca36f924206090f9f2348"),
+    (["ts", "cusp.json", "ts_z2.json", "--k-max", "5"], 0,
+     "5bc2cd90196953f360e1dceb77b3f2b27c7748a869b092b1210bf3b08727a173"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, digest", PINNED_REPORTS, ids=[" ".join(a) for a, *_ in PINNED_REPORTS])
+def test_reshaped_reports_are_pinned(argv, exit_code, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(groebner, "_cache", type(groebner._cache)())
+    report = tmp_path / "report.json"
+    argv = [os.path.join(ROOT, "problems", a) if a.endswith(".json") else a for a in argv]
+    assert cli.main([*argv, "--out", str(report)]) == exit_code
+    assert run.file_sha256(str(report)) == digest
     capsys.readouterr()

@@ -3,26 +3,23 @@
 import itertools
 from fractions import Fraction as F
 
-import pytest
-from oracles import g_times_log_form, log_basis_rank, nc_report_ranks, problem_from_strings
+from oracles import g_times_log_form, log_basis_rank, nc_report, nc_report_ranks, problem_from_strings
 
 from brieskorn import linalg, nc_log
 from brieskorn.engine import milnor_number, spectrum
 from brieskorn.forms import DifferentialForm, df_wedge
-from brieskorn.nc_log import MonomialGerm, residue_eigenvalues, verify_a_equals_g_atilde
+from brieskorn.nc_log import residue_eigenvalues, verify_a_equals_g_atilde
 from brieskorn.poly import Polynomial
 
 
-class TestMonomialGerm:
-    def test_structure(self):
-        g = MonomialGerm((2, 2))
-        assert g.e == 2 and g.mu == (1, 1)
-        assert MonomialGerm((2, 3)).e == 1
-        assert MonomialGerm((6, 4)).mu == (3, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MonomialGerm((2, 0))
+class TestNcReport:
+    def test_e_and_mu_vector(self, tmp_path):
+        # e = gcd(m_i) and mu = m / e; a germ that leaves a variable out, like
+        # x^2 over x, y, is refused by the nc command (tests/test_cli.py)
+        report = nc_report(tmp_path, (2, 2))
+        assert report["e"] == 2 and report["mu_vector"] == [1, 1]
+        assert nc_report(tmp_path, (2, 3))["e"] == 1
+        assert nc_report(tmp_path, (6, 4))["mu_vector"] == [3, 2]
 
 
 class TestLogBasis:
@@ -33,44 +30,44 @@ class TestLogBasis:
         for n in range(1, 5):
             for m in itertools.product(range(1, 7), repeat=n):
                 ranks = {p: log_basis_rank(m, p) for p in range(n)}
-                assert {p: len(residue_eigenvalues(MonomialGerm(m), p)) for p in range(n)} == ranks
+                assert {p: len(residue_eigenvalues(m, p)) for p in range(n)} == ranks
                 if n <= 3 and max(m) <= 3:
                     assert nc_report_ranks(tmp_path, m) == ranks
 
 
 class TestResidues:
     def test_22_degree_zero(self):
-        assert residue_eigenvalues(MonomialGerm((2, 2)), 0) == [F(0), F(1, 2)]
+        assert residue_eigenvalues((2, 2), 0) == [F(0), F(1, 2)]
 
     def test_11(self):
-        assert residue_eigenvalues(MonomialGerm((1, 1)), 0) == [F(0)]
+        assert residue_eigenvalues((1, 1), 0) == [F(0)]
 
     def test_degree_zero_multiplicity_one(self):
         for n in range(1, 5):
             for m in itertools.product(range(1, 7), repeat=n):
-                eigs = residue_eigenvalues(MonomialGerm(m), 0)
+                eigs = residue_eigenvalues(m, 0)
                 assert len(set(eigs)) == len(eigs)
 
     def test_reduced_degree_zero_avoids_integers(self):
         # dropping k = 0 leaves eigenvalues k/e that are never integral
         for m in [(2, 2), (4, 6), (3, 3, 3), (2, 4)]:
-            eigs = residue_eigenvalues(MonomialGerm(m), 0)[1:]
+            eigs = residue_eigenvalues(m, 0)[1:]
             assert all(a.denominator > 1 for a in eigs)
 
 
 class TestKernelIdentity:
     def test_22_degree_one(self):
-        assert verify_a_equals_g_atilde(MonomialGerm((2, 2)), 1, 8).holds
+        assert verify_a_equals_g_atilde((2, 2), 1, 8) is None
 
     def test_one_variable(self):
-        assert verify_a_equals_g_atilde(MonomialGerm((3,)), 1, 8).holds
+        assert verify_a_equals_g_atilde((3,), 1, 8) is None
 
     def test_smooth_both_zero(self):
-        assert verify_a_equals_g_atilde(MonomialGerm((1,)), 0, 6).holds
+        assert verify_a_equals_g_atilde((1,), 0, 6) is None
 
     def test_more_cases(self):
         for m, i in [((2, 3), 1), ((2, 2, 2), 2), ((1, 2), 1), ((3, 3), 2)]:
-            assert verify_a_equals_g_atilde(MonomialGerm(m), i, 6).holds
+            assert verify_a_equals_g_atilde(m, i, 6) is None
 
     def test_every_small_monomial_germ(self):
         # n <= 3, exponents <= 3, every form degree: 141 cases
@@ -78,26 +75,25 @@ class TestKernelIdentity:
         for n in range(1, 4):
             for m in itertools.product(range(1, 4), repeat=n):
                 for i in range(n + 1):
-                    res = verify_a_equals_g_atilde(MonomialGerm(m), i, 4)
-                    assert res.holds and res.witness is None, (m, i)
+                    assert verify_a_equals_g_atilde(m, i, 4) is None, (m, i)
                     cases += 1
         assert cases == 141
 
     def test_empty_log_kernel_reports_an_a_form_outside_g_atilde(self, monkeypatch):
-        res = _check_22_with_log_kernel(monkeypatch, lambda kernel: [])
-        assert not res.holds
+        witness = _check_22_with_log_kernel(monkeypatch, lambda kernel: [])
+        assert witness is not None
         # the first nonzero A-form: y dx + x dy = g * (eta_x + eta_y), at nu = (1, 1)
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        assert res.witness == DifferentialForm(2, 1, {(0,): y, (1,): x})
-        assert not df_wedge(MonomialGerm((2, 2)).polynomial(), res.witness)
+        assert witness == DifferentialForm(2, 1, {(0,): y, (1,): x})
+        assert not df_wedge(Polynomial.monomial(2, (2, 2)), witness)
 
     def test_extra_log_vector_reports_a_g_atilde_form_outside_a(self, monkeypatch):
         # eta_x alone is outside Ker(df/f-wedge): g * eta_x = y dx, not killed by df-wedge
-        res = _check_22_with_log_kernel(monkeypatch, lambda kernel: kernel + [{0: F(1)}])
-        assert not res.holds
-        assert res.witness == g_times_log_form(2, 1, (0, 0), {(0,): 1})
-        assert res.witness == DifferentialForm(2, 1, {(0,): Polynomial.variable(2, 1)})
-        assert df_wedge(MonomialGerm((2, 2)).polynomial(), res.witness)
+        witness = _check_22_with_log_kernel(monkeypatch, lambda kernel: kernel + [{0: F(1)}])
+        assert witness is not None
+        assert witness == g_times_log_form(2, 1, (0, 0), {(0,): 1})
+        assert witness == DifferentialForm(2, 1, {(0,): Polynomial.variable(2, 1)})
+        assert df_wedge(Polynomial.monomial(2, (2, 2)), witness)
 
     def test_g_atilde_is_the_log_kernel_on_the_items(self, monkeypatch):
         # at every nu with all nu_j >= 1 the check reads each log-kernel vector
@@ -119,11 +115,10 @@ class TestKernelIdentity:
         checked = 0
         for n in range(1, 4):
             for m in itertools.product(range(1, 4), repeat=n):
-                germ = MonomialGerm(m)
                 for i in range(n + 1):
                     item_lists.clear()
                     kernels.clear()
-                    assert verify_a_equals_g_atilde(germ, i, 4).holds
+                    assert verify_a_equals_g_atilde(m, i, 4) is None
                     # the first call is the log-side Koszul kernel on the constant items
                     wedges = [w for w, _exp in item_lists[0]]
                     log_kernel = kernels[0]
@@ -139,14 +134,14 @@ class TestKernelIdentity:
                             terms = {items[j][0]: Polynomial.monomial(n, items[j][1], a) for j, a in c.items()}
                             assert g_form == DifferentialForm(n, i, terms)
                             # g * x^b eta-combination lies in A = Ker(df-wedge)
-                            assert not df_wedge(germ.polynomial(), g_form)
+                            assert not df_wedge(Polynomial.monomial(n, m), g_form)
                             checked += 1
         assert checked > 0
 
 def _check_22_with_log_kernel(monkeypatch, change):
-    """The degree-1 check on x^2 y^2 up to degree 4, with the log-side Koszul
-    kernel (the first linalg.nullspace call, on the linear germ 2x + 2y)
-    replaced by change(kernel)."""
+    """The witness of the degree-1 check on x^2 y^2 up to degree 4, with the
+    log-side Koszul kernel (the first linalg.nullspace call, on the linear
+    germ 2x + 2y) replaced by change(kernel)."""
     nullspace = linalg.nullspace
     calls = []
 
@@ -156,7 +151,7 @@ def _check_22_with_log_kernel(monkeypatch, change):
         return change(kernel) if len(calls) == 1 else kernel
 
     monkeypatch.setattr(linalg, "nullspace", faulty)
-    return verify_a_equals_g_atilde(MonomialGerm((2, 2)), 1, 4)
+    return verify_a_equals_g_atilde((2, 2), 1, 4)
 
 
 class TestCrossEngine:
@@ -164,7 +159,7 @@ class TestCrossEngine:
         # the reduced spectrum of x^q is {a - 1 : a a residue eigenvalue, a != 0}
         for q in (2, 3, 5):
             p = problem_from_strings(["x"], ["1"], f"x^{q}")
-            eigs = residue_eigenvalues(MonomialGerm((q,)), 0)
+            eigs = residue_eigenvalues((q,), 0)
             assert spectrum(p) == [a - 1 for a in eigs if a]
         assert [str(a) for a in spectrum(problem_from_strings(["x"], ["1"], "x^3"))] == ["-2/3", "-1/3"]
 
@@ -172,4 +167,4 @@ class TestCrossEngine:
         # x^2 y^2 is non-isolated; its A^1 kernel identity is the nc route
         p = problem_from_strings(["x", "y"], ["1", "1"], "x^2*y^2")
         assert milnor_number(p) is None
-        assert verify_a_equals_g_atilde(MonomialGerm((2, 2)), 1, 8).holds
+        assert verify_a_equals_g_atilde((2, 2), 1, 8) is None

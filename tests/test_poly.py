@@ -17,6 +17,7 @@ from oracles import (
 from brieskorn.poly import (
     Cosets,
     Grading,
+    LimitExceeded,
     ParseError,
     Polynomial,
     format_rational,
@@ -257,6 +258,19 @@ class TestWeightEnumeration:
         w = weight_vector([1, 2])
         got = set(monomials_of_weight(w, Fraction(4), 10))
         assert got == {(4, 0), (2, 1), (0, 2)}
+
+    @pytest.mark.parametrize("weights, target, size", [([1, 1, 1], 10, 66), ([1, 1, 0], 5, 36)],
+                             ids=["last-column-solved", "last-column-walked"])
+    def test_a_walk_past_the_slice_limit_is_refused(self, weights, target, size, monkeypatch):
+        # both leaf branches of the walk: at the limit the exponents and their
+        # order are unchanged, one under it the walk raises LimitExceeded
+        full = monomials_of_weight(weight_vector(weights), Fraction(target), 10)
+        assert len(full) == size
+        monkeypatch.setattr("brieskorn.poly.MAX_SLICE_WALK", size)
+        assert monomials_of_weight(weight_vector(weights), Fraction(target), 10) == full
+        monkeypatch.setattr("brieskorn.poly.MAX_SLICE_WALK", size - 1)
+        with pytest.raises(LimitExceeded, match=f"a weight slice holds over {size - 1} monomials"):
+            monomials_of_weight(weight_vector(weights), Fraction(target), 10)
 
     def test_mixed_weights_capped(self):
         w = weight_vector([1, 1, -1])
