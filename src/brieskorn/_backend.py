@@ -19,6 +19,7 @@ Data formats:
 
 import heapq
 from math import gcd
+from operator import add
 
 
 def _norm(num, den):
@@ -65,14 +66,7 @@ def scale_monomial_mul(p, kshift, eshift, num, den):
     out = []
     for key, exp, n, d in p:
         nn, nd = _norm(n * num, d * den)
-        out.append(
-            (
-                tuple(a + b for a, b in zip(key, kshift)),
-                tuple(a + b for a, b in zip(exp, eshift)),
-                nn,
-                nd,
-            )
-        )
+        out.append((tuple(map(add, key, kshift)), tuple(map(add, exp, eshift)), nn, nd))
     return out
 
 

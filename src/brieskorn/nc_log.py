@@ -11,7 +11,6 @@ command checks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -75,10 +74,15 @@ def verify_a_equals_g_atilde(exponents: tuple[int, ...], i: int, degree_bound: i
 
 
 def _bounded_exponents(nvars: int, bound: int):
-    """The exponent vectors of total degree <= bound, in lexicographic order."""
-    for exp in itertools.product(range(bound + 1), repeat=nvars):
-        if sum(exp) <= bound:
-            yield exp
+    """The exponent vectors of total degree <= bound, in lexicographic order:
+    each first entry k in turn, followed by those of the rest within bound - k."""
+    if nvars == 0:
+        if bound >= 0:
+            yield ()
+        return
+    for k in range(bound + 1):
+        for rest in _bounded_exponents(nvars - 1, bound - k):
+            yield (k, *rest)
 
 
 def _first_outside(candidates, spanning):

@@ -182,15 +182,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
+        terms, others = self.terms, other.terms
+        if len(terms) == 1 or len(others) == 1:  # the products have distinct exponents
+            if len(others) != 1:
+                terms, others = others, terms
+            ((e2, c2),) = others.items()
+            return Polynomial._of(self.nvars, {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in terms.items()})
         out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, ZERO) + c1 * c2
-                if s:
+        for e1, c1 in terms.items():
+            for e2, c2 in others.items():
+                exp = tuple(map(add, e1, e2))
+                s = out.get(exp)
+                if s is None:
+                    out[exp] = c1 * c2
+                elif s := s + c1 * c2:
                     out[exp] = s
                 else:
-                    out.pop(exp, None)
+                    del out[exp]
         return Polynomial._of(self.nvars, out)
 
     __rmul__ = __mul__
@@ -198,6 +206,9 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative powers are not polynomials")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial._of(self.nvars, {tuple(n * k for k in e): c**n})
         result = Polynomial.constant(self.nvars, 1)
         base = self
         while n:
@@ -511,9 +522,13 @@ class Cosets:
     levels[i] holds W_i; two bounds (a, p, q), a*x_i <= p*budget +
     q*remaining, that leave a weight the later variables reach; and h_i with
     the entries past i of its basis row, or h = 0 if no row pivots at i.
+
+    walks holds each finished iter_monomials_of_weight walk over these
+    cosets, its exponent list keyed by (target, degree_cap, tuple(points)):
+    a walk depends on nothing else, so it lives and dies with this instance.
     """
 
-    __slots__ = ("levels", "_solver")
+    __slots__ = ("levels", "walks", "_solver")
 
     def __init__(self, weights: Sequence[int], generators: Iterable[Sequence[int]] | None = None):
         n = len(weights)
@@ -522,7 +537,7 @@ class Cosets:
         else:
             rows = [[0, *g] for g in generators]
         basis = _echelon(rows)
-        self._solver, self.levels, top, bottom = basis.pop(0, None), [], 0, 0
+        self._solver, self.levels, self.walks, top, bottom = basis.pop(0, None), [], {}, 0, 0
         for i in reversed(range(n)):  # top and bottom: the largest and the least weight past x_i, 0 past the last
             w, row = weights[i], basis.get(i + 1)
             pivot = (row[i + 1], row[i + 2 :]) if row else (0, [0] * (n - 1 - i))
@@ -564,12 +579,20 @@ def iter_monomials_of_weight(
     within the budget; with mixed-sign weights the cap keeps this finite.
     A walk that would list over MAX_SLICE_WALK exponents raises
     LimitExceeded before the range that passes it is listed.
+
+    A walk reads only the cosets' levels, the target, the cap and the
+    points, so its list is kept in cosets.walks once it has finished and a
+    repeated call returns it unwalked; a refused walk keeps nothing.
     """
     if degree_cap < 0:
         return iter(())
     cosets, points = classes or (grading.cosets, [grading.cosets.point(target)])
-    levels, last = cosets.levels, len(grading.weights) - 1
-    w_last = grading.weights[last] if levels else 0
+    memo = (target, degree_cap, tuple(points))
+    found = cosets.walks.get(memo)
+    if found is not None:
+        return iter(found)
+    levels, last = cosets.levels, len(cosets.levels) - 1
+    w_last = levels[last][0] if levels else 0
     exp, found = [0] * (last + 1), []
 
     def rec(i: int, remaining: int, budget: int, off: Sequence[int]) -> None:
@@ -613,6 +636,7 @@ def iter_monomials_of_weight(
             found.append(p)
     if len(points) > 1:
         found.sort()
+    cosets.walks[memo] = found
     return iter(found)
 
 

@@ -97,19 +97,21 @@ def position_vec(space, form: DifferentialForm) -> dict:
     return {index[key]: c for key, c in form.entries()}
 
 
-def monomials_of_weight(weights, target, cap, classes=None) -> list:
+def monomials_of_weight(weights, target, cap, classes=None, cosets=None) -> list:
     """The exponents iter_monomials_of_weight gives at a rational target:
     those of the scaled target of Grading(weights), none off its lattice.
     classes, a pair (generators, points), keeps those of the cosets p + M
     of its points p of that weight, M the lattice of generators, which
     must have weight 0 (weightless); like FormSpace, the walk is given the
-    key of each coset once."""
+    key of each coset once.  The keyed walk runs on cosets, the Cosets of
+    M, which keeps its walks, or else on a fresh one."""
     grading = Grading(weight_vector(weights))
     c = grading.scaled(target)
     if c is None:
         return []
     if classes is not None:
-        cosets = Cosets(grading.weights, classes[0])
+        if cosets is None:
+            cosets = Cosets(grading.weights, classes[0])
         classes = cosets, {cosets.key(p) for p in classes[1] if grading.monomial(p) == c}
     return list(iter_monomials_of_weight(grading, c, cap, classes))
 

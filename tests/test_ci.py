@@ -37,12 +37,16 @@ for workload in torsion-barlet35 spectrum-bp corpus-cli; do
   echo "$workload: $last"
   python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(r["correct"] is not True or r["failed"] != 0)' "$last"
 done
+last=$(python3 perfbench/run.py --workload spectrum-bp --seed 1 --seconds 2 --trace 1 | tail -n 1)
+echo "spectrum-bp traced: $last"
+python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(r["correct"] is not True or r["failed"] != 0)' "$last"
 """
 
 
 def test_bench_smoke_workflow():
     # the benchmark's own checks (golden report digests, closed-form oracles,
-    # replays), which tier-1 does not run, on each workload for two seconds
+    # replays), which tier-1 does not run, on each workload for two seconds,
+    # then once more on spectrum-bp through the tracer's wrappers
     yaml = pytest.importorskip("yaml")
     with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
         job = yaml.safe_load(fh)["jobs"]["bench-smoke"]

@@ -12,7 +12,7 @@ import pytest
 
 from brieskorn import engine, germ, groebner, microdiff
 from brieskorn.cli import main
-from brieskorn.poly import MAX_POWER_WORK, LimitExceeded, Polynomial, format_rational, parse_polynomial, power_work
+from brieskorn.poly import MAX_POWER_WORK, Cosets, LimitExceeded, Polynomial, format_rational, parse_polynomial, power_work
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROBLEMS = os.path.join(ROOT, "problems")
@@ -991,6 +991,25 @@ class TestRepeatedCalls:
         monkeypatch.setattr(Polynomial, "__eq__", spy)
         assert self.call(argv, capsys) == first
         assert compared == []
+
+    def test_walks_are_kept_per_germ_and_dropped_with_it(self, tmp_path, monkeypatch, capsys):
+        """spectrum of x^3+y^4+z^5+w^6 (mu = 120) asks for 680 slice walks
+        and walks 278 of them: the rest are repeats on the germ's Cosets, the
+        second ct_basis among them.  A second call walks them all again."""
+        path = tmp_path / "bp3456.json"
+        path.write_text(json.dumps({
+            "name": "bp3456", "variables": ["x", "y", "z", "w"], "weights": ["20", "15", "12", "10"],
+            "polynomial": "x^3 + y^4 + z^5 + w^6", "options": {},
+        }))
+        created, calls = [], []
+        init, walk = Cosets.__init__, engine.iter_monomials_of_weight
+        monkeypatch.setattr(Cosets, "__init__", lambda self, *args: (init(self, *args), created.append(self))[0])
+        monkeypatch.setattr(engine, "iter_monomials_of_weight", lambda *args: calls.append(args) or walk(*args))
+        first = self.call(["spectrum", str(path)], capsys)
+        for _ in range(2):
+            del created[:], calls[:]
+            assert self.call(["spectrum", str(path)], capsys) == first
+            assert (len(calls), sum(len(c.walks) for c in created)) == (680, 278)
 
     def test_import_builds_no_parser(self):
         """A fresh process, so the check does not depend on what pytest imported first."""

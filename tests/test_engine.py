@@ -625,6 +625,18 @@ class TestKeyClasses:
         assert {len(keys[c]) for c in range(-1, 7)} == {5}
         assert max(map(len, keys.values())) == 5
 
+    def test_a_problem_loaded_again_starts_with_empty_walk_memos(self):
+        # the walks of a germ are kept on its Cosets, which belong to the
+        # loaded problem: loading the same file again walks afresh
+        path = os.path.join(PROBLEMS, "barlet35.json")
+        first = load_problem_file(path).problem
+        key = first.key((0, 1, 2), (1, 1, 1))
+        for keys in (None, {key}):
+            assert engine.FormSpace(first, 3, first.grading.monomial(key), 6, keys).items
+        assert first.grading.cosets.walks and first.cosets.walks
+        again = load_problem_file(path).problem
+        assert again.grading.cosets.walks == {} and again.cosets.walks == {}
+
     @pytest.mark.parametrize(
         "germ, weights",
         [(("bp3456", ["x", "y", "z", "w"], ["20", "15", "12", "10"], "x^3 + y^4 + z^5 + w^6"), range(57, 200, 11)),

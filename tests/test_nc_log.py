@@ -168,3 +168,12 @@ class TestCrossEngine:
         p = problem_from_strings(["x", "y"], ["1", "1"], "x^2*y^2")
         assert milnor_number(p) is None
         assert verify_a_equals_g_atilde((2, 2), 1, 8) is None
+
+
+def test_bounded_exponents_are_the_filtered_box_in_order():
+    # the composition walk lists the box's vectors of total degree <= bound
+    # in the box's (lexicographic) order, on which nc's first witness depends
+    for n in range(5):
+        for bound in range(9):
+            box = [e for e in itertools.product(range(bound + 1), repeat=n) if sum(e) <= bound]
+            assert list(nc_log._bounded_exponents(n, bound)) == box, (n, bound)

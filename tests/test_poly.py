@@ -14,6 +14,7 @@ from oracles import (
     weightless,
 )
 
+from brieskorn import poly
 from brieskorn.poly import (
     Cosets,
     Grading,
@@ -22,6 +23,7 @@ from brieskorn.poly import (
     Polynomial,
     format_rational,
     is_variable_name,
+    iter_monomials_of_weight,
     parse_polynomial,
     parse_rational,
     weight_vector,
@@ -184,6 +186,56 @@ class TestRingAxioms:
         assert P("x+y") ** 3 == P("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
         assert P("x") ** 0 == 1
 
+    def test_a_cancelled_product_term_may_come_back(self):
+        # x^2 is cancelled by the second of its three products and put back
+        # by the third; x and x^3 cancel for good
+        product = P("1 + x + x^2") * P("x^2 - x + 1")
+        assert product == P("x^4 + x^2 + 1") and all(product.terms.values())
+
+    def test_products_and_powers_agree_with_sympy(self):
+        # operands: zero, constants, one-term polynomials (on either side of
+        # a product) and sums of up to five terms, with negative and
+        # non-integer coefficients; powers 0, 1, 2 and 7.  No result holds a
+        # zero coefficient
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(XYZ)
+        rng = random.Random(38)
+
+        def coefficient():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+        def operand(kind):
+            if kind == "zero":
+                return Polynomial.zero(3)
+            if kind == "constant":
+                return Polynomial.constant(3, coefficient())
+            if kind == "term":
+                return Polynomial.monomial(3, [rng.randint(0, 3) for _ in range(3)], coefficient())
+            return random_polynomial(rng, nterms=5, maxdeg=2)
+
+        def as_sympy(p):
+            x = dict(zip(XYZ, symbols))
+            return sympy.sympify(p.serialize(XYZ).replace("^", "**"), locals=x)
+
+        def expanded(expr):
+            terms = sympy.Poly(expr, *symbols).terms()
+            return Polynomial(3, {exp: Fraction(int(c.p), int(c.q)) for exp, c in terms})
+
+        kinds = ["zero", "constant", "term", "sum"]
+        for _ in range(30):
+            for left, right in [(a, b) for a in kinds for b in kinds]:
+                a, b = operand(left), operand(right)
+                product = a * b
+                assert product == expanded(as_sympy(a) * as_sympy(b)), (a, b)
+                assert all(product.terms.values())
+        for kind in kinds:
+            for _ in range(3):
+                a = operand(kind)
+                for n in (0, 1, 2, 7):
+                    power = a**n
+                    assert power == expanded(as_sympy(a) ** n), (a, n)
+                    assert all(power.terms.values())
+
 
 class TestDerivative:
     def test_barlet_partials(self):
@@ -271,6 +323,34 @@ class TestWeightEnumeration:
         monkeypatch.setattr("brieskorn.poly.MAX_SLICE_WALK", size - 1)
         with pytest.raises(LimitExceeded, match=f"a weight slice holds over {size - 1} monomials"):
             monomials_of_weight(weight_vector(weights), Fraction(target), 10)
+        # a refused walk keeps nothing on its Cosets, so it is refused again
+        grading = Grading(weight_vector(weights))
+        for _ in range(2):
+            with pytest.raises(LimitExceeded):
+                iter_monomials_of_weight(grading, target, 10)
+        assert grading.cosets.walks == {}
+
+    def test_a_repeated_walk_is_the_kept_list(self, monkeypatch):
+        # a second walk of one target, cap and points on one Cosets lists no
+        # range (poly._leaves): it is the first walk's list, in its order;
+        # another cap is walked afresh, and so are keyed walks
+        leaves, listed = poly._leaves, []
+        monkeypatch.setattr(poly, "_leaves", lambda *args: listed.append(args) or leaves(*args))
+        grading = Grading(weight_vector([1, 2, 3]))
+        first = list(iter_monomials_of_weight(grading, 12, 12))
+        assert len(first) == 19 and listed
+        listed.clear()
+        assert list(iter_monomials_of_weight(grading, 12, 12)) == first and not listed
+        assert list(iter_monomials_of_weight(grading, 12, 5)) == [e for e in first if sum(e) <= 5] and listed
+        assert len(grading.cosets.walks) == 2
+        cosets = Cosets(grading.weights, [[2, -1, 0]])
+        points = [cosets.key(p) for p in [(0, 0, 4), (1, 1, 3)]]
+        listed.clear()
+        keyed = list(iter_monomials_of_weight(grading, 12, 12, (cosets, points)))
+        assert keyed == [e for e in first if cosets.key(e) in points] and keyed and listed
+        listed.clear()
+        assert list(iter_monomials_of_weight(grading, 12, 12, (cosets, points))) == keyed and not listed
+        assert len(grading.cosets.walks) == 2 and len(cosets.walks) == 1
 
     def test_mixed_weights_capped(self):
         w = weight_vector([1, 1, -1])

@@ -220,7 +220,9 @@ def test_the_coset_walk_is_the_key_filter(data):
     # drawn exponent set (free factors, m = 0, included); points of the box
     # and points whose cosets miss it; caps from -1: the walk of each
     # weight's cosets is the filter of the box by the congruences of M, in
-    # lexicographic order, and the keys of M are its canonical points
+    # lexicographic order, and the keys of M are its canonical points.  Each
+    # walk runs twice on one Cosets, the second time from its kept walks,
+    # and once on a fresh one
     nvars = data.draw(st.integers(1, NVARS))
     weights = data.draw(st.lists(rationals, min_size=nvars, max_size=nvars))
     vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=nvars, max_size=nvars), max_size=nvars + 1))
@@ -235,11 +237,13 @@ def test_the_coset_walk_is_the_key_filter(data):
     points += data.draw(st.lists(drawn_point, max_size=2))
     multiples = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)), max_size=3))
     moves = [[sum(x * g[k] for x, g in zip(xs, gens)) for k in range(nvars)] for xs in multiples]
-    check_keys(Cosets(Grading(weights).weights, gens), congruences, points, moves)
+    cosets = Cosets(Grading(weights).weights, gens)
+    check_keys(cosets, congruences, points, moves)
     keys = {exponent_key(congruences, p) for p in points}
     for target in {monomial_weight(e, weights) for e in box} | {Fraction(1, 7)}:
         expected = [e for e in box if monomial_weight(e, weights) == target and exponent_key(congruences, e) in keys]
-        assert monomials_of_weight(weights, target, cap, (gens, points)) == expected
+        walks = [monomials_of_weight(weights, target, cap, (gens, points), c) for c in (cosets, cosets, None)]
+        assert walks == [expected] * 3
 
 
 GERMS = [
