@@ -4,7 +4,7 @@ For a quasi-homogeneous polynomial f (a germ.GermProblem) this module
 computes the subcomplex A^i = Ker(df-wedge) of polynomial forms and its
 module generators, finite weight slices of its d-cohomology H^i, the
 C{t}-basis and spectrum of an isolated germ, bounded t- and s-torsion
-searches whose certificates germ.TorsionCertificate re-checks, Milnor
+searches whose chains _s_chain checks by germ.exact_chain, Milnor
 numbers, and condition (P') degree by degree, d(Ker df) cap Im(df) =
 Im(df d), which at the top degree says ker s cap sH'' = 0: the torsion of
 H'' is killed by s.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from brieskorn import groebner, linalg
+from brieskorn import germ, groebner, linalg
 from brieskorn.forms import DifferentialForm, df_wedge, monomial_images, partial_terms, volume_form
 from brieskorn.germ import CohomologyClass, GermProblem, InvariantViolation, NonIsolatedError, TorsionCertificate
 from brieskorn.poly import ONE, Polynomial, format_rational, iter_monomials_of_weight
@@ -96,7 +96,6 @@ class HSlice:
     i: int
     c: int
     cap: int
-    cap_relative: bool
     classes: list[CohomologyClass]
 
 
@@ -137,7 +136,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
         raise ValueError("form degree out of range")
     c = problem.grading.scaled(c)
     if c is None:
-        return HSlice(problem, i, c, cap, not problem.positive_weights, [])
+        return HSlice(problem, i, c, cap, [])
     space = FormSpace(problem, i, c, _slice_cap(problem, c, cap), keys)
 
     kernel = _df_kernel_vectors(problem, space)
@@ -170,7 +169,7 @@ def h_slice(problem: GermProblem, i: int, c, cap: int | None = None, keys=None, 
             rep = DifferentialForm.from_entries(problem.nvars, i, residue.items())
             classes.append(CohomologyClass(problem, i, rep))
             reducer.add(residue)
-    return HSlice(problem, i, c, space.cap, not problem.positive_weights, classes)
+    return HSlice(problem, i, c, space.cap, classes)
 
 
 # -- kernel modules (A^i as a module over the polynomial ring) -----------------
@@ -247,10 +246,7 @@ def torsion_order_t(cls: CohomologyClass, p_max: int, cap: int | None = None):
             break  # monotone from p0 on: no level in (p0, p_max] is solvable
         eta = solve(p)
         if eta is not None:
-            cert = TorsionCertificate("t", p, [eta])
-            if not cert.verify(cls):
-                raise InvariantViolation("t-torsion certificate failed re-verification")
-            return cert
+            return TorsionCertificate("t", p, [eta])
         if p == 1 and cls.i == problem.nvars and h_free(problem):
             break  # [rep] != 0 in the free H'', so no t^p kills it
     return NotFoundWithin(p_max, not problem.positive_weights)
@@ -309,7 +305,9 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
     order, each a column for linalg.solve_columns whose entries are keyed
     (group, wedge, exp); equation group 0 is d(eta_0) = target, group j is
     d(eta_j) = df wedge eta_(j-1) and group r+1 is df wedge eta_r = 0.  Free
-    coordinates are zero.  None when the system is inconsistent.
+    coordinates are zero.  None when the system is inconsistent; a solution
+    failing germ.exact_chain, the one check of every chain solved, raises
+    InvariantViolation.
 
     With one block this is the eta with df wedge eta = 0 and d(eta) =
     target: the solution of d restricted to the canonical Ker(df wedge)
@@ -329,7 +327,10 @@ def _s_chain(blocks: Sequence[_SBlock], target: DifferentialForm) -> list[Differ
     if solution is None:
         return None
     coords = iter(solution)  # block-major: each block's forms take the next coordinates
-    return [DifferentialForm.from_entries(target.nvars, b.space.i, zip(b.space.items, coords)) for b in blocks]
+    chain = [DifferentialForm.from_entries(target.nvars, b.space.i, zip(b.space.items, coords)) for b in blocks]
+    if not germ.exact_chain(blocks[0].space.problem.f, target, chain):
+        raise InvariantViolation("chain solve failed re-verification")
+    return chain
 
 
 def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
@@ -380,10 +381,7 @@ def torsion_order_s(cls: CohomologyClass, r_max: int, cap: int | None = None):
             chain = _s_chain(blocks, cls.representative)
             if chain is None:
                 raise InvariantViolation("s-chain block system disagrees with its forward sweep")
-            cert = TorsionCertificate("s", j + 1, chain)
-            if not cert.verify(cls):
-                raise InvariantViolation("s-torsion certificate failed re-verification")
-            return cert
+            return TorsionCertificate("s", j + 1, chain)
         if j == 0 and h_free(problem):
             break  # Koszul exactness shortens any chain to depth 1
         state = [
@@ -442,7 +440,8 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     Topology 9, 1970; counted from the weights, not from the Groebner basis),
     raises InvariantViolation.
     """
-    if milnor_number(problem) is None:
+    standard = groebner.standard_monomials(problem.jacobian)
+    if standard is None:
         raise NonIsolatedError("C{t}-basis needs an isolated singularity")
     if problem.degree < 0:
         raise ValueError(f"deg f = {format_rational(problem.degree)} < 0; negate the weights")
@@ -452,7 +451,7 @@ def ct_basis(problem: GermProblem) -> list[CohomologyClass]:
     sum_w = sum(grading.weights)
     vol = tuple(range(problem.nvars))
     new_at: dict[int, Counter] = defaultdict(Counter)  # weight c -> keys of its standard monomials
-    for e in groebner.standard_monomials(problem.jacobian):
+    for e in standard:
         new_at[grading.monomial(e) + sum_w][problem.key(vol, e)] += 1
 
     power = functools.cache(problem.f.__pow__)  # f**k, each computed once

@@ -20,19 +20,15 @@ from brieskorn.forms import DifferentialForm, df_wedge, differential, volume_for
 from brieskorn.poly import Cosets, Grading, Polynomial, format_rational, parse_polynomial, weight_vector
 
 
-class EngineError(Exception):
-    pass
-
-
-class CapExceeded(EngineError):
+class CapExceeded(Exception):
     """A computation needs a total-degree cap it was not given."""
 
 
-class NonIsolatedError(EngineError):
+class NonIsolatedError(Exception):
     pass
 
 
-class InvariantViolation(EngineError):
+class InvariantViolation(Exception):
     """An internally guaranteed identity failed; indicates a bug."""
 
 
@@ -240,9 +236,9 @@ class TorsionCertificate:
     witness: list[DifferentialForm]
 
     def verify(self, cls: CohomologyClass, max_order: int | None = None) -> bool:
-        """The certificate's identity on cls.  A t-certificate whose witness
-        passes the degree check but whose order is above max_order is refused
-        with a ValueError, before f^order is expanded."""
+        """Replay's check of the certificate's identity on cls.  A t-certificate
+        whose witness passes the degree check but whose order is above max_order
+        is refused with a ValueError, before f^order is expanded."""
         f, rep = cls.problem.f, cls.representative
         if self.kind == "t":
             # d lowers coefficient degree by at least one and f^p * rep has degree

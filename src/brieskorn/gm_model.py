@@ -15,8 +15,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from brieskorn.engine import ct_basis, milnor_number
-from brieskorn.germ import GermProblem, NonIsolatedError
+from brieskorn.engine import ct_basis
+from brieskorn.germ import GermProblem
 from brieskorn.poly import format_rational
 
 Pieces = list[tuple[Fraction, int]]
@@ -24,9 +24,8 @@ Pieces = list[tuple[Fraction, int]]
 
 def from_brieskorn(problem: GermProblem) -> Pieces:
     """Pieces of the top Gauss-Manin lattice of an isolated germ, read off
-    the t*dt eigenvalues c/d - 1 on the C{t}-basis of the reduced top module."""
-    if milnor_number(problem) is None:
-        raise NonIsolatedError("finite models need an isolated singularity")
+    the t*dt eigenvalues c/d - 1 on the C{t}-basis of the reduced top module
+    (ct_basis refuses a non-isolated germ with NonIsolatedError)."""
     return sorted(Counter(cls.tdt_eigenvalue() for cls in ct_basis(problem)).items())
 
 

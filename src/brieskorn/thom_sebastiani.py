@@ -10,7 +10,7 @@ functions that work on h take it as an argument.
 from __future__ import annotations
 
 from brieskorn.engine import _block, _s_chain, spectrum
-from brieskorn.germ import CohomologyClass, GermProblem, InvariantViolation, exact_chain, vanishing_target
+from brieskorn.germ import CohomologyClass, GermProblem, vanishing_target
 
 
 def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: int):
@@ -27,11 +27,7 @@ def vanish_g_k_dg(cls_f: CohomologyClass, pg: GermProblem, h: GermProblem, k: in
         raise ValueError("product form is not homogeneous")
     block = _block(h, target.degree - 1, weight, None, h.form_keys(target))
     chain = _s_chain([block], target)
-    if chain is None:
-        return target, None
-    if not exact_chain(h.f, target, chain):
-        raise InvariantViolation("vanishing certificate failed re-verification")
-    return target, chain[0]
+    return target, None if chain is None else chain[0]
 
 
 def ts_compare(basis_f: list[CohomologyClass], pg: GermProblem, h: GermProblem) -> tuple[list, list]:

@@ -1,6 +1,7 @@
 """The CI workflow parses and runs the tier-1 command (ROADMAP.md, "Tier-1 verify"),
 after installing the test dependencies from their one list in pyproject.toml,
-and in a second job the benchmark's checks on each of its workloads;
+in a second job the benchmark's checks on each of its workloads, and in a
+third the whole-CLI property test on the fuzz profile's examples;
 every source file parses as the oldest Python that pyproject.toml admits, and
 the installed console script runs the tested `cli.main`."""
 
@@ -58,6 +59,25 @@ def test_bench_smoke_workflow():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         declared = [w["name"] for w in json.load(fh)["workloads"]]
     assert BENCH_SMOKE.splitlines()[0] == f"for workload in {' '.join(declared)}; do"
+
+
+FUZZ = (
+    "python -m pytest -q tests/test_properties.py::test_every_command_keeps_the_cli_contract_on_generated_germs"
+    " --hypothesis-profile fuzz"
+)
+
+
+def test_fuzz_workflow():
+    # the whole-CLI property test on the fuzz profile's examples (tests/conftest.py),
+    # outside the tests job, so tier-1 keeps its bounded count
+    yaml = pytest.importorskip("yaml")
+    with open(os.path.join(ROOT, ".github", "workflows", "tier1.yml"), encoding="utf-8") as fh:
+        job = yaml.safe_load(fh)["jobs"]["fuzz"]
+    assert job["timeout-minutes"] == 15
+    steps = job["steps"]
+    assert {"python-version": "3.11"} in [s.get("with") for s in steps]
+    assert [s["run"] for s in steps if "run" in s] == ['pip install -e ".[test]"', FUZZ]
+    assert pytest.importorskip("hypothesis").settings.get_profile("fuzz").max_examples == 500
 
 
 def test_test_extra_holds_every_test_dependency():

@@ -433,6 +433,18 @@ class TestInputContract:
         monkeypatch.setattr(microdiff.linalg, "solve_columns", solve)
         self.expect(["micro"], 3, f"invariant violation: {message}", capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["torsion", prob("barlet35.json"), "--monomial", "1"], ["ts", prob("cusp.json"), prob("ts_z2.json")]],
+        ids=["t-level-1", "vanishing-k0"],
+    )
+    def test_a_wrong_chain_solve_is_an_invariant_violation(self, argv, doubled_solve, tmp_path, capsys):
+        # engine._s_chain checks each chain it solves: barlet35's volume class
+        # at t-level 1, and rep_f wedge dg at k = 0, miss their targets twice over
+        out = tmp_path / "report.json"
+        self.expect([*argv, "--out", str(out)], 3, "invariant violation: chain solve failed re-verification", capsys)
+        assert not out.exists()
+
     def test_a_stray_assertion_error_is_an_internal_error(self, monkeypatch, capsys):
         def broken(*args):
             raise AssertionError("boom")

@@ -144,8 +144,10 @@ class TestSlices:
             h_slice(BP, 3, F(1))
 
     def test_cap_relative_flag(self):
-        assert h_slice(BP, 3, F(1), cap=10).cap_relative
-        assert not h_slice(A1, 1, F(1)).cap_relative
+        # a slice is cap-relative exactly when some weight is <= 0: it keeps
+        # the given cap then, and derives a cap that covers it otherwise
+        assert not BP.positive_weights and h_slice(BP, 3, F(1), cap=10).cap == 10
+        assert A1.positive_weights and h_slice(A1, 1, F(1)).cap == A1.auto_cap(A1.grading.scaled(F(1)))
 
 
 def h_slice_reference(problem, i, c, cap):
@@ -353,6 +355,12 @@ class TestTorsion:
         assert isinstance(cert_t, TorsionCertificate) and cert_t.order == 1
         assert isinstance(cert_s, TorsionCertificate) and cert_s.order == 2
         assert cert_t.verify(cls) and cert_s.verify(cls)
+
+    def test_a_wrong_s_chain_solve_is_an_invariant_violation(self, doubled_solve):
+        # the forward sweep finds depth 2, and _s_chain's check refuses the doubled chain
+        cls = CohomologyClass(BP, 3, volume_form(3))
+        with pytest.raises(InvariantViolation, match="chain solve failed re-verification"):
+            torsion_order_s(cls, 10, cap=12)
 
     def test_certificates_reject_tampering(self):
         cls = CohomologyClass(BP, 3, volume_form(3))
@@ -1371,7 +1379,7 @@ class TestZeroWeight:
         with pytest.raises(CapExceeded):
             h_slice(p, 1, F(1))
         sl = h_slice(p, 1, F(1), cap=6)
-        assert sl.cap_relative
+        assert sl.cap == 6
         # the kernel is spanned by y^j dx, but only dx is closed
         assert len(sl.classes) == 1
 

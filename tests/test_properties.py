@@ -9,9 +9,14 @@ RREF references.
 Examples are derandomized and bounded, so the suite stays deterministic.
 """
 
+import io
 import itertools
+import json
 import math
+import os
+import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -38,6 +43,7 @@ from test_linalg import combine, keyed, nullspace_by_probing, rows_of, solve_by_
 from test_poly import check_keys  # noqa: E402
 
 from brieskorn import engine, linalg  # noqa: E402
+from brieskorn.cli import main as cli_main  # noqa: E402
 from brieskorn.engine import (  # noqa: E402
     CohomologyClass,
     GermProblem,
@@ -62,6 +68,7 @@ from brieskorn.poly import (  # noqa: E402
 
 NVARS = 3
 VARIABLES = ["x", "y", "z"]
+FOUR_VARIABLES = [*VARIABLES, "w"]
 
 bounded = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -264,11 +271,14 @@ def test_tdt_acts_on_top_classes_by_the_residue_exponent(germ, seed):
 
 
 @st.composite
-def quasi_homogeneous_germs(draw):
-    """f with one to four monomials of one nonzero weight, in 1..3 variables
-    with weights of either sign."""
-    nvars = draw(st.integers(1, NVARS))
+def quasi_homogeneous_germs(draw, max_nvars=NVARS, rational_weights=False):
+    """f with one to four monomials of one nonzero weight and rational
+    coefficients, in 1..max_nvars variables with weights of either sign:
+    integers, or with rational_weights integers over denominators 1..3."""
+    nvars = draw(st.integers(1, max_nvars))
     weights = draw(st.lists(st.integers(-2, 4), min_size=nvars, max_size=nvars))
+    if rational_weights:
+        weights = [Fraction(w, draw(st.integers(1, 3))) for w in weights]
     first = draw(st.tuples(*[st.integers(0, 4)] * nvars))
     grading = Grading(weights)
     degree = grading.monomial(first)
@@ -276,7 +286,7 @@ def quasi_homogeneous_germs(draw):
     others = list(iter_monomials_of_weight(grading, degree, 6))
     chosen = {first, *draw(st.lists(st.sampled_from(others), max_size=3))} if others else {first}
     f = Polynomial(nvars, {e: draw(coefficients) for e in sorted(chosen)})
-    return GermProblem(VARIABLES[:nvars], weights, f)
+    return GermProblem(FOUR_VARIABLES[:nvars], weights, f)
 
 
 @bounded
@@ -355,6 +365,65 @@ def test_theorem_exits_agree_with_the_slice_route(problem, data):
         assert theorem == [run(*args) for run, *args in runs]
     finally:
         engine.h_free = engine_h_free
+
+
+# a handful of examples in tier-1; `--hypothesis-profile fuzz` (tests/conftest.py) runs that profile's count
+whole_cli = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=settings.default.max_examples if settings.get_current_profile_name() == "fuzz" else 15,
+)
+# every command that reads one germ, with a cap of 8 and t, s <= 3 where it takes them
+CLI_RUNS = {
+    "analyze": ["--max-degree", "8", "--max-t-power", "3", "--max-s-power", "3"],
+    "kernel": [],
+    "spectrum": [],
+    "torsion": ["--monomial", "1", "--max-degree", "8", "--max-t-power", "3", "--max-s-power", "3"],
+    "check-p": ["--max-degree", "8"],
+}
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@whole_cli
+@given(quasi_homogeneous_germs(max_nvars=4, rational_weights=True))
+def test_every_command_keeps_the_cli_contract_on_generated_germs(problem):
+    # exit 0, 1 or 2 and never a traceback; a run that writes no report prints
+    # one stderr line, and every report replays in full; spectrum and analyze
+    # agree on an isolated germ, whose spectrum is symmetric about (n - 2)/2
+    germ = {
+        "variables": list(problem.variables),
+        "weights": [format_rational(w) for w in problem.weights],
+        "polynomial": problem.f.serialize(problem.variables),
+    }
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "germ.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(germ, fh)
+        for command, flags in CLI_RUNS.items():
+            out = os.path.join(tmp, f"{command}.json")
+            code, _stdout, stderr = run_cli([command, path, *flags, "--out", out])
+            assert code in (0, 1, 2) and "Traceback" not in stderr, (command, germ, stderr)
+            if os.path.exists(out):  # an exit 2 with a report is a search that hit its ceiling
+                assert stderr == "", (command, germ, stderr)
+                with open(out, encoding="utf-8") as fh:
+                    reports[command] = json.load(fh)
+                k = len(reports[command]["certificates"])
+                assert run_cli([command, path, *flags, "--verify", out]) == (0, f"verified {k}/{k} certificates\n", "")
+            else:
+                assert code != 0 and len(stderr.splitlines()) == 1, (command, germ, stderr)
+    if "spectrum" in reports:
+        spectrum = reports["spectrum"]["result"]
+        assert reports["analyze"]["result"]["milnor_number"] == spectrum["rank"]
+        alphas = sorted(Fraction(a) for a in spectrum["spectrum"])
+        assert alphas == sorted(problem.nvars - 2 - a for a in alphas)
 
 
 @st.composite
